@@ -319,7 +319,7 @@ let run_all_cmd =
    failure-injection scenario. Exit codes: 0 for a benign outcome, 2
    when honest parties detected misbehaviour, 1 when a
    reference-comparable scenario fails byte-identity (a determinism
-   regression, not a protocol outcome). *)
+   regression, not a protocol outcome, so it takes precedence). *)
 let deploy_cmd =
   let scenario_arg =
     let doc =
@@ -413,11 +413,11 @@ let deploy_cmd =
             (List.length cp.Bus.Checkpoint.entries)
             path));
       obs_finish ~metrics ~trace ~ledger;
+      if mismatch then exit 1;
       if o.Tormeasure.Deploy.detected then begin
         Printf.printf "misbehaviour detected; failing the run\n";
         exit 2
-      end;
-      if mismatch then exit 1
+      end
   in
   Cmd.v
     (Cmd.info "deploy"

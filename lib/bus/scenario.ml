@@ -47,7 +47,7 @@ let catalogue =
                  honest parties must blame it and the ledger records the \
                  failed proof";
       faults = [ Malicious_cp { cp = 1 } ];
-      reference_comparable = false;
+      reference_comparable = true;
     };
     {
       name = "restart";

@@ -26,7 +26,8 @@ type t = {
   faults : fault list;
   reference_comparable : bool;
       (** true when published bytes must equal the in-process reference
-          pipeline at the same seed (benign-equivalent scenarios) *)
+          pipeline at the same seed (every fault but a DC crash has an
+          in-process equivalent) *)
 }
 
 val catalogue : t list

@@ -105,6 +105,22 @@ let workload cfg ~epoch ~live =
   { pc_events; psc_items }
 
 (* ------------------------------------------------------------------ *)
+(* The rounds both paths run: the bus parties and the in-process
+   reference read the same configs, the malicious CP's tamper included. *)
+
+let pc_round cfg = Privcount.Deployment.config ~num_sks:cfg.num_sks counter_specs
+
+let psc_round cfg scenario =
+  let tamper =
+    Option.map
+      (fun cp -> { Psc.Protocol.tampered_cp = cp; action = `Shuffle_swap })
+      (Bus.Scenario.malicious_cp scenario)
+  in
+  Psc.Protocol.config ~num_cps:cfg.num_cps ~noise_flips_per_cp:cfg.noise_flips_per_cp
+    ~proof_rounds:(Some cfg.proof_rounds) ~verify:true ~confidence:0.95 ?tamper
+    ~table_size:cfg.table_size ()
+
+(* ------------------------------------------------------------------ *)
 (* Per-epoch party set *)
 
 type parties = {
@@ -128,41 +144,23 @@ let spawn_parties cfg (scenario : Bus.Scenario.t) ~epoch =
   List.iter
     (fun (party, factor) -> Bus.Sched.set_delay sched party factor)
     (Bus.Scenario.slow scenario);
-  let pc_cfg =
-    {
-      Privcount.Node.round = Privcount.Deployment.config ~num_sks:cfg.num_sks counter_specs;
-      num_dcs = live;
-      seed = eseed;
-    }
-  in
-  let psc_cfg =
-    {
-      Psc.Node.table_size = cfg.table_size;
-      num_cps = cfg.num_cps;
-      num_dcs = live;
-      noise_flips_per_cp = cfg.noise_flips_per_cp;
-      proof_rounds = cfg.proof_rounds;
-      confidence = 0.95;
-      seed = eseed;
-    }
-  in
-  let pc_ts = Privcount.Node.spawn_ts sched ~epoch pc_cfg in
+  let pc_cfg = { Privcount.Node.round = pc_round cfg; num_dcs = live; seed = eseed } in
+  let psc_cfg = { Psc.Node.round = psc_round cfg scenario; num_dcs = live; seed = eseed } in
+  let pc_ts = Privcount.Node.spawn_ts sched pc_cfg in
   let pc_sks =
     Array.of_list
-      (tabulate cfg.num_sks (fun id -> Privcount.Node.spawn_sk sched ~epoch pc_cfg ~id))
+      (tabulate cfg.num_sks (fun id -> Privcount.Node.spawn_sk sched pc_cfg ~id))
   in
   let pc_dcs =
     Array.of_list
       (tabulate live (fun id -> Privcount.Node.spawn_dc sched ~epoch pc_cfg ~id))
   in
-  let psc_ts = Psc.Node.spawn_ts sched ~epoch psc_cfg in
-  let malicious = Bus.Scenario.malicious_cp scenario in
+  let psc_ts = Psc.Node.spawn_ts sched psc_cfg in
   for id = 0 to cfg.num_cps - 1 do
-    Psc.Node.spawn_cp sched ~epoch psc_cfg ~id ~tamper:(malicious = Some id)
+    Psc.Node.spawn_cp sched ~epoch psc_cfg ~id
   done;
   let psc_dcs =
-    Array.of_list
-      (tabulate live (fun id -> Psc.Node.spawn_dc sched ~epoch psc_cfg ~id))
+    Array.of_list (tabulate live (fun id -> Psc.Node.spawn_dc sched psc_cfg ~id))
   in
   { sched; live; pc_ts; pc_dcs; pc_sks; psc_ts; psc_dcs }
 
@@ -263,7 +261,7 @@ let aggregate st ~epoch =
   ignore (Bus.Sched.run p.sched : Bus.Sched.stats);
   (* close with whatever arrived: missing DCs are excluded by the SKs
      (PrivCount dropout recovery) and absent from the PSC combine *)
-  Privcount.Node.ts_close p.pc_ts ~epoch ~num_sks:st.cfg.num_sks;
+  Privcount.Node.ts_close p.pc_ts ~epoch;
   Psc.Node.ts_start_aggregate p.psc_ts ~epoch;
   ignore (Bus.Sched.run p.sched : Bus.Sched.stats)
 
@@ -385,10 +383,8 @@ let run_reference cfg (scenario : Bus.Scenario.t) =
     (function
       | Bus.Scenario.Dc_crash _ ->
           invalid_arg "Deploy.run_reference: crash has no in-process equivalent"
-      | Bus.Scenario.Malicious_cp _ ->
-          invalid_arg
-            "Deploy.run_reference: tampering has no in-process equivalent"
-      | Bus.Scenario.Churn _ | Bus.Scenario.Slow _ | Bus.Scenario.Restart _ -> ())
+      | Bus.Scenario.Malicious_cp _ | Bus.Scenario.Churn _ | Bus.Scenario.Slow _
+      | Bus.Scenario.Restart _ -> ())
     scenario.Bus.Scenario.faults;
   Obs.with_enabled false (fun () ->
       let buf = Buffer.create 4096 in
@@ -396,25 +392,14 @@ let run_reference cfg (scenario : Bus.Scenario.t) =
         let eseed = epoch_seed cfg epoch in
         let live = Bus.Scenario.dcs_at scenario ~base_dcs:cfg.num_dcs ~epoch in
         let wl = workload cfg ~epoch ~live in
-        let round =
-          Privcount.Deployment.create
-            (Privcount.Deployment.config ~num_sks:cfg.num_sks counter_specs)
-            ~num_dcs:live ~seed:eseed
-        in
+        let round = Privcount.Deployment.create (pc_round cfg) ~num_dcs:live ~seed:eseed in
         Array.iter
           (fun (dc, name, by) ->
             Privcount.Deployment.increment round ~dc ~name ~by)
           wl.pc_events;
         Buffer.add_string buf
           (Privcount.Wire.encode_results (Privcount.Deployment.tally round));
-        let proto =
-          Psc.Protocol.create
-            (Psc.Protocol.config ~num_cps:cfg.num_cps
-               ~noise_flips_per_cp:cfg.noise_flips_per_cp
-               ~proof_rounds:(Some cfg.proof_rounds) ~verify:true
-               ~confidence:0.95 ~table_size:cfg.table_size ())
-            ~num_dcs:live ~seed:eseed
-        in
+        let proto = Psc.Protocol.create (psc_round cfg scenario) ~num_dcs:live ~seed:eseed in
         Array.iter (fun (dc, item) -> Psc.Protocol.insert proto ~dc item) wl.psc_items;
         Buffer.add_string buf (Psc.Wire.encode_result (Psc.Protocol.run proto))
       done;

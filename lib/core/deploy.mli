@@ -75,6 +75,6 @@ val run_reference : config -> Bus.Scenario.t -> string
 (** The same workload through the in-process pipelines
     ({!Privcount.Deployment} and {!Psc.Protocol}), with telemetry
     suppressed so only the bus run populates the ledger; returns the
-    digest to compare with {!run}. Raises [Invalid_argument] for
-    scenarios whose faults have no in-process equivalent (crash,
-    malicious CP). *)
+    digest to compare with {!run}. A malicious CP runs as the same
+    [`Shuffle_swap] tamper in both. Raises [Invalid_argument] for a DC
+    crash, which has no in-process equivalent. *)

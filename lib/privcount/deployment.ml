@@ -25,14 +25,72 @@ let per_counter_params cfg =
 let total_sigma cfg spec =
   Dp.Mechanism.gaussian_sigma (per_counter_params cfg) ~sensitivity:spec.Counter.sensitivity
 
-(* The two derivations every party must agree on, exported so the bus
-   deployment (lib/privcount/node.ml) cannot drift from the in-process
-   path: the pairwise blinding stream for a (dc, sk) pair and the
-   round's shared noise RNG. *)
-let share_drbg ~seed ~dc ~sk =
-  Crypto.Drbg.create (Printf.sprintf "privcount-blind|seed=%d|dc=%d|sk=%d" seed dc sk)
+(* The derivations and checks every party must agree on, shared with
+   the bus deployment (lib/privcount/node.ml) so it cannot drift from
+   the in-process path. *)
+
+(* Pairwise blinding: DC d and SK k derive identical per-counter shares
+   from a shared seed (standing in for PrivCount's encrypted share
+   exchange over TLS), drawn in counter-id order. *)
+let blinding_row ~seed ~dc ~sk ~counters =
+  let drbg =
+    Crypto.Drbg.create (Printf.sprintf "privcount-blind|seed=%d|dc=%d|sk=%d" seed dc sk)
+  in
+  Array.init counters (fun _ -> Crypto.Drbg.uniform drbg Crypto.Secret_sharing.modulus)
+
+let check_blinding ~seed ~dc rows =
+  let ok =
+    List.for_all
+      (fun (sk, row) ->
+        Array.for_all2 Int.equal row
+          (blinding_row ~seed ~dc ~sk ~counters:(Array.length row)))
+      rows
+  in
+  Obs.Ledger.proof ~kind:"privcount-blinding" ~party:dc ~ok
+    ~batch:(List.fold_left (fun n (_, row) -> n + Array.length row) 0 rows)
 
 let noise_rng ~seed = Prng.Rng.create (seed * 7919)
+
+(* Noise is split across DCs so the per-DC variances sum to the total:
+   by default equally; with [noise_weights], proportionally to each
+   relay's observation weight (PrivCount's allocation — a relay that
+   sees more of the network carries more of the noise, so losing a
+   small DC costs little privacy). *)
+let sigma_per_dc ?noise_weights cfg ~num_dcs =
+  let variance_share =
+    match noise_weights with
+    | None -> Array.make num_dcs (1.0 /. float_of_int num_dcs)
+    | Some weights ->
+      if Array.length weights <> num_dcs then
+        invalid_arg "Deployment.create: noise_weights length mismatch";
+      if Array.exists (fun w -> w <= 0.0) weights then
+        invalid_arg "Deployment.create: noise_weights must be positive";
+      let total = Array.fold_left ( +. ) 0.0 weights in
+      Array.map (fun w -> w /. total) weights
+  in
+  fun ~dc spec -> total_sigma cfg spec *. sqrt variance_share.(dc)
+
+(* Ledger: the round's budget grant up front, then one draw per counter
+   in id (= sorted name) order. The grant records what the
+   configuration authorizes: with split_budget, ε is divided across the
+   counters and the draws sum back to ε; without it the operator has
+   opted into per-statistic accounting and every counter is granted the
+   full ε. `tormeasure audit` then flags any round that draws beyond
+   its own policy. *)
+let record_budget cfg intern =
+  if Obs.enabled () then begin
+    let authorized =
+      if cfg.split_budget then 1.0 else float_of_int (List.length cfg.specs)
+    in
+    Obs.Ledger.grant ~system:"privcount"
+      ~epsilon:(authorized *. cfg.params.Dp.Mechanism.epsilon)
+      ~delta:(authorized *. cfg.params.Dp.Mechanism.delta);
+    let pc = per_counter_params cfg in
+    for c = 0 to Counter.Intern.size intern - 1 do
+      Obs.Ledger.draw ~system:"privcount" ~counter:(Counter.Intern.name intern c)
+        ~mechanism:"gaussian" ~epsilon:pc.Dp.Mechanism.epsilon ~delta:pc.Dp.Mechanism.delta
+    done
+  end
 
 let create ?noise_weights cfg ~num_dcs ~seed =
   if num_dcs < 1 then invalid_arg "Deployment.create: need at least one DC";
@@ -50,49 +108,10 @@ let create ?noise_weights cfg ~num_dcs ~seed =
      in sorted name order, so id order IS the draw order the round
      always used. *)
   let intern = Counter.Intern.of_specs cfg.specs in
-  (* Ledger: the round's budget grant up front, then one draw per
-     counter in id (= sorted name) order. The grant records what the
-     configuration authorizes: with split_budget, ε is divided across
-     the counters and the draws sum back to ε; without it the operator
-     has opted into per-statistic accounting and every counter is
-     granted the full ε. `tormeasure audit` then flags any round that
-     draws beyond its own policy. *)
-  if Obs.enabled () then begin
-    let authorized =
-      if cfg.split_budget then 1.0 else float_of_int (List.length cfg.specs)
-    in
-    Obs.Ledger.grant ~system:"privcount"
-      ~epsilon:(authorized *. cfg.params.Dp.Mechanism.epsilon)
-      ~delta:(authorized *. cfg.params.Dp.Mechanism.delta);
-    let pc = per_counter_params cfg in
-    for c = 0 to Counter.Intern.size intern - 1 do
-      Obs.Ledger.draw ~system:"privcount" ~counter:(Counter.Intern.name intern c)
-        ~mechanism:"gaussian" ~epsilon:pc.Dp.Mechanism.epsilon ~delta:pc.Dp.Mechanism.delta
-    done
-  end;
+  record_budget cfg intern;
   let sks = Array.init cfg.num_sks (fun id -> Sk.create ~id ~intern ~num_dcs) in
-  (* Pairwise blinding: DC d and SK k derive identical per-counter
-     shares from a shared seed (standing in for PrivCount's encrypted
-     share exchange over TLS). *)
-  let share_drbg ~dc ~sk = share_drbg ~seed ~dc ~sk in
   let noise_rng = noise_rng ~seed in
-  (* Noise is split across DCs so the per-DC variances sum to the total:
-     by default equally; with [noise_weights], proportionally to each
-     relay's observation weight (PrivCount's allocation — a relay that
-     sees more of the network carries more of the noise, so losing a
-     small DC costs little privacy). *)
-  let variance_share =
-    match noise_weights with
-    | None -> Array.make num_dcs (1.0 /. float_of_int num_dcs)
-    | Some weights ->
-      if Array.length weights <> num_dcs then
-        invalid_arg "Deployment.create: noise_weights length mismatch";
-      if Array.exists (fun w -> w <= 0.0) weights then
-        invalid_arg "Deployment.create: noise_weights must be positive";
-      let total = Array.fold_left ( +. ) 0.0 weights in
-      Array.map (fun w -> w /. total) weights
-  in
-  let sigma_per_dc_at dc spec = total_sigma cfg spec *. sqrt variance_share.(dc) in
+  let sigma_per_dc = sigma_per_dc ?noise_weights cfg ~num_dcs in
   (* Per-counter blinding shares for every (dc, sk) pair, generated on
      the domain pool. Each pair's DRBG is an independent stream seeded
      only by (seed, dc, sk), and a DC draws its shares in sorted counter
@@ -102,9 +121,8 @@ let create ?noise_weights cfg ~num_dcs ~seed =
   let num_counters = Counter.Intern.size intern in
   let shares_tensor =
     Parallel.parallel_init ~min_chunk:1 (num_dcs * cfg.num_sks) (fun idx ->
-        let drbg = share_drbg ~dc:(idx / cfg.num_sks) ~sk:(idx mod cfg.num_sks) in
-        Array.init num_counters (fun _ ->
-            Crypto.Drbg.uniform drbg Crypto.Secret_sharing.modulus))
+        blinding_row ~seed ~dc:(idx / cfg.num_sks) ~sk:(idx mod cfg.num_sks)
+          ~counters:num_counters)
   in
   (* Absorption into the SKs (and telemetry) stays sequential, on the
      orchestrating domain, in the order the inline draws always ran:
@@ -118,7 +136,7 @@ let create ?noise_weights cfg ~num_dcs ~seed =
               Sk.absorb sks.(sk) ~dc:id ~counter:c share;
               share)
         in
-        Dc.create ~id ~intern ~noise_sigma_per_dc:(sigma_per_dc_at id) ~blinding ~noise_rng)
+        Dc.create ~id ~intern ~noise_sigma_per_dc:(sigma_per_dc ~dc:id) ~blinding ~noise_rng)
   in
   (* Blinding check: with telemetry on, re-derive every (dc, sk) share
      stream sequentially and compare it against the pool-generated
@@ -126,21 +144,10 @@ let create ?noise_weights cfg ~num_dcs ~seed =
      produced exactly the shares the sequential protocol would have —
      and record the outcome per DC in the run ledger. *)
   if Obs.enabled () then
-    Array.iter
-      (fun dc ->
-        let id = Dc.id dc in
-        let ok = ref true in
-        for sk = 0 to cfg.num_sks - 1 do
-          let drbg = share_drbg ~dc:id ~sk in
-          let expect = shares_tensor.((id * cfg.num_sks) + sk) in
-          for c = 0 to num_counters - 1 do
-            if Crypto.Drbg.uniform drbg Crypto.Secret_sharing.modulus <> expect.(c) then
-              ok := false
-          done
-        done;
-        Obs.Ledger.proof ~kind:"privcount-blinding" ~party:id ~ok:!ok
-          ~batch:(cfg.num_sks * num_counters))
-      dcs;
+    for dc = 0 to num_dcs - 1 do
+      check_blinding ~seed ~dc
+        (List.init cfg.num_sks (fun sk -> (sk, shares_tensor.((dc * cfg.num_sks) + sk))))
+    done;
   { cfg; intern; dcs; sks; tallied = false }
 
 let num_dcs t = Array.length t.dcs

@@ -26,16 +26,34 @@ val per_counter_params : config -> Dp.Mechanism.params
 (** The (ε, δ) each counter actually spends: the round budget divided
     across counters when [split_budget], the full budget otherwise. *)
 
-val share_drbg : seed:int -> dc:int -> sk:int -> Crypto.Drbg.t
-(** The pairwise blinding stream DC [dc] and SK [sk] both derive for a
-    round (stands in for PrivCount's encrypted share exchange). Exported
-    so the message-bus deployment derives the exact same shares as the
-    in-process path. *)
+(** {2 Per-party derivations}
+
+    Written once and called by both {!create} and the bus-hosted
+    parties ({!Node}), so the two paths draw the same streams and
+    record the same ledger events. *)
+
+val blinding_row : seed:int -> dc:int -> sk:int -> counters:int -> int array
+(** The pairwise blinding shares DC [dc] and SK [sk] both derive for a
+    round, in counter-id order (stands in for PrivCount's encrypted
+    share exchange). *)
+
+val check_blinding : seed:int -> dc:int -> (int * int array) list -> unit
+(** Re-derive each [(sk, row)] of DC [dc]'s blinding rows and record
+    one [privcount-blinding] ledger proof over all of them. *)
 
 val noise_rng : seed:int -> Prng.Rng.t
 (** The round's shared noise RNG, consumed dc-major in counter-id order
     by {!create}. A bus-hosted DC replays the earlier DCs' draws to
     reach its own position in the stream. *)
+
+val sigma_per_dc :
+  ?noise_weights:float array -> config -> num_dcs:int -> dc:int -> Counter.spec -> float
+(** A DC's share of a counter's noise stddev: the per-DC variances sum
+    to {!total_sigma}, split equally or by [noise_weights]. *)
+
+val record_budget : config -> Counter.Intern.t -> unit
+(** Ledger the round's budget: the authorized grant, then one draw per
+    counter in id order (no-op with telemetry off). *)
 
 val create : ?noise_weights:float array -> config -> num_dcs:int -> seed:int -> t
 (** [noise_weights] splits the noise variance across DCs proportionally

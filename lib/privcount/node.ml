@@ -12,83 +12,65 @@ type cfg = {
 
 let intern_of cfg = Counter.Intern.of_specs cfg.round.Deployment.specs
 
-(* Equal variance split across the epoch's DCs, as the in-process
-   default: each DC's noise stddev is the total scaled by sqrt(1/n). *)
-let sigma_per_dc cfg spec =
-  Deployment.total_sigma cfg.round spec *. sqrt (1.0 /. float_of_int cfg.num_dcs)
-
-let modulus = Crypto.Secret_sharing.modulus
-
 (* ------------------------------------------------------------------ *)
 (* Data collector *)
 
 type dc = {
   dc_id : int;
-  dc_sched : Bus.Sched.t;
   dc_cell : Dc.t;
   mutable report_override : (string * int) list option;
 }
 
+(* the checkpointed residues after a restore, else the live cell's *)
+let dc_report t =
+  Wire.Dc_report
+    (match t.report_override with Some entries -> entries | None -> Dc.report t.dc_cell)
+
 let spawn_dc sched ~epoch cfg ~id =
   let intern = intern_of cfg in
   let n = Counter.Intern.size intern in
+  let sigma = Deployment.sigma_per_dc cfg.round ~num_dcs:cfg.num_dcs in
   (* Fast-forward the shared noise RNG: the in-process round draws
      noise dc-major (dc 0's counters, then dc 1's, ...) from one
      stream. Replaying the earlier DCs' draws — same sigmas, same
      order — lands this DC's own draws at exactly the positions the
      in-process path gives them. *)
   let rng = Deployment.noise_rng ~seed:cfg.seed in
-  for dc' = 0 to id - 1 do
-    ignore dc';
+  for dc = 0 to id - 1 do
     for c = 0 to n - 1 do
-      let spec = Counter.Intern.spec intern c in
       ignore
-        (Dp.Mechanism.gaussian_noise rng ~sigma:(sigma_per_dc cfg spec) : float)
+        (Dp.Mechanism.gaussian_noise rng ~sigma:(sigma ~dc (Counter.Intern.spec intern c))
+          : float)
     done
   done;
-  (* The DC's blinding rows toward each SK, from the exported pairwise
-     streams; the SKs re-derive and verify the same values. *)
+  (* The DC's blinding rows toward each SK; the SKs re-derive and
+     verify the same values. *)
+  let num_sks = cfg.round.Deployment.num_sks in
   let rows =
-    Array.init cfg.round.Deployment.num_sks (fun sk ->
-        let drbg = Deployment.share_drbg ~seed:cfg.seed ~dc:id ~sk in
-        Array.init n (fun _ -> Crypto.Drbg.uniform drbg modulus))
+    Array.init num_sks (fun sk -> Deployment.blinding_row ~seed:cfg.seed ~dc:id ~sk ~counters:n)
   in
-  let blinding ~counter =
-    List.init cfg.round.Deployment.num_sks (fun sk -> rows.(sk).(counter))
-  in
+  let blinding ~counter = List.init num_sks (fun sk -> rows.(sk).(counter)) in
   let cell =
-    Dc.create ~id ~intern ~noise_sigma_per_dc:(sigma_per_dc cfg) ~blinding
-      ~noise_rng:rng
+    Dc.create ~id ~intern ~noise_sigma_per_dc:(sigma ~dc:id) ~blinding ~noise_rng:rng
   in
-  let t = { dc_id = id; dc_sched = sched; dc_cell = cell; report_override = None } in
+  let t = { dc_id = id; dc_cell = cell; report_override = None } in
   (* share exchange: one message per SK, the whole row at once *)
-  for sk = 0 to cfg.round.Deployment.num_sks - 1 do
+  for sk = 0 to num_sks - 1 do
     Wire.post sched ~epoch ~src:(Bus.Party.Dc id) ~dst:(Bus.Party.Sk sk)
       (Wire.Blind_shares { sk; counters = rows.(sk) })
   done;
   Bus.Sched.register sched (Bus.Party.Dc id) (fun env ->
       match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
       | Ok Wire.Report_request ->
-          let report =
-            match t.report_override with
-            | Some entries -> entries
-            | None -> Dc.report t.dc_cell
-          in
           Wire.post sched ~epoch:env.Bus.Envelope.epoch ~src:(Bus.Party.Dc id)
-            ~dst:Bus.Party.Ts (Wire.Dc_report report);
+            ~dst:Bus.Party.Ts (dc_report t);
           true
       | Ok _ | Error _ -> false);
   t
 
 let dc_increment t ~name ~by = Dc.increment t.dc_cell ~name ~by
 
-let dc_state t =
-  let report =
-    match t.report_override with
-    | Some entries -> entries
-    | None -> Dc.report t.dc_cell
-  in
-  Wire.encode (Wire.Dc_report report)
+let dc_state t = Wire.encode (dc_report t)
 
 let dc_load t blob =
   match Wire.decode ~kind:"pc.dc_report" blob with
@@ -96,7 +78,6 @@ let dc_load t blob =
       t.report_override <- Some entries;
       Obs.Ledger.proof ~kind:"bus-restore-dc" ~party:t.dc_id ~ok:true
         ~batch:(List.length entries);
-      ignore t.dc_sched;
       Ok ()
   | Ok _ -> Error (Bus.Codec.Invalid "not a dc report")
   | Error e -> Error e
@@ -104,14 +85,12 @@ let dc_load t blob =
 (* ------------------------------------------------------------------ *)
 (* Share keeper *)
 
-type sk = { sk_id : int; sk_cell : Sk.t; sk_cfg : cfg }
+type sk = { sk_id : int; sk_cell : Sk.t; sk_counters : int }
 
-let spawn_sk sched ~epoch cfg ~id =
-  ignore epoch;
+let spawn_sk sched cfg ~id =
   let intern = intern_of cfg in
   let n = Counter.Intern.size intern in
   let cell = Sk.create ~id ~intern ~num_dcs:cfg.num_dcs in
-  let t = { sk_id = id; sk_cell = cell; sk_cfg = cfg } in
   Bus.Sched.register sched (Bus.Party.Sk id) (fun env ->
       match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
       | Ok (Wire.Blind_shares { sk; counters }) ->
@@ -125,17 +104,9 @@ let spawn_sk sched ~epoch cfg ~id =
           in
           if sk <> id || Array.length counters <> n then
             invalid_arg "Node.sk: misrouted blinding row";
-          (* the share exchange's integrity check, now across the wire:
-             the SK re-derives the pairwise stream and compares *)
-          let drbg = Deployment.share_drbg ~seed:cfg.seed ~dc ~sk:id in
-          let ok = ref true in
-          for c = 0 to n - 1 do
-            if Crypto.Drbg.uniform drbg modulus <> counters.(c) then ok := false
-          done;
-          Obs.Ledger.proof ~kind:"privcount-blinding" ~party:dc ~ok:!ok ~batch:n;
-          for c = 0 to n - 1 do
-            Sk.absorb cell ~dc ~counter:c counters.(c)
-          done;
+          (* the share exchange's integrity check, across the wire *)
+          Deployment.check_blinding ~seed:cfg.seed ~dc [ (id, counters) ];
+          Array.iteri (fun counter share -> Sk.absorb cell ~dc ~counter share) counters;
           true
       | Ok (Wire.Sk_report_request { exclude_dcs }) ->
           Wire.post sched ~epoch:env.Bus.Envelope.epoch ~src:(Bus.Party.Sk id)
@@ -143,7 +114,7 @@ let spawn_sk sched ~epoch cfg ~id =
             (Wire.Sk_report (Sk.report ~exclude_dcs cell));
           true
       | Ok _ | Error _ -> false);
-  t
+  { sk_id = id; sk_cell = cell; sk_counters = n }
 
 let sk_state t = Wire.encode (Wire.Sk_report (Sk.report t.sk_cell))
 
@@ -154,7 +125,7 @@ let sk_check t blob =
     | Ok _ | Error _ -> false
   in
   Obs.Ledger.proof ~kind:"bus-restore-sk" ~party:t.sk_id ~ok
-    ~batch:(Counter.Intern.size (intern_of t.sk_cfg));
+    ~batch:t.sk_counters;
   ok
 
 (* ------------------------------------------------------------------ *)
@@ -168,32 +139,11 @@ type ts = {
   mutable sk_reports : (int * (string * int) list) list;
 }
 
-let spawn_ts sched ~epoch cfg =
-  ignore epoch;
+let spawn_ts sched cfg =
   let t =
     { ts_sched = sched; ts_cfg = cfg; requested = []; dc_reports = []; sk_reports = [] }
   in
-  (* The round's budget accounting, exactly as the in-process setup
-     records it: the configured authorization up front, then one draw
-     per counter in id (= sorted name) order. *)
-  if Obs.enabled () then begin
-    let specs = cfg.round.Deployment.specs in
-    let params = cfg.round.Deployment.params in
-    let authorized =
-      if cfg.round.Deployment.split_budget then 1.0
-      else float_of_int (List.length specs)
-    in
-    Obs.Ledger.grant ~system:"privcount"
-      ~epsilon:(authorized *. params.Dp.Mechanism.epsilon)
-      ~delta:(authorized *. params.Dp.Mechanism.delta);
-    let pc = Deployment.per_counter_params cfg.round in
-    let intern = intern_of cfg in
-    for c = 0 to Counter.Intern.size intern - 1 do
-      Obs.Ledger.draw ~system:"privcount" ~counter:(Counter.Intern.name intern c)
-        ~mechanism:"gaussian" ~epsilon:pc.Dp.Mechanism.epsilon
-        ~delta:pc.Dp.Mechanism.delta
-    done
-  end;
+  Deployment.record_budget cfg.round (intern_of cfg);
   Bus.Sched.register sched Bus.Party.Ts (fun env ->
       match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
       | Ok (Wire.Dc_report entries) ->
@@ -220,9 +170,9 @@ let ts_request_reports t ~epoch ~dcs =
 let ts_missing_dcs t =
   List.filter (fun dc -> not (List.mem_assoc dc t.dc_reports)) t.requested
 
-let ts_close t ~epoch ~num_sks =
+let ts_close t ~epoch =
   let exclude_dcs = ts_missing_dcs t in
-  for sk = 0 to num_sks - 1 do
+  for sk = 0 to t.ts_cfg.round.Deployment.num_sks - 1 do
     Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst:(Bus.Party.Sk sk)
       (Wire.Sk_report_request { exclude_dcs })
   done

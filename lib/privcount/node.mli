@@ -1,11 +1,13 @@
-(** Bus-hosted PrivCount parties. Each spawn registers message handlers
-    on the scheduler; after that the TS, DCs and SKs communicate only
-    through serialized envelopes (see {!Wire}) — no direct cross-party
-    calls. At the same seed and event stream, the published tallies are
-    byte-identical to the in-process {!Deployment} path: a DC derives
-    the exact same blinding streams ({!Deployment.share_drbg}) and
-    fast-forwards the shared noise RNG ({!Deployment.noise_rng}) to its
-    own draw position. *)
+(** Bus-hosted PrivCount parties: wire plus dispatch. Each spawn
+    registers message handlers on the scheduler; after that the TS, DCs
+    and SKs communicate only through serialized envelopes (see {!Wire})
+    — no direct cross-party calls. Every derivation and check is the
+    one {!Deployment} runs in-process — blinding rows
+    ({!Deployment.blinding_row}, {!Deployment.check_blinding}), per-DC
+    noise ({!Deployment.sigma_per_dc}, {!Deployment.noise_rng}, which a
+    DC fast-forwards to its own draw position) and budget accounting
+    ({!Deployment.record_budget}) — so at the same seed and event
+    stream the published tallies are byte-identical. *)
 
 type cfg = {
   round : Deployment.config;
@@ -37,7 +39,7 @@ val dc_load : dc -> string -> (unit, Bus.Codec.error) result
 
 type sk
 
-val spawn_sk : Bus.Sched.t -> epoch:int -> cfg -> id:int -> sk
+val spawn_sk : Bus.Sched.t -> cfg -> id:int -> sk
 (** Registers handlers that absorb blinding rows (verifying each
     against the SK's own derivation of the pairwise stream — recorded
     as a [privcount-blinding] ledger proof per DC) and answer the
@@ -55,7 +57,7 @@ val sk_state : sk -> string
 
 type ts
 
-val spawn_ts : Bus.Sched.t -> epoch:int -> cfg -> ts
+val spawn_ts : Bus.Sched.t -> cfg -> ts
 (** Records the round's budget grant and per-counter draws in the run
     ledger (the same accounting the in-process path performs) and
     registers the report-collection handlers. *)
@@ -65,7 +67,7 @@ val ts_request_reports : ts -> epoch:int -> dcs:int list -> unit
     answer — the scheduler drops their mail). Run the scheduler to
     quiescence before closing. *)
 
-val ts_close : ts -> epoch:int -> num_sks:int -> unit
+val ts_close : ts -> epoch:int -> unit
 (** Post the SK close requests, excluding every DC that did not report
     (PrivCount's dropout recovery). Run the scheduler again before
     publishing. *)

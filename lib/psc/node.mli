@@ -1,39 +1,37 @@
-(** Bus-hosted PSC parties. The CPs publish keys at spawn; once every
-    key has arrived the TS verifies them, broadcasts the joint key, and
-    the DCs build their oblivious tables. Aggregation is one
-    message-driven cascade — noise with bit proofs, then the per-CP
-    shuffle → verify → rerandomize chain, then joint verifiable
-    decryption — ending in a published estimate byte-identical to the
-    in-process {!Protocol.run} at the same seed, config and inserts.
+(** Bus-hosted PSC parties: wire plus dispatch. Each handler decodes a
+    {!Wire} message and calls the matching per-phase function of
+    {!Protocol} — the same key, noise, shuffle and decryption checks,
+    DRBG streams and estimator the in-process {!Protocol.run} drives —
+    so the published estimate is byte-identical to it at the same seed,
+    config and inserts, and a tampering CP is blamed by the same
+    ledger proofs.
 
-    A misbehaving CP (tampered shuffle with a reused proof) is detected
-    exactly as in-process: the TS rejects the proof, records the failed
-    [psc-shuffle] ledger event and lists the CP as a culprit. *)
+    The CPs publish keys at spawn; once every key has arrived the TS
+    verifies them, broadcasts the joint key, and the DCs build their
+    oblivious tables. Aggregation is one message-driven cascade: noise,
+    then the per-CP shuffle → verify → rerandomize chain, then joint
+    decryption. *)
 
 type cfg = {
-  table_size : int;
-  num_cps : int;
+  round : Protocol.config;
+      (** the round's parameters, [tamper] included; the bus always
+          proves, so [verify] must be on and [proof_rounds] set *)
   num_dcs : int;  (** the epoch's full deployment size *)
-  noise_flips_per_cp : int;
-  proof_rounds : int;  (** always proven on the bus *)
-  confidence : float;
   seed : int;
 }
 
 (** {2 Computation party} *)
 
-val spawn_cp : Bus.Sched.t -> epoch:int -> cfg -> id:int -> tamper:bool -> unit
-(** Create the CP (same DRBG stream as the in-process path: keygen,
-    key proof, then noise/shuffle/rerandomize/decrypt draws in cascade
-    order), post its key, and register the cascade handlers. With
-    [tamper], the CP substitutes a ciphertext after shuffling while
-    keeping the honest proof — the malicious-CP scenario. *)
+val spawn_cp : Bus.Sched.t -> epoch:int -> cfg -> id:int -> unit
+(** Create the CP (same DRBG stream as the in-process path), post its
+    key, and register the cascade handlers. The CP misbehaves as
+    [round.tamper] says when it names this CP. *)
 
 (** {2 Data collector} *)
 
 type dc
 
-val spawn_dc : Bus.Sched.t -> epoch:int -> cfg -> id:int -> dc
+val spawn_dc : Bus.Sched.t -> cfg -> id:int -> dc
 (** The table is built when the joint key arrives — run the scheduler
     to quiescence after setup before inserting. *)
 
@@ -45,13 +43,15 @@ val dc_state : dc -> string
 
 val dc_load : dc -> string -> (unit, Bus.Codec.error) result
 (** Restore the table slots from a checkpoint blob; records a
-    [bus-restore-dc] ledger proof. *)
+    [bus-restore-dc] ledger proof. A blob of the wrong table size is
+    [Error (Invalid _)] and leaves the table untouched. *)
 
 (** {2 Tally server / aggregator} *)
 
 type ts
 
-val spawn_ts : Bus.Sched.t -> epoch:int -> cfg -> ts
+val spawn_ts : Bus.Sched.t -> cfg -> ts
+(** Raises [Invalid_argument] unless [round] verifies with proofs. *)
 
 val ts_request_tables : ts -> epoch:int -> dcs:int list -> unit
 (** Ask each listed DC for its table (crashed DCs never answer). Run

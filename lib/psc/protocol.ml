@@ -26,14 +26,181 @@ let flips_for_params params ~sensitivity ~num_cps =
   let total = Dp.Mechanism.binomial_n_for params ~sensitivity in
   (total + num_cps - 1) / num_cps
 
+type result = {
+  raw_nonzero : int;
+  total_flips : int;
+  estimate : float;
+  ci : Stats.Ci.t;
+  proofs_ok : bool;
+  culprits : int list;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Per-phase derivations and checks. The in-process round below and
+   the bus-hosted parties (Node) both call exactly these, so the two
+   agree on every DRBG stream, ledger proof and published byte by
+   construction. *)
+
+let round_key ~seed = Crypto.Sha256.digest (Printf.sprintf "psc-round-key|%d" seed)
+
+let dc_table ?tab cfg ~seed ~dc joint =
+  let drbg = Crypto.Drbg.create (Printf.sprintf "psc-dc|%d|%d" seed dc) in
+  Table.create ?tab ~table_size:cfg.table_size ~key:(round_key ~seed) ~joint ~drbg ()
+
+let tampers cfg cp action =
+  match cfg.tamper with
+  | Some { tampered_cp; action = a } -> tampered_cp = Cp.id cp && a = action
+  | None -> false
+
+(* Only one CP tampers, with one action, so each fault draws from a
+   fresh copy of the same stream. *)
+let tamper_drbg () = Crypto.Drbg.create "psc-tamper"
+
+let proven_noise cfg ?tab cp ~joint ~flips =
+  let proven = Cp.noise_slots_proven ?tab cp ~joint ~flips in
+  if tampers cfg cp `Noise_nonbit && Array.length proven > 0 then begin
+    (* a Byzantine CP injects Enc(marker^2) as "noise" with a forged
+       bit proof *)
+    let drbg = tamper_drbg () in
+    let r = Crypto.Group.random_exp drbg in
+    let bad =
+      Crypto.Elgamal.encrypt_with ~r joint
+        (Crypto.Group.mul Crypto.Elgamal.marker Crypto.Elgamal.marker)
+    in
+    proven.(0) <- (bad, Crypto.Bit_proof.prove drbg ~pk:joint ~r ~bit:true bad)
+  end;
+  proven
+
+let cp_shuffle cfg ?tab cp ~joint ~rounds vector =
+  let output, proof = Cp.shuffle ?tab cp ~joint ~rounds vector in
+  if tampers cfg cp `Shuffle_swap && Array.length output > 0 then begin
+    (* a Byzantine CP substitutes a slot after shuffling and keeps the
+       honest proof *)
+    let output = Array.copy output in
+    output.(0) <- Crypto.Elgamal.encrypt (tamper_drbg ()) joint Crypto.Elgamal.marker;
+    (output, proof)
+  end
+  else (output, proof)
+
+type verifier = {
+  vcfg : config;
+  joint : Crypto.Elgamal.pub;
+  joint_tab : Crypto.Group.precomp; (* fixed-base table for [joint], built once per round *)
+  pubs : Crypto.Elgamal.pub array;
+  pub_tabs : Crypto.Group.precomp array;
+      (* fixed-base table per CP public key, reused by every
+         verification touching that key *)
+  mutable culprits : int list;
+}
+
+let blame v cp = if not (List.mem cp v.culprits) then v.culprits <- cp :: v.culprits
+
+let verifier cfg keys =
+  Array.iteri
+    (fun id (pub, proof) ->
+      let ok = Cp.verify_key_proof ~id ~pub proof in
+      Obs.Ledger.proof ~kind:"psc-key" ~party:id ~ok ~batch:1;
+      if not ok then
+        (* torlint: allow hygiene/failwith-in-lib — setup abort on a bad
+           CP key proof is the protocol-mandated response *)
+        failwith "Protocol: CP key proof rejected")
+    keys;
+  let pubs = Array.map fst keys in
+  let joint = Crypto.Elgamal.joint_pub (Array.to_list pubs) in
+  {
+    vcfg = cfg;
+    joint;
+    joint_tab = Crypto.Group.precomp joint;
+    pubs;
+    pub_tabs = Array.map Crypto.Group.precomp pubs;
+    culprits = [];
+  }
+
+let joint v = v.joint
+
+let check_noise v ~cp proven =
+  (* one folded check per CP rather than one per slot *)
+  let ok =
+    match Crypto.Bit_proof.verify_batch ~pk_tab:v.joint_tab ~pk:v.joint proven with
+    | Crypto.Batch_verify.Accepted -> true
+    | Crypto.Batch_verify.Rejected _ -> false
+  in
+  Obs.Ledger.proof ~kind:"psc-noise-bit" ~party:cp ~ok ~batch:(Array.length proven);
+  if not ok then blame v cp;
+  Array.map fst proven
+
+let check_shuffle v ~cp ~input ~output proof =
+  Obs.Ledger.phase "psc.verify_shuffle" ~attrs:[ ("cp", string_of_int cp) ] @@ fun () ->
+  match proof with
+  | Some proof ->
+    let ok = Crypto.Shuffle.verify ~tab:v.joint_tab v.joint ~input ~output proof in
+    Obs.Ledger.proof ~kind:"psc-shuffle" ~party:cp ~ok ~batch:(Array.length input);
+    if not ok then blame v cp
+  | None when v.vcfg.proof_rounds <> None ->
+    (* a CP that was asked for a proof and produced none fails
+       verification outright *)
+    Obs.Ledger.proof ~kind:"psc-shuffle" ~party:cp ~ok:false ~batch:0;
+    blame v cp
+  | None -> ()
+
+let decrypt_count v vector (shares : Cp.decryption_share array) =
+  if v.vcfg.verify then
+    Array.iteri
+      (fun cp share ->
+        let ok =
+          Cp.verify_decryption ~pub_tab:v.pub_tabs.(cp) ~pub:v.pubs.(cp) ~vector share
+        in
+        Obs.Ledger.proof ~kind:"psc-decrypt" ~party:cp ~ok ~batch:(Array.length vector);
+        if not ok then blame v cp)
+      shares;
+  let plains =
+    Crypto.Elgamal.combine_partial_all vector ~parties:(Array.length shares)
+      ~share:(fun p i -> shares.(p).Cp.shares.(i))
+  in
+  Array.fold_left
+    (fun n plain -> if Crypto.Elgamal.is_identity_plaintext plain then n else n + 1)
+    0 plains
+
+(* Estimator: subtract the binomial noise mean, invert the occupancy
+   bias, attach the exact interval. *)
+let estimate_of ~table_size ~confidence ~raw_nonzero ~total_flips =
+  let occupied = float_of_int raw_nonzero -. (float_of_int total_flips /. 2.0) in
+  let estimate =
+    Stats.Ci.invert_occupancy ~table_size
+      (max 0.0 (min occupied (float_of_int table_size -. 1.0)))
+  in
+  let ci =
+    Stats.Ci.binomial_exact ~confidence ~observed:raw_nonzero ~flips:total_flips
+      ~table_size ()
+  in
+  (estimate, ci)
+
+let result_of v ~raw_nonzero =
+  let cfg = v.vcfg in
+  let total_flips = cfg.noise_flips_per_cp * Array.length v.pubs in
+  let estimate, ci =
+    Obs.Ledger.phase "psc.estimate" @@ fun () ->
+    estimate_of ~table_size:cfg.table_size ~confidence:cfg.confidence ~raw_nonzero
+      ~total_flips
+  in
+  Obs.Metrics.set "psc_raw_nonzero_slots" (float_of_int raw_nonzero);
+  Obs.Metrics.set "psc_noise_flips" (float_of_int total_flips);
+  {
+    raw_nonzero;
+    total_flips;
+    estimate;
+    ci;
+    proofs_ok = v.culprits = [];
+    culprits = List.sort compare v.culprits;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* In-process round *)
+
 type t = {
   cfg : config;
   cps : Cp.t array;
-  joint : Crypto.Elgamal.pub;
-  joint_tab : Crypto.Group.precomp; (* fixed-base table for [joint], built once per round *)
-  cp_pub_tabs : Crypto.Group.precomp array;
-      (* fixed-base table per CP public key, built once per round and
-         reused by every verification touching that key *)
+  v : verifier;
   round_key : string;
   tables : Table.t array;
   (* simulator-side ground truth of inserted items, for diagnostics *)
@@ -45,33 +212,13 @@ let create cfg ~num_dcs ~seed =
   if num_dcs < 1 then invalid_arg "Protocol.create: need at least one DC";
   let cps = Array.init cfg.num_cps (fun id -> Cp.create ~id ~seed) in
   (* CPs publish keys with proofs of knowledge; the TS checks them. *)
-  Array.iter
-    (fun cp ->
-      let proof = Cp.key_proof cp in
-      let ok = Cp.verify_key_proof ~id:(Cp.id cp) ~pub:(Cp.public_key cp) proof in
-      Obs.Ledger.proof ~kind:"psc-key" ~party:(Cp.id cp) ~ok ~batch:1;
-      if not ok then
-        (* torlint: allow hygiene/failwith-in-lib — setup abort on a bad
-           CP key proof is the protocol-mandated response *)
-        failwith "Protocol.create: CP key proof rejected")
-    cps;
-  let joint = Crypto.Elgamal.joint_pub (Array.to_list (Array.map Cp.public_key cps)) in
-  let joint_tab = Crypto.Group.precomp joint in
-  let cp_pub_tabs = Array.map (fun cp -> Crypto.Group.precomp (Cp.public_key cp)) cps in
-  let round_key = Crypto.Sha256.digest (Printf.sprintf "psc-round-key|%d" seed) in
-  let tables =
-    Array.init num_dcs (fun dc ->
-        let drbg = Crypto.Drbg.create (Printf.sprintf "psc-dc|%d|%d" seed dc) in
-        Table.create ~tab:joint_tab ~table_size:cfg.table_size ~key:round_key ~joint ~drbg ())
-  in
+  let v = verifier cfg (Array.map (fun cp -> (Cp.public_key cp, Cp.key_proof cp)) cps) in
   {
     cfg;
     cps;
-    joint;
-    joint_tab;
-    cp_pub_tabs;
-    round_key;
-    tables;
+    v;
+    round_key = round_key ~seed;
+    tables = Array.init num_dcs (fun dc -> dc_table ~tab:v.joint_tab cfg ~seed ~dc v.joint);
     inserted = Array.init num_dcs (fun _ -> Hashtbl.create 256);
     finished = false;
   }
@@ -109,29 +256,6 @@ let occupied_slot_count t tables =
   Hashtbl.length slots
 
 let inserted_slots t ~dc = occupied_slot_count t [| t.inserted.(dc) |]
-
-type result = {
-  raw_nonzero : int;
-  total_flips : int;
-  estimate : float;
-  ci : Stats.Ci.t;
-  proofs_ok : bool;
-  culprits : int list;
-}
-
-(* Estimator, shared with the bus deployment: subtract the binomial
-   noise mean, invert the occupancy bias, attach the exact interval. *)
-let estimate_of ~table_size ~confidence ~raw_nonzero ~total_flips =
-  let occupied = float_of_int raw_nonzero -. (float_of_int total_flips /. 2.0) in
-  let estimate =
-    Stats.Ci.invert_occupancy ~table_size
-      (max 0.0 (min occupied (float_of_int table_size -. 1.0)))
-  in
-  let ci =
-    Stats.Ci.binomial_exact ~confidence ~observed:raw_nonzero ~flips:total_flips
-      ~table_size ()
-  in
-  (estimate, ci)
 
 (* Telemetry on the table state at round close: occupancy and the hash
    collision rate the estimator has to invert (computed from simulator
@@ -172,13 +296,7 @@ let run t =
     Obs.Ledger.draw ~system:"psc" ~counter:"cardinality" ~mechanism:"binomial"
       ~epsilon:p.Dp.Mechanism.epsilon ~delta:p.Dp.Mechanism.delta
   | None -> ());
-  let culprits = ref [] in
-  let blame cp_id = if not (List.mem cp_id !culprits) then culprits := cp_id :: !culprits in
-  let tampering cp action =
-    match t.cfg.tamper with
-    | Some { tampered_cp; action = a } -> tampered_cp = Cp.id cp && a = action
-    | None -> false
-  in
+  let v = t.v and flips = t.cfg.noise_flips_per_cp in
   (* 1. combine the DCs' tables into the encrypted union *)
   let combined =
     Obs.Ledger.phase "psc.combine" ~attrs:[ jobs_attr ] (fun () ->
@@ -186,124 +304,47 @@ let run t =
   in
   (* 2. every CP appends its encrypted noise bits; with verification on,
      each slot carries a disjunctive bit-validity proof checked here *)
-  let tamper_drbg = Crypto.Drbg.create "psc-tamper" in
   let with_noise =
     Obs.Ledger.phase "psc.noise"
-      ~attrs:[ ("flips_per_cp", string_of_int t.cfg.noise_flips_per_cp); jobs_attr ]
+      ~attrs:[ ("flips_per_cp", string_of_int flips); jobs_attr ]
     @@ fun () ->
     let per_cp =
       Array.map
         (fun cp ->
-          if t.cfg.verify then begin
-            let proven =
-              Cp.noise_slots_proven ~tab:t.joint_tab cp ~joint:t.joint
-                ~flips:t.cfg.noise_flips_per_cp
-            in
-            let proven =
-              if tampering cp `Noise_nonbit && Array.length proven > 0 then begin
-                (* a Byzantine CP injects Enc(marker^2) as "noise" with a
-                   forged bit proof *)
-                let r = Crypto.Group.random_exp tamper_drbg in
-                let bad =
-                  Crypto.Elgamal.encrypt_with ~r t.joint
-                    (Crypto.Group.mul Crypto.Elgamal.marker Crypto.Elgamal.marker)
-                in
-                let forged = Crypto.Bit_proof.prove tamper_drbg ~pk:t.joint ~r ~bit:true bad in
-                proven.(0) <- (bad, forged);
-                proven
-              end
-              else proven
-            in
-            let ok =
-              match Crypto.Bit_proof.verify_batch ~pk_tab:t.joint_tab ~pk:t.joint proven with
-              | Crypto.Batch_verify.Accepted -> true
-              | Crypto.Batch_verify.Rejected _ -> false
-            in
-            Obs.Ledger.proof ~kind:"psc-noise-bit" ~party:(Cp.id cp) ~ok
-              ~batch:(Array.length proven);
-            if not ok then blame (Cp.id cp);
-            Array.map fst proven
-          end
-          else Cp.noise_slots ~tab:t.joint_tab cp ~joint:t.joint ~flips:t.cfg.noise_flips_per_cp)
+          if t.cfg.verify then
+            check_noise v ~cp:(Cp.id cp)
+              (proven_noise t.cfg ~tab:v.joint_tab cp ~joint:v.joint ~flips)
+          else Cp.noise_slots ~tab:v.joint_tab cp ~joint:v.joint ~flips)
         t.cps
     in
     (* single allocation + blits; the old fold re-copied the whole
        vector once per CP *)
     Array.concat (combined :: Array.to_list per_cp)
   in
-  let total_flips = t.cfg.noise_flips_per_cp * Array.length t.cps in
   (* 3. shuffle/rerandomize pipeline, one pass per CP, proofs checked *)
   let shuffled =
     Array.fold_left
       (fun vector cp ->
         let cp_attr = [ ("cp", string_of_int (Cp.id cp)); jobs_attr ] in
-        let output, proof =
-          Obs.Ledger.phase "psc.shuffle" ~attrs:cp_attr (fun () ->
-              Cp.shuffle ~tab:t.joint_tab cp ~joint:t.joint ~rounds:t.cfg.proof_rounds vector)
-        in
         let output =
-          if tampering cp `Shuffle_swap && Array.length output > 0 then begin
-            (* a Byzantine CP substitutes a slot mid-shuffle *)
-            let output = Array.copy output in
-            output.(0) <- Crypto.Elgamal.encrypt tamper_drbg t.joint Crypto.Elgamal.marker;
-            output
-          end
-          else output
+          Obs.Ledger.phase "psc.shuffle" ~attrs:cp_attr (fun () ->
+              let output, proof =
+                cp_shuffle t.cfg ~tab:v.joint_tab cp ~joint:v.joint
+                  ~rounds:t.cfg.proof_rounds vector
+              in
+              if t.cfg.verify then
+                check_shuffle v ~cp:(Cp.id cp) ~input:vector ~output proof;
+              output)
         in
-        (match (t.cfg.verify, proof) with
-        | true, Some proof ->
-          let ok = Crypto.Shuffle.verify ~tab:t.joint_tab t.joint ~input:vector ~output proof in
-          Obs.Ledger.proof ~kind:"psc-shuffle" ~party:(Cp.id cp) ~ok
-            ~batch:(Array.length vector);
-          if not ok then blame (Cp.id cp)
-        | true, None when t.cfg.proof_rounds <> None ->
-          (* a CP that was asked for a proof and produced none fails
-             verification outright *)
-          Obs.Ledger.proof ~kind:"psc-shuffle" ~party:(Cp.id cp) ~ok:false ~batch:0;
-          blame (Cp.id cp)
-        | _ -> ());
         Obs.Ledger.phase "psc.rerandomize" ~attrs:cp_attr (fun () ->
             Cp.rerandomize_bits cp output))
       with_noise t.cps
   in
   (* 4. joint verifiable decryption *)
-  let raw_nonzero = ref 0 in
-  Obs.Ledger.phase "psc.decrypt" ~attrs:[ jobs_attr ] (fun () ->
-      let shares =
-        Array.map (fun cp -> Cp.decrypt_shares cp ~prove:t.cfg.verify shuffled) t.cps
-      in
-      if t.cfg.verify then
-        Array.iteri
-          (fun i cp ->
-            let ok =
-              Cp.verify_decryption ~pub_tab:t.cp_pub_tabs.(i) ~pub:(Cp.public_key cp)
-                ~vector:shuffled shares.(i)
-            in
-            Obs.Ledger.proof ~kind:"psc-decrypt" ~party:(Cp.id cp) ~ok
-              ~batch:(Array.length shuffled);
-            if not ok then blame (Cp.id cp))
-          t.cps;
-      let plains =
-        Crypto.Elgamal.combine_partial_all shuffled ~parties:(Array.length shares)
-          ~share:(fun p i -> shares.(p).Cp.shares.(i))
-      in
-      Array.iter
-        (fun plain ->
-          if not (Crypto.Elgamal.is_identity_plaintext plain) then incr raw_nonzero)
-        plains);
-  (* 5. estimate: subtract the noise mean, invert the occupancy bias *)
-  let estimate, ci =
-    Obs.Ledger.phase "psc.estimate" @@ fun () ->
-    estimate_of ~table_size:t.cfg.table_size ~confidence:t.cfg.confidence
-      ~raw_nonzero:!raw_nonzero ~total_flips
+  let raw_nonzero =
+    Obs.Ledger.phase "psc.decrypt" ~attrs:[ jobs_attr ] (fun () ->
+        decrypt_count v shuffled
+          (Array.map (fun cp -> Cp.decrypt_shares cp ~prove:t.cfg.verify shuffled) t.cps))
   in
-  Obs.Metrics.set "psc_raw_nonzero_slots" (float_of_int !raw_nonzero);
-  Obs.Metrics.set "psc_noise_flips" (float_of_int total_flips);
-  {
-    raw_nonzero = !raw_nonzero;
-    total_flips;
-    estimate;
-    ci;
-    proofs_ok = !culprits = [];
-    culprits = List.sort compare !culprits;
-  }
+  (* 5. estimate: subtract the noise mean, invert the occupancy bias *)
+  result_of v ~raw_nonzero

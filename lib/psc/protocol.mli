@@ -64,10 +64,61 @@ val run : t -> result
 (** Execute the pipeline and produce the cardinality estimate.
     Callable once. *)
 
-val estimate_of :
-  table_size:int -> confidence:float -> raw_nonzero:int -> total_flips:int ->
-  float * Stats.Ci.t
-(** The estimator alone: noise-mean subtraction, occupancy-bias
-    inversion and the exact interval for a decrypted non-identity
-    count. Exported so the bus deployment publishes exactly what the
-    in-process pipeline would. *)
+(** {2 Per-phase functions}
+
+    The round's derivations and checks, written once: {!run} drives
+    them in-process and the bus-hosted parties ({!Node}) call them from
+    their message handlers, so both record the same ledger proofs and
+    publish the same bytes. *)
+
+val dc_table :
+  ?tab:Crypto.Group.precomp -> config -> seed:int -> dc:int -> Crypto.Elgamal.pub -> Table.t
+(** DC [dc]'s empty oblivious table under the joint key, from the
+    round's per-DC DRBG stream and slot-hash key. *)
+
+val proven_noise :
+  config -> ?tab:Crypto.Group.precomp -> Cp.t -> joint:Crypto.Elgamal.pub -> flips:int ->
+  (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array
+(** A CP's proven noise slots, with the configured [`Noise_nonbit]
+    fault applied when this CP is the tampering one. *)
+
+val cp_shuffle :
+  config -> ?tab:Crypto.Group.precomp -> Cp.t -> joint:Crypto.Elgamal.pub ->
+  rounds:int option -> Crypto.Elgamal.ciphertext array ->
+  Crypto.Elgamal.ciphertext array * Crypto.Shuffle.proof option
+(** A CP's shuffle, with the configured [`Shuffle_swap] fault applied
+    when this CP is the tampering one. *)
+
+type verifier
+(** The tally server's side of a round: the CPs' verified keys and the
+    culprits blamed so far. *)
+
+val verifier : config -> (Crypto.Elgamal.pub * Crypto.Sigma.schnorr_proof) array -> verifier
+(** Check each CP's key proof (index = CP id; one [psc-key] ledger
+    proof each) and derive the joint key. Raises [Failure] on a bad
+    proof: setup aborts. *)
+
+val joint : verifier -> Crypto.Elgamal.pub
+
+val check_noise :
+  verifier -> cp:int -> (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array ->
+  Crypto.Elgamal.ciphertext array
+(** Batch-check one CP's noise bit proofs ([psc-noise-bit]); returns
+    the slots. *)
+
+val check_shuffle :
+  verifier -> cp:int -> input:Crypto.Elgamal.ciphertext array ->
+  output:Crypto.Elgamal.ciphertext array -> Crypto.Shuffle.proof option -> unit
+(** Check one CP's shuffle of [input] ([psc-shuffle]) inside a
+    [psc.verify_shuffle] ledger phase. A CP asked for a proof that
+    returns none fails outright. *)
+
+val decrypt_count :
+  verifier -> Crypto.Elgamal.ciphertext array -> Cp.decryption_share array -> int
+(** Verify every CP's decryption shares when [verify] is on
+    ([psc-decrypt]; index = CP id), combine them and count the
+    non-identity plaintexts. *)
+
+val result_of : verifier -> raw_nonzero:int -> result
+(** The published estimate: noise-mean subtraction, occupancy-bias
+    inversion and the exact interval, plus the proof verdict. *)

@@ -353,6 +353,104 @@ let test_deploy_malicious_cp () =
       let audit = Obs.Ledger.audit (Obs.Ledger.events ()) in
       Alcotest.(check bool) "audit fails the run" false audit.Obs.Ledger.ok)
 
+(* Record the run ledger of [f] (telemetry on), restoring the default
+   afterwards. *)
+let with_ledger f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      (r, Obs.Ledger.events ()))
+
+let test_deploy_malicious_cp_matches_reference () =
+  let cfg = deploy_cfg ~epochs:2 () in
+  let o = Tormeasure.Deploy.run cfg (scenario "malicious-cp") in
+  Alcotest.(check string) "bus bytes = in-process tampered bytes"
+    (Tormeasure.Deploy.run_reference cfg (scenario "malicious-cp"))
+    o.Tormeasure.Deploy.digest
+
+(* The bus and the in-process round call the same checks, so one
+   malicious-CP epoch must record the same PSC proofs on both. *)
+let test_deploy_malicious_cp_same_proofs () =
+  let cfg = deploy_cfg () in
+  let psc_proofs events =
+    List.filter_map
+      (function
+        | Obs.Ledger.Proof { kind; party; ok; batch }
+          when String.length kind > 4 && String.sub kind 0 4 = "psc-" ->
+          Some (kind, party, ok, batch)
+        | _ -> None)
+      events
+  in
+  let _, bus = with_ledger (fun () -> Tormeasure.Deploy.run cfg (scenario "malicious-cp")) in
+  let _, inproc =
+    with_ledger (fun () ->
+        let proto =
+          Psc.Protocol.create
+            (Psc.Protocol.config ~num_cps:cfg.Tormeasure.Deploy.num_cps
+               ~noise_flips_per_cp:cfg.Tormeasure.Deploy.noise_flips_per_cp
+               ~proof_rounds:(Some cfg.Tormeasure.Deploy.proof_rounds)
+               ~tamper:{ Psc.Protocol.tampered_cp = 1; action = `Shuffle_swap }
+               ~table_size:cfg.Tormeasure.Deploy.table_size ())
+            ~num_dcs:cfg.Tormeasure.Deploy.num_dcs ~seed:cfg.Tormeasure.Deploy.seed
+        in
+        let wl =
+          Tormeasure.Deploy.workload cfg ~epoch:0 ~live:cfg.Tormeasure.Deploy.num_dcs
+        in
+        Array.iter (fun (dc, item) -> Psc.Protocol.insert proto ~dc item)
+          wl.Tormeasure.Deploy.psc_items;
+        Psc.Protocol.run proto)
+  in
+  let bus = psc_proofs bus and inproc = psc_proofs inproc in
+  Alcotest.(check int) "key, noise, shuffle and decryption proof per CP" 12
+    (List.length inproc);
+  Alcotest.(check (list (pair string (pair int (pair bool int)))))
+    "same proofs (kind, party, ok, batch)"
+    (List.map (fun (k, p, o, b) -> (k, (p, (o, b)))) inproc)
+    (List.map (fun (k, p, o, b) -> (k, (p, (o, b)))) bus)
+
+(* A checkpointed PSC table of the wrong size must fail the restore
+   with a typed error, not leave the replayed table in place. *)
+let test_psc_dc_load_wrong_size () =
+  let sched = Bus.Sched.create ~seed:3 () in
+  let cfg =
+    {
+      Psc.Node.round =
+        Psc.Protocol.config ~num_cps:2 ~noise_flips_per_cp:2 ~proof_rounds:(Some 2)
+          ~table_size:16 ();
+      num_dcs = 1;
+      seed = 3;
+    }
+  in
+  ignore (Psc.Node.spawn_ts sched cfg : Psc.Node.ts);
+  for id = 0 to 1 do
+    Psc.Node.spawn_cp sched ~epoch:0 cfg ~id
+  done;
+  let dc = Psc.Node.spawn_dc sched cfg ~id:0 in
+  ignore (Bus.Sched.run sched : Bus.Sched.stats);
+  let before = Psc.Node.dc_state dc in
+  let short =
+    match Psc.Wire.decode ~kind:"psc.table" before with
+    | Ok (Psc.Wire.Table_submit slots) ->
+      Psc.Wire.encode (Psc.Wire.Table_submit (Array.sub slots 0 3))
+    | _ -> Alcotest.fail "dc_state must decode as a table"
+  in
+  let r, events = with_ledger (fun () -> Psc.Node.dc_load dc short) in
+  (match r with
+  | Error (Bus.Codec.Invalid _) -> ()
+  | _ -> Alcotest.fail "a 3-slot blob into a 16-slot DC must be Error Invalid");
+  Alcotest.(check string) "table left untouched" before (Psc.Node.dc_state dc);
+  Alcotest.(check bool) "ledger records the failed restore proof" true
+    (List.exists
+       (function
+         | Obs.Ledger.Proof { kind = "bus-restore-dc"; ok = false; batch = 3; _ } -> true
+         | _ -> false)
+       events)
+
 let test_deploy_restart_byte_identical () =
   let cfg = deploy_cfg ~epochs:2 () in
   let benign = Tormeasure.Deploy.run cfg (scenario "benign") in
@@ -422,6 +520,12 @@ let () =
           Alcotest.test_case "pool-size invariance" `Quick test_deploy_jobs_invariance;
           Alcotest.test_case "dc-crash dropout recovery" `Quick test_deploy_dc_crash;
           Alcotest.test_case "malicious CP detected" `Quick test_deploy_malicious_cp;
+          Alcotest.test_case "malicious CP = in-process tampered bytes" `Quick
+            test_deploy_malicious_cp_matches_reference;
+          Alcotest.test_case "malicious CP: same proofs on bus and in-process" `Quick
+            test_deploy_malicious_cp_same_proofs;
+          Alcotest.test_case "psc dc_load rejects a wrong-size table" `Quick
+            test_psc_dc_load_wrong_size;
           Alcotest.test_case "restart byte-identical" `Quick
             test_deploy_restart_byte_identical;
           Alcotest.test_case "slow CP changes schedule only" `Quick
