@@ -25,13 +25,16 @@ let create ?(personalization = "") seed =
 let reseed t entropy = update t entropy
 
 let generate t n =
-  let b = Buffer.create n in
-  while Buffer.length b < n do
+  let out = Bytes.create n in
+  let pos = ref 0 in
+  while !pos < n do
     t.v <- Hmac.sha256_keyed t.key t.v;
-    Buffer.add_string b t.v
+    let take = min (String.length t.v) (n - !pos) in
+    Bytes.blit_string t.v 0 out !pos take;
+    pos := !pos + take
   done;
   update t "";
-  String.sub (Buffer.contents b) 0 n
+  Bytes.unsafe_to_string out
 
 let uniform64 t =
   let s = generate t 8 in

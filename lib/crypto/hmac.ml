@@ -10,7 +10,7 @@ type keyed = { inner : Sha256.ctx; outer : Sha256.ctx }
 let keyed key =
   let key = if String.length key > block_size then Sha256.digest key else key in
   let pad fill =
-    Bytes.to_string
+    Bytes.unsafe_to_string
       (Bytes.init block_size (fun i ->
            let k = if i < String.length key then Char.code key.[i] else 0 in
            Char.chr (k lxor fill)))
@@ -27,7 +27,3 @@ let sha256_keyed k msg =
   let octx = Sha256.copy k.outer in
   Sha256.update octx (Sha256.finalize ictx);
   Sha256.finalize octx
-
-let sha256 ~key msg = sha256_keyed (keyed key) msg
-
-let hex ~key msg = Sha256.to_hex (sha256 ~key msg)

@@ -8,9 +8,5 @@ type keyed
 val keyed : string -> keyed
 
 val sha256_keyed : keyed -> string -> string
-(** [sha256_keyed (keyed key) msg = sha256 ~key msg], byte for byte. *)
-
-val sha256 : key:string -> string -> string
-(** [sha256 ~key msg] is the 32-byte raw MAC. *)
-
-val hex : key:string -> string -> string
+(** [sha256_keyed (keyed key) msg] is the 32-byte raw MAC of [msg]
+    under [key]. *)

@@ -19,7 +19,6 @@ type ctx = {
   buf : Bytes.t;                  (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int;            (* total bytes absorbed *)
-  w : int array;                  (* message schedule scratch *)
   mutable finished : bool;
 }
 
@@ -28,60 +27,54 @@ let init () = {
   buf = Bytes.create 64;
   buf_len = 0;
   total = 0;
-  w = Array.make 64 0;
   finished = false;
 }
 
 (* Independent snapshot of a context. Lets HMAC absorb a key block once
    and restart from the midstate per message instead of re-absorbing the
    padded key on every call. *)
-let copy ctx =
-  {
-    h = Array.copy ctx.h;
-    buf = Bytes.copy ctx.buf;
-    buf_len = ctx.buf_len;
-    total = ctx.total;
-    w = Array.make 64 0;
-    finished = ctx.finished;
-  }
+let copy ctx = { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Message-schedule scratch, one array per domain: a compression runs to
+   completion on the domain that started it and never yields, so pool
+   workers hashing concurrently each fill their own schedule. Keeping it
+   out of [ctx] saves 66 words per context (and per HMAC [copy]). *)
+let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
 
-let compress ctx block off =
-  (* One bounds check for the whole 64-byte block, then unsafe byte and
-     word accesses: every index below is static relative to [off] or a
-     loop bound over the 64-element scratch arrays. *)
-  if off < 0 || off + 64 > Bytes.length block then invalid_arg "Sha256.compress: block out of range";
-  let w = ctx.w in
+(* Rotations from a doubled word: for a 32-bit [x], the 63-bit int
+   [x lor (x lsl 32)] holds [rotr x n] in bits [0, 32) of [d lsr n] for
+   every 0 <= n <= 31 (bit 31 of [x] falls off the top of [x lsl 32],
+   and is first needed at n = 32). Each sigma xors three shifts of one
+   doubled word and leaves garbage above bit 31; that is harmless
+   because every sigma feeds a sum whose low 32 bits depend only on the
+   low 32 bits of its terms, and each sum is masked before it is stored
+   or doubled again. *)
+let compress h block off =
+  let w = Domain.DLS.get schedule in
   for t = 0 to 15 do
-    let base = off + (4 * t) in
-    Array.unsafe_set w t
-      ((Char.code (Bytes.unsafe_get block base) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (base + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (base + 3)))
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask)
   done;
   for t = 16 to 63 do
-    let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let dx = x lor (x lsl 32) and dy = y lor (y lsl 32) in
+    let s0 = (dx lsr 7) lxor (dx lsr 18) lxor (x lsr 3) in
+    let s1 = (dy lsr 17) lxor (dy lsr 19) lxor (y lsr 10) in
     Array.unsafe_set w t
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
-  let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
+    let de = !e lor (!e lsl 32) and da = !a lor (!a lsl 32) in
+    let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = (da lsr 2) lxor (da lsr 13) lxor (da lsr 22) in
+    let maj = (!a land (!b lor !c)) lor (!b land !c) in
     hh := !g; g := !f; f := !e;
     e := (!d + t1) land mask;
     d := !c; c := !b; b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;
@@ -104,14 +97,14 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress ctx.h ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks straight from the input. *)
   let tmp = Bytes.unsafe_of_string s in
   while len - !pos >= 64 do
-    compress ctx tmp !pos;
+    compress ctx.h tmp !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin
@@ -119,41 +112,44 @@ let update ctx s =
     ctx.buf_len <- len - !pos
   end
 
+(* Pads in place in the block buffer: the 0x80 marker, zeros, and the
+   64-bit big-endian bit length in the last eight bytes — spilling into
+   one extra block when fewer than nine bytes are free. *)
 let finalize ctx =
   if ctx.finished then invalid_arg "Sha256.finalize: context already finalized";
   ctx.finished <- true;
-  let bitlen = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 + 8 else 1 + 8 + (64 - rem)
-  in
-  let pad = Bytes.make pad_len '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (pad_len - 1 - i) (Char.chr ((bitlen lsr (8 * i)) land 0xFF))
-  done;
-  ctx.finished <- false;
-  update ctx (Bytes.to_string pad);
-  ctx.finished <- true;
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\x00';
+    compress ctx.h buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\x00';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx.h buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in
   update ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let out = Bytes.create (2 * String.length s) in
+  String.iteri
+    (fun i c ->
+      let c = Char.code c in
+      Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+      Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15)))
+    s;
+  Bytes.unsafe_to_string out
 
 let hex s = to_hex (digest s)

@@ -1,6 +1,10 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch: the host container has
-    no OCaml crypto packages. Used for Fiat–Shamir challenges, item
-    hashing in PSC, and HMAC-DRBG. *)
+(** SHA-256 (FIPS 180-4), implemented from scratch: the project takes
+    no OCaml crypto dependency. Used for Fiat–Shamir challenges
+    ([Group.hash_to_exp], the shuffle round digest), batch-verification
+    weight seeds, HMAC (PSC item slots, HMAC-DRBG), Evtrace segment
+    checksums, [Bus.Sched.order_digest], the deploy digest and the
+    simulated onion/HSDir addresses. Compressions allocate nothing and
+    are safe to run concurrently from pool workers (DESIGN.md §3c). *)
 
 type ctx
 

@@ -2,5 +2,6 @@
     key is distributed by the TS so all DCs agree — that agreement is
     what makes slot-wise combination a set *union*. *)
 
-val slot : key:string -> table_size:int -> string -> int
-(** Keyed-hash slot of an item, in [0, table_size). *)
+val slot : key:Crypto.Hmac.keyed -> table_size:int -> string -> int
+(** Keyed-hash slot of an item, in [0, table_size): the first 8 bytes
+    of HMAC-SHA256 under the prepared round key. *)

@@ -41,7 +41,8 @@ type result = {
    agree on every DRBG stream, ledger proof and published byte by
    construction. *)
 
-let round_key ~seed = Crypto.Sha256.digest (Printf.sprintf "psc-round-key|%d" seed)
+let round_key ~seed =
+  Crypto.Hmac.keyed (Crypto.Sha256.digest (Printf.sprintf "psc-round-key|%d" seed))
 
 let dc_table ?tab cfg ~seed ~dc joint =
   let drbg = Crypto.Drbg.create (Printf.sprintf "psc-dc|%d|%d" seed dc) in
@@ -201,7 +202,7 @@ type t = {
   cfg : config;
   cps : Cp.t array;
   v : verifier;
-  round_key : string;
+  round_key : Crypto.Hmac.keyed;
   tables : Table.t array;
   (* simulator-side ground truth of inserted items, for diagnostics *)
   inserted : (string, unit) Hashtbl.t array;

@@ -7,7 +7,7 @@
 
 type t = {
   slots : Crypto.Elgamal.ciphertext array;
-  key : string;           (* round hash key, shared by all DCs *)
+  key : Crypto.Hmac.keyed; (* round hash key, shared by all DCs *)
   joint : Crypto.Elgamal.pub;
   tab : Crypto.Group.precomp; (* fixed-base table for [joint] *)
   drbg : Crypto.Drbg.t;

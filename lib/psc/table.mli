@@ -8,9 +8,11 @@ type t
 
 val create :
   ?tab:Crypto.Group.precomp ->
-  table_size:int -> key:string -> joint:Crypto.Elgamal.pub -> drbg:Crypto.Drbg.t -> unit -> t
-(** [?tab] is a fixed-base table for [joint], shared across the DCs'
-    tables by the caller; built locally when absent. *)
+  table_size:int -> key:Crypto.Hmac.keyed -> joint:Crypto.Elgamal.pub -> drbg:Crypto.Drbg.t ->
+  unit -> t
+(** [key] is the round's prepared slot-hash key ({!Item.slot}). [?tab]
+    is a fixed-base table for [joint], shared across the DCs' tables by
+    the caller; built locally when absent. *)
 
 val size : t -> int
 val insert : t -> string -> unit

@@ -485,6 +485,39 @@ let test_deploy_churn_matches_reference () =
     (Tormeasure.Deploy.run_reference cfg (scenario "churn"))
     o.Tormeasure.Deploy.digest
 
+(* --- byte-identity pins ---
+
+   The tests above compare the bus with the in-process pipelines, so a
+   deterministic drift in a shared primitive (the hash core, a DRBG
+   stream, a codec) would move both sides together and pass. These
+   pin absolute bytes: a small verified PSC round's encoded result,
+   and the published deploy digests at seed 11. *)
+
+let test_psc_result_pin () =
+  let cfg =
+    Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
+      ~proof_rounds:(Some 3) ()
+  in
+  let proto = Psc.Protocol.create cfg ~num_dcs:2 ~seed:7 in
+  for i = 0 to 39 do
+    Psc.Protocol.insert proto ~dc:(i mod 2) (Printf.sprintf "10.0.%d.%d" (i / 7) i)
+  done;
+  let result = Psc.Protocol.run proto in
+  Alcotest.(check bool) "proofs verified" true result.Psc.Protocol.proofs_ok;
+  Alcotest.(check string) "sha256 of the encoded result"
+    "51cc3b756875d9c0e051791e0cee92a60293bae171d61fe8e41af8edb4e3a5de"
+    (Crypto.Sha256.hex (Psc.Wire.encode_result result))
+
+let test_deploy_digest_pins () =
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check string) name want
+        (Tormeasure.Deploy.run (deploy_cfg ()) (scenario name)).Tormeasure.Deploy.digest)
+    [
+      ("benign", "a703784114412f64e2d338689d304a0b682adde9dc0a2eb20c086c2a190c0570");
+      ("malicious-cp", "0f68a1416f049420e340b48d184c458d2af8b243a3bf612483e488e3e5a41d43");
+    ]
+
 let () =
   Alcotest.run "bus"
     [
@@ -532,5 +565,10 @@ let () =
             test_deploy_slow_cp_schedule_only;
           Alcotest.test_case "churn = in-process bytes" `Quick
             test_deploy_churn_matches_reference;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "psc encoded result" `Quick test_psc_result_pin;
+          Alcotest.test_case "deploy digests at seed 11" `Quick test_deploy_digest_pins;
         ] );
     ]

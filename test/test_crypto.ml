@@ -51,26 +51,51 @@ let test_sha256_reuse_rejected () =
     (Invalid_argument "Sha256.update: context already finalized") (fun () ->
       Sha256.update ctx "x")
 
+(* Known answers across the padding edges (55/56 bytes: length field
+   fits / spills into a second block; 63/64/65: block boundary; 119/120
+   and 128: the same edges one block later), computed independently
+   with Python's hashlib over the message byte i = (31 i + 7) mod 256. *)
+let test_sha256_padding_edges () =
+  let msg n = String.init n (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  List.iter
+    (fun (n, want) ->
+      Alcotest.(check string) (Printf.sprintf "length %d" n) want (Sha256.hex (msg n)))
+    [
+      (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (1, "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879");
+      (55, "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b");
+      (56, "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63");
+      (63, "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076");
+      (64, "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd");
+      (65, "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0");
+      (119, "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe");
+      (120, "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656");
+      (128, "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356");
+      (1000, "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179");
+    ]
+
 (* --- HMAC (RFC 4231 vectors) --- *)
+
+let hmac_hex key msg = Sha256.to_hex (Hmac.sha256_keyed (Hmac.keyed key) msg)
 
 let test_hmac_vectors () =
   let key1 = String.make 20 '\x0b' in
   Alcotest.(check string) "rfc4231 case 1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hmac.hex ~key:key1 "Hi There");
+    (hmac_hex key1 "Hi There");
   Alcotest.(check string) "rfc4231 case 2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.hex ~key:"Jefe" "what do ya want for nothing?");
+    (hmac_hex "Jefe" "what do ya want for nothing?");
   let key3 = String.make 20 '\xaa' in
   let data3 = String.make 50 '\xdd' in
   Alcotest.(check string) "rfc4231 case 3"
     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (Hmac.hex ~key:key3 data3);
+    (hmac_hex key3 data3);
   (* case 6: oversized key is hashed first *)
   let key6 = String.make 131 '\xaa' in
   Alcotest.(check string) "rfc4231 case 6"
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (Hmac.hex ~key:key6 "Test Using Larger Than Block-Size Key - Hash Key First")
+    (hmac_hex key6 "Test Using Larger Than Block-Size Key - Hash Key First")
 
 (* --- DRBG --- *)
 
@@ -93,6 +118,26 @@ let test_drbg_uniform_range () =
     let v = Drbg.uniform d 1000 in
     if v < 0 || v >= 1000 then Alcotest.fail "uniform out of range"
   done
+
+(* HMAC_DRBG known answer (SP 800-90A, SHA-256): instantiate with a
+   personalization string, generate 100 bytes, reseed, then 16 bulk
+   draws below q. Expected values come from an independent Python
+   implementation on the standard [hmac] module, not from this code. *)
+let test_drbg_known_answer () =
+  let d = Drbg.create ~personalization:"pin-personalization" "pin-seed" in
+  Alcotest.(check string) "generate 100"
+    "3b3639429f0705cf2935ecdfad63394481acaa89e958089c406c040031451c55\
+     27f350c795e3b2408fddcfec3897d01b1e163ca4150cfcf0036aa3b0dac59a9a\
+     bdcb88672b25b389656d28375230bfdfcd48dbf9475b3da2abeba366a43410c1\
+     4f565481"
+    (Sha256.to_hex (Drbg.generate d 100));
+  Drbg.reseed d "pin-reseed";
+  Alcotest.(check (array int)) "uniform_array after reseed"
+    [|
+      373393182; 496838613; 859891808; 561921617; 309124183; 322379730; 640172288; 113156313;
+      206468612; 298839142; 783298237; 925020938; 809009593; 984467221; 910668179; 639905447;
+    |]
+    (Drbg.uniform_array d Group.q 16)
 
 (* --- Group --- *)
 
@@ -687,14 +732,67 @@ let prop_group_pow_cycle =
       Group.is_member v)
 
 let prop_sha256_incremental =
-  QCheck.Test.make ~name:"sha256 incremental = one-shot" ~count:100
-    QCheck.(pair (string_of_size (QCheck.Gen.int_bound 300)) (int_bound 300))
-    (fun (msg, cut) ->
-      let cut = min cut (String.length msg) in
+  (* three streaming updates split at two random cuts: partial-block
+     fills, whole blocks straight from the input, and in-place padding
+     all meet the one-shot path *)
+  QCheck.Test.make ~name:"sha256 incremental = one-shot" ~count:300
+    QCheck.(triple (string_of_size (QCheck.Gen.int_bound 300)) (int_bound 300) (int_bound 300))
+    (fun (msg, c1, c2) ->
+      let n = String.length msg in
+      let c1 = min c1 n and c2 = min c2 n in
+      let lo = min c1 c2 and hi = max c1 c2 in
       let ctx = Sha256.init () in
-      Sha256.update ctx (String.sub msg 0 cut);
-      Sha256.update ctx (String.sub msg cut (String.length msg - cut));
+      Sha256.update ctx (String.sub msg 0 lo);
+      Sha256.update ctx (String.sub msg lo (hi - lo));
+      Sha256.update ctx (String.sub msg hi (n - hi));
       Sha256.finalize ctx = Sha256.digest msg)
+
+(* RFC 2104 spelled out on one-shot digests, with no midstate reuse. *)
+let hmac_by_definition ~key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let pad fill =
+    String.init 64 (fun i ->
+        Char.chr ((if i < String.length key then Char.code key.[i] else 0) lxor fill))
+  in
+  Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
+
+let prop_hmac_keyed_matches =
+  (* keys past 64 bytes take the hash-the-key-first path *)
+  QCheck.Test.make ~name:"hmac keyed midstates = RFC 2104" ~count:200
+    QCheck.(pair (string_of_size (QCheck.Gen.int_bound 150)) (string_of_size (QCheck.Gen.int_bound 200)))
+    (fun (key, msg) -> Hmac.sha256_keyed (Hmac.keyed key) msg = hmac_by_definition ~key msg)
+
+let prop_sha256_pool_workers =
+  (* compressions running concurrently on pool workers (each with its
+     domain's schedule scratch, all sharing one prepared HMAC key) give
+     exactly the sequential digests *)
+  QCheck.Test.make ~name:"sha256/hmac on pool workers = sequential" ~count:3 QCheck.small_int
+    (fun seed ->
+      let msg i = String.init (((i * 7) + seed) mod 300) (fun j -> Char.chr ((i + j) land 0xff)) in
+      let key = Hmac.keyed (string_of_int seed) in
+      let work i = Sha256.digest (msg i) ^ Hmac.sha256_keyed key (msg i) in
+      let sequential = Array.init 10_000 work in
+      let before = Parallel.jobs () in
+      Fun.protect
+        ~finally:(fun () -> Parallel.set_jobs before)
+        (fun () ->
+          Parallel.set_jobs 4;
+          Parallel.parallel_init ~min_chunk:16 10_000 work = sequential))
+
+let prop_sha256_finalized_rejects =
+  QCheck.Test.make ~name:"sha256 finalized context rejects reuse" ~count:50
+    QCheck.(string_of_size (QCheck.Gen.int_bound 130))
+    (fun msg ->
+      let ctx = Sha256.init () in
+      Sha256.update ctx msg;
+      ignore (Sha256.finalize ctx);
+      let raises f want =
+        match f () with
+        | () -> false
+        | exception Invalid_argument m -> m = want
+      in
+      raises (fun () -> Sha256.update ctx "x") "Sha256.update: context already finalized"
+      && raises (fun () -> ignore (Sha256.finalize ctx)) "Sha256.finalize: context already finalized")
 
 let prop_shuffle_preserves_plaintext_multiset =
   QCheck.Test.make ~name:"shuffle preserves plaintext multiset" ~count:20
@@ -759,6 +857,7 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           Alcotest.test_case "reuse rejected" `Quick test_sha256_reuse_rejected;
+          Alcotest.test_case "padding-edge known answers" `Quick test_sha256_padding_edges;
         ] );
       ("hmac", [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_vectors ]);
       ( "drbg",
@@ -767,6 +866,7 @@ let () =
           Alcotest.test_case "personalization" `Quick test_drbg_personalization;
           Alcotest.test_case "reseed diverges" `Quick test_drbg_reseed_diverges;
           Alcotest.test_case "uniform range" `Quick test_drbg_uniform_range;
+          Alcotest.test_case "SP 800-90A known answer" `Quick test_drbg_known_answer;
         ] );
       ( "group",
         [
@@ -842,7 +942,8 @@ let () =
           [
             prop_elgamal_roundtrip; prop_group_pow_cycle; prop_pow_precomp_agrees;
             prop_additive_sharing;
-            prop_sha256_incremental; prop_shuffle_preserves_plaintext_multiset;
+            prop_sha256_incremental; prop_hmac_keyed_matches; prop_sha256_pool_workers;
+            prop_sha256_finalized_rejects; prop_shuffle_preserves_plaintext_multiset;
             prop_schnorr_sig_sound; prop_bit_proof_sound;
             prop_multi_exp_matches_naive; prop_bulk_draws_deterministic;
             prop_dleq_batch_accept_iff_singles; prop_bit_batch_forgery_positions;

@@ -6,16 +6,31 @@ let config ?(table_size = 2_048) ?(flips = 32) ?(proof_rounds = Some 6) ?(verify
 (* --- item hashing --- *)
 
 let test_item_slot_stable () =
-  let s1 = Item.slot ~key:"k" ~table_size:1_000 "item" in
-  let s2 = Item.slot ~key:"k" ~table_size:1_000 "item" in
+  let s1 = Item.slot ~key:(Crypto.Hmac.keyed "k") ~table_size:1_000 "item" in
+  let s2 = Item.slot ~key:(Crypto.Hmac.keyed "k") ~table_size:1_000 "item" in
   Alcotest.(check int) "stable" s1 s2;
-  Alcotest.(check bool) "in range" true (s1 >= 0 && s1 < 1_000)
+  Alcotest.(check bool) "in range" true (s1 >= 0 && s1 < 1_000);
+  (* known answers: first 8 bytes of HMAC-SHA256 under key "k", low 62
+     bits, mod the table size — computed with Python's hmac module *)
+  let key = Crypto.Hmac.keyed "k" in
+  List.iter
+    (fun (item, want_1000, want_16384) ->
+      Alcotest.(check int) (item ^ " mod 1000") want_1000 (Item.slot ~key ~table_size:1_000 item);
+      Alcotest.(check int) (item ^ " mod 2^14") want_16384
+        (Item.slot ~key ~table_size:16_384 item))
+    [
+      ("10.0.0.1", 203, 9419);
+      ("198.51.100.7", 463, 1863);
+      ("example.com", 545, 14457);
+      ("", 611, 8651);
+    ]
 
 let test_item_slot_key_sensitive () =
   let diffs = ref 0 in
+  let k1 = Crypto.Hmac.keyed "k1" and k2 = Crypto.Hmac.keyed "k2" in
   for i = 0 to 19 do
     let item = Printf.sprintf "item%d" i in
-    if Item.slot ~key:"k1" ~table_size:100_000 item <> Item.slot ~key:"k2" ~table_size:100_000 item
+    if Item.slot ~key:k1 ~table_size:100_000 item <> Item.slot ~key:k2 ~table_size:100_000 item
     then incr diffs
   done;
   Alcotest.(check bool) "keys change slots" true (!diffs > 15)
@@ -23,8 +38,9 @@ let test_item_slot_key_sensitive () =
 let test_item_slot_uniform () =
   let table_size = 64 in
   let counts = Array.make table_size 0 in
+  let key = Crypto.Hmac.keyed "k" in
   for i = 0 to 6_399 do
-    let s = Item.slot ~key:"k" ~table_size (string_of_int i) in
+    let s = Item.slot ~key ~table_size (string_of_int i) in
     counts.(s) <- counts.(s) + 1
   done;
   Array.iter
@@ -202,8 +218,8 @@ let test_table_privacy_structure () =
      the same items but different DRBGs share no ciphertext *)
   let drbg1 = Crypto.Drbg.create "t1" and drbg2 = Crypto.Drbg.create "t2" in
   let _, pub = Crypto.Elgamal.keygen (Crypto.Drbg.create "key") in
-  let t1 = Table.create ~table_size:64 ~key:"k" ~joint:pub ~drbg:drbg1 () in
-  let t2 = Table.create ~table_size:64 ~key:"k" ~joint:pub ~drbg:drbg2 () in
+  let t1 = Table.create ~table_size:64 ~key:(Crypto.Hmac.keyed "k") ~joint:pub ~drbg:drbg1 () in
+  let t2 = Table.create ~table_size:64 ~key:(Crypto.Hmac.keyed "k") ~joint:pub ~drbg:drbg2 () in
   Table.insert t1 "x";
   Table.insert t2 "x";
   let c = Table.combine [ t1; t2 ] in
@@ -245,8 +261,8 @@ let test_larger_union_estimates_monotone () =
 let test_combine_size_mismatch_rejected () =
   let drbg1 = Crypto.Drbg.create "m1" and drbg2 = Crypto.Drbg.create "m2" in
   let _, pub = Crypto.Elgamal.keygen (Crypto.Drbg.create "mk") in
-  let t1 = Table.create ~table_size:64 ~key:"k" ~joint:pub ~drbg:drbg1 () in
-  let t2 = Table.create ~table_size:32 ~key:"k" ~joint:pub ~drbg:drbg2 () in
+  let t1 = Table.create ~table_size:64 ~key:(Crypto.Hmac.keyed "k") ~joint:pub ~drbg:drbg1 () in
+  let t2 = Table.create ~table_size:32 ~key:(Crypto.Hmac.keyed "k") ~joint:pub ~drbg:drbg2 () in
   Alcotest.check_raises "size mismatch" (Invalid_argument "Table.combine: size mismatch")
     (fun () -> ignore (Table.combine [ t1; t2 ]));
   Alcotest.check_raises "no tables" (Invalid_argument "Table.combine: no tables") (fun () ->
