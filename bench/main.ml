@@ -345,7 +345,7 @@ let ingest_view_sink =
          match v.Evtrace.View.kind with
          | Evtrace.View.Connection -> emit c_conns 1
          | Circuit_data | Circuit_directory -> emit c_circs 1
-         | Entry_bytes -> emit c_bytes (int_of_float (v.bytes /. 1_048_576.0))
+         | Entry_bytes -> emit c_bytes (int_of_float (v.vol.value /. 1_048_576.0))
          | Stream_subsequent -> emit c_streams 1
          | Stream_initial ->
            emit c_streams 1;

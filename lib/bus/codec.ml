@@ -18,6 +18,16 @@ exception Short
 exception Fail of string
 exception Version of int
 
+(* LEB128 over the 63 bits of [v], read as unsigned. Top-level so a
+   call allocates no closure (this compiler has no flambda, and a local
+   [let rec] capturing the buffer would cost one per varint). *)
+let rec leb b v =
+  if v land -0x80 = 0 then Buffer.add_char b (Char.unsafe_chr v)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    leb b (v lsr 7)
+  end
+
 module W = struct
   type t = Buffer.t
 
@@ -26,16 +36,11 @@ module W = struct
 
   let varint b v =
     if v < 0 then invalid_arg "Codec.W.varint: negative";
-    let rec go v =
-      if v < 0x80 then Buffer.add_char b (Char.chr v)
-      else begin
-        Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
-        go (v lsr 7)
-      end
-    in
-    go v
+    leb b v
 
-  let zint b v = varint b ((v lsl 1) lxor (v asr 62))
+  (* the zigzag image of a 63-bit int fills all 63 bits, so it goes to
+     [leb] unchecked: [min_int] and [max_int] round-trip *)
+  let zint b v = leb b ((v lsl 1) lxor (v asr 62))
   let f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
 
   let bytes b s =
@@ -49,32 +54,39 @@ end
 module R = struct
   type t = { src : string; mutable pos : int }
 
-  let u8 r =
-    if r.pos >= String.length r.src then raise Short;
-    let v = Char.code r.src.[r.pos] in
-    r.pos <- r.pos + 1;
-    v
+  let[@inline] u8 r =
+    let p = r.pos in
+    if p >= String.length r.src then raise Short;
+    r.pos <- p + 1;
+    Char.code (String.unsafe_get r.src p)
 
-  let varint r =
-    let rec go acc shift =
-      (* OCaml ints are 63-bit; more than nine 7-bit groups cannot be a
-         value we wrote, so treat it as malformed rather than overflow. *)
-      if shift > 62 then raise (Fail "varint overflow");
-      let byte = u8 r in
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then acc else go acc (shift + 7)
-    in
-    go 0 0
+  (* Continuation bytes of a varint. Top-level and taking [r] as an
+     argument so the call allocates nothing. OCaml ints are 63-bit;
+     more than nine 7-bit groups cannot be a value we wrote, so treat it
+     as malformed rather than overflow. *)
+  let rec varint_from r acc shift =
+    if shift > 62 then raise (Fail "varint overflow");
+    let byte = u8 r in
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 = 0 then acc else varint_from r acc (shift + 7)
 
-  let zint r =
+  let[@inline] varint r =
+    let byte = u8 r in
+    if byte land 0x80 = 0 then byte else varint_from r (byte land 0x7f) 7
+
+  let[@inline] zint r =
     let v = varint r in
     (v lsr 1) lxor (-(v land 1))
 
-  let f64 r =
-    if r.pos + 8 > String.length r.src then raise Short;
-    let v = Int64.float_of_bits (String.get_int64_be r.src r.pos) in
-    r.pos <- r.pos + 8;
-    v
+  let[@inline] f64 r =
+    let p = r.pos in
+    if p + 8 > String.length r.src then raise Short;
+    r.pos <- p + 8;
+    Int64.float_of_bits (String.get_int64_be r.src p)
+
+  type f64_cell = { mutable value : float }
+
+  let f64_into r cell = cell.value <- f64 r
 
   let bytes r =
     let n = varint r in
@@ -91,7 +103,7 @@ module R = struct
 
   let fail msg = raise (Fail msg)
   let fail_version v = raise (Version v)
-  let remaining r = String.length r.src - r.pos
+  let[@inline] remaining r = String.length r.src - r.pos
 end
 
 let decode src reader =

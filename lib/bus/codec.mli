@@ -1,6 +1,15 @@
-(** Binary wire codec for bus messages: unsigned LEB128 varints,
-    zigzag-encoded signed ints, length-prefixed byte strings and IEEE
-    floats as raw Int64 bits (exact round-trip, no decimal detour).
+(** The one binary codec, for the bus wire and the event trace alike:
+    unsigned LEB128 varints, zigzag-encoded signed ints,
+    length-prefixed byte strings and IEEE floats as raw Int64 bits
+    (exact round-trip, no decimal detour). Bus envelopes, the
+    per-protocol wire bodies, checkpoints, and Evtrace segment headers
+    and record payloads are all written by {!W} and read by {!R}.
+
+    The readers are on the trace replay hot path, so they allocate
+    nothing: the varint loop is a top-level function taking the reader
+    (this compiler has no flambda, so a local [let rec] capturing the
+    reader would be a closure allocated per call), and the small
+    readers are marked [@inline].
 
     Decoding never raises across the API boundary: readers run inside
     {!decode}, which converts truncation and malformed input into the
@@ -26,7 +35,8 @@ module W : sig
   (** Unsigned LEB128; the int must be non-negative. *)
 
   val zint : t -> int -> unit
-  (** Zigzag-mapped signed varint. *)
+  (** Zigzag-mapped signed varint; any int, [min_int] and [max_int]
+      included (nine bytes at most). *)
 
   val f64 : t -> float -> unit
   val bytes : t -> string -> unit
@@ -47,6 +57,14 @@ module R : sig
   val varint : t -> int
   val zint : t -> int
   val f64 : t -> float
+
+  type f64_cell = { mutable value : float }
+  (** Float-only, so a stored float is unboxed. *)
+
+  val f64_into : t -> f64_cell -> unit
+  (** {!f64} into a cell: no boxed float even where the call is not
+      inlined, as under the [-opaque] of dev builds. *)
+
   val bytes : t -> string
   val magic : t -> string -> unit
   (** Consume and compare a fixed header; mismatch fails the decode

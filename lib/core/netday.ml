@@ -322,8 +322,8 @@ let replay_sink acc (seg : Evtrace.Segment.t) =
     | Circuit_data -> bump c_circuits_data 1
     | Circuit_directory -> bump c_circuits_dir 1
     | Directory_request -> bump c_dir_requests 1
-    | Entry_bytes -> bump c_entry_mib (mib v.bytes)
-    | Exit_bytes -> bump c_exit_mib (mib v.bytes)
+    | Entry_bytes -> bump c_entry_mib (mib v.vol.value)
+    | Exit_bytes -> bump c_exit_mib (mib v.vol.value)
     | Stream_subsequent -> bump c_streams 1
     | Stream_initial ->
       bump c_streams 1;

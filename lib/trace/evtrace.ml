@@ -6,10 +6,12 @@
    country and hostname/onion address on first sight; records then
    carry only small integers, with client ip / asn / port / host id
    encoded as zigzag deltas against the previous record's values, so
-   the common event costs 2-5 bytes. Replay decodes the payload in
-   place into one reused mutable view — the hot loop allocates
-   nothing, which is what lets ingestion benchmarks run at 100M+
-   events (DESIGN.md §3f). *)
+   the common event costs 2-5 bytes. Both directions go through
+   Bus.Codec, the codec of the bus wire. Replay decodes the payload in
+   place into one reused mutable view; the hot loop allocates nothing,
+   which is what lets ingestion benchmarks run at 100M+ events
+   (DESIGN.md §3f, and the comment above [iter] for the two compiler
+   rules behind its shape). *)
 
 type error = Bus.Codec.error
 
@@ -185,9 +187,11 @@ end
 (* --- writer --- *)
 
 module Writer = struct
+  module W = Bus.Codec.W
+
   type t = {
     meta : meta;
-    buf : Buffer.t;
+    w : W.t;
     countries : Intern.t;
     hosts : Intern.t;
     mutable count : int;
@@ -201,7 +205,7 @@ module Writer = struct
   let create meta =
     {
       meta;
-      buf = Buffer.create 4096;
+      w = W.create ();
       countries = Intern.create ();
       hosts = Intern.create ();
       count = 0;
@@ -212,116 +216,89 @@ module Writer = struct
       finished = false;
     }
 
-  let u8 t v = Buffer.add_char t.buf (Char.chr (v land 0xff))
-
-  let varint t v =
-    let rec go v =
-      if v < 0x80 then Buffer.add_char t.buf (Char.chr v)
-      else begin
-        Buffer.add_char t.buf (Char.chr (0x80 lor (v land 0x7f)));
-        go (v lsr 7)
-      end
-    in
-    go v
-
-  let zint t v = varint t ((v lsl 1) lxor (v asr 62))
-  let f64 t v = Buffer.add_int64_be t.buf (Int64.bits_of_float v)
-
   let d_ip t ip =
-    zint t (ip - t.prev_ip);
+    W.zint t.w (ip - t.prev_ip);
     t.prev_ip <- ip
 
   let d_asn t asn =
-    zint t (asn - t.prev_asn);
+    W.zint t.w (asn - t.prev_asn);
     t.prev_asn <- asn
 
   let d_port t port =
-    zint t (port - t.prev_port);
+    W.zint t.w (port - t.prev_port);
     t.prev_port <- port
 
   let d_host t h =
     let id = Intern.id t.hosts h in
-    zint t (id - t.prev_host);
+    W.zint t.w (id - t.prev_host);
     t.prev_host <- id
 
   let client t ~client_ip ~country ~asn =
     d_ip t client_ip;
-    varint t (Intern.id t.countries country);
+    W.varint t.w (Intern.id t.countries country);
     d_asn t asn
 
-  let volume t ~tag_i ~tag_f bytes =
-    if integral_float bytes then begin
-      u8 t tag_i;
-      varint t (int_of_float bytes)
-    end
-    else begin
-      u8 t tag_f;
-      f64 t bytes
-    end
+  let volume t bytes =
+    if integral_float bytes then W.varint t.w (int_of_float bytes) else W.f64 t.w bytes
 
   let event t ev =
     if t.finished then invalid_arg "Trace.Writer.event: writer already finished";
     t.count <- t.count + 1;
     match (ev : Torsim.Event.t) with
     | Client_connection { client_ip; country; asn } ->
-      u8 t t_connection;
+      W.u8 t.w t_connection;
       client t ~client_ip ~country ~asn
     | Client_circuit { client_ip; country; asn; kind = Data_circuit } ->
-      u8 t t_circuit_data;
+      W.u8 t.w t_circuit_data;
       client t ~client_ip ~country ~asn
     | Client_circuit { client_ip; country; asn; kind = Directory_circuit } ->
-      u8 t t_circuit_dir;
+      W.u8 t.w t_circuit_dir;
       client t ~client_ip ~country ~asn
     | Directory_request { client_ip } ->
-      u8 t t_dir_request;
+      W.u8 t.w t_dir_request;
       d_ip t client_ip
     | Entry_bytes { client_ip; country; asn; bytes } ->
-      if integral_float bytes then begin
-        u8 t t_entry_bytes_i;
-        client t ~client_ip ~country ~asn;
-        varint t (int_of_float bytes)
-      end
-      else begin
-        u8 t t_entry_bytes_f;
-        client t ~client_ip ~country ~asn;
-        f64 t bytes
-      end
-    | Exit_bytes { bytes } -> volume t ~tag_i:t_exit_bytes_i ~tag_f:t_exit_bytes_f bytes
+      W.u8 t.w (if integral_float bytes then t_entry_bytes_i else t_entry_bytes_f);
+      client t ~client_ip ~country ~asn;
+      volume t bytes
+    | Exit_bytes { bytes } ->
+      W.u8 t.w (if integral_float bytes then t_exit_bytes_i else t_exit_bytes_f);
+      volume t bytes
     | Exit_stream { kind; dest; port } -> (
       match dest with
       | Hostname h ->
-        u8 t (match kind with Initial -> t_stream_init_host | Subsequent -> t_stream_sub_host);
+        W.u8 t.w (match kind with Initial -> t_stream_init_host | Subsequent -> t_stream_sub_host);
         d_host t h;
         d_port t port
       | Ipv4_literal ->
-        u8 t (match kind with Initial -> t_stream_init_v4 | Subsequent -> t_stream_sub_v4);
+        W.u8 t.w (match kind with Initial -> t_stream_init_v4 | Subsequent -> t_stream_sub_v4);
         d_port t port
       | Ipv6_literal ->
-        u8 t (match kind with Initial -> t_stream_init_v6 | Subsequent -> t_stream_sub_v6);
+        W.u8 t.w (match kind with Initial -> t_stream_init_v6 | Subsequent -> t_stream_sub_v6);
         d_port t port)
     | Descriptor_published { address; first_publish } ->
-      u8 t t_desc_published;
+      W.u8 t.w t_desc_published;
       d_host t address;
-      u8 t (if first_publish then 1 else 0)
+      W.u8 t.w (if first_publish then 1 else 0)
     | Descriptor_fetch { address; result } -> (
       match result with
       | Fetch_ok { public } ->
-        u8 t t_desc_fetch_ok;
+        W.u8 t.w t_desc_fetch_ok;
         d_host t address;
-        u8 t (if public then 1 else 0)
+        W.u8 t.w (if public then 1 else 0)
       | Fetch_missing ->
-        u8 t t_desc_fetch_missing;
+        W.u8 t.w t_desc_fetch_missing;
         d_host t address
       | Fetch_malformed ->
-        u8 t t_desc_fetch_malformed;
+        W.u8 t.w t_desc_fetch_malformed;
         d_host t address)
     | Rendezvous_circuit { outcome } -> (
       match outcome with
       | Rend_success { cells } ->
-        u8 t t_rend_success;
-        varint t cells
-      | Rend_closed -> u8 t t_rend_closed
-      | Rend_expired -> u8 t t_rend_expired)
+        W.u8 t.w t_rend_success;
+        W.varint t.w cells
+      | Rend_closed -> W.u8 t.w t_rend_closed
+      | Rend_expired -> W.u8 t.w t_rend_expired)
 
   let events t = t.count
 
@@ -332,7 +309,7 @@ module Writer = struct
       ~countries:(Intern.to_array t.countries)
       ~hosts:(Intern.to_array t.hosts)
       ~events:t.count
-      ~payload:(Buffer.contents t.buf)
+      ~payload:(W.contents t.w)
 end
 
 (* --- replay --- *)
@@ -356,7 +333,7 @@ module View = struct
     mutable ip : int;
     mutable country : int;
     mutable asn : int;
-    mutable bytes : float;
+    vol : Bus.Codec.R.f64_cell;
     mutable host : int;
     mutable port : int;
     mutable flag : bool;
@@ -370,7 +347,7 @@ module View = struct
       ip = 0;
       country = 0;
       asn = 0;
-      bytes = 0.0;
+      vol = { value = 0.0 };
       host = 0;
       port = 0;
       flag = false;
@@ -402,8 +379,8 @@ module View = struct
     | Directory_request -> Torsim.Event.Directory_request { client_ip = v.ip }
     | Entry_bytes ->
       Torsim.Event.Entry_bytes
-        { client_ip = v.ip; country = countries.(v.country); asn = v.asn; bytes = v.bytes }
-    | Exit_bytes -> Torsim.Event.Exit_bytes { bytes = v.bytes }
+        { client_ip = v.ip; country = countries.(v.country); asn = v.asn; bytes = v.vol.value }
+    | Exit_bytes -> Torsim.Event.Exit_bytes { bytes = v.vol.value }
     | Stream_initial -> Torsim.Event.Exit_stream { kind = Initial; dest = dest (); port = v.port }
     | Stream_subsequent ->
       Torsim.Event.Exit_stream { kind = Subsequent; dest = dest (); port = v.port }
@@ -428,181 +405,147 @@ module View = struct
         }
 end
 
-(* The payload decoder is a hand-inlined cursor over one string: same
-   wire forms as Bus.Codec.R (LEB128 varint, zigzag, IEEE bits), but
-   without per-field closure or bounds ceremony — this loop is the
-   replay hot path. Malformed bytes surface as the same typed errors
-   the codec produces. *)
+(* The payload decoder runs inside [Bus.Codec.decode] on the shared
+   reader, so malformed bytes surface as the codec's own typed errors.
+   The loop allocates nothing per record; its shape follows two rules
+   of this compiler (no flambda). A local function that captures
+   variables is a closure allocated where it is defined, and a local
+   [let rec] is allocated on every call, so the field helpers below
+   are top-level functions taking the reader and the view, and the
+   varint loop is the codec's top-level one. A float stored into a
+   record that also has non-float fields is boxed, so the byte volume
+   lives in the float-only [View.vol], which [R.f64_into] fills
+   without boxing even where it is not inlined. *)
 
-exception Bad of error
+module R = Bus.Codec.R
+
+let d_ip r (v : View.t) = v.ip <- v.ip + R.zint r
+let d_asn r (v : View.t) = v.asn <- v.asn + R.zint r
+let d_port r (v : View.t) = v.port <- v.port + R.zint r
+
+let client r (v : View.t) ~ncountries =
+  d_ip r v;
+  let c = R.varint r in
+  if c < 0 || c >= ncountries then R.fail "country id out of range";
+  v.country <- c;
+  d_asn r v
+
+let volume r (v : View.t) ~raw =
+  if raw then R.f64_into r v.vol else v.vol.value <- float_of_int (R.varint r)
+
+(* Hosts are deltas against [base], the last host id read. Literal
+   destinations set [v.host] to a negative sentinel, so the base is
+   carried by the caller rather than read back from the view. *)
+let d_host r (v : View.t) ~nhosts base =
+  let h = base + R.zint r in
+  if h < 0 || h >= nhosts then R.fail "host id out of range";
+  v.host <- h;
+  h
 
 let iter (seg : Segment.t) f =
-  let s = seg.payload in
-  let len = String.length s in
   let ncountries = Array.length seg.countries in
   let nhosts = Array.length seg.hosts in
   let v = View.make () in
-  let pos = ref 0 in
-  let u8 () =
-    let p = !pos in
-    if p >= len then raise (Bad Bus.Codec.Truncated);
-    pos := p + 1;
-    Char.code (String.unsafe_get s p)
-  in
-  let varint () =
-    let rec go acc shift =
-      if shift > 62 then raise (Bad (Bus.Codec.Invalid "varint overflow"));
-      let b = u8 () in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go acc (shift + 7)
-    in
-    go 0 0
-  in
-  let zint () =
-    let x = varint () in
-    (x lsr 1) lxor (- (x land 1))
-  in
-  let f64 () =
-    let p = !pos in
-    if p + 8 > len then raise (Bad Bus.Codec.Truncated);
-    pos := p + 8;
-    Int64.float_of_bits (String.get_int64_be s p)
-  in
-  let country () =
-    let c = varint () in
-    if c >= ncountries then raise (Bad (Bus.Codec.Invalid "country id out of range"));
-    c
-  in
-  let d_ip () = v.ip <- v.ip + zint () in
-  let d_asn () = v.asn <- v.asn + zint () in
-  let d_port () = v.port <- v.port + zint () in
-  let client () =
-    d_ip ();
-    v.country <- country ();
-    d_asn ()
-  in
+  Bus.Codec.decode seg.payload @@ fun r ->
   let count = ref 0 in
-  (* the host delta base must survive literal-destination records,
-     which set [v.host] to a negative sentinel: track it separately *)
   let host_base = ref 0 in
-  let d_host_based () =
-    let h = !host_base + zint () in
-    if h < 0 || h >= nhosts then raise (Bad (Bus.Codec.Invalid "host id out of range"));
-    host_base := h;
-    v.host <- h
-  in
-  match
-    while !pos < len do
-      let tag = u8 () in
-      (if tag = t_connection then begin
-         v.kind <- View.Connection;
-         client ()
-       end
-       else if tag = t_circuit_data then begin
-         v.kind <- View.Circuit_data;
-         client ()
-       end
-       else if tag = t_circuit_dir then begin
-         v.kind <- View.Circuit_directory;
-         client ()
-       end
-       else if tag = t_dir_request then begin
-         v.kind <- View.Directory_request;
-         d_ip ()
-       end
-       else if tag = t_entry_bytes_i then begin
-         v.kind <- View.Entry_bytes;
-         client ();
-         v.bytes <- float_of_int (varint ())
-       end
-       else if tag = t_entry_bytes_f then begin
-         v.kind <- View.Entry_bytes;
-         client ();
-         v.bytes <- f64 ()
-       end
-       else if tag = t_exit_bytes_i then begin
-         v.kind <- View.Exit_bytes;
-         v.bytes <- float_of_int (varint ())
-       end
-       else if tag = t_exit_bytes_f then begin
-         v.kind <- View.Exit_bytes;
-         v.bytes <- f64 ()
-       end
-       else if tag = t_stream_init_host then begin
-         v.kind <- View.Stream_initial;
-         d_host_based ();
-         d_port ()
-       end
-       else if tag = t_stream_init_v4 then begin
-         v.kind <- View.Stream_initial;
-         v.host <- -1;
-         d_port ()
-       end
-       else if tag = t_stream_init_v6 then begin
-         v.kind <- View.Stream_initial;
-         v.host <- -2;
-         d_port ()
-       end
-       else if tag = t_stream_sub_host then begin
-         v.kind <- View.Stream_subsequent;
-         d_host_based ();
-         d_port ()
-       end
-       else if tag = t_stream_sub_v4 then begin
-         v.kind <- View.Stream_subsequent;
-         v.host <- -1;
-         d_port ()
-       end
-       else if tag = t_stream_sub_v6 then begin
-         v.kind <- View.Stream_subsequent;
-         v.host <- -2;
-         d_port ()
-       end
-       else if tag = t_desc_published then begin
-         v.kind <- View.Descriptor_published;
-         d_host_based ();
-         v.flag <- u8 () <> 0
-       end
-       else if tag = t_desc_fetch_ok then begin
-         v.kind <- View.Descriptor_fetch;
-         v.fetch <- 0;
-         d_host_based ();
-         v.flag <- u8 () <> 0
-       end
-       else if tag = t_desc_fetch_missing then begin
-         v.kind <- View.Descriptor_fetch;
-         v.fetch <- 1;
-         d_host_based ()
-       end
-       else if tag = t_desc_fetch_malformed then begin
-         v.kind <- View.Descriptor_fetch;
-         v.fetch <- 2;
-         d_host_based ()
-       end
-       else if tag = t_rend_success then begin
-         v.kind <- View.Rendezvous;
-         v.cells <- varint ()
-       end
-       else if tag = t_rend_closed then begin
-         v.kind <- View.Rendezvous;
-         v.cells <- -1
-       end
-       else if tag = t_rend_expired then begin
-         v.kind <- View.Rendezvous;
-         v.cells <- -2
-       end
-       else raise (Bad (Bus.Codec.Invalid (Printf.sprintf "unknown record tag %d" tag))));
-      incr count;
-      f v
-    done
-  with
-  | () ->
-    if !count <> seg.events then
-      Result.Error
-        (Bus.Codec.Invalid
-           (Printf.sprintf "header promises %d events, payload holds %d" seg.events !count))
-    else Result.Ok !count
-  | exception Bad e -> Result.Error e
+  while R.remaining r > 0 do
+    let tag = R.u8 r in
+    (if tag = t_connection then begin
+       v.kind <- View.Connection;
+       client r v ~ncountries
+     end
+     else if tag = t_circuit_data then begin
+       v.kind <- View.Circuit_data;
+       client r v ~ncountries
+     end
+     else if tag = t_circuit_dir then begin
+       v.kind <- View.Circuit_directory;
+       client r v ~ncountries
+     end
+     else if tag = t_dir_request then begin
+       v.kind <- View.Directory_request;
+       d_ip r v
+     end
+     else if tag = t_entry_bytes_i || tag = t_entry_bytes_f then begin
+       v.kind <- View.Entry_bytes;
+       client r v ~ncountries;
+       volume r v ~raw:(tag = t_entry_bytes_f)
+     end
+     else if tag = t_exit_bytes_i || tag = t_exit_bytes_f then begin
+       v.kind <- View.Exit_bytes;
+       volume r v ~raw:(tag = t_exit_bytes_f)
+     end
+     else if tag = t_stream_init_host then begin
+       v.kind <- View.Stream_initial;
+       host_base := d_host r v ~nhosts !host_base;
+       d_port r v
+     end
+     else if tag = t_stream_init_v4 then begin
+       v.kind <- View.Stream_initial;
+       v.host <- -1;
+       d_port r v
+     end
+     else if tag = t_stream_init_v6 then begin
+       v.kind <- View.Stream_initial;
+       v.host <- -2;
+       d_port r v
+     end
+     else if tag = t_stream_sub_host then begin
+       v.kind <- View.Stream_subsequent;
+       host_base := d_host r v ~nhosts !host_base;
+       d_port r v
+     end
+     else if tag = t_stream_sub_v4 then begin
+       v.kind <- View.Stream_subsequent;
+       v.host <- -1;
+       d_port r v
+     end
+     else if tag = t_stream_sub_v6 then begin
+       v.kind <- View.Stream_subsequent;
+       v.host <- -2;
+       d_port r v
+     end
+     else if tag = t_desc_published then begin
+       v.kind <- View.Descriptor_published;
+       host_base := d_host r v ~nhosts !host_base;
+       v.flag <- R.u8 r <> 0
+     end
+     else if tag = t_desc_fetch_ok then begin
+       v.kind <- View.Descriptor_fetch;
+       v.fetch <- 0;
+       host_base := d_host r v ~nhosts !host_base;
+       v.flag <- R.u8 r <> 0
+     end
+     else if tag = t_desc_fetch_missing then begin
+       v.kind <- View.Descriptor_fetch;
+       v.fetch <- 1;
+       host_base := d_host r v ~nhosts !host_base
+     end
+     else if tag = t_desc_fetch_malformed then begin
+       v.kind <- View.Descriptor_fetch;
+       v.fetch <- 2;
+       host_base := d_host r v ~nhosts !host_base
+     end
+     else if tag = t_rend_success then begin
+       v.kind <- View.Rendezvous;
+       v.cells <- R.varint r
+     end
+     else if tag = t_rend_closed then begin
+       v.kind <- View.Rendezvous;
+       v.cells <- -1
+     end
+     else if tag = t_rend_expired then begin
+       v.kind <- View.Rendezvous;
+       v.cells <- -2
+     end
+     else R.fail (Printf.sprintf "unknown record tag %d" tag));
+    incr count;
+    f v
+  done;
+  if !count <> seg.events then
+    R.fail (Printf.sprintf "header promises %d events, payload holds %d" seg.events !count);
+  !count
 
 let iter_events (seg : Segment.t) f =
   iter seg (fun v -> f (View.to_event ~countries:seg.countries ~hosts:seg.hosts v))

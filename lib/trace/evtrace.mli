@@ -12,12 +12,16 @@
       length and a SHA-256 payload checksum;
     - a payload of varint-delta event records over the interned ids.
 
-    Header fields are written with the [Bus.Codec] primitives; the
-    record payload uses the same varint/zigzag wire forms through an
-    inlined cursor so the replay hot loop stays allocation-free. Replay
-    reads a whole segment into one buffer and decodes records in place
-    into a single reused {!View.t} — no torsim, no per-event
-    allocation.
+    Header and payload are written and read with the one [Bus.Codec]
+    that also carries the bus wire. Replay reads a whole segment into
+    one buffer and decodes records in place into a single reused
+    {!View.t}: no torsim, and no allocation per event. Two rules of
+    this compiler (no flambda) set the code's shape. A local function
+    that captures variables is a closure, allocated each time its
+    definition runs (for a local [let rec] in a per-field reader, on
+    every field), so the decode loop defines none. A float stored into
+    a record that also has non-float fields is boxed on every store, so
+    the byte volume lives in its own float-only record, [View.vol].
 
     Decoding never raises across the API boundary except through the
     documented {!Error} wrapper used inside pool workers; malformed
@@ -113,7 +117,8 @@ end
 module View : sig
   (** One decoded record, exposed as a single mutable struct the
       iterator reuses for every event: replay sinks read the fields
-      relevant to [kind] and must not retain the view. *)
+      relevant to [kind] and must not retain the view. Filling it
+      allocates nothing. *)
 
   type kind =
     | Connection
@@ -133,7 +138,9 @@ module View : sig
     mutable ip : int;  (** client ip *)
     mutable country : int;  (** id into [Segment.countries] *)
     mutable asn : int;
-    mutable bytes : float;  (** entry/exit byte volume *)
+    vol : Bus.Codec.R.f64_cell;
+        (** entry/exit byte volume, [vol.value]; a float-only record,
+            so storing a volume never boxes it *)
     mutable host : int;
         (** id into [Segment.hosts]; [-1] = IPv4 literal, [-2] = IPv6
             literal (stream destinations) *)
@@ -152,8 +159,10 @@ val iter : Segment.t -> (View.t -> unit) -> (int, error) result
 (** Decode every record in payload order into one reused view and hand
     it to the sink; returns the number of records decoded. Fails with
     [Invalid] if the decoded count disagrees with the header, and with
-    the usual typed errors on malformed payload bytes. The sink runs
-    zero-allocation apart from what it does itself. *)
+    the usual typed errors on malformed payload bytes. Decoding
+    allocates nothing per record: a call allocates the view and the
+    reader once, a few dozen words, and the sink's own allocations are
+    the only others. *)
 
 val iter_events : Segment.t -> (Torsim.Event.t -> unit) -> (int, error) result
 (** {!iter} through {!View.to_event} (allocates one event per record). *)

@@ -86,6 +86,62 @@ let test_envelope_error_paths () =
   | Error (Bus.Codec.Trailing 1) -> ()
   | _ -> Alcotest.fail "expected Trailing 1")
 
+(* --- varint / zigzag primitives ---
+
+   The readers are the trace replay hot path as well as the bus wire,
+   so both edges are pinned: the 7-bit group boundaries and the ends of
+   the 63-bit range, which only [zint] can reach (its zigzag image
+   fills all 63 bits). *)
+
+let edge_ints = [ 0; 1; 127; 128; 16383; 16384; max_int - 1; max_int ]
+
+let int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, oneofl (edge_ints @ [ -1; -128; -16384; min_int; min_int + 1 ]));
+        (3, int);
+        (3, small_signed_int);
+      ])
+
+let roundtrip write read v =
+  let w = Bus.Codec.W.create () in
+  write w v;
+  let s = Bus.Codec.W.contents w in
+  (Bus.Codec.decode s read, String.length s)
+
+let prop_varint_zint_roundtrip =
+  QCheck.Test.make ~name:"codec varint/zint round-trip, edges included" ~count:1000
+    (QCheck.make ~print:string_of_int int_gen) (fun v ->
+      fst (roundtrip Bus.Codec.W.zint Bus.Codec.R.zint v) = Ok v
+      && (v < 0 || fst (roundtrip Bus.Codec.W.varint Bus.Codec.R.varint v) = Ok v))
+
+let test_varint_edges () =
+  List.iter
+    (fun (v, len) ->
+      let got, n = roundtrip Bus.Codec.W.varint Bus.Codec.R.varint v in
+      Alcotest.(check bool) (Printf.sprintf "varint %d" v) true (got = Ok v);
+      Alcotest.(check int) (Printf.sprintf "varint %d length" v) len n)
+    [ (0, 1); (127, 1); (128, 2); (16383, 2); (16384, 3); (max_int, 9) ];
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "zint %d" v) true
+        (fst (roundtrip Bus.Codec.W.zint Bus.Codec.R.zint v) = Ok v))
+    (edge_ints @ [ -1; min_int ]);
+  Alcotest.check_raises "negative varint" (Invalid_argument "Codec.W.varint: negative")
+    (fun () -> Bus.Codec.W.varint (Bus.Codec.W.create ()) (-1));
+  (* ten groups cannot be a 63-bit value: malformed, not truncated or
+     wrapped, whatever the tenth byte holds *)
+  List.iter
+    (fun tail ->
+      match Bus.Codec.decode (String.make 9 '\x80' ^ tail) Bus.Codec.R.varint with
+      | Error (Bus.Codec.Invalid "varint overflow") -> ()
+      | _ -> Alcotest.fail "expected Invalid \"varint overflow\"")
+    [ "\x01"; "\x00"; "" ];
+  match Bus.Codec.decode "\x80\x80" Bus.Codec.R.varint with
+  | Error Bus.Codec.Truncated -> ()
+  | _ -> Alcotest.fail "expected Truncated"
+
 (* --- pipeline wire messages --- *)
 
 let check_pc_roundtrip m =
@@ -528,6 +584,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_envelope_garbage_total;
           Alcotest.test_case "version/magic/trailing errors" `Quick
             test_envelope_error_paths;
+          QCheck_alcotest.to_alcotest prop_varint_zint_roundtrip;
+          Alcotest.test_case "varint edges and overflow" `Quick test_varint_edges;
         ] );
       ( "wire",
         [

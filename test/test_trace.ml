@@ -185,12 +185,29 @@ let test_decode_errors () =
   (match Evtrace.Segment.decode (s ^ "x") with
   | Error (Bus.Codec.Trailing 1) -> ()
   | _ -> Alcotest.fail "expected Trailing 1");
-  (* a record tag outside the format, with a fresh valid checksum *)
+  (* doctored payloads, each resealed with a fresh valid checksum *)
   let seg = decode_exn s in
-  let doctored = { seg with Evtrace.Segment.payload = "\xff" } in
-  (match Evtrace.iter (decode_exn (Evtrace.Segment.encode doctored)) (fun _ -> ()) with
-  | Error (Bus.Codec.Invalid _) -> ()
-  | _ -> Alcotest.fail "expected Invalid (unknown tag)")
+  let iter_payload payload ~events =
+    let doctored = { seg with Evtrace.Segment.payload; events } in
+    Evtrace.iter (decode_exn (Evtrace.Segment.encode doctored)) (fun _ -> ())
+  in
+  (* a record tag outside the format *)
+  (match iter_payload "\xff" ~events:1 with
+  | Error (Bus.Codec.Invalid "unknown record tag 255") -> ()
+  | _ -> Alcotest.fail "expected Invalid (unknown tag)");
+  (* a rendezvous record whose cell count is a ten-byte varint *)
+  (match iter_payload ("\x12" ^ String.make 9 '\x80' ^ "\x01") ~events:1 with
+  | Error (Bus.Codec.Invalid "varint overflow") -> ()
+  | _ -> Alcotest.fail "expected Invalid \"varint overflow\"");
+  (* a connection whose country id is a nine-byte varint that reads
+     back negative *)
+  (match iter_payload ("\x00\x00" ^ String.make 8 '\xff' ^ "\x7f\x00") ~events:1 with
+  | Error (Bus.Codec.Invalid "country id out of range") -> ()
+  | _ -> Alcotest.fail "expected Invalid (country id)");
+  (* a well-formed record, but the header promises two *)
+  match iter_payload "\x14" ~events:2 with
+  | Error (Bus.Codec.Invalid "header promises 2 events, payload holds 1") -> ()
+  | _ -> Alcotest.fail "expected Invalid (event count)"
 
 let prop_garbage_total =
   QCheck.Test.make ~name:"arbitrary bytes never raise, only typed errors" ~count:500
@@ -296,6 +313,46 @@ let test_recording_files () =
   Alcotest.(check (list (pair string int))) "tallies through the filesystem"
     r.Netday.result.Netday.tallies rr.Netday.replayed_tallies
 
+(* Segment bytes of the seed-23 recording above. The writer, the codec
+   and the netday generator all feed these; the values were taken
+   before the writer moved onto [Bus.Codec.W]. *)
+let test_segment_pins () =
+  let r = Lazy.force recording in
+  Alcotest.(check (array string)) "sha256 of each segment"
+    [|
+      "fa0cfa9669446f92b9a1bfe9c75a14565d1f88141beee7e01f8db54dc7a68bc2";
+      "965303b40fb05ef57be80fc277a926c751a17956cb72231f69e3f839c9bc949f";
+      "5ca48afedba9f41d8edc31746ec28921de89ea65041a778686b9c194657add6c";
+    |]
+    (Array.map Crypto.Sha256.hex r.Netday.segments)
+
+(* Decoding allocates nothing per record: what a pass allocates is the
+   view and the reader, a few dozen words per segment. Under 0.01
+   words/event over this ~16k-event recording leaves room for those
+   and none for a boxed float or a closure per field. Tests build in
+   the dev profile, whose -opaque stops cross-module inlining, so this
+   also holds where the codec's readers are plain calls. *)
+let test_iter_allocation_free () =
+  let segs = segments () in
+  let noop (_ : Evtrace.View.t) = () in
+  let pass () =
+    Array.iter
+      (fun seg ->
+        match Evtrace.iter seg noop with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "iter failed: %s" (Evtrace.error_to_string e))
+      segs
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. before in
+  let events = Array.fold_left (fun n seg -> n + seg.Evtrace.Segment.events) 0 segs in
+  let per_event = words /. float_of_int events in
+  if per_event >= 0.01 then
+    Alcotest.failf "iter allocated %.4f minor words/event (%.0f words, %d events)" per_event
+      words events
+
 let test_replay_validation () =
   Alcotest.check_raises "empty segment set"
     (Invalid_argument "Netday.replay: no segments") (fun () ->
@@ -324,6 +381,9 @@ let () =
           Alcotest.test_case "repeat scales" `Slow test_replay_repeat_scales;
           Alcotest.test_case "mismatch detection" `Slow test_replay_mismatch;
           Alcotest.test_case "file round-trip" `Slow test_recording_files;
+          Alcotest.test_case "segment bytes pinned" `Quick test_segment_pins;
+          Alcotest.test_case "iter allocates nothing per event" `Quick
+            test_iter_allocation_free;
           Alcotest.test_case "validation" `Quick test_replay_validation;
         ] );
     ]
