@@ -848,6 +848,68 @@ let prop_additive_sharing =
       let shares = Secret_sharing.additive_shares d ~n:4 in
       Secret_sharing.unblind (Secret_sharing.blind v shares) shares = v)
 
+(* --- proof known answers ---
+
+   Every challenge, proof and batch weight is a hash over a transcript;
+   these pin the bytes each proof system publishes at fixed DRBG seeds,
+   so a change to how transcripts are hashed cannot move a proof. *)
+
+let ints = Alcotest.(array int)
+
+let test_kat_schnorr () =
+  let d = Drbg.create "kat-schnorr" in
+  let secret = Group.random_exp d in
+  let { Sigma.commitment; response } = Sigma.schnorr_prove d ~secret ~context:"kat" in
+  Alcotest.check ints "schnorr proof" [| 693909204; 200773300 |]
+    [| Group.elt_to_int commitment; Group.exp_to_int response |]
+
+let test_kat_dleq () =
+  let d = Drbg.create "kat-dleq" in
+  let secret = Group.random_exp d in
+  let k = Group.random_exp d in
+  let base2 = Group.random_elt d in
+  let { Sigma.a1; a2; z } = Sigma.dleq_prove_with ~k ~secret ~base2 ~context:"kat" () in
+  Alcotest.check ints "dleq proof" [| 550454679; 730303105; 256918695 |]
+    [| Group.elt_to_int a1; Group.elt_to_int a2; Group.exp_to_int z |]
+
+let test_kat_bit_proof () =
+  let d = Drbg.create "kat-bit" in
+  let _, pk = Elgamal.keygen d in
+  List.iter
+    (fun (bit, want) ->
+      let ct, proof = Bit_proof.encrypt_bit_proven d ~pk bit in
+      Alcotest.check ints
+        (Printf.sprintf "bit %b proof" bit)
+        want
+        (Array.append
+           [| Group.elt_to_int ct.Elgamal.c1; Group.elt_to_int ct.Elgamal.c2 |]
+           (Bit_proof.to_ints proof)))
+    [
+      ( false,
+        [| 1467325344; 1803370747; 384255329; 956504261; 312517925; 277522489; 1453681293;
+           2067424738; 169502303; 272201458 |] );
+      ( true,
+        [| 837876962; 927457549; 1544111779; 676341976; 445914389; 704993911; 1470473228;
+           717224331; 1000828792; 381310393 |] );
+    ]
+
+let test_kat_shuffle () =
+  let d = Drbg.create "kat-shuffle" in
+  let _, pk = Elgamal.keygen d in
+  let input = make_cts d pk 16 in
+  let _, proof = Shuffle.shuffle ~rounds:3 d pk input in
+  let wire = Shuffle.proof_to_ints proof in
+  Alcotest.(check string) "proof_to_ints sha256"
+    "83dc37f2cddba1f5daa9cd83ea91d5ae9d817e46edcb9dbe3cb2ea2c35f5fe82"
+    (Sha256.hex (String.concat "," (Array.to_list (Array.map string_of_int wire))))
+
+let test_kat_schnorr_sig () =
+  let d = Drbg.create "kat-sig" in
+  let kp = Schnorr_sig.keygen d in
+  let s = Schnorr_sig.sign d ~priv:kp.Schnorr_sig.priv "kat message" in
+  Alcotest.(check string) "signature" "3eb72e8b10d6d3d0"
+    (Sha256.to_hex (Schnorr_sig.signature_to_string s))
+
 let () =
   Alcotest.run "crypto"
     [
@@ -885,6 +947,14 @@ let () =
           Alcotest.test_case "batch_inv matches inv" `Quick test_batch_inv_matches_inv;
           Alcotest.test_case "batch_inv edge cases" `Quick test_batch_inv_edge_cases;
           Alcotest.test_case "multi_exp edge cases" `Quick test_multi_exp_edges;
+        ] );
+      ( "known_answers",
+        [
+          Alcotest.test_case "schnorr proof" `Quick test_kat_schnorr;
+          Alcotest.test_case "dleq_prove_with proof" `Quick test_kat_dleq;
+          Alcotest.test_case "bit proofs" `Quick test_kat_bit_proof;
+          Alcotest.test_case "shuffle proof digest" `Quick test_kat_shuffle;
+          Alcotest.test_case "schnorr signature" `Quick test_kat_schnorr_sig;
         ] );
       ( "batch_verify",
         [ Alcotest.test_case "dleq batch with table" `Quick test_dleq_batch_with_table ] );

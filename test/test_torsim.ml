@@ -392,6 +392,21 @@ let test_descriptor_v3_blinding () =
     (Descriptor.v3_blinded_address identity ~period:100)
     d1.Descriptor.address
 
+(* Address and signature bytes at a fixed seed: the v2 address, the
+   v3 blinding hash and the signature challenge are all transcript
+   hashes, so these pin how each is built. *)
+let test_descriptor_known_answers () =
+  let d = Crypto.Drbg.create "desc-kat" in
+  let identity = Descriptor.make_identity d in
+  let v3 = Descriptor.create_v3 d identity ~intro_points:[ 3; 5 ] ~period:7 in
+  Alcotest.(check (list string)) "addresses and signature"
+    [ "62ffcb09cb246ab9.onion"; "b2f7b2b45a6a59ed.onion"; "3ac8ed7e2a1dfbd6" ]
+    [
+      identity.Descriptor.v2_address;
+      v3.Descriptor.address;
+      Crypto.Sha256.to_hex (Crypto.Schnorr_sig.signature_to_string v3.Descriptor.signature);
+    ]
+
 let test_engine_publish_signed () =
   let c = small_consensus () in
   let e = Engine.create ~seed:3 c in
@@ -622,6 +637,7 @@ let () =
           Alcotest.test_case "v2 roundtrip" `Quick test_descriptor_v2_roundtrip;
           Alcotest.test_case "v2 address binding" `Quick test_descriptor_v2_address_binding;
           Alcotest.test_case "v3 blinding" `Quick test_descriptor_v3_blinding;
+          Alcotest.test_case "known answers" `Quick test_descriptor_known_answers;
           Alcotest.test_case "engine signed publish" `Quick test_engine_publish_signed;
         ] );
       ( "wire",
