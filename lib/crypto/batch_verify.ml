@@ -1,75 +1,41 @@
 (* Random-linear-combination (RLC) batch verification substrate.
 
-   N verification equations of the form L_i = R_i over the order-q
-   subgroup are folded into one check prod L_i^{w_i} = prod R_i^{w_i}
-   with weights w_i drawn uniformly from [1, q). If any single equation
-   fails, the folded equation holds with probability at most 1/q over
-   the weights (the defect prod (L_i/R_i)^{w_i} is a nontrivial
-   character of the weight vector), so a batch accept is wrong with
-   probability ~1/q per folded system — "overwhelming" at this group's
-   simulation scale in the same sense the 31-bit group itself is; see
-   DESIGN.md §3c.
+   N equations L_i = R_i over the order-q subgroup fold into one check
+   prod L_i^{w_i} = prod R_i^{w_i} with weights uniform in [1, q). If
+   any single equation fails, the fold holds with probability at most
+   1/q over the weights, so a batch accept is wrong with probability
+   ~1/q per folded check (DESIGN.md §3c).
 
-   The weights come from a dedicated verifier DRBG seeded by a
-   domain-separated hash of the full statement+proof transcript. That
-   gives three properties the soundness argument needs:
-   - the weights are fixed only after the prover's entire message,
-     so a cheating prover cannot choose proof elements against them
-     (Fiat–Shamir, with the transcript hash as the binding commitment);
-   - the verifier stream is isolated: it consumes nothing from any
-     party DRBG, so batching cannot perturb the protocol's draw order
-     or the deploy-mode byte-identity contract;
-   - the same transcript yields the same weights, keeping verification
-     deterministic across runs, pool sizes and hosts.
+   The weights come from a dedicated verifier DRBG seeded by the digest
+   of a Transcript over the whole statement and proof: they are fixed
+   only after the prover's entire message (Fiat–Shamir), they consume
+   nothing from any party DRBG (the protocol's draw order and the
+   deploy-mode byte identity are untouched), and the same transcript
+   gives the same weights on any run, pool size or host.
 
-   The per-family batch verifiers live with their proof systems
-   (Sigma.dleq_verify_batch, Bit_proof.verify_batch, the per-round
-   fold inside Shuffle.verify); this module owns the weight stream and
-   the shared outcome vocabulary. Each family keeps its single-proof
-   verifier as the fallback: when a folded check fails, the batch
-   re-runs the singles so the outcome names exactly which proofs
-   failed — that is what `tormeasure audit` and the blame path report. *)
+   One weight vector serves every fold that is checked on its own
+   (DLEQ's two sides, a shuffle link's c1 and c2, a bit proof's g and
+   pk sides): each fold is its own accept test, and a false equation in
+   it makes that fold fail with probability >= 1 - 1/q whatever the
+   other fold does with the same weights. Only equations summed into
+   one fold need independent weights (a bit proof's two branches).
+
+   The batch verifiers live with their proof systems; each keeps its
+   single-proof verifier as the fallback, so a failed fold names
+   exactly the proofs that fail — what `tormeasure audit` and the blame
+   path report. *)
 
 type outcome = Accepted | Rejected of int list
 
-let weights ~context ~transcript ~lanes n =
-  if lanes < 0 || n < 0 then invalid_arg "Batch_verify.weights: negative count";
-  let drbg =
-    Drbg.create ~personalization:("batch-verify|" ^ context) (Sha256.digest transcript)
-  in
-  (* one bulk draw for every lane, nonzero by construction *)
-  let raw = Drbg.uniform_array drbg (Group.q - 1) (lanes * n) in
-  Array.init lanes (fun l ->
-      Array.init n (fun i -> Group.exp_of_int (1 + raw.((l * n) + i))))
+let weights ~context ~digest n =
+  if n < 0 then invalid_arg "Batch_verify.weights: negative count";
+  let drbg = Drbg.create ~personalization:("batch-verify|" ^ context) digest in
+  (* one bulk draw, nonzero by construction *)
+  Array.map (fun v -> Group.exp_of_int (1 + v)) (Drbg.uniform_array drbg (Group.q - 1) n)
 
-(* Transcript serialization for weight derivation: exponents are < q
-   < 2^30, so four big-endian bytes are a canonical fixed-width
-   encoding. *)
-let add_exp buf e =
-  let v = Group.exp_to_int e in
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
-
-(* Weighted exponent sum mod q: sum_i ws.(i) * xs.(i). The scalar half
-   of every folded equation. *)
-let dot ws xs =
-  let n = Array.length ws in
-  if Array.length xs <> n then invalid_arg "Batch_verify.dot: length mismatch";
-  let acc = ref Group.zero_exp in
-  for i = 0 to n - 1 do
-    acc := Group.exp_add !acc (Group.exp_mul ws.(i) xs.(i))
-  done;
-  !acc
-
-(* Collect the indices where a single-proof fallback pass failed. *)
-let rejected_indices oks =
+let outcome_of_singles oks =
   let bad = ref [] in
   for i = Array.length oks - 1 downto 0 do
     if not oks.(i) then bad := i :: !bad
   done;
-  !bad
-
-let outcome_of_singles oks =
-  match rejected_indices oks with [] -> Accepted | bad -> Rejected bad
+  match !bad with [] -> Accepted | bad -> Rejected bad

@@ -5,11 +5,13 @@
     N verification equations fold into one group equation with random
     weights in [1, q); a batch that contains any invalid proof passes
     the folded check with probability ~1/q. Weights are drawn from a
-    dedicated verifier DRBG seeded by a domain-separated hash of the
-    statement+proof transcript, so they bind the prover's whole message
-    (Fiat–Shamir) while consuming nothing from any party DRBG — the
-    protocol's draw order and deploy-mode byte identity are untouched.
-    Soundness argument and cutover policy: DESIGN.md §3c. *)
+    dedicated verifier DRBG seeded by the digest of a {!Transcript}
+    over the statement and proof, so they bind the prover's whole
+    message (Fiat–Shamir) while consuming nothing from any party DRBG
+    — the protocol's draw order and deploy-mode byte identity are
+    untouched. One weight vector serves every fold of an equation
+    system that is checked on its own. Soundness argument and cutover
+    policy: DESIGN.md §3c. *)
 
 type outcome =
   | Accepted
@@ -18,25 +20,12 @@ type outcome =
           the single-proof fallback a failed batch re-runs, so audit
           and blame paths can name the offending proof *)
 
-val weights :
-  context:string -> transcript:string -> lanes:int -> int -> Group.exp array array
-(** [weights ~context ~transcript ~lanes n] is [lanes] weight vectors
-    of length [n], each entry uniform in [1, q), all drawn from one
-    verifier DRBG seeded by the hash of [transcript] under the
-    [context] domain separator. One folded equation system consumes one
-    lane. *)
-
-val add_exp : Buffer.t -> Group.exp -> unit
-(** Append the canonical 4-byte big-endian encoding of an exponent —
-    the fixed-width form the weight transcripts are built from. *)
-
-val dot : Group.exp array -> Group.exp array -> Group.exp
-(** Weighted exponent sum mod q — the scalar side of a folded
-    equation. Raises [Invalid_argument] on a length mismatch. *)
-
-val rejected_indices : bool array -> int list
-(** Indices holding [false], ascending. *)
+val weights : context:string -> digest:string -> int -> Group.exp array
+(** [weights ~context ~digest n]: [n] weights uniform in [1, q), drawn
+    from a verifier DRBG seeded by the transcript [digest] under the
+    [context] domain separator. A fold summing k independent equation
+    families per proof draws [k * n] and gives each family a slice. *)
 
 val outcome_of_singles : bool array -> outcome
 (** {!Accepted} when every single-proof verdict is [true], otherwise
-    {!Rejected} with the failing indices. *)
+    {!Rejected} with the failing indices, ascending. *)

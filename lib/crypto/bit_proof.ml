@@ -16,14 +16,10 @@ type t = { b0 : branch; b1 : branch }
 
 let message_of = function false -> Elgamal.one | true -> Elgamal.marker
 
-let transcript ~pk ~ct ~(b0 : Group.elt * Group.elt) ~(b1 : Group.elt * Group.elt) =
-  let open Group in
-  String.concat ""
-    [
-      "bitproof|"; elt_to_string pk; Elgamal.ciphertext_to_string ct;
-      elt_to_string (fst b0); elt_to_string (snd b0);
-      elt_to_string (fst b1); elt_to_string (snd b1);
-    ]
+let challenge ~pk ~ct ~(b0 : Group.elt * Group.elt) ~(b1 : Group.elt * Group.elt) =
+  Transcript.(
+    create "bitproof|" |> elt pk |> elt ct.Elgamal.c1 |> elt ct.Elgamal.c2 |> elt (fst b0)
+    |> elt (snd b0) |> elt (fst b1) |> elt (snd b1) |> challenge)
 
 (* y_i = c2 / m_i: the element whose log base pk must match log_g c1. *)
 let y_of ct bit = Group.div ct.Elgamal.c2 (message_of bit)
@@ -56,7 +52,7 @@ let prove_with ?pk_tab ~pk ~r ~bit ~fake_e ~fake_z ~k ct =
     if bit then ((fake.a1, fake.a2), (real_a1, real_a2))
     else ((real_a1, real_a2), (fake.a1, fake.a2))
   in
-  let e_total = Group.hash_to_exp (transcript ~pk ~ct ~b0:(fst commitments) ~b1:(snd commitments)) in
+  let e_total = challenge ~pk ~ct ~b0:(fst commitments) ~b1:(snd commitments) in
   let e_real = Group.exp_sub e_total fake.e in
   let z_real = Group.exp_add k (Group.exp_mul e_real r) in
   let real = { a1 = real_a1; a2 = real_a2; e = e_real; z = z_real } in
@@ -76,7 +72,7 @@ let branch_ok ?pk_tab ~pk ~ct ~bit { a1; a2; e; z } =
      = Group.elt_to_int (Group.mul a2 (Group.pow y e))
 
 let verify ?pk_tab ~pk ct { b0; b1 } =
-  let e_total = Group.hash_to_exp (transcript ~pk ~ct ~b0:(b0.a1, b0.a2) ~b1:(b1.a1, b1.a2)) in
+  let e_total = challenge ~pk ~ct ~b0:(b0.a1, b0.a2) ~b1:(b1.a1, b1.a2) in
   Group.exp_to_int (Group.exp_add b0.e b1.e) = Group.exp_to_int e_total
   && branch_ok ?pk_tab ~pk ~ct ~bit:false b0
   && branch_ok ?pk_tab ~pk ~ct ~bit:true b1
@@ -86,19 +82,20 @@ let verify ?pk_tab ~pk ct { b0; b1 } =
      g^{z_b}  = a1_b * c1^{e_b}        (g side)
      pk^{z_b} = a2_b * y_b^{e_b}       (pk side)
    plus the exact scalar constraint e_0 + e_1 = H(transcript), which is
-   cheap and stays per-proof. Four weight lanes (w0, w1 for the g side
-   of each branch; w2, w3 for the pk side) fold the group equations
-   into two multi-exponentiations:
+   cheap and stays per-proof. Two weight lanes (w0 for branch 0, w1 for
+   branch 1) fold the group equations into two multi-exponentiations:
      g^{sum w0 z0 + w1 z1}
        = prod a1_0^{w0} * a1_1^{w1} * c1^{w0 e0 + w1 e1}
-     pk^{sum w2 z0 + w3 z1}
-       = prod a2_0^{w2} * a2_1^{w3} * c2^{w2 e0 + w3 e1}
-         * marker^{-sum w3 e1}
-   (y_1^{w3 e1} = c2^{w3 e1} * marker^{-w3 e1}; the c2 factors merge
+     pk^{sum w0 z0 + w1 z1}
+       = prod a2_0^{w0} * a2_1^{w1} * c2^{w0 e0 + w1 e1}
+         * marker^{-sum w1 e1}
+   (y_1^{w1 e1} = c2^{w1 e1} * marker^{-w1 e1}; the c2 factors merge
    per proof and the marker factors merge into one global term.) The
-   weight transcript binds (e_total, e0, z0, z1) per proof: e_total is
-   the hash of pk, the ciphertext and all four commitments, so by
-   collision resistance those four scalars bind the whole message. *)
+   sides are checked separately, so they share the lanes (Batch_verify)
+   and with them the exponents and the left-hand scalar. The weight
+   seed binds (e_total, e0, z0, z1) per proof: e_total hashes pk, the
+   ciphertext and all four commitments, so by collision resistance
+   those four scalars bind the whole message. *)
 let verify_batch ?pk_tab ~pk pairs =
   let n = Array.length pairs in
   if n = 0 then Batch_verify.Accepted
@@ -107,7 +104,7 @@ let verify_batch ?pk_tab ~pk pairs =
     let e_totals =
       Parallel.parallel_init n (fun i ->
           let ct, { b0; b1 } = pairs.(i) in
-          Group.hash_to_exp (transcript ~pk ~ct ~b0:(b0.a1, b0.a2) ~b1:(b1.a1, b1.a2)))
+          challenge ~pk ~ct ~b0:(b0.a1, b0.a2) ~b1:(b1.a1, b1.a2))
     in
     let sums_ok = ref true in
     for i = 0 to n - 1 do
@@ -116,42 +113,16 @@ let verify_batch ?pk_tab ~pk pairs =
       then sums_ok := false
     done;
     let folded () =
-      let weight_transcript =
-        let buf = Buffer.create ((n * 16) + 16) in
-        for i = 0 to n - 1 do
-          let _, { b0; b1 } = pairs.(i) in
-          Batch_verify.add_exp buf e_totals.(i);
-          Batch_verify.add_exp buf b0.e;
-          Batch_verify.add_exp buf b0.z;
-          Batch_verify.add_exp buf b1.z
-        done;
-        Buffer.contents buf
+      let digest =
+        let t = Transcript.create "" in
+        Array.iteri
+          (fun i (_, { b0; b1 }) ->
+            ignore Transcript.(exp e_totals.(i) t |> exp b0.e |> exp b0.z |> exp b1.z))
+          pairs;
+        Transcript.digest t
       in
-      let ws =
-        Batch_verify.weights ~context:"bitproof" ~transcript:weight_transcript ~lanes:4 n
-      in
-      let w0 = ws.(0) and w1 = ws.(1) and w2 = ws.(2) and w3 = ws.(3) in
-      let eq_g =
-        let s = ref Group.zero_exp in
-        let bases = Array.make (3 * n) Group.one in
-        let exps = Array.make (3 * n) Group.zero_exp in
-        for i = 0 to n - 1 do
-          let ct, { b0; b1 } = pairs.(i) in
-          s :=
-            Group.exp_add !s
-              (Group.exp_add (Group.exp_mul w0.(i) b0.z) (Group.exp_mul w1.(i) b1.z));
-          bases.(3 * i) <- b0.a1;
-          exps.(3 * i) <- w0.(i);
-          bases.((3 * i) + 1) <- b1.a1;
-          exps.((3 * i) + 1) <- w1.(i);
-          bases.((3 * i) + 2) <- ct.Elgamal.c1;
-          exps.((3 * i) + 2) <-
-            Group.exp_add (Group.exp_mul w0.(i) b0.e) (Group.exp_mul w1.(i) b1.e)
-        done;
-        Group.elt_to_int (Group.pow_g !s) = Group.elt_to_int (Group.multi_exp ~bases ~exps)
-      in
-      eq_g
-      &&
+      let w = Batch_verify.weights ~context:"bitproof" ~digest (2 * n) in
+      let w0 = Array.sub w 0 n and w1 = Array.sub w n n in
       let s = ref Group.zero_exp in
       let marker_e = ref Group.zero_exp in
       let bases = Array.make ((3 * n) + 1) Group.one in
@@ -160,20 +131,31 @@ let verify_batch ?pk_tab ~pk pairs =
         let ct, { b0; b1 } = pairs.(i) in
         s :=
           Group.exp_add !s
-            (Group.exp_add (Group.exp_mul w2.(i) b0.z) (Group.exp_mul w3.(i) b1.z));
-        marker_e := Group.exp_add !marker_e (Group.exp_mul w3.(i) b1.e);
-        bases.(3 * i) <- b0.a2;
-        exps.(3 * i) <- w2.(i);
-        bases.((3 * i) + 1) <- b1.a2;
-        exps.((3 * i) + 1) <- w3.(i);
-        bases.((3 * i) + 2) <- ct.Elgamal.c2;
+            (Group.exp_add (Group.exp_mul w0.(i) b0.z) (Group.exp_mul w1.(i) b1.z));
+        marker_e := Group.exp_add !marker_e (Group.exp_mul w1.(i) b1.e);
+        bases.(3 * i) <- b0.a1;
+        exps.(3 * i) <- w0.(i);
+        bases.((3 * i) + 1) <- b1.a1;
+        exps.((3 * i) + 1) <- w1.(i);
+        bases.((3 * i) + 2) <- ct.Elgamal.c1;
         exps.((3 * i) + 2) <-
-          Group.exp_add (Group.exp_mul w2.(i) b0.e) (Group.exp_mul w3.(i) b1.e)
+          Group.exp_add (Group.exp_mul w0.(i) b0.e) (Group.exp_mul w1.(i) b1.e)
       done;
-      bases.(3 * n) <- Elgamal.marker;
+      (* the g side has no marker term: its last base stays the identity *)
       exps.(3 * n) <- Group.exp_neg !marker_e;
-      Group.elt_to_int (Group.pow_tab ?tab:pk_tab pk !s)
-      = Group.elt_to_int (Group.multi_exp ~bases ~exps)
+      Group.elt_to_int (Group.pow_g !s) = Group.elt_to_int (Group.multi_exp ~bases ~exps)
+      &&
+      begin
+        for i = 0 to n - 1 do
+          let ct, { b0; b1 } = pairs.(i) in
+          bases.(3 * i) <- b0.a2;
+          bases.((3 * i) + 1) <- b1.a2;
+          bases.((3 * i) + 2) <- ct.Elgamal.c2
+        done;
+        bases.(3 * n) <- Elgamal.marker;
+        Group.elt_to_int (Group.pow_tab ?tab:pk_tab pk !s)
+        = Group.elt_to_int (Group.multi_exp ~bases ~exps)
+      end
     in
     if !sums_ok && folded () then Batch_verify.Accepted
     else

@@ -23,7 +23,8 @@ val verify_batch :
   ?pk_tab:Group.precomp -> pk:Elgamal.pub ->
   (Elgamal.ciphertext * t) array -> Batch_verify.outcome
 (** Batched {!verify} over many proven slots under one key: the four
-    group equations per proof fold into two random-linear-combination
+    group equations per proof fold, under two weight lanes, into two
+    random-linear-combination
     multi-exponentiations (~12 multiplications per slot instead of ~8
     full exponentiations); the scalar sub-challenge constraint stays
     exact per proof. A failed fold re-runs the single-proof verifier so

@@ -36,15 +36,8 @@ let generate t n =
   update t "";
   Bytes.unsafe_to_string out
 
-let uniform64 t =
-  let s = generate t 8 in
-  let v = ref 0L in
-  String.iter (fun c -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c))) s;
-  !v
-
 (* Top 62 bits of the 8-byte big-endian lane at [off], as a
-   non-negative int: the same value [uniform64 >>> 2] produced, without
-   the Int64 boxing. *)
+   non-negative int, without Int64 boxing. *)
 let lane62 s off =
   let byte i = Char.code (String.unsafe_get s (off + i)) in
   let hi = ref 0 in

@@ -16,8 +16,6 @@ val reseed : t -> string -> unit
 val uniform : t -> int -> int
 (** [uniform t n] draws an unbiased integer in [0, n). *)
 
-val uniform64 : t -> int64
-
 val uniform_array : t -> int -> int -> int array
 (** [uniform_array t n count] draws [count] independent unbiased
     integers in [0, n) from a single bulk [generate] call — roughly

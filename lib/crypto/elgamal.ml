@@ -49,5 +49,3 @@ let is_identity_plaintext m = Group.elt_to_int m = Group.elt_to_int Group.one
 
 let one = Group.one
 let marker = Group.hash_to_elt "psc-bit-one-marker"
-
-let ciphertext_to_string { c1; c2 } = Group.elt_to_string c1 ^ Group.elt_to_string c2

@@ -58,6 +58,3 @@ val one : Group.elt
 
 val marker : Group.elt
 (** Canonical non-identity plaintext encoding bit 1 before blinding. *)
-
-val ciphertext_to_string : ciphertext -> string
-(** Canonical encoding for transcript hashing. *)

@@ -194,8 +194,7 @@ let random_exp drbg = Drbg.uniform drbg q
 let random_exps drbg count = Drbg.uniform_array drbg q count
 let random_elt drbg = pow_g (random_exp drbg)
 
-let hash_to_exp s =
-  let d = Sha256.digest s in
+let exp_of_digest d =
   let v = ref 0 in
   (* 60 bits of the digest, then reduce; bias is q / 2^60 < 2^-29. *)
   for i = 0 to 7 do
@@ -203,13 +202,12 @@ let hash_to_exp s =
   done;
   reduce_q (!v land ((1 lsl 60) - 1))
 
+let hash_to_exp s = exp_of_digest (Sha256.digest s)
+
 let hash_to_elt s =
   let e = hash_to_exp ("elt|" ^ s) in
   (* g^e is uniform in the subgroup as e ranges over Z_q. *)
   pow_g (if e = 0 then 1 else e)
-
-let elt_to_string x =
-  String.init 4 (fun i -> Char.chr ((x lsr (8 * (3 - i))) land 0xFF))
 
 (* Pippenger-style multi-exponentiation: prod_i bases.(i)^exps.(i).
 

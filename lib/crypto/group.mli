@@ -106,11 +106,12 @@ val random_exps : Drbg.t -> int -> exp array
 
 val random_elt : Drbg.t -> elt
 
+val exp_of_digest : string -> exp
+(** Fiat–Shamir: map a SHA-256 digest (at least 8 bytes) to a challenge
+    exponent. {!Transcript.challenge} is this over a streamed digest. *)
+
 val hash_to_exp : string -> exp
-(** Fiat–Shamir: map a transcript string to a challenge exponent. *)
+(** [exp_of_digest (Sha256.digest s)]. *)
 
 val hash_to_elt : string -> elt
 (** Hash to a subgroup element (square of a hash-derived residue). *)
-
-val elt_to_string : elt -> string
-(** Canonical byte encoding, for transcript hashing. *)

@@ -6,8 +6,7 @@ let keygen drbg =
   { priv; pub = Group.pow_g priv }
 
 let challenge_of ~pub ~commitment msg =
-  Group.hash_to_exp
-    (String.concat "" [ "schnorr-sig|"; Group.elt_to_string pub; Group.elt_to_string commitment; msg ])
+  Transcript.(create "schnorr-sig|" |> elt pub |> elt commitment |> string msg |> challenge)
 
 let sign drbg ~priv msg =
   let pub = Group.pow_g priv in

@@ -112,6 +112,20 @@ let update ctx s =
     ctx.buf_len <- len - !pos
   end
 
+(* Four big-endian bytes straight into the block buffer, compressing
+   mid-field when the field straddles a block boundary. *)
+let update_int32_be ctx v =
+  if ctx.finished then invalid_arg "Sha256.update: context already finalized";
+  ctx.total <- ctx.total + 4;
+  for i = 0 to 3 do
+    Bytes.unsafe_set ctx.buf ctx.buf_len (Char.unsafe_chr ((v lsr (24 - (8 * i))) land 0xff));
+    ctx.buf_len <- ctx.buf_len + 1;
+    if ctx.buf_len = 64 then begin
+      compress ctx.h ctx.buf 0;
+      ctx.buf_len <- 0
+    end
+  done
+
 (* Pads in place in the block buffer: the 0x80 marker, zeros, and the
    64-bit big-endian bit length in the last eight bytes — spilling into
    one extra block when fewer than nine bytes are free. *)

@@ -1,10 +1,11 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch: the project takes
-    no OCaml crypto dependency. Used for Fiat–Shamir challenges
-    ([Group.hash_to_exp], the shuffle round digest), batch-verification
-    weight seeds, HMAC (PSC item slots, HMAC-DRBG), Evtrace segment
-    checksums, [Bus.Sched.order_digest], the deploy digest and the
-    simulated onion/HSDir addresses. Compressions allocate nothing and
-    are safe to run concurrently from pool workers (DESIGN.md §3c). *)
+    no OCaml crypto dependency. Under every Fiat–Shamir challenge,
+    shuffle round digest and batch-verification weight seed (all
+    streamed through {!Transcript}), HMAC (PSC item slots, HMAC-DRBG),
+    Evtrace segment checksums, [Bus.Sched.order_digest], the deploy
+    digest and the simulated onion/HSDir addresses. Compressions and
+    {!update_int32_be} allocate nothing, and are safe to run
+    concurrently from pool workers (DESIGN.md §3c). *)
 
 type ctx
 
@@ -15,6 +16,11 @@ val copy : ctx -> ctx
     original untouched. Used by HMAC to cache per-key midstates. *)
 
 val update : ctx -> string -> unit
+
+val update_int32_be : ctx -> int -> unit
+(** Absorb the low 32 bits of an int as four big-endian bytes, without
+    building a string. *)
+
 val finalize : ctx -> string
 (** 32-byte raw digest. The context must not be reused afterwards. *)
 

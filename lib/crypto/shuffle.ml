@@ -48,14 +48,11 @@ let random_perm drbg n =
   end;
   a
 
+(* The round digest carries no domain tag: pk, then every ciphertext of
+   the input, the output and each shadow in round order. *)
 let transcript_digest pk ~input ~output ~shadows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Group.elt_to_string pk);
-  let add cts = Array.iter (fun ct -> Buffer.add_string buf (Elgamal.ciphertext_to_string ct)) cts in
-  add input;
-  add output;
-  List.iter add shadows;
-  Sha256.digest (Buffer.contents buf)
+  let t = Transcript.(create "" |> elt pk |> ciphertexts input |> ciphertexts output) in
+  Transcript.digest (List.fold_left (fun t s -> Transcript.ciphertexts s t) t shadows)
 
 let challenge_bit digest j = (Char.code digest.[j / 8 mod 32] lsr (j mod 8)) land 1 = 1
 
@@ -127,40 +124,39 @@ let is_perm perm n =
      dst.(i) = E(1; e_i) * from.(perm(i)), i.e.
      dst_c1(i) = g^{e_i} * from_c1(perm(i))   and
      dst_c2(i) = pk^{e_i} * from_c2(perm(i)).
-   Folding each component's n equations with weight lanes u (c1) and v
-   (c2) gives
-     prod from_c1(perm(i))^{u_i} * dst_c1(i)^{-u_i} = g^{-sum u_i e_i}
-   and likewise for c2 against pk. Versus recomputing the n
-   rerandomizing encryptions, this allocates no shadow-sized ciphertext
-   vector per round. The transcript digest already binds pk, input,
-   output and every shadow; the opening's permutation and exponents are
-   not under it, so the weight transcript hashes digest, round index,
-   perm and exps. *)
+   Folding each component's n equations with one weight vector w gives
+     prod from_c1(perm(i))^{w_i} * dst_c1(i)^{-w_i} = g^{-sum w_i e_i}
+   and likewise for c2 against pk. The folds are checked separately, so
+   they share w, its exponent vector and right-hand side (Batch_verify).
+   Versus recomputing the n rerandomizing encryptions, this allocates
+   no shadow-sized ciphertext vector per round. The round digest binds
+   pk, input, output and every shadow but not the opening, so the
+   weight seed hashes digest, round index, perm and exps. *)
 let round_link_ok ~tab ~digest ~j ~from ~dst ~perm ~exps pk =
   let n = Array.length dst in
-  let transcript =
-    let buf = Buffer.create ((n * 8) + 40) in
-    Buffer.add_string buf digest;
-    Batch_verify.add_exp buf (Group.exp_of_int j);
-    Array.iter (fun p -> Batch_verify.add_exp buf (Group.exp_of_int p)) perm;
-    Array.iter (fun e -> Batch_verify.add_exp buf e) exps;
-    Buffer.contents buf
+  let seed =
+    Transcript.create digest |> Transcript.int j |> Transcript.ints perm |> Transcript.exps exps
+    |> Transcript.digest
   in
-  let ws = Batch_verify.weights ~context:"shuffle-link" ~transcript ~lanes:2 n in
-  let component w proj rhs_pow =
-    let bases = Array.make (2 * n) Group.one in
-    let es = Array.make (2 * n) Group.zero_exp in
+  let w = Batch_verify.weights ~context:"shuffle-link" ~digest:seed n in
+  let es = Array.make (2 * n) Group.zero_exp in
+  let sum = ref Group.zero_exp in
+  for i = 0 to n - 1 do
+    es.(2 * i) <- w.(i);
+    es.((2 * i) + 1) <- Group.exp_neg w.(i);
+    sum := Group.exp_add !sum (Group.exp_mul w.(i) exps.(i))
+  done;
+  let rhs = Group.exp_neg !sum in
+  let bases = Array.make (2 * n) Group.one in
+  let fold proj =
     for i = 0 to n - 1 do
       bases.(2 * i) <- proj from.(perm.(i));
-      es.(2 * i) <- w.(i);
-      bases.((2 * i) + 1) <- proj dst.(i);
-      es.((2 * i) + 1) <- Group.exp_neg w.(i)
+      bases.((2 * i) + 1) <- proj dst.(i)
     done;
     Group.elt_to_int (Group.multi_exp ~bases ~exps:es)
-    = Group.elt_to_int (rhs_pow (Group.exp_neg (Batch_verify.dot w exps)))
   in
-  component ws.(0) (fun ct -> ct.Elgamal.c1) Group.pow_g
-  && component ws.(1) (fun ct -> ct.Elgamal.c2) (Group.pow_tab ~tab pk)
+  fold (fun ct -> ct.Elgamal.c1) = Group.elt_to_int (Group.pow_g rhs)
+  && fold (fun ct -> ct.Elgamal.c2) = Group.elt_to_int (Group.pow_tab ~tab pk rhs)
 
 let verify ?tab pk ~input ~output { rounds } =
   let n = Array.length input in

@@ -1,8 +1,9 @@
 type schnorr_proof = { commitment : Group.elt; response : Group.exp }
 
 let schnorr_challenge ~public ~commitment ~context =
-  Group.hash_to_exp
-    ("schnorr|" ^ context ^ "|" ^ Group.elt_to_string public ^ Group.elt_to_string commitment)
+  Transcript.(
+    create "schnorr|" |> string context |> string "|" |> elt public |> elt commitment
+    |> challenge)
 
 let schnorr_prove drbg ~secret ~context =
   let public = Group.pow_g secret in
@@ -20,13 +21,11 @@ let schnorr_verify ~public ~context { commitment; response } =
 type dleq_proof = { a1 : Group.elt; a2 : Group.elt; z : Group.exp }
 
 let dleq_challenge ~public1 ~base2 ~public2 ~a1 ~a2 ~context =
-  Group.hash_to_exp
-    (String.concat ""
-       [ "dleq|"; context; "|"; Group.elt_to_string public1; Group.elt_to_string base2;
-         Group.elt_to_string public2; Group.elt_to_string a1; Group.elt_to_string a2 ])
+  Transcript.(
+    create "dleq|" |> string context |> string "|" |> elt public1 |> elt base2
+    |> elt public2 |> elt a1 |> elt a2 |> challenge)
 
-let dleq_prove_with ?public2 ~k ~secret ~base2 ~context () =
-  let public1 = Group.pow_g secret in
+let dleq_prove_with ?public2 ~public1 ~k ~secret ~base2 ~context () =
   (* callers that already computed base2^secret (a decryption share)
      pass it in and skip the recomputation *)
   let public2 = match public2 with Some v -> v | None -> Group.pow base2 secret in
@@ -36,7 +35,8 @@ let dleq_prove_with ?public2 ~k ~secret ~base2 ~context () =
   { a1; a2; z }
 
 let dleq_prove drbg ~secret ~base2 ~context =
-  dleq_prove_with ~k:(Group.random_exp drbg) ~secret ~base2 ~context ()
+  dleq_prove_with ~public1:(Group.pow_g secret) ~k:(Group.random_exp drbg) ~secret ~base2
+    ~context ()
 
 let dleq_verify ?public1_tab ~public1 ~base2 ~public2 ~context { a1; a2; z } =
   let c = dleq_challenge ~public1 ~base2 ~public2 ~a1 ~a2 ~context in
@@ -49,9 +49,10 @@ let dleq_verify ?public1_tab ~public1 ~base2 ~public2 ~context { a1; a2; z } =
    (public1, base2_i, public2_i) and challenge c_i, the two equations
      g^{z_i}       = a1_i * public1^{c_i}
      base2_i^{z_i} = a2_i * public2_i^{c_i}
-   fold under weight lanes (w1, w2) into
-     g^{sum w1 z}  = (prod a1^{w1}) * public1^{sum w1 c}        and
-     prod base2^{w2 z} * a2^{-w2} * public2^{-w2 c} = 1.
+   fold under one weight vector w (the folds are checked separately, so
+   sharing it costs no soundness; see Batch_verify) into
+     g^{sum w z}  = (prod a1^w) * public1^{sum w c}        and
+     prod base2^{w z} * a2^{-w} * public2^{-w c} = 1.
    public1 is the prover's long-lived key, so its folded term runs on
    the caller's fixed-base table; everything varying goes through
    Group.multi_exp. The weight transcript hashes (c_i, z_i): c_i is
@@ -71,44 +72,36 @@ let dleq_verify_batch ?public1_tab ~public1 ~context ~statements proofs =
           let { a1; a2; _ } = proofs.(i) in
           dleq_challenge ~public1 ~base2 ~public2 ~a1 ~a2 ~context)
     in
-    let transcript =
-      let buf = Buffer.create ((n * 8) + 32) in
-      Buffer.add_string buf (Group.elt_to_string public1);
-      for i = 0 to n - 1 do
-        Batch_verify.add_exp buf cs.(i);
-        Batch_verify.add_exp buf proofs.(i).z
-      done;
-      Buffer.contents buf
+    let digest =
+      let t = Transcript.(create "" |> elt public1) in
+      Array.iteri (fun i c -> ignore Transcript.(exp c t |> exp proofs.(i).z)) cs;
+      Transcript.digest t
     in
-    let ws = Batch_verify.weights ~context:("dleq|" ^ context) ~transcript ~lanes:2 n in
-    let w1 = ws.(0) and w2 = ws.(1) in
-    let zs = Array.map (fun pr -> pr.z) proofs in
-    let eq1 =
-      let bases = Array.map (fun pr -> pr.a1) proofs in
-      Group.elt_to_int (Group.pow_g (Batch_verify.dot w1 zs))
+    let w = Batch_verify.weights ~context:("dleq|" ^ context) ~digest n in
+    let bases = Array.make (3 * n) Group.one in
+    let exps = Array.make (3 * n) Group.zero_exp in
+    let sum_wz = ref Group.zero_exp and sum_wc = ref Group.zero_exp in
+    for i = 0 to n - 1 do
+      let base2, public2 = statements.(i) in
+      let pr = proofs.(i) in
+      let wz = Group.exp_mul w.(i) pr.z and wc = Group.exp_mul w.(i) cs.(i) in
+      sum_wz := Group.exp_add !sum_wz wz;
+      sum_wc := Group.exp_add !sum_wc wc;
+      bases.(3 * i) <- base2;
+      exps.(3 * i) <- wz;
+      bases.((3 * i) + 1) <- pr.a2;
+      exps.((3 * i) + 1) <- Group.exp_neg w.(i);
+      bases.((3 * i) + 2) <- public2;
+      exps.((3 * i) + 2) <- Group.exp_neg wc
+    done;
+    if
+      Group.elt_to_int (Group.pow_g !sum_wz)
       = Group.elt_to_int
           (Group.mul
-             (Group.multi_exp ~bases ~exps:w1)
-             (Group.pow_tab ?tab:public1_tab public1 (Batch_verify.dot w1 cs)))
-    in
-    let eq2 =
-      lazy
-        (let bases = Array.make (3 * n) Group.one in
-         let exps = Array.make (3 * n) Group.zero_exp in
-         for i = 0 to n - 1 do
-           let base2, public2 = statements.(i) in
-           let pr = proofs.(i) in
-           let w = w2.(i) in
-           bases.(3 * i) <- base2;
-           exps.(3 * i) <- Group.exp_mul w pr.z;
-           bases.((3 * i) + 1) <- pr.a2;
-           exps.((3 * i) + 1) <- Group.exp_neg w;
-           bases.((3 * i) + 2) <- public2;
-           exps.((3 * i) + 2) <- Group.exp_neg (Group.exp_mul w cs.(i))
-         done;
-         Group.elt_to_int (Group.multi_exp ~bases ~exps) = Group.elt_to_int Group.one)
-    in
-    if eq1 && Lazy.force eq2 then Batch_verify.Accepted
+             (Group.multi_exp ~bases:(Array.map (fun pr -> pr.a1) proofs) ~exps:w)
+             (Group.pow_tab ?tab:public1_tab public1 !sum_wc))
+      && Group.elt_to_int (Group.multi_exp ~bases ~exps) = Group.elt_to_int Group.one
+    then Batch_verify.Accepted
     else
       (* single-proof fallback: name exactly which proofs fail *)
       Batch_verify.outcome_of_singles

@@ -20,13 +20,15 @@ val dleq_prove :
     same exponent links (g, g^x) and (base2, base2^x). *)
 
 val dleq_prove_with :
-  ?public2:Group.elt ->
+  ?public2:Group.elt -> public1:Group.elt ->
   k:Group.exp -> secret:Group.exp -> base2:Group.elt -> context:string -> unit ->
   dleq_proof
 (** {!dleq_prove} with a pre-drawn commitment nonce [k] — the pure
     arithmetic half, safe to run on the domain pool after a sequential
-    DRBG prepass. [?public2] is [base2^secret] when the caller already
-    holds it (a decryption share), skipping one full exponentiation. *)
+    DRBG prepass. [public1] is [g^secret], the prover's public key,
+    computed once per prover rather than once per proof. [?public2] is
+    [base2^secret] when the caller already holds it (a decryption
+    share), skipping one full exponentiation. *)
 
 val dleq_verify :
   ?public1_tab:Group.precomp ->
@@ -43,7 +45,8 @@ val dleq_verify_batch :
   dleq_proof array -> Batch_verify.outcome
 (** Batched {!dleq_verify} for one prover: [statements.(i)] is
     [(base2_i, public2_i)] for [proofs.(i)]. The 2n verification
-    equations fold into two random-linear-combination checks over
+    equations fold, under one weight lane, into two
+    random-linear-combination checks over
     {!Group.multi_exp} (~6 multiplications per proof instead of two
     full exponentiations); on a failed fold the single-proof fallback
     re-runs so the outcome names the offending indices. Accepts iff

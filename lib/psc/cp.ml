@@ -109,8 +109,8 @@ let decrypt_shares t ?(prove = true) vector =
         let share = Crypto.Elgamal.partial_decrypt t.priv vector.(i) in
         shares.(i) <- share;
         proofs.(i) <-
-          Crypto.Sigma.dleq_prove_with ~public2:share ~k:ks.(i) ~secret:t.priv
-            ~base2:vector.(i).Crypto.Elgamal.c1 ~context:"psc-decrypt" ());
+          Crypto.Sigma.dleq_prove_with ~public2:share ~public1:t.pub ~k:ks.(i)
+            ~secret:t.priv ~base2:vector.(i).Crypto.Elgamal.c1 ~context:"psc-decrypt" ());
     { cp_id = t.id; shares; proofs = Some proofs }
   end
 

@@ -20,6 +20,9 @@ let config ?(num_cps = 3) ?(noise_flips_per_cp = 64) ?(proof_rounds = Some 8) ?(
   if table_size <= 0 then invalid_arg "Protocol.config: table_size must be positive";
   if num_cps < 1 then invalid_arg "Protocol.config: need at least one CP";
   if noise_flips_per_cp < 0 then invalid_arg "Protocol.config: negative flips";
+  (* the shuffle's coins come from one 256-bit digest: past 256 rounds they repeat *)
+  if Option.fold ~none:false ~some:(fun r -> r < 1 || r > 256) proof_rounds then
+    invalid_arg "Protocol.config: proof_rounds must be in 1..256";
   { table_size; num_cps; noise_flips_per_cp; proof_rounds; verify; confidence; tamper; dp }
 
 let flips_for_params params ~sensitivity ~num_cps =
@@ -134,7 +137,11 @@ let check_shuffle v ~cp ~input ~output proof =
   Obs.Ledger.phase "psc.verify_shuffle" ~attrs:[ ("cp", string_of_int cp) ] @@ fun () ->
   match proof with
   | Some proof ->
-    let ok = Crypto.Shuffle.verify ~tab:v.joint_tab v.joint ~input ~output proof in
+    (* a swap survives 2^-rounds: fewer rounds than configured is weaker *)
+    let ok =
+      Option.equal Int.equal v.vcfg.proof_rounds (Some (Crypto.Shuffle.proof_rounds proof))
+      && Crypto.Shuffle.verify ~tab:v.joint_tab v.joint ~input ~output proof
+    in
     Obs.Ledger.proof ~kind:"psc-shuffle" ~party:cp ~ok ~batch:(Array.length input);
     if not ok then blame v cp
   | None when v.vcfg.proof_rounds <> None ->

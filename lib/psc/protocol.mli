@@ -17,7 +17,8 @@ type config = {
   num_cps : int;
   noise_flips_per_cp : int;
   proof_rounds : int option;
-      (** shuffle-proof soundness rounds; [None] disables proofs for
+      (** shuffle-proof soundness rounds, 1..256 ({!config} raises
+          [Invalid_argument] otherwise); [None] disables proofs for
           large throughput runs (tests keep them on) *)
   verify : bool;  (** verify noise, shuffle and decryption proofs *)
   confidence : float;
@@ -111,7 +112,8 @@ val check_shuffle :
   output:Crypto.Elgamal.ciphertext array -> Crypto.Shuffle.proof option -> unit
 (** Check one CP's shuffle of [input] ([psc-shuffle]) inside a
     [psc.verify_shuffle] ledger phase. A CP asked for a proof that
-    returns none fails outright. *)
+    returns none, or one with a round count other than [proof_rounds],
+    fails outright. *)
 
 val decrypt_count :
   verifier -> Crypto.Elgamal.ciphertext array -> Cp.decryption_share array -> int

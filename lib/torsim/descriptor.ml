@@ -3,9 +3,13 @@ type identity = {
   v2_address : string;
 }
 
-let address_of_key pub =
-  let digest = Crypto.Sha256.hex ("onion-v2-address|" ^ Crypto.Group.elt_to_string pub) in
-  String.sub digest 0 16 ^ ".onion"
+(* The first 16 hex digits of H(tag, pub), as an onion address. *)
+let address ~tag pub =
+  let digest = Crypto.Transcript.(create tag |> elt pub |> digest) in
+  String.sub (Crypto.Sha256.to_hex digest) 0 16 ^ ".onion"
+
+let address_of_key = address ~tag:"onion-v2-address|"
+let v3_address = address ~tag:"onion-v3-address|"
 
 let make_identity drbg =
   let keypair = Crypto.Schnorr_sig.keygen drbg in
@@ -42,8 +46,8 @@ let create_v2 drbg identity ~intro_points ~period =
    period, but two blinded addresses from different periods are
    unlinkable without it. *)
 let blinding_factor pub ~period =
-  Crypto.Group.hash_to_exp
-    (Printf.sprintf "v3-blind|%s|%d" (Crypto.Group.elt_to_string pub) period)
+  Crypto.Transcript.(
+    create "v3-blind|" |> elt pub |> string ("|" ^ string_of_int period) |> challenge)
 
 let blinded_keypair identity ~period =
   let pub = identity.keypair.Crypto.Schnorr_sig.pub in
@@ -52,17 +56,11 @@ let blinded_keypair identity ~period =
   let pub' = Crypto.Group.mul pub (Crypto.Group.pow_g h) in
   (priv', pub')
 
-let v3_blinded_address identity ~period =
-  let _, pub' = blinded_keypair identity ~period in
-  let digest = Crypto.Sha256.hex ("onion-v3-address|" ^ Crypto.Group.elt_to_string pub') in
-  String.sub digest 0 16 ^ ".onion"
+let v3_blinded_address identity ~period = v3_address (snd (blinded_keypair identity ~period))
 
 let create_v3 drbg identity ~intro_points ~period =
   let priv', pub' = blinded_keypair identity ~period in
-  let address =
-    let digest = Crypto.Sha256.hex ("onion-v3-address|" ^ Crypto.Group.elt_to_string pub') in
-    String.sub digest 0 16 ^ ".onion"
-  in
+  let address = v3_address pub' in
   let signature =
     Crypto.Schnorr_sig.sign drbg ~priv:priv' (payload_of ~address ~intro_points ~period)
   in
@@ -72,8 +70,6 @@ let verify t =
   let address_ok =
     match t.version with
     | `V2 -> t.address = address_of_key t.public
-    | `V3 ->
-      let digest = Crypto.Sha256.hex ("onion-v3-address|" ^ Crypto.Group.elt_to_string t.public) in
-      t.address = String.sub digest 0 16 ^ ".onion"
+    | `V3 -> t.address = v3_address t.public
   in
   address_ok && Crypto.Schnorr_sig.verify ~pub:t.public (payload t) t.signature

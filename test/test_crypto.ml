@@ -467,6 +467,101 @@ let test_shuffle_tamper_detected () =
   Alcotest.(check bool) "tampered output rejected" false
     (Shuffle.verify pk ~input ~output:tampered proof)
 
+(* --- one weight lane per folded system ---
+
+   Each batch verifier draws one weight lane for folds it checks
+   separately (DLEQ g-side / base2-side, shuffle c1 / c2, bit proof
+   g-side / pk-side). These forge a proof that satisfies the first
+   fold and breaks only the second: the batch must still reject it,
+   and the single-proof fallback must name exactly that proof. *)
+
+let test_lane_dleq_second_fold () =
+  let d = Drbg.create "lane-dleq" in
+  let secret = Group.random_exp d in
+  let public1 = Group.pow_g secret in
+  let n = 6 in
+  for bad = 0 to n - 1 do
+    let statements =
+      Array.init n (fun _ ->
+          let b = Group.random_elt d in
+          (b, Group.pow b secret))
+    in
+    (* the prover claims public2 * g and answers its own challenge:
+       g^z = a1 * public1^c still holds, base2^z = a2 * public2^c not *)
+    let base2, public2 = statements.(bad) in
+    statements.(bad) <- (base2, Group.mul public2 Group.g);
+    let proofs =
+      Array.map
+        (fun (base2, public2) ->
+          Sigma.dleq_prove_with ~public2 ~public1 ~k:(Group.random_exp d) ~secret ~base2
+            ~context:"lane" ())
+        statements
+    in
+    match Sigma.dleq_verify_batch ~public1 ~context:"lane" ~statements proofs with
+    | Batch_verify.Rejected [ i ] -> Alcotest.(check int) "names the forged proof" bad i
+    | _ -> Alcotest.failf "forged proof %d not named alone" bad
+  done
+
+let test_lane_bit_second_fold () =
+  let d = Drbg.create "lane-bit" in
+  let _, pk = Elgamal.keygen d in
+  let n = 6 in
+  for bad = 0 to n - 1 do
+    let pairs = Array.init n (fun i -> Bit_proof.encrypt_bit_proven d ~pk (i land 1 = 1)) in
+    (* c2 carries an extra factor g and the proof is made over that
+       ciphertext: both branches' g-side equations hold (c1 = g^r is
+       honest), the real branch's pk-side equation does not *)
+    let bit = bad land 1 = 1 in
+    let r = Group.random_exp d in
+    let ct = Elgamal.encrypt_with ~r pk (if bit then Elgamal.marker else Elgamal.one) in
+    let ct = { ct with Elgamal.c2 = Group.mul ct.Elgamal.c2 Group.g } in
+    pairs.(bad) <- (ct, Bit_proof.prove d ~pk ~r ~bit ct);
+    match Bit_proof.verify_batch ~pk pairs with
+    | Batch_verify.Rejected [ i ] -> Alcotest.(check int) "names the forged proof" bad i
+    | _ -> Alcotest.failf "forged proof %d not named alone" bad
+  done
+
+(* The shuffle's Fiat–Shamir coins, recomputed from the proof's wire
+   form over a given output: bit j of the digest of pk, input, output
+   and the shadows. Also returns each round's opened side (1 = the
+   shadow->output link). *)
+let shuffle_coins pk ~input ~output proof =
+  let wire = Shuffle.proof_to_ints proof in
+  let pos = ref 1 and shadows = ref [] and tags = ref [] in
+  for _ = 1 to wire.(0) do
+    let n = wire.(!pos) in
+    shadows := Array.sub wire (!pos + 1) (2 * n) :: !shadows;
+    tags := wire.(!pos + 1 + (2 * n)) :: !tags;
+    pos := !pos + 2 + (4 * n)
+  done;
+  let digest =
+    Transcript.(create "" |> elt pk |> ciphertexts input |> ciphertexts output)
+    |> List.fold_right Transcript.ints !shadows
+    |> Transcript.digest
+  in
+  let coins = List.mapi (fun j _ -> (Char.code digest.[j / 8] lsr (j mod 8)) land 1) !tags in
+  (coins, List.rev !tags)
+
+let test_lane_shuffle_second_fold () =
+  let d = Drbg.create "lane-shuffle" in
+  let _, pk = Elgamal.keygen d in
+  let input = make_cts d pk 16 in
+  (* grind honest proofs until the coins over the tampered output still
+     match the opened sides and some round opens the output link: then
+     that link's c1 fold holds and only its c2 fold breaks *)
+  let rec forge tries =
+    if tries = 0 then Alcotest.fail "no proof with matching coins";
+    let output, proof = Shuffle.shuffle ~rounds:2 d pk input in
+    let bad = Array.copy output in
+    bad.(5) <- { (bad.(5)) with Elgamal.c2 = Group.mul bad.(5).Elgamal.c2 Group.g };
+    let coins, tags = shuffle_coins pk ~input ~output:bad proof in
+    if coins = tags && List.mem 1 tags then (output, bad, proof) else forge (tries - 1)
+  in
+  let output, bad, proof = forge 200 in
+  Alcotest.(check bool) "honest output verifies" true (Shuffle.verify pk ~input ~output proof);
+  Alcotest.(check bool) "c2-only forgery rejected" false
+    (Shuffle.verify pk ~input ~output:bad proof)
+
 let test_shuffle_wrong_input_rejected () =
   let d = drbg () in
   let _, pk = Elgamal.keygen d in
@@ -794,6 +889,74 @@ let prop_sha256_finalized_rejects =
       raises (fun () -> Sha256.update ctx "x") "Sha256.update: context already finalized"
       && raises (fun () -> ignore (Sha256.finalize ctx)) "Sha256.finalize: context already finalized")
 
+(* A transcript hashes exactly the concatenation of its fields, with
+   elements, exponents and ints as four big-endian bytes. Each field
+   sequence is checked behind every prefix length 0..63, so its first
+   4-byte field lands at every offset of a 64-byte block, including the
+   61..63 that split it across a compression. *)
+type field =
+  | Str of string
+  | Elt of Group.elt
+  | Exp of Group.exp
+  | Int of int
+  | Ints of int array
+  | Exps of Group.exp array
+  | Cts of Elgamal.ciphertext array
+
+let be32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
+
+let field_gen =
+  QCheck.Gen.(
+    let elt = map (fun x -> Group.pow_g (Group.exp_of_int x)) nat in
+    let exp = map Group.exp_of_int int in
+    let u32 = int_bound ((1 lsl 32) - 1) in
+    let arr g = array_size (int_bound 5) g in
+    frequency
+      [
+        (2, map (fun s -> Str s) (string_size (int_bound 70)));
+        (3, map (fun x -> Elt x) elt);
+        (3, map (fun e -> Exp e) exp);
+        (2, map (fun v -> Int v) u32);
+        (1, map (fun a -> Ints a) (arr u32));
+        (1, map (fun a -> Exps a) (arr exp));
+        (1, map (fun a -> Cts a) (arr (map2 (fun c1 c2 -> { Elgamal.c1; c2 }) elt elt)));
+      ])
+
+let prop_transcript_matches_concat =
+  QCheck.Test.make ~name:"transcript = sha256 of the field concatenation" ~count:100
+    (QCheck.make QCheck.Gen.(pair (string_size (return 63)) (list_size (int_bound 40) field_gen)))
+    (fun (prefix, fields) ->
+      let legacy = function
+        | Str s -> s
+        | Elt x -> be32 (Group.elt_to_int x)
+        | Exp e -> be32 (Group.exp_to_int e)
+        | Int v -> be32 v
+        | Ints a -> String.concat "" (Array.to_list (Array.map be32 a))
+        | Exps a -> String.concat "" (Array.to_list (Array.map (fun e -> be32 (Group.exp_to_int e)) a))
+        | Cts a ->
+          String.concat ""
+            (Array.to_list
+               (Array.map
+                  (fun { Elgamal.c1; c2 } -> be32 (Group.elt_to_int c1) ^ be32 (Group.elt_to_int c2))
+                  a))
+      in
+      let body = String.concat "" (List.map legacy fields) in
+      List.for_all
+        (fun len ->
+          let tag = String.sub prefix 0 len in
+          let absorb t = function
+            | Str s -> Transcript.string s t
+            | Elt x -> Transcript.elt x t
+            | Exp e -> Transcript.exp e t
+            | Int v -> Transcript.int v t
+            | Ints a -> Transcript.ints a t
+            | Exps a -> Transcript.exps a t
+            | Cts a -> Transcript.ciphertexts a t
+          in
+          Transcript.digest (List.fold_left absorb (Transcript.create tag) fields)
+          = Sha256.digest (tag ^ body))
+        (List.init 64 Fun.id))
+
 let prop_shuffle_preserves_plaintext_multiset =
   QCheck.Test.make ~name:"shuffle preserves plaintext multiset" ~count:20
     QCheck.(pair small_int (int_range 1 24))
@@ -848,6 +1011,66 @@ let prop_additive_sharing =
       let shares = Secret_sharing.additive_shares d ~n:4 in
       Secret_sharing.unblind (Secret_sharing.blind v shares) shares = v)
 
+(* --- allocation per slot ---
+
+   Proving and verifying stream every transcript through one SHA-256
+   context, so what a slot allocates is its proof record, one context
+   and one digest — not a transcript string. Minor words per slot over
+   2^10 slots at jobs=1 (pool workers would allocate on their own
+   domains, which [Gc.minor_words] does not count); the bounds are the
+   measured values in this (dev, -opaque) build with ~25% headroom. *)
+
+let minor_words_per_slot ~slots f =
+  let before_jobs = Parallel.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.set_jobs before_jobs)
+    (fun () ->
+      Parallel.set_jobs 1;
+      let before = Gc.minor_words () in
+      f ();
+      (Gc.minor_words () -. before) /. float_of_int slots)
+
+let test_alloc_per_slot () =
+  let slots = 1 lsl 10 in
+  let d = Drbg.create "alloc" in
+  let secret = Group.random_exp d in
+  let public1 = Group.pow_g secret in
+  let _, pk = Elgamal.keygen d in
+  let input = make_cts d pk slots in
+  let statements =
+    Array.map (fun ct -> (ct.Elgamal.c1, Group.pow ct.Elgamal.c1 secret)) input
+  in
+  let ks = Group.random_exps d slots in
+  let proofs = Array.make slots { Sigma.a1 = Group.one; a2 = Group.one; z = Group.zero_exp } in
+  let prove () =
+    for i = 0 to slots - 1 do
+      let base2, public2 = statements.(i) in
+      proofs.(i) <-
+        Sigma.dleq_prove_with ~public2 ~public1 ~k:ks.(i) ~secret ~base2 ~context:"alloc" ()
+    done
+  in
+  let verify () =
+    match Sigma.dleq_verify_batch ~public1 ~context:"alloc" ~statements proofs with
+    | Batch_verify.Accepted -> ()
+    | Batch_verify.Rejected _ -> Alcotest.fail "honest DLEQ batch rejected"
+  in
+  let output, proof = Shuffle.shuffle ~rounds:2 d pk input in
+  let shuffle_verify () =
+    if not (Shuffle.verify pk ~input ~output proof) then Alcotest.fail "honest shuffle rejected"
+  in
+  List.iter
+    (fun (name, f, bound) ->
+      let per_slot = minor_words_per_slot ~slots f in
+      if per_slot > bound then
+        Alcotest.failf "%s allocated %.1f minor words/slot (bound %.0f)" name per_slot bound)
+    [
+      (* measured 37.0, 45.0 and 28.3; string-built transcripts took
+         96.0, 116.8 and 114.0 *)
+      ("dleq_prove_with", prove, 46.);
+      ("dleq_verify_batch", verify, 56.);
+      ("Shuffle.verify", shuffle_verify, 36.);
+    ]
+
 (* --- proof known answers ---
 
    Every challenge, proof and batch weight is a hash over a transcript;
@@ -868,7 +1091,9 @@ let test_kat_dleq () =
   let secret = Group.random_exp d in
   let k = Group.random_exp d in
   let base2 = Group.random_elt d in
-  let { Sigma.a1; a2; z } = Sigma.dleq_prove_with ~k ~secret ~base2 ~context:"kat" () in
+  let { Sigma.a1; a2; z } =
+    Sigma.dleq_prove_with ~public1:(Group.pow_g secret) ~k ~secret ~base2 ~context:"kat" ()
+  in
   Alcotest.check ints "dleq proof" [| 550454679; 730303105; 256918695 |]
     [| Group.elt_to_int a1; Group.elt_to_int a2; Group.exp_to_int z |]
 
@@ -956,8 +1181,16 @@ let () =
           Alcotest.test_case "shuffle proof digest" `Quick test_kat_shuffle;
           Alcotest.test_case "schnorr signature" `Quick test_kat_schnorr_sig;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "words per slot, prove and verify" `Quick test_alloc_per_slot ] );
       ( "batch_verify",
-        [ Alcotest.test_case "dleq batch with table" `Quick test_dleq_batch_with_table ] );
+        [
+          Alcotest.test_case "dleq batch with table" `Quick test_dleq_batch_with_table;
+          Alcotest.test_case "dleq: second fold alone caught" `Quick test_lane_dleq_second_fold;
+          Alcotest.test_case "shuffle: c2 fold alone caught" `Quick
+            test_lane_shuffle_second_fold;
+          Alcotest.test_case "bit proof: pk side alone caught" `Quick test_lane_bit_second_fold;
+        ] );
       ( "elgamal",
         [
           Alcotest.test_case "roundtrip" `Quick test_elgamal_roundtrip;
@@ -1013,7 +1246,8 @@ let () =
             prop_elgamal_roundtrip; prop_group_pow_cycle; prop_pow_precomp_agrees;
             prop_additive_sharing;
             prop_sha256_incremental; prop_hmac_keyed_matches; prop_sha256_pool_workers;
-            prop_sha256_finalized_rejects; prop_shuffle_preserves_plaintext_multiset;
+            prop_sha256_finalized_rejects; prop_transcript_matches_concat;
+            prop_shuffle_preserves_plaintext_multiset;
             prop_schnorr_sig_sound; prop_bit_proof_sound;
             prop_multi_exp_matches_naive; prop_bulk_draws_deterministic;
             prop_dleq_batch_accept_iff_singles; prop_bit_batch_forgery_positions;

@@ -57,6 +57,17 @@ let test_config_validation () =
       ignore (Protocol.config ~noise_flips_per_cp:(-1) ~table_size:16 ()));
   Alcotest.check_raises "dcs" (Invalid_argument "Protocol.create: need at least one DC")
     (fun () -> ignore (Protocol.create (config ()) ~num_dcs:0 ~seed:1));
+  (* rounds past 256 would reuse the shuffle's challenge bits *)
+  List.iter
+    (fun r ->
+      Alcotest.check_raises
+        (Printf.sprintf "proof_rounds %d" r)
+        (Invalid_argument "Protocol.config: proof_rounds must be in 1..256")
+        (fun () -> ignore (Protocol.config ~proof_rounds:(Some r) ~table_size:16 ())))
+    [ -1; 0; 257; 4096 ];
+  List.iter
+    (fun r -> ignore (Protocol.config ~proof_rounds:(Some r) ~table_size:16 ()))
+    [ 1; 256 ];
   let proto = Protocol.create (config ()) ~num_dcs:1 ~seed:1 in
   Alcotest.check_raises "bad dc" (Invalid_argument "Protocol.insert: bad dc") (fun () ->
       Protocol.insert proto ~dc:5 "x")
@@ -212,6 +223,104 @@ let test_tamper_without_verification_goes_unnoticed () =
   let result = Protocol.run proto in
   Alcotest.(check bool) "nothing flagged" true result.Protocol.proofs_ok;
   Alcotest.(check (list int)) "no culprits" [] result.Protocol.culprits
+
+let with_ledger f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      (r, Obs.Ledger.events ()))
+
+let shuffle_proofs events =
+  List.filter_map
+    (function
+      | Obs.Ledger.Proof { kind = "psc-shuffle"; party; ok; _ } -> Some (party, ok)
+      | _ -> None)
+    events
+
+(* A CP asked for 2 shuffle-proof rounds that answers with a valid
+   1-round proof would get a swap through with probability 1/2 instead
+   of 1/4: the round count must match the configuration. *)
+let test_short_shuffle_proof_blamed () =
+  let cfg =
+    Protocol.config ~table_size:16 ~num_cps:2 ~noise_flips_per_cp:2 ~proof_rounds:(Some 2) ()
+  in
+  let cps = Array.init 2 (fun id -> Cp.create ~id ~seed:5) in
+  let v =
+    Protocol.verifier cfg (Array.map (fun cp -> (Cp.public_key cp, Cp.key_proof cp)) cps)
+  in
+  let joint = Protocol.joint v in
+  let d = Crypto.Drbg.create "short-proof" in
+  let input =
+    Array.init 16 (fun i ->
+        Crypto.Elgamal.encrypt d joint
+          (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
+  in
+  let short_out, short = Cp.shuffle cps.(0) ~joint ~rounds:(Some 1) input in
+  (match short with
+  | Some proof ->
+    Alcotest.(check bool) "a sound 1-round proof on its own" true
+      (Crypto.Shuffle.verify joint ~input ~output:short_out proof)
+  | None -> Alcotest.fail "rounds = Some 1 must produce a proof");
+  let full_out, full = Cp.shuffle cps.(1) ~joint ~rounds:(Some 2) short_out in
+  let (), events =
+    with_ledger (fun () ->
+        Protocol.check_shuffle v ~cp:0 ~input ~output:short_out short;
+        Protocol.check_shuffle v ~cp:1 ~input:short_out ~output:full_out full)
+  in
+  Alcotest.(check (list (pair int bool))) "short proof fails, full proof passes"
+    [ (0, false); (1, true) ] (shuffle_proofs events);
+  let result = Protocol.result_of v ~raw_nonzero:0 in
+  Alcotest.(check bool) "proofs fail" false result.Protocol.proofs_ok;
+  Alcotest.(check (list int)) "CP 0 blamed" [ 0 ] result.Protocol.culprits
+
+(* The same through the bus parties: CP 0's handler is fronted by one
+   that rewrites its 2-round shuffle request to 1 round, so the real CP
+   code answers with a valid 1-round proof that the TS must reject. *)
+let test_short_shuffle_proof_blamed_on_bus () =
+  let sched = Bus.Sched.create ~seed:3 () in
+  let cfg =
+    {
+      Node.round =
+        Protocol.config ~num_cps:2 ~noise_flips_per_cp:2 ~proof_rounds:(Some 2)
+          ~table_size:16 ();
+      num_dcs = 1;
+      seed = 3;
+    }
+  in
+  let ts = Node.spawn_ts sched cfg in
+  Bus.Sched.register sched (Bus.Party.Cp 0) (fun env ->
+      match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
+      | Ok (Wire.Shuffle_request { vector; rounds = 2 }) ->
+        Wire.post sched ~epoch:env.Bus.Envelope.epoch ~src:Bus.Party.Ts
+          ~dst:(Bus.Party.Cp 0) (Wire.Shuffle_request { vector; rounds = 1 });
+        true
+      | _ -> false);
+  for id = 0 to 1 do
+    Node.spawn_cp sched ~epoch:0 cfg ~id
+  done;
+  let dc = Node.spawn_dc sched cfg ~id:0 in
+  ignore (Bus.Sched.run sched : Bus.Sched.stats);
+  Node.dc_insert dc "a";
+  let result, events =
+    with_ledger (fun () ->
+        Node.ts_request_tables ts ~epoch:0 ~dcs:[ 0 ];
+        ignore (Bus.Sched.run sched : Bus.Sched.stats);
+        Node.ts_start_aggregate ts ~epoch:0;
+        ignore (Bus.Sched.run sched : Bus.Sched.stats);
+        Node.ts_result ts)
+  in
+  Alcotest.(check (list (pair int bool))) "CP 0's short proof fails"
+    [ (0, false); (1, true) ] (shuffle_proofs events);
+  match result with
+  | Some (r, _) ->
+    Alcotest.(check bool) "proofs fail" false r.Protocol.proofs_ok;
+    Alcotest.(check (list int)) "CP 0 blamed" [ 0 ] r.Protocol.culprits
+  | None -> Alcotest.fail "the cascade must finish"
 
 let test_table_privacy_structure () =
   (* every slot of a DC table must be a fresh ciphertext: two tables over
@@ -382,6 +491,10 @@ let () =
           Alcotest.test_case "honest run" `Quick test_honest_run_no_culprits;
           Alcotest.test_case "unverified tamper silent" `Quick
             test_tamper_without_verification_goes_unnoticed;
+          Alcotest.test_case "short shuffle proof blamed" `Quick
+            test_short_shuffle_proof_blamed;
+          Alcotest.test_case "short shuffle proof blamed on the bus" `Quick
+            test_short_shuffle_proof_blamed_on_bus;
         ] );
       ( "components",
         [
