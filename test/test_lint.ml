@@ -447,6 +447,50 @@ let test_sarif_json_roundtrip () =
   Alcotest.(check (list string)) "baseline round-trip" (List.map snd pairs)
     (Sarif.baseline_of_string (Sarif.baseline_to_string pairs))
 
+(* Byte pins for the two machine-readable formats: the fixture's
+   finding plus a hand-built one whose fields need every escape, so a
+   change to how JSON is written cannot move a byte of either. *)
+let pinned_pairs () =
+  let d = lint ~path:"lib/psc/fixture.ml" "let dump h = Hashtbl.iter print_endline h" in
+  let odd =
+    { Diagnostic.path = "lib/a \"b\".ml"; line = 12; col = 0; rule_id = "hygiene/x";
+      severity = Diagnostic.Warning; message = "tab\there\nnl \\ ctl\x01 \xc3\xa9" }
+  in
+  Sarif.with_fingerprints (d @ [ odd ])
+
+let test_json_bytes_pinned () =
+  Alcotest.(check string) "torlint json"
+    "{\"tool\":\"torlint\",\"findings\":[{\"path\":\"lib/psc/fixture.ml\",\
+    \"line\":1,\"col\":13,\"rule\":\"determinism/hashtbl-order\",\
+    \"severity\":\"error\",\"message\":\"Hashtbl.iter visits bindings in unspecified order; \
+    sort the result (List.sort) or waive with a justified `torlint: allow` if the \
+    accumulation commutes\",\
+    \"fingerprint\":\"a1f26df74b56c51f9a366a98a9c663be\"},{\"path\":\"lib/a \\\"b\\\".ml\",\
+    \"line\":12,\"col\":0,\"rule\":\"hygiene/x\",\"severity\":\"warning\",\
+    \"message\":\"tab\\there\\nnl \\\\ ctl\\u0001 \195\169\",\
+    \"fingerprint\":\"59cda90c5da64ba3a9dec5dddfed95e5\"}]}\n"
+    (Sarif.json (pinned_pairs ()))
+
+let test_sarif_bytes_pinned () =
+  Alcotest.(check string) "torlint sarif"
+    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
+    \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"torlint\",\
+    \"informationUri\":\"https://example.invalid/torlint\",\"rules\":[{\"id\":\"determinism\",\
+    \"shortDescription\":{\"text\":\"doc \\\"q\\\"\"}},{\"id\":\"hygiene\",\
+    \"shortDescription\":{\"text\":\"h\"}}]}},\"results\":[{\"ruleId\":\"determinism/hashtbl-order\",\
+    \"level\":\"error\",\"message\":{\"text\":\"Hashtbl.iter visits bindings in unspecified order; \
+    sort the result (List.sort) or waive with a justified `torlint: allow` if the \
+    accumulation commutes\"},\
+    \"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"lib/psc/fixture.ml\"},\
+    \"region\":{\"startLine\":1,\"startColumn\":14}}}],\
+    \"partialFingerprints\":{\"torlint/v1\":\"a1f26df74b56c51f9a366a98a9c663be\"}},\
+    {\"ruleId\":\"hygiene/x\",\"level\":\"warning\",\"message\":\
+    {\"text\":\"tab\\there\\nnl \\\\ ctl\\u0001 \195\169\"},\
+    \"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"lib/a \\\"b\\\".ml\"},\
+    \"region\":{\"startLine\":12,\"startColumn\":1}}}],\
+    \"partialFingerprints\":{\"torlint/v1\":\"59cda90c5da64ba3a9dec5dddfed95e5\"}}]}]}\n"
+    (Sarif.sarif ~rules:[ ("determinism", "doc \"q\""); ("hygiene", "h") ] (pinned_pairs ()))
+
 let test_config_interprocedural_directives () =
   let cfg =
     match Config.of_string "worker-safe lib/custom\ndet-exempt lib/telemetry" with
@@ -540,6 +584,8 @@ let () =
       ( "output",
         [
           Alcotest.test_case "sarif json roundtrip" `Quick test_sarif_json_roundtrip;
+          Alcotest.test_case "json bytes pinned" `Quick test_json_bytes_pinned;
+          Alcotest.test_case "sarif bytes pinned" `Quick test_sarif_bytes_pinned;
           Alcotest.test_case "config directives" `Quick test_config_interprocedural_directives;
         ] );
       ( "engine",

@@ -282,6 +282,29 @@ let test_ledger_jsonl_roundtrip () =
   | Ok _ -> Alcotest.fail "accepted unknown event tag"
   | Error msg -> Alcotest.(check bool) "error names the line" true (is_infix ~affix:"line 1" msg))
 
+(* Byte pins for the ledger's JSONL, with and without timings:
+   ledgers on disk are read back by `audit`, so a change to how JSON is
+   written cannot move a byte. *)
+let test_ledger_jsonl_bytes_pinned () =
+  Alcotest.(check string) "with timings"
+    "{\"e\":\"grant\",\"system\":\"privcount\",\"epsilon\":0.3,\"delta\":1e-11}\n\
+    {\"e\":\"draw\",\"system\":\"s \\\"q\\\" \\\\ \\n\",\"counter\":\"c\\twith\\ttabs\",\
+    \"mechanism\":\"gaussian\",\"epsilon\":0.1,\"delta\":0,\"cum_epsilon\":0.1,\
+    \"cum_delta\":0}\n{\"e\":\"proof\",\"kind\":\"shuffle\",\"party\":2,\
+    \"ok\":false,\"batch\":256}\n{\"e\":\"phase\",\"name\":\"phase/one\",\
+    \"wall_s\":0.03125,\"alloc_bytes\":1234567}\n{\"e\":\"note\",\
+    \"key\":\"k\",\"value\":\"v\\u0001control \195\169\"}\n"
+    (Obs.Ledger.to_jsonl roundtrip_events);
+  Alcotest.(check string) "canonical"
+    "{\"e\":\"grant\",\"system\":\"privcount\",\"epsilon\":0.3,\"delta\":1e-11}\n\
+    {\"e\":\"draw\",\"system\":\"s \\\"q\\\" \\\\ \\n\",\"counter\":\"c\\twith\\ttabs\",\
+    \"mechanism\":\"gaussian\",\"epsilon\":0.1,\"delta\":0,\"cum_epsilon\":0.1,\
+    \"cum_delta\":0}\n{\"e\":\"proof\",\"kind\":\"shuffle\",\"party\":2,\
+    \"ok\":false,\"batch\":256}\n{\"e\":\"phase\",\"name\":\"phase/one\",\
+    \"wall_s\":0,\"alloc_bytes\":0}\n{\"e\":\"note\",\"key\":\"k\",\
+    \"value\":\"v\\u0001control \195\169\"}\n"
+    (Obs.Ledger.to_jsonl ~timings:false roundtrip_events)
+
 (* Structural round-trip on randomized events: arbitrary byte strings
    (escapes included) and awkward floats must reconstruct exactly. *)
 let prop_ledger_roundtrip =
@@ -462,6 +485,7 @@ let () =
           Alcotest.test_case "draw accumulates" `Quick test_ledger_draw_accumulates;
           Alcotest.test_case "phase events" `Quick test_ledger_phase_event;
           Alcotest.test_case "jsonl round-trip" `Quick test_ledger_jsonl_roundtrip;
+          Alcotest.test_case "jsonl bytes pinned" `Quick test_ledger_jsonl_bytes_pinned;
           QCheck_alcotest.to_alcotest prop_ledger_roundtrip;
           Alcotest.test_case "audit violations" `Quick test_audit_flags_violations;
           Alcotest.test_case "tampered run fails audit" `Quick test_tampered_psc_fails_audit;
