@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-sarif check audit deploy-demo record-replay trace-diff bench bench-quick bench-diff clean
+.PHONY: all build test lint lint-sarif check audit deploy-demo record-replay trace-diff clean
 
 all: build
 
@@ -48,21 +48,5 @@ trace-diff:
 		|| { echo "usage: make trace-diff BASE=<a>.jsonl NEW=<b>.jsonl"; exit 1; }
 	dune exec bin/trace_diff.exe -- $(BASE) $(NEW)
 
-bench:
-	dune exec bench/main.exe
-
-# microbenchmarks only (skips the reproduction and ablation passes);
-# writes BENCH_<timestamp>.json
-bench-quick:
-	dune exec bench/main.exe -- --perf-only
-
-# compare two benchmark snapshots kernel by kernel, e.g.
-#   make bench-diff BASE=BENCH_1700000000.json NEW=BENCH_1700000100.json
-bench-diff:
-	@test -n "$(BASE)" && test -n "$(NEW)" \
-		|| { echo "usage: make bench-diff BASE=<a>.json NEW=<b>.json"; exit 1; }
-	dune exec bin/bench_diff.exe -- $(BASE) $(NEW)
-
 clean:
 	dune clean
-	rm -f BENCH_*.json

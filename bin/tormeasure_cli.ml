@@ -62,6 +62,21 @@ let ledger_arg =
   in
   Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
 
+(* Write a file named on the command line. An unwritable path ends the
+   run with exit 1 and the reason, not an uncaught Sys_error. *)
+let write_output path contents =
+  match Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents) with
+  | () -> ()
+  | exception Sys_error msg ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    Printf.eprintf "tormeasure: cannot write %s: %s\n" path reason;
+    exit 1
+
 let obs_start ~metrics ~trace ~ledger =
   if metrics <> None || trace <> None || ledger <> None then Obs.set_enabled true
 
@@ -74,12 +89,12 @@ let obs_finish ~metrics ~trace ~ledger =
     (match metrics with
     | None -> ()
     | Some path ->
-      Obs.Export.write_file path (Obs.Export.prometheus samples);
+      write_output path (Obs.Export.prometheus samples);
       Printf.printf "wrote metrics to %s\n" path);
     (match trace with
     | None -> ()
     | Some path ->
-      Obs.Export.write_file path (Obs.Export.trace_jsonl spans);
+      write_output path (Obs.Export.trace_jsonl spans);
       Printf.printf "wrote %d trace spans to %s%s\n" (List.length spans) path
         (match Obs.Trace.dropped () with
         | 0 -> ""
@@ -87,7 +102,7 @@ let obs_finish ~metrics ~trace ~ledger =
     (match ledger with
     | None -> ()
     | Some path ->
-      Obs.Export.write_file path (Obs.Ledger.to_jsonl events);
+      write_output path (Obs.Ledger.to_jsonl events);
       Printf.printf "wrote %d ledger events to %s\n" (List.length events) path);
     print_newline ();
     print_string (Obs.Export.summary samples spans);
@@ -98,9 +113,7 @@ let write_csv path reports =
   match path with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    List.iter (fun r -> output_string oc (Tormeasure.Report.to_csv r)) reports;
-    close_out oc;
+    write_output path (String.concat "" (List.map Tormeasure.Report.to_csv reports));
     Printf.printf "wrote CSV to %s\n" path
 
 let run_cmd =

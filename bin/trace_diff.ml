@@ -5,8 +5,8 @@
    Reads the Phase events out of two ledger files written with
    --ledger, aggregates wall time per phase name (phases like
    "experiment.fig2" appear once, "privcount.tally" may repeat), and
-   prints a base/new/speedup table in the style of bench-diff. Exit
-   code is always 0 — the CI step that runs this is informational, not
+   prints a base/new/speedup table. Exit code is 0 once both ledgers
+   are read — the CI step that runs this is informational, not
    a gate (machine-to-machine timing noise would make a hard threshold
    flaky). *)
 

@@ -1,7 +1,6 @@
 (** Machine-readable torlint output: JSON and SARIF 2.1.0 documents,
     stable fingerprints, and the committed-baseline format that lets CI
-    gate on new findings only. Includes a small dependency-free JSON
-    reader for round-trip checks. *)
+    gate on new findings only. *)
 
 val fingerprint : occurrence:int -> Diagnostic.t -> string
 (** Stable identity of a finding: a hex digest of (path, rule id,
@@ -26,16 +25,3 @@ val baseline_to_string : (Diagnostic.t * string) list -> string
 
 val baseline_of_string : string -> string list
 (** Fingerprints accepted by a committed baseline file. *)
-
-(** {2 JSON reading} *)
-
-type value =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of value list
-  | Obj of (string * value) list
-
-val parse_json : string -> (value, string) result
-val member : string -> value -> value option

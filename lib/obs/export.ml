@@ -1,8 +1,9 @@
 (* Exporters: Prometheus text exposition for the metrics registry,
-   JSON-lines for trace spans, a JSON object for bench snapshots, and a
-   human end-of-run summary table. Output is deterministic for a given
-   registry/span-buffer state (snapshots are name-sorted and numbers
-   formatted by one function). *)
+   JSON lines for trace spans (written by [Json]), and a human
+   end-of-run summary table. Output is deterministic for a given
+   registry/span-buffer state (snapshots are name-sorted). Prometheus
+   text and the summary are not JSON and format numbers with
+   [fmt_float]. *)
 
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -61,48 +62,24 @@ let prometheus samples =
     samples;
   Buffer.contents b
 
-(* --- JSON helpers --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* --- trace spans as JSON lines --- *)
 
 let span_json (s : Trace.span) =
-  let attrs =
-    String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) s.Trace.attrs)
-  in
-  Printf.sprintf
-    "{\"id\":%d,\"parent\":%s,\"depth\":%d,\"name\":\"%s\",\"start_s\":%s,\"duration_s\":%s,\"alloc_bytes\":%s,\"attrs\":{%s}}"
-    s.Trace.id
-    (match s.Trace.parent with None -> "null" | Some p -> string_of_int p)
-    s.Trace.depth (json_escape s.Trace.name) (fmt_float s.Trace.start_s)
-    (fmt_float s.Trace.duration_s) (fmt_float s.Trace.alloc_bytes) attrs
+  let open Json in
+  Obj
+    [
+      ("id", int s.Trace.id);
+      ("parent", match s.Trace.parent with None -> Null | Some p -> int p);
+      ("depth", int s.Trace.depth);
+      ("name", Str s.Trace.name);
+      ("start_s", Num s.Trace.start_s);
+      ("duration_s", Num s.Trace.duration_s);
+      ("alloc_bytes", Num s.Trace.alloc_bytes);
+      ("attrs", Obj (List.map (fun (k, v) -> (k, Str v)) s.Trace.attrs));
+    ]
 
-let trace_jsonl spans = String.concat "" (List.map (fun s -> span_json s ^ "\n") spans)
-
-(* Flat JSON object for bench snapshots: counters/gauges as numbers,
-   histograms as {sum,count}. *)
-let snapshot_json samples =
-  let field { Metrics.name; value } =
-    match value with
-    | Metrics.Counter_sample v | Metrics.Gauge_sample v ->
-      Printf.sprintf "\"%s\":%s" (json_escape name) (fmt_float v)
-    | Metrics.Histogram_sample { sum; total; _ } ->
-      Printf.sprintf "\"%s\":{\"sum\":%s,\"count\":%d}" (json_escape name) (fmt_float sum) total
-  in
-  "{" ^ String.concat "," (List.map field samples) ^ "}"
+let trace_jsonl spans =
+  String.concat "" (List.map (fun s -> Json.to_string (span_json s) ^ "\n") spans)
 
 (* --- end-of-run summary --- *)
 
@@ -158,7 +135,3 @@ let summary samples spans =
       samples
   end;
   Buffer.contents b
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)

@@ -8,16 +8,9 @@ val prometheus : Metrics.sample list -> string
 val trace_jsonl : Trace.span list -> string
 (** One JSON object per line:
     [{"id":..,"parent":..,"depth":..,"name":..,"start_s":..,
-      "duration_s":..,"alloc_bytes":..,"attrs":{..}}]. *)
-
-val span_json : Trace.span -> string
-
-val snapshot_json : Metrics.sample list -> string
-(** Flat JSON object (counters/gauges as numbers, histograms as
-    [{"sum":..,"count":..}]) — used by the bench harness. *)
+      "duration_s":..,"alloc_bytes":..,"attrs":{..}}], numbers in
+    {!Json}'s shortest round-trip form. *)
 
 val summary : Metrics.sample list -> Trace.span list -> string
 (** Human-readable end-of-run table: spans aggregated by name (count,
     total/mean wall ms, allocation) followed by every metric. *)
-
-val write_file : string -> string -> unit

@@ -115,251 +115,92 @@ let reset () =
   main_count := 0;
   Hashtbl.reset running
 
-(* --- JSONL export --- *)
+(* --- JSONL export / import --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Shortest decimal that round-trips, so [of_jsonl] reconstructs every
-   field bit-for-bit (non-finite values cannot occur: all recorded
-   quantities are finite by construction). *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let s = Printf.sprintf "%.15g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
-
+(* Floats are written shortest round-trip by [Json], so [of_jsonl]
+   reconstructs every field bit-for-bit (all recorded quantities are
+   finite by construction). *)
 let event_json ~timings ev =
+  let open Json in
   match ev with
   | Grant { system; epsilon; delta } ->
-    Printf.sprintf "{\"e\":\"grant\",\"system\":\"%s\",\"epsilon\":%s,\"delta\":%s}"
-      (json_escape system) (json_float epsilon) (json_float delta)
+    Obj
+      [ ("e", Str "grant"); ("system", Str system); ("epsilon", Num epsilon); ("delta", Num delta) ]
   | Draw { system; counter; mechanism; epsilon; delta; cum_epsilon; cum_delta } ->
-    Printf.sprintf
-      "{\"e\":\"draw\",\"system\":\"%s\",\"counter\":\"%s\",\"mechanism\":\"%s\",\"epsilon\":%s,\"delta\":%s,\"cum_epsilon\":%s,\"cum_delta\":%s}"
-      (json_escape system) (json_escape counter) (json_escape mechanism) (json_float epsilon)
-      (json_float delta) (json_float cum_epsilon) (json_float cum_delta)
+    Obj
+      [
+        ("e", Str "draw"); ("system", Str system); ("counter", Str counter);
+        ("mechanism", Str mechanism); ("epsilon", Num epsilon); ("delta", Num delta);
+        ("cum_epsilon", Num cum_epsilon); ("cum_delta", Num cum_delta);
+      ]
   | Proof { kind; party; ok; batch } ->
-    Printf.sprintf "{\"e\":\"proof\",\"kind\":\"%s\",\"party\":%d,\"ok\":%b,\"batch\":%d}"
-      (json_escape kind) party ok batch
+    Obj
+      [
+        ("e", Str "proof"); ("kind", Str kind); ("party", int party); ("ok", Bool ok);
+        ("batch", int batch);
+      ]
   | Phase { name; wall_s; alloc_bytes } ->
     let w, a = if timings then (wall_s, alloc_bytes) else (0.0, 0.0) in
-    Printf.sprintf "{\"e\":\"phase\",\"name\":\"%s\",\"wall_s\":%s,\"alloc_bytes\":%s}"
-      (json_escape name) (json_float w) (json_float a)
-  | Note { key; value } ->
-    Printf.sprintf "{\"e\":\"note\",\"key\":\"%s\",\"value\":\"%s\"}" (json_escape key)
-      (json_escape value)
+    Obj [ ("e", Str "phase"); ("name", Str name); ("wall_s", Num w); ("alloc_bytes", Num a) ]
+  | Note { key; value } -> Obj [ ("e", Str "note"); ("key", Str key); ("value", Str value) ]
 
 let to_jsonl ?(timings = true) evs =
-  String.concat "" (List.map (fun ev -> event_json ~timings ev ^ "\n") evs)
-
-(* --- JSONL import --- *)
-
-(* Minimal parser for the flat one-object-per-line form [to_jsonl]
-   emits: string, number, and boolean fields only. *)
-
-exception Bad of string
-
-type jv = S of string | N of float | B of bool
-
-let parse_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> raise (Bad (Printf.sprintf "expected '%c' at offset %d" c !pos))
-  in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> raise (Bad "bad \\u escape")
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      match line.[!pos] with
-      | '"' ->
-        incr pos;
-        Buffer.contents b
-      | '\\' ->
-        incr pos;
-        (if !pos >= n then raise (Bad "unterminated escape");
-         match line.[!pos] with
-         | '"' ->
-           Buffer.add_char b '"';
-           incr pos
-         | '\\' ->
-           Buffer.add_char b '\\';
-           incr pos
-         | '/' ->
-           Buffer.add_char b '/';
-           incr pos
-         | 'n' ->
-           Buffer.add_char b '\n';
-           incr pos
-         | 'r' ->
-           Buffer.add_char b '\r';
-           incr pos
-         | 't' ->
-           Buffer.add_char b '\t';
-           incr pos
-         | 'u' ->
-           if !pos + 4 >= n then raise (Bad "truncated \\u escape");
-           let code =
-             (hex line.[!pos + 1] * 4096) + (hex line.[!pos + 2] * 256)
-             + (hex line.[!pos + 3] * 16) + hex line.[!pos + 4]
-           in
-           if code > 0xff then raise (Bad "unsupported \\u escape (non-latin1)");
-           Buffer.add_char b (Char.chr code);
-           pos := !pos + 5
-         | c -> raise (Bad (Printf.sprintf "bad escape '\\%c'" c)));
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ()
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub line !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else raise (Bad ("bad literal at offset " ^ string_of_int !pos))
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> S (parse_string ())
-    | Some 't' -> literal "true" (B true)
-    | Some 'f' -> literal "false" (B false)
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match line.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then raise (Bad ("bad value at offset " ^ string_of_int start));
-      (match float_of_string_opt (String.sub line start (!pos - start)) with
-      | Some v -> N v
-      | None -> raise (Bad "bad number"))
-    | None -> raise (Bad "unexpected end of line")
-  in
-  expect '{';
-  skip_ws ();
-  let fields =
-    if peek () = Some '}' then begin
-      incr pos;
-      []
-    end
-    else begin
-      let acc = ref [] in
-      let rec go () =
-        skip_ws ();
-        let k = parse_string () in
-        expect ':';
-        let v = parse_value () in
-        acc := (k, v) :: !acc;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          incr pos;
-          go ()
-        | Some '}' -> incr pos
-        | _ -> raise (Bad "expected ',' or '}'")
-      in
-      go ();
-      List.rev !acc
-    end
-  in
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing characters after object");
-  fields
+  String.concat "" (List.map (fun ev -> Json.to_string (event_json ~timings ev) ^ "\n") evs)
 
 let ( let* ) = Result.bind
 
-let str_field fields k =
-  match List.assoc_opt k fields with
-  | Some (S s) -> Ok s
+let str_field obj k =
+  match Json.member k obj with
+  | Some (Json.Str s) -> Ok s
   | _ -> Error (Printf.sprintf "field %S missing or not a string" k)
 
-let num_field fields k =
-  match List.assoc_opt k fields with
-  | Some (N v) -> Ok v
+let num_field obj k =
+  match Json.member k obj with
+  | Some (Json.Num v) -> Ok v
   | _ -> Error (Printf.sprintf "field %S missing or not a number" k)
 
-let int_field fields k =
-  let* v = num_field fields k in
+let int_field obj k =
+  let* v = num_field obj k in
   if Float.is_integer v && Float.abs v <= 1e9 then Ok (int_of_float v)
   else Error (Printf.sprintf "field %S is not an integer" k)
 
-let bool_field fields k =
-  match List.assoc_opt k fields with
-  | Some (B v) -> Ok v
+let bool_field obj k =
+  match Json.member k obj with
+  | Some (Json.Bool v) -> Ok v
   | _ -> Error (Printf.sprintf "field %S missing or not a boolean" k)
 
-let event_of_fields fields =
-  let* tag = str_field fields "e" in
+(* [obj] is one parsed line; a non-object has no "e" field *)
+let event_of_json obj =
+  let* tag = str_field obj "e" in
   match tag with
   | "grant" ->
-    let* system = str_field fields "system" in
-    let* epsilon = num_field fields "epsilon" in
-    let* delta = num_field fields "delta" in
+    let* system = str_field obj "system" in
+    let* epsilon = num_field obj "epsilon" in
+    let* delta = num_field obj "delta" in
     Ok (Grant { system; epsilon; delta })
   | "draw" ->
-    let* system = str_field fields "system" in
-    let* counter = str_field fields "counter" in
-    let* mechanism = str_field fields "mechanism" in
-    let* epsilon = num_field fields "epsilon" in
-    let* delta = num_field fields "delta" in
-    let* cum_epsilon = num_field fields "cum_epsilon" in
-    let* cum_delta = num_field fields "cum_delta" in
+    let* system = str_field obj "system" in
+    let* counter = str_field obj "counter" in
+    let* mechanism = str_field obj "mechanism" in
+    let* epsilon = num_field obj "epsilon" in
+    let* delta = num_field obj "delta" in
+    let* cum_epsilon = num_field obj "cum_epsilon" in
+    let* cum_delta = num_field obj "cum_delta" in
     Ok (Draw { system; counter; mechanism; epsilon; delta; cum_epsilon; cum_delta })
   | "proof" ->
-    let* kind = str_field fields "kind" in
-    let* party = int_field fields "party" in
-    let* ok = bool_field fields "ok" in
-    let* batch = int_field fields "batch" in
+    let* kind = str_field obj "kind" in
+    let* party = int_field obj "party" in
+    let* ok = bool_field obj "ok" in
+    let* batch = int_field obj "batch" in
     Ok (Proof { kind; party; ok; batch })
   | "phase" ->
-    let* name = str_field fields "name" in
-    let* wall_s = num_field fields "wall_s" in
-    let* alloc_bytes = num_field fields "alloc_bytes" in
+    let* name = str_field obj "name" in
+    let* wall_s = num_field obj "wall_s" in
+    let* alloc_bytes = num_field obj "alloc_bytes" in
     Ok (Phase { name; wall_s; alloc_bytes })
   | "note" ->
-    let* key = str_field fields "key" in
-    let* value = str_field fields "value" in
+    let* key = str_field obj "key" in
+    let* value = str_field obj "value" in
     Ok (Note { key; value })
   | other -> Error (Printf.sprintf "unknown event type %S" other)
 
@@ -367,18 +208,12 @@ let of_jsonl text =
   let lines = String.split_on_char '\n' text in
   let rec go lineno acc = function
     | [] -> Ok (List.rev acc)
-    | line :: rest ->
+    | line :: rest -> (
       if String.trim line = "" then go (lineno + 1) acc rest
-      else begin
-        let parsed =
-          match parse_object line with
-          | fields -> event_of_fields fields
-          | exception Bad msg -> Error msg
-        in
-        match parsed with
+      else
+        match Result.bind (Json.parse line) event_of_json with
         | Ok ev -> go (lineno + 1) (ev :: acc) rest
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-      end
+        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
   go 1 [] lines
 

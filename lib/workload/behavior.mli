@@ -12,5 +12,4 @@ val default : profile
 (** Means matching the live-network ratios of Table 4 (about 8.7
     circuits and 3.7 MiB per connection). *)
 
-val run_client_day : Torsim.Engine.t -> profile -> Torsim.Client.t -> Prng.Rng.t -> unit
 val run_population_day : ?profile:profile -> Torsim.Engine.t -> Population.t -> Prng.Rng.t -> unit

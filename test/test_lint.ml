@@ -417,30 +417,30 @@ let test_sarif_json_roundtrip () =
   Alcotest.(check bool) "occurrence disambiguates" true
     (Sarif.fingerprint ~occurrence:0 d <> Sarif.fingerprint ~occurrence:1 d);
   (* JSON round-trips through the reader *)
-  (match Sarif.parse_json (Sarif.json pairs) with
+  (match Json.parse (Sarif.json pairs) with
   | Error e -> Alcotest.fail ("json output does not parse: " ^ e)
   | Ok v -> (
-    match Sarif.member "findings" v with
-    | Some (Sarif.Arr [ f ]) ->
+    match Json.member "findings" v with
+    | Some (Json.Arr [ f ]) ->
       Alcotest.(check bool) "rule field" true
-        (Sarif.member "rule" f = Some (Sarif.Str "determinism/hashtbl-order"))
+        (Json.member "rule" f = Some (Json.Str "determinism/hashtbl-order"))
     | _ -> Alcotest.fail "findings array missing"));
   (* SARIF round-trips and carries the rule id and fingerprint *)
-  (match Sarif.parse_json (Sarif.sarif ~rules:[ ("determinism", "doc") ] pairs) with
+  (match Json.parse (Sarif.sarif ~rules:[ ("determinism", "doc") ] pairs) with
   | Error e -> Alcotest.fail ("sarif output does not parse: " ^ e)
   | Ok v -> (
     let ( let* ) o f = match o with Some x -> f x | None -> Alcotest.fail "sarif shape" in
-    let* runs = Sarif.member "runs" v in
+    let* runs = Json.member "runs" v in
     match runs with
-    | Sarif.Arr [ run ] -> (
-      let* results = Sarif.member "results" run in
+    | Json.Arr [ run ] -> (
+      let* results = Json.member "results" run in
       match results with
-      | Sarif.Arr [ r ] ->
+      | Json.Arr [ r ] ->
         Alcotest.(check bool) "ruleId" true
-          (Sarif.member "ruleId" r = Some (Sarif.Str "determinism/hashtbl-order"));
-        let* fps = Sarif.member "partialFingerprints" r in
+          (Json.member "ruleId" r = Some (Json.Str "determinism/hashtbl-order"));
+        let* fps = Json.member "partialFingerprints" r in
         Alcotest.(check bool) "fingerprint key" true
-          (Sarif.member "torlint/v1" fps = Some (Sarif.Str (snd (List.hd pairs))))
+          (Json.member "torlint/v1" fps = Some (Json.Str (snd (List.hd pairs))))
       | _ -> Alcotest.fail "expected one sarif result")
     | _ -> Alcotest.fail "expected one sarif run"));
   (* the baseline format reads back exactly the fingerprints *)

@@ -190,29 +190,16 @@ let test_trace_jsonl_parseable () =
       Alcotest.(check int) "one line per span" 2 (List.length lines);
       List.iter
         (fun line ->
-          Alcotest.(check bool) "object shaped" true
-            (String.length line > 2 && line.[0] = '{' && line.[String.length line - 1] = '}');
-          List.iter
-            (fun field ->
-              Alcotest.(check bool) (field ^ " present") true
-                (is_infix ~affix:field line))
-            [ "\"id\":"; "\"parent\":"; "\"depth\":"; "\"name\":"; "\"start_s\":";
-              "\"duration_s\":"; "\"alloc_bytes\":"; "\"attrs\":" ])
+          match Json.parse line with
+          | Error e -> Alcotest.fail ("span line does not parse: " ^ e)
+          | Ok v ->
+            List.iter
+              (fun field ->
+                Alcotest.(check bool) (field ^ " present") true (Json.member field v <> None))
+              [ "id"; "parent"; "depth"; "name"; "start_s"; "duration_s"; "alloc_bytes"; "attrs" ])
         lines;
       Alcotest.(check bool) "escaped quotes" true
         (is_infix ~affix:{|\"hi\"|} out))
-
-let test_snapshot_json_parses_back () =
-  with_obs (fun () ->
-      Alcotest.(check string) "empty registry" "{}"
-        (Obs.Export.snapshot_json (Obs.Metrics.snapshot ()));
-      (* values chosen to round-trip exactly at the exporter's precision *)
-      Obs.Metrics.inc ~by:3 "c_total";
-      Obs.Metrics.set "g" (-0.125);
-      Obs.Metrics.observe ~buckets:[| 1.0; 2.0 |] "h" 1.5;
-      Alcotest.(check string) "field for field"
-        {|{"c_total":3,"g":-0.125,"h":{"sum":1.5,"count":1}}|}
-        (Obs.Export.snapshot_json (Obs.Metrics.snapshot ())))
 
 let test_summary_nonempty () =
   with_obs (fun () ->
@@ -305,9 +292,9 @@ let test_ledger_jsonl_bytes_pinned () =
     \"value\":\"v\\u0001control \195\169\"}\n"
     (Obs.Ledger.to_jsonl ~timings:false roundtrip_events)
 
-(* Structural round-trip on randomized events: arbitrary byte strings
-   (escapes included) and awkward floats must reconstruct exactly. *)
-let prop_ledger_roundtrip =
+(* Randomized events: arbitrary byte strings (escapes included) and
+   awkward floats. *)
+let gen_event =
   let gen_float =
     QCheck.Gen.oneof
       [
@@ -315,32 +302,128 @@ let prop_ledger_roundtrip =
         QCheck.Gen.map (fun i -> float_of_int i /. 7.0) (QCheck.Gen.int_range (-10_000) 10_000);
       ]
   in
-  let gen_event =
-    let open QCheck.Gen in
-    let str = string_size ~gen:(int_range 0 255 >|= Char.chr) (int_range 0 12) in
-    oneof
-      [
-        map3 (fun s e d -> Obs.Ledger.Grant { system = s; epsilon = e; delta = d })
-          str gen_float gen_float;
-        map3
-          (fun (s, c, m) (e, d) (ce, cd) ->
-            Obs.Ledger.Draw
-              { system = s; counter = c; mechanism = m; epsilon = e; delta = d;
-                cum_epsilon = ce; cum_delta = cd })
-          (triple str str str) (pair gen_float gen_float) (pair gen_float gen_float);
-        map3 (fun k p (ok, b) -> Obs.Ledger.Proof { kind = k; party = p; ok; batch = b })
-          str small_nat (pair bool small_nat);
-        map3 (fun n w a -> Obs.Ledger.Phase { name = n; wall_s = w; alloc_bytes = a })
-          str gen_float gen_float;
-        map2 (fun k v -> Obs.Ledger.Note { key = k; value = v }) str str;
-      ]
-  in
+  let open QCheck.Gen in
+  let str = string_size ~gen:(int_range 0 255 >|= Char.chr) (int_range 0 12) in
+  oneof
+    [
+      map3 (fun s e d -> Obs.Ledger.Grant { system = s; epsilon = e; delta = d })
+        str gen_float gen_float;
+      map3
+        (fun (s, c, m) (e, d) (ce, cd) ->
+          Obs.Ledger.Draw
+            { system = s; counter = c; mechanism = m; epsilon = e; delta = d;
+              cum_epsilon = ce; cum_delta = cd })
+        (triple str str str) (pair gen_float gen_float) (pair gen_float gen_float);
+      map3 (fun k p (ok, b) -> Obs.Ledger.Proof { kind = k; party = p; ok; batch = b })
+        str small_nat (pair bool small_nat);
+      map3 (fun n w a -> Obs.Ledger.Phase { name = n; wall_s = w; alloc_bytes = a })
+        str gen_float gen_float;
+      map2 (fun k v -> Obs.Ledger.Note { key = k; value = v }) str str;
+    ]
+
+(* Structural round-trip: every event must reconstruct exactly. *)
+let prop_ledger_roundtrip =
   QCheck.Test.make ~name:"ledger jsonl round-trips" ~count:200
     (QCheck.make QCheck.Gen.(list_size (int_range 0 8) gen_event))
     (fun events ->
       match Obs.Ledger.of_jsonl (Obs.Ledger.to_jsonl events) with
       | Ok back -> back = events
       | Error _ -> false)
+
+(* --- the JSON decoder on hostile input --- *)
+
+(* Ledgers are outside input to `audit`: no byte string may make the
+   decoder raise. Bytes are drawn mostly from JSON's own alphabet so
+   the generator reaches past the first token. *)
+let prop_json_garbage_total =
+  let alphabet = "{}[]\",:\\/u0123456789abcdefnrtl.-+eE \t\n\001\255" in
+  let gen =
+    QCheck.Gen.(
+      string_size (int_bound 64)
+        ~gen:
+          (frequency
+             [
+               (4, map (String.get alphabet) (int_bound (String.length alphabet - 1)));
+               (1, char);
+             ]))
+  in
+  QCheck.Test.make ~name:"arbitrary bytes never raise, only errors" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s ->
+      (match Json.parse s with Ok _ | Error _ -> ());
+      match Obs.Ledger.of_jsonl s with Ok _ | Error _ -> true)
+
+let prop_ledger_prefix_error =
+  QCheck.Test.make ~name:"every strict prefix of an event line is an error" ~count:200
+    (QCheck.make gen_event)
+    (fun ev ->
+      let line = Obs.Ledger.to_jsonl [ ev ] in
+      let line = String.sub line 0 (String.length line - 1) in
+      List.for_all
+        (fun cut ->
+          let prefix = String.sub line 0 cut in
+          Result.is_error (Json.parse prefix)
+          && (cut = 0 || Result.is_error (Obs.Ledger.of_jsonl prefix)))
+        (List.init (String.length line) Fun.id))
+
+let test_json_nesting_capped () =
+  let deep = String.make 100_000 '[' in
+  Alcotest.(check bool) "100k open brackets" true (Result.is_error (Json.parse deep));
+  let deep_line = String.concat "" (List.init 100_000 (fun _ -> "{\"a\":")) in
+  Alcotest.(check bool) "100k-deep ledger line" true
+    (Result.is_error (Obs.Ledger.of_jsonl deep_line));
+  let nest d = String.make d '[' ^ String.make d ']' in
+  Alcotest.(check bool) "at the cap" true (Result.is_ok (Json.parse (nest Json.max_depth)));
+  Alcotest.(check bool) "one past the cap" true
+    (Result.is_error (Json.parse (nest (Json.max_depth + 1))))
+
+let test_json_strict_grammar () =
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check bool) ("accepts " ^ text) true (Json.parse text = Ok want))
+    [
+      ({|"\u0041"|}, Json.Str "A");
+      ({|"\u00411"|}, Json.Str "A1");
+      ({|"\u00e9"|}, Json.Str "\xc3\xa9");
+      ({|"\ud83d\ude00"|}, Json.Str "\xf0\x9f\x98\x80");
+      ( {| [1, -0.5e+2, true, null] |},
+        Json.Arr [ Json.Num 1.0; Json.Num (-50.0); Json.Bool true; Json.Null ] );
+      ({|{"a":{"b":[]}}|}, Json.Obj [ ("a", Json.Obj [ ("b", Json.Arr []) ]) ]);
+    ];
+  (* \u takes exactly four hex digits: "\u00_1" is not U+0001 *)
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("rejects " ^ String.escaped text) true
+        (Result.is_error (Json.parse text)))
+    [
+      {|"\u00_1"|}; {|"\u+041"|}; {|"\u 041"|}; {|"\u004"|}; {|"\u004g"|};
+      {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83d\u0041"|}; {|"\x41"|};
+      "\"a\001b\""; {|"abc|}; "";
+      "01"; "1."; ".5"; "-"; "1e"; "+1"; "1e999"; "NaN";
+      {|{"a":1,"a":2}|}; {|{"a":1,}|}; "[1,]"; "[1 2]"; "{1:2}"; "tru"; "nul";
+      "{} {}"; "[]x";
+    ]
+
+let test_json_writer () =
+  Alcotest.(check string) "compact form"
+    {|{"s":"q\"\\\n\u0001","n":[0,-0.5,1e-11,0.1,null,null],"b":true,"z":null}|}
+    (Json.to_string
+       (Json.Obj
+          [
+            ("s", Json.Str "q\"\\\n\001");
+            ( "n",
+              Json.Arr
+                (List.map
+                   (fun v -> Json.Num v)
+                   [ 0.0; -0.5; 1e-11; 0.1; Float.nan; Float.infinity ]) );
+            ("b", Json.Bool true);
+            ("z", Json.Null);
+          ]));
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "float round-trips" true
+        (Json.parse (Json.to_string (Json.Num v)) = Ok (Json.Num v)))
+    [ 0.1; 1.0 /. 3.0; 4.9e-324; 1.5e300; -2.5; 1e15; 123456789012345678.0 ]
 
 let test_audit_flags_violations () =
   let draw cum =
@@ -477,8 +560,14 @@ let () =
         [
           Alcotest.test_case "prometheus" `Quick test_prometheus_deterministic_and_parseable;
           Alcotest.test_case "trace jsonl" `Quick test_trace_jsonl_parseable;
-          Alcotest.test_case "snapshot json" `Quick test_snapshot_json_parses_back;
           Alcotest.test_case "summary" `Quick test_summary_nonempty;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_garbage_total;
+          Alcotest.test_case "nesting capped" `Quick test_json_nesting_capped;
+          Alcotest.test_case "strict grammar" `Quick test_json_strict_grammar;
+          Alcotest.test_case "writer" `Quick test_json_writer;
         ] );
       ( "ledger",
         [
@@ -487,6 +576,7 @@ let () =
           Alcotest.test_case "jsonl round-trip" `Quick test_ledger_jsonl_roundtrip;
           Alcotest.test_case "jsonl bytes pinned" `Quick test_ledger_jsonl_bytes_pinned;
           QCheck_alcotest.to_alcotest prop_ledger_roundtrip;
+          QCheck_alcotest.to_alcotest prop_ledger_prefix_error;
           Alcotest.test_case "audit violations" `Quick test_audit_flags_violations;
           Alcotest.test_case "tampered run fails audit" `Quick test_tampered_psc_fails_audit;
           QCheck_alcotest.to_alcotest prop_ledger_jobs_invariant;
