@@ -276,7 +276,6 @@ let replay_cmd =
       let eps =
         float_of_int r.Tormeasure.Netday.replayed_events /. max 1e-9 dt
       in
-      Obs.Metrics.set "trace_replay_events_per_sec" eps;
       Printf.printf
         "replayed %d events through ingestion in %.3fs (%.0f events/sec, repeat %d)\n"
         r.Tormeasure.Netday.replayed_events dt eps repeat;

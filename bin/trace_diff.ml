@@ -17,25 +17,11 @@ let read_file path =
   | text -> text
   | exception Sys_error e -> fail "trace-diff: %s" e
 
-(* phase name -> (total wall seconds, total allocated bytes, count),
-   in first-appearance order. *)
+(* per-phase totals, in first-appearance order *)
 let phases_of path =
   match Obs.Ledger.of_jsonl (read_file path) with
   | Error msg -> fail "trace-diff: %s: %s" path msg
-  | Ok events ->
-    let order = ref [] and totals = Hashtbl.create 32 in
-    List.iter
-      (fun ev ->
-        match ev with
-        | Obs.Ledger.Phase { name; wall_s; alloc_bytes; _ } ->
-          (match Hashtbl.find_opt totals name with
-          | None ->
-            order := name :: !order;
-            Hashtbl.replace totals name (wall_s, alloc_bytes, 1)
-          | Some (w, a, n) -> Hashtbl.replace totals name (w +. wall_s, a +. alloc_bytes, n + 1))
-        | _ -> ())
-      events;
-    List.rev_map (fun name -> (name, Hashtbl.find totals name)) !order
+  | Ok events -> Obs.Ledger.phase_totals events
 
 let () =
   let base_path, new_path =
@@ -50,14 +36,14 @@ let () =
   Printf.printf "%s\n" (String.make 82 '-');
   let missing_new = ref [] in
   List.iter
-    (fun (name, (base_w, base_a, _)) ->
+    (fun (name, (b : Obs.Ledger.phase_total)) ->
       match List.assoc_opt name next with
       | None -> missing_new := name :: !missing_new
-      | Some (new_w, new_a, _) ->
-        let speedup = if new_w > 0.0 then base_w /. new_w else infinity in
-        let alloc_ratio = if base_a > 0.0 then new_a /. base_a else 1.0 in
-        Printf.printf "%-34s %12.1f %12.1f %8.2fx %11.2fx%s\n" name (1e3 *. base_w)
-          (1e3 *. new_w) speedup alloc_ratio
+      | Some (n : Obs.Ledger.phase_total) ->
+        let speedup = if n.wall_s > 0.0 then b.wall_s /. n.wall_s else infinity in
+        let alloc_ratio = if b.alloc_bytes > 0.0 then n.alloc_bytes /. b.alloc_bytes else 1.0 in
+        Printf.printf "%-34s %12.1f %12.1f %8.2fx %11.2fx%s\n" name (1e3 *. b.wall_s)
+          (1e3 *. n.wall_s) speedup alloc_ratio
           (if speedup >= 1.10 then "  faster" else if speedup <= 0.90 then "  SLOWER" else ""))
     base;
   let only_new = List.filter (fun (name, _) -> not (List.mem_assoc name base)) next in

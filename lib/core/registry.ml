@@ -92,14 +92,14 @@ let all =
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
-(* Instrumented entry point shared by the CLI and [run_all]: one span
-   per experiment plus wall-time / peak-heap / event-total metrics. *)
+(* Instrumented entry point shared by the CLI and [run_all]: one phase
+   per experiment (its wall time) plus peak-heap / event-total
+   metrics. *)
 let run_experiment e ~seed =
   if not (Obs.enabled ()) then e.run ~seed
   else
     Obs.Ledger.phase ("experiment." ^ e.id) ~attrs:[ ("paper_id", e.paper_id) ]
     @@ fun () ->
-    let wall0 = Obs.Trace.now () in
     let events0 =
       Option.value ~default:0.0 (Obs.Metrics.counter_value "torsim_events_dispatched_total")
     in
@@ -108,7 +108,6 @@ let run_experiment e ~seed =
       Option.value ~default:0.0 (Obs.Metrics.counter_value "torsim_events_dispatched_total")
     in
     let labeled name = Obs.Metrics.labeled name [ ("id", e.id) ] in
-    Obs.Metrics.set (labeled "experiment_wall_seconds") (Obs.Trace.now () -. wall0);
     Obs.Metrics.set (labeled "experiment_peak_heap_words")
       (float_of_int (Gc.quick_stat ()).Gc.top_heap_words);
     Obs.Metrics.set (labeled "experiment_events_dispatched") (events1 -. events0);

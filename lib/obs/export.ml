@@ -9,56 +9,26 @@ let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
-(* "name{k="v"}" -> ("name", Some "k=\"v\"") *)
-let split_labels name =
-  match String.index_opt name '{' with
-  | None -> (name, None)
-  | Some i ->
-    let base = String.sub name 0 i in
-    let rest = String.sub name (i + 1) (String.length name - i - 2) in
-    (base, Some rest)
+(* "name{k="v"}" -> "name" *)
+let base_name name =
+  match String.index_opt name '{' with None -> name | Some i -> String.sub name 0 i
 
 let prometheus samples =
   let b = Buffer.create 4096 in
   let typed = Hashtbl.create 16 in
-  let type_line base kind =
-    if not (Hashtbl.mem typed base) then begin
-      Hashtbl.replace typed base ();
-      Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" base kind)
-    end
-  in
   List.iter
     (fun { Metrics.name; value } ->
-      let base, labels = split_labels name in
-      match value with
-      | Metrics.Counter_sample v ->
-        type_line base "counter";
-        Buffer.add_string b (Printf.sprintf "%s %s\n" name (fmt_float v))
-      | Metrics.Gauge_sample v ->
-        type_line base "gauge";
-        Buffer.add_string b (Printf.sprintf "%s %s\n" name (fmt_float v))
-      | Metrics.Histogram_sample { bounds; counts; sum; total } ->
-        type_line base "histogram";
-        let with_le le =
-          match labels with
-          | None -> Printf.sprintf "%s_bucket{le=\"%s\"}" base le
-          | Some l -> Printf.sprintf "%s_bucket{%s,le=\"%s\"}" base l le
-        in
-        let cum = ref 0 in
-        Array.iteri
-          (fun i bound ->
-            cum := !cum + counts.(i);
-            Buffer.add_string b
-              (Printf.sprintf "%s %d\n" (with_le (fmt_float bound)) !cum))
-          bounds;
-        Buffer.add_string b (Printf.sprintf "%s %d\n" (with_le "+Inf") total);
-        let suffixed suffix =
-          match labels with
-          | None -> base ^ suffix
-          | Some l -> Printf.sprintf "%s%s{%s}" base suffix l
-        in
-        Buffer.add_string b (Printf.sprintf "%s %s\n" (suffixed "_sum") (fmt_float sum));
-        Buffer.add_string b (Printf.sprintf "%s %d\n" (suffixed "_count") total))
+      let kind, v =
+        match value with
+        | Metrics.Counter_sample v -> ("counter", v)
+        | Metrics.Gauge_sample v -> ("gauge", v)
+      in
+      let base = base_name name in
+      if not (Hashtbl.mem typed base) then begin
+        Hashtbl.replace typed base ();
+        Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" base kind)
+      end;
+      Buffer.add_string b (Printf.sprintf "%s %s\n" name (fmt_float v)))
     samples;
   Buffer.contents b
 
@@ -119,19 +89,12 @@ let summary samples spans =
              (a.alloc /. 1048576.0)))
       rows
   end;
-  (* counters and gauges, histograms as p50/p99 *)
+  (* counters and gauges *)
   if samples <> [] then begin
     Buffer.add_string b (Printf.sprintf "   %-58s %16s\n" "metric" "value");
     List.iter
-      (fun { Metrics.name; value } ->
-        match value with
-        | Metrics.Counter_sample v | Metrics.Gauge_sample v ->
-          Buffer.add_string b (Printf.sprintf "   %-58s %16s\n" name (fmt_float v))
-        | Metrics.Histogram_sample { sum; total; _ } ->
-          Buffer.add_string b
-            (Printf.sprintf "   %-58s %16s\n"
-               (name ^ " (sum/count)")
-               (Printf.sprintf "%s/%d" (fmt_float sum) total)))
+      (fun { Metrics.name; value = Metrics.Counter_sample v | Metrics.Gauge_sample v } ->
+        Buffer.add_string b (Printf.sprintf "   %-58s %16s\n" name (fmt_float v)))
       samples
   end;
   Buffer.contents b

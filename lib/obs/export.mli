@@ -3,7 +3,7 @@
 
 val prometheus : Metrics.sample list -> string
 (** Prometheus text exposition: [# TYPE] lines plus one sample line per
-    counter/gauge, and [_bucket]/[_sum]/[_count] lines per histogram. *)
+    counter/gauge. *)
 
 val trace_jsonl : Trace.span list -> string
 (** One JSON object per line:

@@ -1,11 +1,11 @@
 (* Append-only run ledger: typed audit events proving what a
    measurement run did — privacy-budget grants and draws with running
    cumulative spend, zero-knowledge proof verification outcomes, and
-   phase boundaries with wall-clock and Gc-allocation deltas. The
-   ledger is the operator-facing evidence trail ("this round consumed
-   the (eps,delta) it was promised and every proof verified"), distinct
-   from the metrics registry: events are ordered, typed, and replayable
-   by [audit].
+   phase boundaries with wall-clock and Gc-allocation deltas taken from
+   their spans. The ledger is the operator-facing evidence trail ("this
+   round consumed the (eps,delta) it was promised and every proof
+   verified"), distinct from the metrics registry: events are ordered,
+   typed, and replayable by [audit].
 
    Everything recorded here must already be publishable: mechanism
    parameters, proof verdicts, timings. torlint's privacy-flow pass
@@ -84,28 +84,17 @@ let draw ~system ~counter ~mechanism ~epsilon ~delta =
 let proof ~kind ~party ~ok ~batch = record (Proof { kind; party; ok; batch })
 let note ~key ~value = record (Note { key; value })
 
-(* A phase is a traced span that additionally leaves a Phase event in
-   the ledger at completion (timings are the only jobs-dependent
-   fields; [audit] and the canonical form ignore them). *)
+(* A Phase event is the closing record of its span: [with_span] hands
+   over the closed span (also when the thunk raises or the span buffer
+   is full) and the event copies its wall and allocation deltas.
+   Timings are the only jobs-dependent fields; [audit] and the
+   canonical form ignore them. *)
 let phase ?attrs name f =
   if not !Control.on then f ()
   else
-    Trace.with_span ?attrs name (fun () ->
-        let t0 = Trace.now () in
-        let a0 = Gc.allocated_bytes () in
-        let finish () =
-          append
-            (Phase
-               { name; wall_s = Trace.now () -. t0; alloc_bytes = Gc.allocated_bytes () -. a0 })
-        in
-        match f () with
-        | v ->
-          finish ();
-          v
-        | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          finish ();
-          Printexc.raise_with_backtrace e bt)
+    Trace.with_span ?attrs name f ~on_close:(fun sp ->
+        append
+          (Phase { name; wall_s = sp.Trace.duration_s; alloc_bytes = sp.Trace.alloc_bytes }))
 
 let events () = List.rev !main
 let size () = !main_count
@@ -292,6 +281,27 @@ let audit evs =
     spends = sorted_bindings spends;
   }
 
+(* --- phase aggregation --- *)
+
+type phase_total = { count : int; wall_s : float; alloc_bytes : float }
+
+let phase_totals evs =
+  let order = ref [] and totals = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Phase { name; wall_s; alloc_bytes } -> (
+        match Hashtbl.find_opt totals name with
+        | Some t ->
+          Hashtbl.replace totals name
+            { count = t.count + 1; wall_s = t.wall_s +. wall_s;
+              alloc_bytes = t.alloc_bytes +. alloc_bytes }
+        | None ->
+          order := name :: !order;
+          Hashtbl.replace totals name { count = 1; wall_s; alloc_bytes })
+      | _ -> ())
+    evs;
+  List.rev_map (fun name -> (name, Hashtbl.find totals name)) !order
+
 (* --- human summary --- *)
 
 let summary evs =
@@ -338,31 +348,16 @@ let summary evs =
         Buffer.add_string b (Printf.sprintf "   %-22s %8d %8d %12d\n" kind n f bt))
       (sorted_bindings proofs)
   end;
-  (* phases by name, in first-completion order *)
-  let order = ref [] in
-  let phases : (string, int * float * float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Phase { name; wall_s; alloc_bytes } ->
-        (match Hashtbl.find_opt phases name with
-        | Some (n, w, al) -> Hashtbl.replace phases name (n + 1, w +. wall_s, al +. alloc_bytes)
-        | None ->
-          order := name :: !order;
-          Hashtbl.replace phases name (1, wall_s, alloc_bytes))
-      | _ -> ())
-    evs;
-  if !order <> [] then begin
+  let phases = phase_totals evs in
+  if phases <> [] then begin
     Buffer.add_string b
       (Printf.sprintf "   %-34s %8s %12s %12s\n" "phase" "count" "total ms" "alloc MB");
     List.iter
-      (fun name ->
-        match Hashtbl.find_opt phases name with
-        | Some (n, w, al) ->
-          Buffer.add_string b
-            (Printf.sprintf "   %-34s %8d %12.2f %12.2f\n" name n (1e3 *. w) (al /. 1048576.0))
-        | None -> ())
-      (List.rev !order)
+      (fun (name, t) ->
+        Buffer.add_string b
+          (Printf.sprintf "   %-34s %8d %12.2f %12.2f\n" name t.count (1e3 *. t.wall_s)
+             (t.alloc_bytes /. 1048576.0)))
+      phases
   end;
   List.iter
     (fun ev ->

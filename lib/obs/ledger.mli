@@ -1,6 +1,6 @@
 (** Append-only run ledger: typed audit events — privacy-budget grants
     and draws with running cumulative spend, proof verification
-    outcomes, phase boundaries with wall/alloc deltas, and free-form
+    outcomes, phase records closing their spans, and free-form
     notes. Recording is a no-op while telemetry is disabled; an enabled
     run's ledger is identical at any pool size (timing fields aside)
     because pool workers buffer into domain-local scopes replayed in
@@ -45,8 +45,10 @@ val proof : kind:string -> party:int -> ok:bool -> batch:int -> unit
 val note : key:string -> value:string -> unit
 
 val phase : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a {!Trace.with_span} span and additionally
-    record a [Phase] event at completion (also when the thunk raises).
+(** Run the thunk inside a {!Trace.with_span} span; the [Phase] event
+    is the closing record of that span, carrying its [duration_s] and
+    [alloc_bytes] bit for bit. It is appended also when the thunk raises
+    and when the span buffer is full and the span itself is dropped.
     Reduces to a plain call while disabled. *)
 
 val events : unit -> event list
@@ -66,6 +68,12 @@ val to_jsonl : ?timings:bool -> event list -> string
 val of_jsonl : string -> (event list, string) result
 (** Parse [to_jsonl] output (blank lines are skipped); the error
     message names the first offending line. *)
+
+type phase_total = { count : int; wall_s : float; alloc_bytes : float }
+
+val phase_totals : event list -> (string * phase_total) list
+(** [Phase] events summed per name (wall seconds, allocated bytes,
+    occurrences), names in first-appearance order. *)
 
 val summary : event list -> string
 (** Human-readable tables: budget spend per system, proof outcomes per

@@ -1,8 +1,9 @@
-(* Process-wide metrics registry: monotonic counters, gauges, and
-   fixed-bucket histograms with quantile estimates. All operations are
-   name-based and no-ops while telemetry is disabled, so a disabled run
-   leaves the registry empty (no residue). Metric names follow the
-   Prometheus convention; [labeled] builds the `name{k="v"}` form.
+(* Process-wide metrics registry: monotonic counters and gauges. Wall
+   time is not a metric: spans and ledger phases carry it. All
+   operations are name-based and no-ops while telemetry is disabled, so
+   a disabled run leaves the registry empty (no residue). Metric names
+   follow the Prometheus convention; [labeled] builds the `name{k="v"}`
+   form.
 
    While a pool task has a scope open (scope_begin/scope_end, used by
    lib/parallel), writes land in a domain-local side table instead of
@@ -10,14 +11,7 @@
    orchestrating domain, so worker domains never touch the registry
    concurrently and the merged state matches a sequential run. *)
 
-type histogram = {
-  bounds : float array;  (* strictly increasing bucket upper bounds *)
-  counts : int array;    (* length = Array.length bounds + 1 (overflow) *)
-  mutable sum : float;
-  mutable total : int;
-}
-
-type value = Counter of float ref | Gauge of float ref | Histogram of histogram
+type value = Counter of float ref | Gauge of float ref
 
 let registry : (string, value) Hashtbl.t = Hashtbl.create 64
 
@@ -27,7 +21,6 @@ let reset () = Hashtbl.reset registry
 
 type scope = {
   sc_counters : (string, float ref) Hashtbl.t;
-  sc_hists : (string, histogram) Hashtbl.t;
   mutable sc_gauges : (string * float) list;  (* reverse write order *)
 }
 
@@ -35,7 +28,7 @@ let scope_key : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None
 
 let scope_begin () =
   Domain.DLS.set scope_key
-    (Some { sc_counters = Hashtbl.create 16; sc_hists = Hashtbl.create 8; sc_gauges = [] })
+    (Some { sc_counters = Hashtbl.create 16; sc_gauges = [] })
 
 let scope_end () =
   match Domain.DLS.get scope_key with
@@ -44,7 +37,7 @@ let scope_end () =
     s
   | None ->
     (* unbalanced end: merging the empty scope is a no-op *)
-    { sc_counters = Hashtbl.create 1; sc_hists = Hashtbl.create 1; sc_gauges = [] }
+    { sc_counters = Hashtbl.create 1; sc_gauges = [] }
 
 let active_scope () = Domain.DLS.get scope_key
 
@@ -134,116 +127,16 @@ let set name v =
     | Some s -> s.sc_gauges <- (name, v) :: s.sc_gauges
     | None -> gauge_ref name := v
 
-(* --- histograms --- *)
-
-(* Default buckets suit the two things we histogram: seconds and small
-   counts. Exponential from 1us to ~100s. *)
-let default_buckets =
-  [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 30.0; 100.0 |]
-
-let linear_buckets ~start ~width ~count =
-  if count <= 0 || width <= 0.0 then invalid_arg "Metrics.linear_buckets";
-  Array.init count (fun i -> start +. (width *. float_of_int i))
-
-let exponential_buckets ~start ~factor ~count =
-  if count <= 0 || start <= 0.0 || factor <= 1.0 then invalid_arg "Metrics.exponential_buckets";
-  Array.init count (fun i -> start *. (factor ** float_of_int i))
-
-let validate_bounds bounds =
-  if Array.length bounds = 0 then invalid_arg "Metrics: empty histogram buckets";
-  Array.iteri
-    (fun i b -> if i > 0 && bounds.(i - 1) >= b then invalid_arg "Metrics: buckets not increasing")
-    bounds
-
-let make_histogram buckets =
-  let bounds = match buckets with None -> default_buckets | Some b -> b in
-  validate_bounds bounds;
-  { bounds = Array.copy bounds; counts = Array.make (Array.length bounds + 1) 0;
-    sum = 0.0; total = 0 }
-
-let histogram_ref ?buckets name =
-  match Hashtbl.find_opt registry name with
-  | Some (Histogram h) -> h
-  | Some _ -> invalid_arg (Printf.sprintf "Metrics: %s is not a histogram" name)
-  | None ->
-    let h = make_histogram buckets in
-    Hashtbl.replace registry name (Histogram h);
-    h
-
-let scope_histogram_ref s ?buckets name =
-  match Hashtbl.find_opt s.sc_hists name with
-  | Some h -> h
-  | None ->
-    let h = make_histogram buckets in
-    Hashtbl.replace s.sc_hists name h;
-    h
-
-let bucket_index bounds v =
-  (* first bucket whose upper bound is >= v; length bounds = overflow *)
-  let n = Array.length bounds in
-  let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
-  go 0
-
-let observe ?buckets name v =
-  if !Control.on then begin
-    let h =
-      match active_scope () with
-      | Some s -> scope_histogram_ref s ?buckets name
-      | None -> histogram_ref ?buckets name
-    in
-    let i = bucket_index h.bounds v in
-    h.counts.(i) <- h.counts.(i) + 1;
-    h.sum <- h.sum +. v;
-    h.total <- h.total + 1
-  end
-
-(* Quantile estimate by linear interpolation inside the covering bucket;
-   assumes non-negative observations (the first bucket interpolates from
-   0). Overflow observations clamp to the last finite bound. *)
-let histogram_quantile h q =
-  if h.total = 0 then None
-  else begin
-    let q = Float.max 0.0 (Float.min 1.0 q) in
-    let rank = q *. float_of_int h.total in
-    let n = Array.length h.bounds in
-    let rec go i cum =
-      if i > n then Some h.bounds.(n - 1)
-      else
-        let c = h.counts.(i) in
-        let cum' = cum +. float_of_int c in
-        if cum' >= rank && c > 0 then
-          if i >= n then Some h.bounds.(n - 1)
-          else
-            let lo = if i = 0 then 0.0 else h.bounds.(i - 1) in
-            let hi = h.bounds.(i) in
-            let frac = (rank -. cum) /. float_of_int c in
-            Some (lo +. ((hi -. lo) *. frac))
-        else go (i + 1) cum'
-    in
-    go 0 0.0
-  end
-
 (* --- read side --- *)
 
-type observed =
-  | Counter_sample of float
-  | Gauge_sample of float
-  | Histogram_sample of { bounds : float array; counts : int array; sum : float; total : int }
+type reading = Counter_sample of float | Gauge_sample of float
 
-type sample = { name : string; value : observed }
+type sample = { name : string; value : reading }
 
 let snapshot () =
   Hashtbl.fold
     (fun name v acc ->
-      let value =
-        match v with
-        | Counter c -> Counter_sample !c
-        | Gauge g -> Gauge_sample !g
-        | Histogram h ->
-          Histogram_sample
-            { bounds = Array.copy h.bounds; counts = Array.copy h.counts;
-              sum = h.sum; total = h.total }
-      in
+      let value = match v with Counter c -> Counter_sample !c | Gauge g -> Gauge_sample !g in
       { name; value } :: acc)
     registry []
   |> List.sort (fun a b -> compare a.name b.name)
@@ -256,34 +149,20 @@ let counter_value name =
 let gauge_value name =
   match Hashtbl.find_opt registry name with Some (Gauge g) -> Some !g | _ -> None
 
-let quantile name q =
-  match Hashtbl.find_opt registry name with
-  | Some (Histogram h) -> histogram_quantile h q
-  | _ -> None
-
 (* --- scope merge --- *)
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun ((a : string), _) (b, _) -> compare a b)
 
-(* Fold a detached scope into the shared registry: counters and
-   histograms coalesce (order-free up to float-counter rounding in the
-   last ulps), gauge writes replay in recording order. Called on the
-   orchestrating domain only, after the pool barrier. *)
+(* Fold a detached scope into the shared registry: counters coalesce
+   (order-free up to float-counter rounding in the last ulps), gauge
+   writes replay in recording order. Called on the orchestrating domain
+   only, after the pool barrier. *)
 let scope_merge (s : scope) =
   List.iter
     (fun (name, c) ->
       let g = counter_ref name in
       g := !g +. !c)
     (sorted_bindings s.sc_counters);
-  List.iter
-    (fun (name, (h : histogram)) ->
-      let g = histogram_ref ~buckets:h.bounds name in
-      if g.bounds <> h.bounds then
-        invalid_arg (Printf.sprintf "Metrics: %s bucket bounds differ at scope merge" name);
-      Array.iteri (fun i c -> g.counts.(i) <- g.counts.(i) + c) h.counts;
-      g.sum <- g.sum +. h.sum;
-      g.total <- g.total + h.total)
-    (sorted_bindings s.sc_hists);
   List.iter (fun (name, v) -> gauge_ref name := v) (List.rev s.sc_gauges)

@@ -1,7 +1,7 @@
-(** Process-wide metrics registry: monotonic counters, gauges, and
-    fixed-bucket histograms with quantile estimates. Every operation is
-    a no-op while telemetry is disabled (see {!Control}), and a
-    disabled run leaves the registry empty. *)
+(** Process-wide metrics registry: monotonic counters and gauges. Wall
+    time is not a metric; spans and ledger phases carry it. Every
+    operation is a no-op while telemetry is disabled (see {!Control}),
+    and a disabled run leaves the registry empty. *)
 
 val labeled : string -> (string * string) list -> string
 (** [labeled "x_total" [("kind","data")]] is [{x_total{kind="data"}}],
@@ -13,28 +13,16 @@ val inc : ?by:int -> string -> unit
     different metric type. *)
 
 val inc_float : string -> float -> unit
-(** Counter bump with a float amount (e.g. seconds, bytes). *)
+(** Counter bump with a float amount (e.g. bytes, epsilon). *)
 
 val set : string -> float -> unit
 (** Set a gauge. *)
 
-val observe : ?buckets:float array -> string -> float -> unit
-(** Record a histogram observation; [buckets] (strictly increasing
-    upper bounds) are fixed by the first observation, an implicit
-    overflow bucket catches the rest. *)
-
-val default_buckets : float array
-val linear_buckets : start:float -> width:float -> count:int -> float array
-val exponential_buckets : start:float -> factor:float -> count:int -> float array
-
 (** {2 Read side} *)
 
-type observed =
-  | Counter_sample of float
-  | Gauge_sample of float
-  | Histogram_sample of { bounds : float array; counts : int array; sum : float; total : int }
+type reading = Counter_sample of float | Gauge_sample of float
 
-type sample = { name : string; value : observed }
+type sample = { name : string; value : reading }
 
 val snapshot : unit -> sample list
 (** Every registered metric, sorted by name (deterministic). *)
@@ -45,20 +33,15 @@ val size : unit -> int
 val counter_value : string -> float option
 val gauge_value : string -> float option
 
-val quantile : string -> float -> float option
-(** Quantile estimate by linear interpolation within the covering
-    bucket; [None] for unknown/empty histograms. Assumes non-negative
-    observations; overflow clamps to the last bound. *)
-
 val reset : unit -> unit
 
 (** {2 Domain-local scopes}
 
-    While a scope is open on a domain, [inc]/[set]/[observe] write into
-    a domain-local side table instead of the shared registry; the
+    While a scope is open on a domain, [inc]/[set] write into a
+    domain-local side table instead of the shared registry; the
     orchestrating domain folds detached scopes back in with
-    [scope_merge] (counters and histograms coalesce, gauge writes
-    replay in order). Used by [lib/parallel] via [Obs.Task]. *)
+    [scope_merge] (counters coalesce, gauge writes replay in order).
+    Used by [lib/parallel] via [Obs.Task]. *)
 
 type scope
 
@@ -66,5 +49,4 @@ val scope_begin : unit -> unit
 val scope_end : unit -> scope
 
 val scope_merge : scope -> unit
-(** Orchestrator-side only. Raises [Invalid_argument] if a scoped
-    histogram's bucket bounds differ from the registered ones. *)
+(** Orchestrator-side only. *)

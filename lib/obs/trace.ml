@@ -1,6 +1,9 @@
 (* Lightweight nested tracing spans. A span records wall clock (via
    Unix.gettimeofday), the Gc allocation delta (children included), its
-   nesting depth/parent, and user attributes. Spans are kept in an
+   nesting depth/parent, and user attributes. [with_span] is the one
+   place in the telemetry subsystem that reads the clock and the
+   allocation counter: a ledger Phase event is built from the closed
+   span handed to [on_close]. Spans are kept in an
    in-process buffer for export at end of run; a capacity cap bounds
    memory on event-heavy runs (drops are counted, nesting bookkeeping
    keeps working). With telemetry disabled, [with_span] is just a call
@@ -25,15 +28,8 @@ type span = {
   alloc_bytes : float;  (* Gc.allocated_bytes delta, children included *)
 }
 
-type frame = {
-  fid : int;
-  fname : string;
-  mutable fattrs : (string * string) list;
-  fstart : float;
-  falloc : float;
-  fdepth : int;
-  fparent : int option;
-}
+(* an open span on the nesting stack *)
+type frame = { fid : int; fdepth : int }
 
 type store = {
   mutable snext : int;
@@ -74,49 +70,41 @@ let record st sp =
 
 let now () = Unix.gettimeofday ()
 
-let with_span ?(attrs = []) name f =
+let with_span ?(attrs = []) ?on_close name f =
   if not !Control.on then f ()
   else begin
     let st = store () in
     st.snext <- st.snext + 1;
-    let fparent, fdepth =
+    let parent, depth =
       match st.sstack with [] -> (None, 0) | fr :: _ -> (Some fr.fid, fr.fdepth + 1)
     in
-    let fr =
-      { fid = st.snext; fname = name; fattrs = attrs; fstart = now ();
-        falloc = Gc.allocated_bytes (); fdepth; fparent }
-    in
-    st.sstack <- fr :: st.sstack;
-    let finish () =
-      (* Pop down to [fr] even if the thunk leaked frames above it (an
-         exception that unwound through children, or a reset mid-span
-         that emptied the stack entirely). *)
+    let id = st.snext in
+    let start_s = now () and alloc0 = Gc.allocated_bytes () in
+    st.sstack <- { fid = id; fdepth = depth } :: st.sstack;
+    let finish attrs =
+      let duration_s = now () -. start_s in
+      let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
+      (* Pop down to this span's frame even if the thunk leaked frames
+         above it (an exception that unwound through children, or a
+         reset mid-span that emptied the stack entirely). *)
       let rec pop = function
-        | top :: tl -> if top.fid = fr.fid then st.sstack <- tl else pop tl
+        | top :: tl -> if top.fid = id then st.sstack <- tl else pop tl
         | [] -> ()
       in
-      if List.exists (fun top -> top.fid = fr.fid) st.sstack then pop st.sstack;
-      record st
-        { id = fr.fid; parent = fr.fparent; depth = fr.fdepth; name = fr.fname;
-          attrs = List.rev fr.fattrs; start_s = fr.fstart;
-          duration_s = now () -. fr.fstart;
-          alloc_bytes = Gc.allocated_bytes () -. fr.falloc }
+      if List.exists (fun top -> top.fid = id) st.sstack then pop st.sstack;
+      let sp = { id; parent; depth; name; attrs; start_s; duration_s; alloc_bytes } in
+      record st sp;
+      Option.iter (fun k -> k sp) on_close
     in
     match f () with
     | v ->
-      finish ();
+      finish attrs;
       v
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      fr.fattrs <- ("error", Printexc.to_string e) :: fr.fattrs;
-      finish ();
+      finish (attrs @ [ ("error", Printexc.to_string e) ]);
       Printexc.raise_with_backtrace e bt
   end
-
-let add_attr k v =
-  if !Control.on then
-    let st = store () in
-    match st.sstack with [] -> () | fr :: _ -> fr.fattrs <- (k, v) :: fr.fattrs
 
 (* Renumber a scope's spans as if they had been recorded inline at the
    current point: local ids shift past every id the global store has

@@ -14,20 +14,20 @@ type span = {
   alloc_bytes : float;  (** Gc.allocated_bytes delta, children included *)
 }
 
-val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
+val with_span :
+  ?attrs:(string * string) list -> ?on_close:(span -> unit) -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span. The span is recorded even when the
     thunk raises: frames the exception unwound through are discarded, an
     ["error"] attribute carrying the exception is attached, and the
     exception is re-raised with its backtrace — the surrounding nesting
-    state is exactly as if the thunk had returned. *)
-
-val add_attr : string -> string -> unit
-(** Attach an attribute to the innermost open span (no-op outside any
-    span or when disabled). *)
+    state is exactly as if the thunk had returned. [on_close] receives
+    the closed span, also when the thunk raises and when the buffer is
+    full and the span itself is dropped; this is how {!Ledger.phase}
+    derives its [Phase] event. *)
 
 val now : unit -> float
-(** [Unix.gettimeofday], re-exported so instrumented libraries need no
-    direct unix dependency. *)
+(** [Unix.gettimeofday], re-exported so callers that print their own
+    timings need no direct unix dependency. *)
 
 val spans : unit -> span list
 (** Finished spans in completion order. *)

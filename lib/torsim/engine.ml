@@ -51,7 +51,7 @@ let event_metric = function
   | Event.Rendezvous_circuit _ -> "torsim_events_total{kind=\"rendezvous_circuit\"}"
 
 (* One traced span per [dispatch_sample_every] dispatches keeps traces
-   bounded on event-heavy runs; the seconds counter still sees every
+   bounded on event-heavy runs; the event counters still see every
    dispatch. *)
 let dispatch_sample_every = 256
 
@@ -65,15 +65,13 @@ let emit t relay_id event =
       Obs.Metrics.inc (event_metric event);
       Obs.Metrics.inc "torsim_events_dispatched_total";
       t.dispatched <- t.dispatched + 1;
-      let t0 = Obs.Trace.now () in
       if t.dispatched mod dispatch_sample_every = 1 then
         Obs.Trace.with_span "engine.dispatch"
           ~attrs:
             [ ("kind", Event.describe event);
               ("sampled", "1/" ^ string_of_int dispatch_sample_every) ]
           dispatch
-      else dispatch ();
-      Obs.Metrics.inc_float "torsim_dispatch_seconds_total" (Obs.Trace.now () -. t0)
+      else dispatch ()
     end
 
 (* --- client side --- *)

@@ -1,6 +1,6 @@
-(* Tests for the telemetry subsystem: metric semantics, quantile
-   estimates on known distributions, span nesting, exporter output, and
-   the zero-residue contract of disabled mode. *)
+(* Tests for the telemetry subsystem: metric semantics, span nesting,
+   phase events as the closing records of their spans, exporter output,
+   and the zero-residue contract of disabled mode. *)
 
 let with_obs f =
   Obs.reset ();
@@ -34,43 +34,12 @@ let test_gauge_semantics () =
       Alcotest.(check (option (float 1e-9))) "last write wins" (Some (-2.5))
         (Obs.Metrics.gauge_value "g"))
 
-let test_histogram_semantics () =
-  with_obs (fun () ->
-      let buckets = [| 1.0; 2.0; 5.0 |] in
-      List.iter (Obs.Metrics.observe ~buckets "h") [ 0.5; 1.0; 1.5; 4.0; 100.0 ];
-      match Obs.Metrics.snapshot () with
-      | [ { Obs.Metrics.name = "h";
-            value = Obs.Metrics.Histogram_sample { counts; sum; total; bounds = _ } } ] ->
-        Alcotest.(check (array int)) "bucket counts" [| 2; 1; 1; 1 |] counts;
-        Alcotest.(check int) "total" 5 total;
-        Alcotest.(check (float 1e-9)) "sum" 107.0 sum
-      | _ -> Alcotest.fail "expected exactly one histogram sample")
-
-let test_quantiles_known_distribution () =
-  with_obs (fun () ->
-      (* 1000 uniform draws over (0,100] against 10 linear buckets: the
-         interpolated quantiles must sit close to the exact ones *)
-      let buckets = Obs.Metrics.linear_buckets ~start:10.0 ~width:10.0 ~count:10 in
-      for i = 1 to 1_000 do
-        Obs.Metrics.observe ~buckets "u" (float_of_int i /. 10.0)
-      done;
-      let q x = Option.get (Obs.Metrics.quantile "u" x) in
-      Alcotest.(check bool) "p50 ~ 50" true (Float.abs (q 0.5 -. 50.0) < 1.0);
-      Alcotest.(check bool) "p90 ~ 90" true (Float.abs (q 0.9 -. 90.0) < 1.0);
-      Alcotest.(check bool) "p99 ~ 99" true (Float.abs (q 0.99 -. 99.0) < 1.5);
-      (* a point mass lands inside its covering bucket *)
-      Obs.Metrics.observe ~buckets:[| 1.0; 2.0 |] "point" 1.5;
-      let p = Option.get (Obs.Metrics.quantile "point" 0.5) in
-      Alcotest.(check bool) "point mass in bucket" true (p > 1.0 && p <= 2.0);
-      Alcotest.(check (option (float 0.0))) "unknown name" None (Obs.Metrics.quantile "nope" 0.5))
-
 (* --- spans --- *)
 
 let test_span_nesting_and_attrs () =
   with_obs (fun () ->
       let v =
-        Obs.Trace.with_span "outer" ~attrs:[ ("k", "v") ] (fun () ->
-            Obs.Trace.add_attr "late" "1";
+        Obs.Trace.with_span "outer" ~attrs:[ ("k", "v"); ("n", "2") ] (fun () ->
             Obs.Trace.with_span "inner" (fun () -> 17) + 1)
       in
       Alcotest.(check int) "value through spans" 18 v;
@@ -84,8 +53,8 @@ let test_span_nesting_and_attrs () =
         Alcotest.(check (option int)) "inner parent" (Some outer.Obs.Trace.id)
           inner.Obs.Trace.parent;
         Alcotest.(check (option int)) "outer is root" None outer.Obs.Trace.parent;
-        Alcotest.(check (list (pair string string))) "attr propagation"
-          [ ("k", "v"); ("late", "1") ] outer.Obs.Trace.attrs;
+        Alcotest.(check (list (pair string string))) "attrs in given order"
+          [ ("k", "v"); ("n", "2") ] outer.Obs.Trace.attrs;
         Alcotest.(check bool) "durations nest" true
           (outer.Obs.Trace.duration_s >= inner.Obs.Trace.duration_s)
       | spans -> Alcotest.fail (Printf.sprintf "expected 2 spans, got %d" (List.length spans)))
@@ -131,31 +100,12 @@ let test_span_capacity () =
           Alcotest.(check int) "kept" 3 (Obs.Trace.count ());
           Alcotest.(check int) "dropped" 2 (Obs.Trace.dropped ())))
 
-let test_quantile_edge_cases () =
-  with_obs (fun () ->
-      let buckets = [| 1.0; 2.0 |] in
-      Obs.Metrics.observe ~buckets "one" 1.5;
-      let q x = Option.get (Obs.Metrics.quantile "one" x) in
-      Alcotest.(check (float 1e-9)) "q=0 at bucket lower bound" 1.0 (q 0.0);
-      Alcotest.(check (float 1e-9)) "q=0.5 interpolates" 1.5 (q 0.5);
-      Alcotest.(check (float 1e-9)) "q=1 at bucket upper bound" 2.0 (q 1.0);
-      Alcotest.(check (float 1e-9)) "q clamps below" 1.0 (q (-3.0));
-      Alcotest.(check (float 1e-9)) "q clamps above" 2.0 (q 7.0);
-      (* a lone overflow observation clamps to the last finite bound *)
-      Obs.Metrics.observe ~buckets "over" 50.0;
-      Alcotest.(check (float 1e-9)) "overflow clamps" 2.0
-        (Option.get (Obs.Metrics.quantile "over" 0.5));
-      Obs.Metrics.inc "c_total";
-      Alcotest.(check (option (float 0.0))) "non-histogram name" None
-        (Obs.Metrics.quantile "c_total" 0.5))
-
 (* --- exporters --- *)
 
 let test_prometheus_deterministic_and_parseable () =
   with_obs (fun () ->
       Obs.Metrics.inc ~by:3 (Obs.Metrics.labeled "events_total" [ ("kind", "a b") ]);
       Obs.Metrics.set "queue_depth" 7.0;
-      Obs.Metrics.observe ~buckets:[| 1.0; 2.0 |] "lat_seconds" 1.5;
       let one = Obs.Export.prometheus (Obs.Metrics.snapshot ()) in
       let two = Obs.Export.prometheus (Obs.Metrics.snapshot ()) in
       Alcotest.(check string) "deterministic" one two;
@@ -175,11 +125,8 @@ let test_prometheus_deterministic_and_parseable () =
           end)
         lines;
       Alcotest.(check bool) "TYPE lines present" true
-        (List.exists (fun l -> l = "# TYPE events_total counter") lines);
-      Alcotest.(check bool) "histogram exploded" true
-        (List.exists (fun l -> l = "lat_seconds_bucket{le=\"2\"} 1") lines);
-      Alcotest.(check bool) "+Inf bucket" true
-        (List.exists (fun l -> l = "lat_seconds_bucket{le=\"+Inf\"} 1") lines))
+        (List.exists (fun l -> l = "# TYPE events_total counter") lines
+        && List.exists (fun l -> l = "# TYPE queue_depth gauge") lines))
 
 let test_trace_jsonl_parseable () =
   with_obs (fun () ->
@@ -241,6 +188,57 @@ let test_ledger_phase_event () =
         Alcotest.(check bool) "wall time non-negative" true (wall_s >= 0.0);
         Alcotest.(check int) "one span per phase" 2 (Obs.Trace.count ())
       | _ -> Alcotest.fail "expected two phase events")
+
+(* A Phase event is the closing record of its span: after a traced PSC
+   round, the k-th Phase event of a name carries bit for bit the wall
+   and allocation deltas of the k-th span of that name (completion
+   order). *)
+let test_phase_events_are_span_records () =
+  with_obs (fun () ->
+      let cfg =
+        Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
+          ~proof_rounds:(Some 4) ~verify:true ()
+      in
+      let proto = Psc.Protocol.create cfg ~num_dcs:2 ~seed:11 in
+      for i = 0 to 29 do
+        Psc.Protocol.insert proto ~dc:(i land 1) (Printf.sprintf "p%d" i)
+      done;
+      ignore (Psc.Protocol.run proto);
+      let phases =
+        List.filter_map
+          (function
+            | Obs.Ledger.Phase { name; wall_s; alloc_bytes } -> Some (name, (wall_s, alloc_bytes))
+            | _ -> None)
+          (Obs.Ledger.events ())
+      in
+      Alcotest.(check bool) "the round records phases" true (phases <> []);
+      let same (w, a) (d, b) = Float.equal w d && Float.equal a b in
+      List.iter
+        (fun name ->
+          let of_phases = List.filter_map (fun (n, t) -> if n = name then Some t else None) phases in
+          let of_spans =
+            List.filter_map
+              (fun (sp : Obs.Trace.span) ->
+                if sp.name = name then Some (sp.duration_s, sp.alloc_bytes) else None)
+              (Obs.Trace.spans ())
+          in
+          Alcotest.(check bool) (name ^ ": phase timings = span timings") true
+            (List.equal same of_phases of_spans))
+        (List.sort_uniq compare (List.map fst phases)))
+
+(* A full span buffer drops the span but still appends its Phase. *)
+let test_phase_survives_dropped_span () =
+  with_obs (fun () ->
+      Obs.Trace.set_capacity 0;
+      Fun.protect
+        ~finally:(fun () -> Obs.Trace.set_capacity 100_000)
+        (fun () ->
+          Alcotest.(check int) "transparent" 3 (Obs.Ledger.phase "p" (fun () -> 3));
+          (match Obs.Ledger.events () with
+          | [ Obs.Ledger.Phase { name = "p"; _ } ] -> ()
+          | _ -> Alcotest.fail "expected one phase event");
+          Alcotest.(check int) "span not kept" 0 (Obs.Trace.count ());
+          Alcotest.(check int) "span counted as dropped" 1 (Obs.Trace.dropped ())))
 
 let roundtrip_events =
   [
@@ -504,9 +502,7 @@ let test_disabled_leaves_no_residue () =
   Alcotest.(check bool) "disabled by default" false (Obs.enabled ());
   Obs.Metrics.inc "c_total";
   Obs.Metrics.set "g" 1.0;
-  Obs.Metrics.observe "h" 1.0;
   let v = Obs.Trace.with_span "s" (fun () -> 41 + 1) in
-  Obs.Trace.add_attr "k" "v";
   Obs.Ledger.note ~key:"k" ~value:"v";
   Obs.Ledger.draw ~system:"s" ~counter:"c" ~mechanism:"m" ~epsilon:1.0 ~delta:0.0;
   let p = Obs.Ledger.phase "p" (fun () -> 6 * 7) in
@@ -544,9 +540,6 @@ let () =
         [
           Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
           Alcotest.test_case "gauge semantics" `Quick test_gauge_semantics;
-          Alcotest.test_case "histogram semantics" `Quick test_histogram_semantics;
-          Alcotest.test_case "quantile estimates" `Quick test_quantiles_known_distribution;
-          Alcotest.test_case "quantile edge cases" `Quick test_quantile_edge_cases;
         ] );
       ( "trace",
         [
@@ -573,6 +566,10 @@ let () =
         [
           Alcotest.test_case "draw accumulates" `Quick test_ledger_draw_accumulates;
           Alcotest.test_case "phase events" `Quick test_ledger_phase_event;
+          Alcotest.test_case "phase events are span records" `Quick
+            test_phase_events_are_span_records;
+          Alcotest.test_case "phase survives a dropped span" `Quick
+            test_phase_survives_dropped_span;
           Alcotest.test_case "jsonl round-trip" `Quick test_ledger_jsonl_roundtrip;
           Alcotest.test_case "jsonl bytes pinned" `Quick test_ledger_jsonl_bytes_pinned;
           QCheck_alcotest.to_alcotest prop_ledger_roundtrip;

@@ -424,12 +424,20 @@ let test_engine_publish_signed () =
   Alcotest.(check int) "fetch fails: unknown to registry" 1
     t.Ground_truth.descriptor_fetch_failed
 
-(* --- wire format --- *)
+(* --- event wire format (Evtrace records) --- *)
 
-let wire_roundtrip event =
-  match Wire.of_line (Wire.to_line event) with
-  | Ok event' -> event' = event
+let meta : Evtrace.meta = { Evtrace.seed = 17; shard = 0; shards = 1; config = [] }
+
+let wire_roundtrip events =
+  let w = Evtrace.Writer.create meta in
+  List.iter (Evtrace.Writer.event w) events;
+  match Evtrace.Segment.decode (Evtrace.Writer.finish w ~tallies:[]) with
   | Error _ -> false
+  | Ok seg ->
+      let out = ref [] in
+      (match Evtrace.iter_events seg (fun ev -> out := ev :: !out) with
+      | Ok n -> n = List.length events && List.rev !out = events
+      | Error _ -> false)
 
 let test_wire_roundtrip_all_kinds () =
   let events =
@@ -453,46 +461,18 @@ let test_wire_roundtrip_all_kinds () =
       Event.Rendezvous_circuit { outcome = Event.Rend_expired };
     ]
   in
-  List.iter
-    (fun event ->
-      if not (wire_roundtrip event) then
-        Alcotest.fail ("roundtrip failed for " ^ Wire.to_line event))
-    events
+  List.iteri
+    (fun i event ->
+      if not (wire_roundtrip [ event ]) then Alcotest.failf "roundtrip failed for event %d" i)
+    events;
+  Alcotest.(check bool) "whole list in one segment" true (wire_roundtrip events)
 
 let test_wire_escaping () =
   let event =
     Event.Exit_stream
       { kind = Event.Initial; dest = Event.Hostname "evil host=with%stuff"; port = 80 }
   in
-  Alcotest.(check bool) "escaped hostname roundtrips" true (wire_roundtrip event)
-
-let test_wire_rejects_garbage () =
-  List.iter
-    (fun line ->
-      match Wire.of_line line with
-      | Ok _ -> Alcotest.fail ("accepted garbage: " ^ line)
-      | Error _ -> ())
-    [ ""; "NOPE x=1"; "CONN ip=abc cc=US asn=1"; "STREAM kind=initial port=80";
-      "REND outcome=success:xyz"; "HSPUB addr=a.onion first=maybe" ]
-
-let test_wire_log_roundtrip () =
-  let events =
-    List.init 50 (fun i ->
-        Event.Exit_stream
-          { kind = (if i mod 2 = 0 then Event.Initial else Event.Subsequent);
-            dest = Event.Hostname (Printf.sprintf "s%d.com" i); port = 443 })
-  in
-  let path = Filename.temp_file "wire" ".log" in
-  let oc = open_out path in
-  Wire.write_log oc events;
-  close_out oc;
-  let ic = open_in path in
-  let result = Wire.read_log ic in
-  close_in ic;
-  Sys.remove path;
-  match result with
-  | Ok events' -> Alcotest.(check int) "all events back" 50 (List.length events')
-  | Error e -> Alcotest.fail e
+  Alcotest.(check bool) "odd hostname roundtrips" true (wire_roundtrip [ event ])
 
 (* --- onion registry --- *)
 
@@ -545,7 +525,7 @@ let event_gen =
 
 let prop_wire_roundtrip =
   QCheck.Test.make ~name:"wire roundtrip" ~count:500 (QCheck.make event_gen) (fun event ->
-      Wire.of_line (Wire.to_line event) = Ok event)
+      wire_roundtrip [ event ])
 
 let prop_ring_responsibility_stable =
   QCheck.Test.make ~name:"ring responsibility independent of query order" ~count:50
@@ -644,8 +624,6 @@ let () =
         [
           Alcotest.test_case "roundtrip all kinds" `Quick test_wire_roundtrip_all_kinds;
           Alcotest.test_case "escaping" `Quick test_wire_escaping;
-          Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
-          Alcotest.test_case "log roundtrip" `Quick test_wire_log_roundtrip;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

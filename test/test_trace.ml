@@ -33,6 +33,8 @@ let replayed_events seg =
 
 (* --- event generators --- *)
 
+(* Odd names included: the empty address and one with a space, '=' and
+   '%'. *)
 let host_gen =
   QCheck.Gen.(
     frequency
@@ -41,6 +43,7 @@ let host_gen =
         (2, map (fun i -> Printf.sprintf "s%d.co.uk" (i mod 20)) small_nat);
         (1, map (fun i -> Printf.sprintf "x%d.onion" (i mod 10)) small_nat);
         (1, return "host.internal");
+        (1, oneofl [ ""; "evil host=with%stuff" ]);
       ])
 
 let dest_gen =
