@@ -104,6 +104,12 @@ module R = struct
   let fail msg = raise (Fail msg)
   let fail_version v = raise (Version v)
   let[@inline] remaining r = String.length r.src - r.pos
+
+  let count ?(width = 1) r =
+    let n = varint r in
+    if n < 0 then raise (Fail "negative count");
+    if n > remaining r / width then raise Short;
+    n
 end
 
 let decode src reader =

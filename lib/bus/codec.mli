@@ -77,6 +77,14 @@ module R : sig
   (** Abort with [Unsupported_version v]. *)
 
   val remaining : t -> int
+
+  val count : ?width:int -> t -> int
+  (** An element count, read before the caller allocates for it. Each
+      element takes at least [width] bytes (default 1: one varint), so
+      a count above [remaining / width] can only come from a truncated
+      input and fails with [Truncated]. What a decoder allocates from a
+      count is thus bounded by its input's size, whatever a hostile
+      length prefix claims. A negative count is [Invalid]. *)
 end
 
 val decode : string -> (R.t -> 'a) -> ('a, error) result

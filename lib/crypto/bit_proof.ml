@@ -187,16 +187,16 @@ let to_ints { b0; b1 } = Array.append (branch_ints b0) (branch_ints b1)
 let of_ints a =
   if Array.length a <> 8 then None
   else
-    match
-      let branch off =
+    (* the four elements fill one four-lane membership check *)
+    match Group.elts_of_ints [| a.(0); a.(1); a.(4); a.(5) |] with
+    | els ->
+      let branch k off =
         {
-          a1 = Group.elt_of_int a.(off);
-          a2 = Group.elt_of_int a.(off + 1);
+          a1 = els.(2 * k);
+          a2 = els.((2 * k) + 1);
           e = Group.exp_of_int a.(off + 2);
           z = Group.exp_of_int a.(off + 3);
         }
       in
-      { b0 = branch 0; b1 = branch 4 }
-    with
-    | t -> Some t
+      Some { b0 = branch 0 0; b1 = branch 1 4 }
     | exception Invalid_argument _ -> None

@@ -188,73 +188,74 @@ let proof_rounds { rounds } = List.length rounds
 (* Bus wire form. Layout: [nrounds], then per round [n] (vector
    length), 2n shadow ints (c1, c2 per slot), the opening tag (0 =
    input link, 1 = output link), n permutation ints, n exponent ints.
-   Membership is re-checked on decode via [Group.elt_of_int]. *)
+   Each shadow's membership is re-checked on decode as one batch
+   ([Group.elts_of_ints]). *)
+
+let split_opening = function
+  | Input_link (p, e) -> (0, p, e)
+  | Output_link (p, e) -> (1, p, e)
 
 let proof_to_ints { rounds } =
-  let buf = ref [] in
-  let push v = buf := v :: !buf in
-  push (List.length rounds);
+  let size =
+    List.fold_left
+      (fun acc { shadow; opening } ->
+        let _, perm, exps = split_opening opening in
+        acc + 2 + (2 * Array.length shadow) + Array.length perm + Array.length exps)
+      1 rounds
+  in
+  let a = Array.make size 0 in
+  a.(0) <- List.length rounds;
+  let pos = ref 1 in
   List.iter
     (fun { shadow; opening } ->
       let n = Array.length shadow in
-      push n;
-      Array.iter
-        (fun ct ->
-          push (Group.elt_to_int ct.Elgamal.c1);
-          push (Group.elt_to_int ct.Elgamal.c2))
+      let p = !pos in
+      a.(p) <- n;
+      Array.iteri
+        (fun i ct ->
+          a.(p + 1 + (2 * i)) <- Group.elt_to_int ct.Elgamal.c1;
+          a.(p + 2 + (2 * i)) <- Group.elt_to_int ct.Elgamal.c2)
         shadow;
-      let tag, perm, exps =
-        match opening with
-        | Input_link (p, e) -> (0, p, e)
-        | Output_link (p, e) -> (1, p, e)
-      in
-      push tag;
-      Array.iter push perm;
-      Array.iter (fun e -> push (Group.exp_to_int e)) exps)
+      let tag, perm, exps = split_opening opening in
+      let p = p + 1 + (2 * n) in
+      a.(p) <- tag;
+      Array.blit perm 0 a (p + 1) (Array.length perm);
+      let p = p + 1 + Array.length perm in
+      Array.iteri (fun i e -> a.(p + i) <- Group.exp_to_int e) exps;
+      pos := p + Array.length exps)
     rounds;
-  Array.of_list (List.rev !buf)
+  a
 
 let proof_of_ints a =
-  let pos = ref 0 in
   let len = Array.length a in
   let exception Bad in
-  let next () =
-    if !pos >= len then raise Bad;
-    let v = a.(!pos) in
-    incr pos;
-    v
-  in
-  (* explicit loops: the cursor is stateful, so reads must follow the
-     wire order exactly *)
-  let read_vec n f =
-    let v = ref [] in
-    for _ = 1 to n do
-      v := f (next ()) :: !v
-    done;
-    Array.of_list (List.rev !v)
-  in
   match
-    let nrounds = next () in
+    if len = 0 then raise Bad;
+    let nrounds = a.(0) in
     if nrounds < 0 || nrounds > 4096 then raise Bad;
+    let pos = ref 1 in
+    (* explicit loop: rounds follow the wire order *)
     let rounds = ref [] in
     for _ = 1 to nrounds do
-      let n = next () in
-      if n < 0 || n > 1 lsl 24 then raise Bad;
-      let shadow =
-        read_vec n (fun c1 ->
-            let c2 = next () in
-            { Elgamal.c1 = Group.elt_of_int c1; c2 = Group.elt_of_int c2 })
-      in
-      let tag = next () in
-      let perm = read_vec n Fun.id in
-      let exps = read_vec n Group.exp_of_int in
+      let p = !pos in
+      if p >= len then raise Bad;
+      let n = a.(p) in
+      (* the round's 4n + 1 remaining ints must be there before any
+         vector is allocated *)
+      if n < 0 || n > 1 lsl 24 || len - p - 1 < (4 * n) + 1 then raise Bad;
+      let e = Group.elts_of_ints (Array.sub a (p + 1) (2 * n)) in
+      let shadow = Array.init n (fun i -> { Elgamal.c1 = e.(2 * i); c2 = e.((2 * i) + 1) }) in
+      let p = p + 1 + (2 * n) in
+      let perm = Array.sub a (p + 1) n in
+      let exps = Array.init n (fun i -> Group.exp_of_int a.(p + 1 + n + i)) in
       let opening =
-        match tag with
+        match a.(p) with
         | 0 -> Input_link (perm, exps)
         | 1 -> Output_link (perm, exps)
         | _ -> raise Bad
       in
-      rounds := { shadow; opening } :: !rounds
+      rounds := { shadow; opening } :: !rounds;
+      pos := p + 1 + (2 * n)
     done;
     if !pos <> len then raise Bad;
     { rounds = List.rev !rounds }

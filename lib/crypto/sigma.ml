@@ -25,11 +25,12 @@ let dleq_challenge ~public1 ~base2 ~public2 ~a1 ~a2 ~context =
     create "dleq|" |> string context |> string "|" |> elt public1 |> elt base2
     |> elt public2 |> elt a1 |> elt a2 |> challenge)
 
-let dleq_prove_with ?public2 ~public1 ~k ~secret ~base2 ~context () =
+let dleq_prove_with ?public2 ?a2 ~public1 ~k ~secret ~base2 ~context () =
   (* callers that already computed base2^secret (a decryption share)
-     pass it in and skip the recomputation *)
+     or base2^k pass them in and skip the recomputation *)
   let public2 = match public2 with Some v -> v | None -> Group.pow base2 secret in
-  let a1 = Group.pow_g k and a2 = Group.pow base2 k in
+  let a2 = match a2 with Some v -> v | None -> Group.pow base2 k in
+  let a1 = Group.pow_g k in
   let c = dleq_challenge ~public1 ~base2 ~public2 ~a1 ~a2 ~context in
   let z = Group.exp_add k (Group.exp_mul c secret) in
   { a1; a2; z }

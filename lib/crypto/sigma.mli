@@ -20,7 +20,7 @@ val dleq_prove :
     same exponent links (g, g^x) and (base2, base2^x). *)
 
 val dleq_prove_with :
-  ?public2:Group.elt -> public1:Group.elt ->
+  ?public2:Group.elt -> ?a2:Group.elt -> public1:Group.elt ->
   k:Group.exp -> secret:Group.exp -> base2:Group.elt -> context:string -> unit ->
   dleq_proof
 (** {!dleq_prove} with a pre-drawn commitment nonce [k] — the pure
@@ -28,7 +28,9 @@ val dleq_prove_with :
     DRBG prepass. [public1] is [g^secret], the prover's public key,
     computed once per prover rather than once per proof. [?public2] is
     [base2^secret] when the caller already holds it (a decryption
-    share), skipping one full exponentiation. *)
+    share), skipping one full exponentiation; [?a2] is the commitment
+    [base2^k], likewise (a vector prover computes both on
+    {!Group.pow_lanes}). *)
 
 val dleq_verify :
   ?public1_tab:Group.precomp ->

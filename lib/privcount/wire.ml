@@ -19,7 +19,7 @@ let write_ints w a =
   Array.iter (Codec.W.varint w) a
 
 let read_ints r =
-  let n = Codec.R.varint r in
+  let n = Codec.R.count r in
   if n > 1 lsl 24 then Codec.R.fail "vector too long";
   let a = Array.make n 0 in
   for i = 0 to n - 1 do
@@ -99,6 +99,7 @@ let decode_results s =
         let sigma = Codec.R.f64 r in
         let lo = Codec.R.f64 r in
         let hi = Codec.R.f64 r in
+        if lo > hi then Codec.R.fail "interval lo > hi";
         out := { Ts.name; value; sigma; ci = Stats.Ci.make lo hi } :: !out
       done;
       List.rev !out)

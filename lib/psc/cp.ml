@@ -73,13 +73,35 @@ let shuffle ?tab t ~joint ~rounds vector =
        run with proofs on *)
     (Crypto.Shuffle.shuffle_unproven ?tab t.drbg joint vector, None)
 
+(* The vector phases below run on Group.pow_lanes: two ciphertexts per
+   four-lane call, one pair per pool index, so every pool chunk is a
+   multiple of four lanes. An odd tail pairs the last slot with itself
+   and writes it twice. *)
+let iter_pairs n f =
+  Parallel.parallel_for ((n + 1) / 2) (fun h ->
+      let i = 2 * h in
+      f i (min (i + 1) (n - 1)))
+
+let dummy_ct = { Crypto.Elgamal.c1 = Crypto.Group.one; c2 = Crypto.Group.one }
+
 (* Exponent rerandomization: x -> x^k for secret k != 0 per slot.
    Enc(1) stays Enc(1); anything else becomes an encryption of a random
    non-identity element, unlinkable to its original value. *)
 let rerandomize_bits t vector =
-  let raw = Crypto.Drbg.uniform_array t.drbg (Crypto.Group.q - 1) (Array.length vector) in
-  Parallel.parallel_init (Array.length vector) (fun i ->
-      Crypto.Elgamal.pow vector.(i) (Crypto.Group.exp_of_int (1 + raw.(i))))
+  let n = Array.length vector in
+  let raw = Crypto.Drbg.uniform_array t.drbg (Crypto.Group.q - 1) n in
+  let out = Array.make n dummy_ct in
+  iter_pairs n (fun i j ->
+      let ki = Crypto.Group.exp_of_int (1 + raw.(i)) in
+      let kj = Crypto.Group.exp_of_int (1 + raw.(j)) in
+      let a = vector.(i) and b = vector.(j) in
+      let l =
+        Crypto.Group.pow_lanes a.Crypto.Elgamal.c1 ki a.Crypto.Elgamal.c2 ki
+          b.Crypto.Elgamal.c1 kj b.Crypto.Elgamal.c2 kj
+      in
+      out.(i) <- { Crypto.Elgamal.c1 = l.Crypto.Group.l0; c2 = l.Crypto.Group.l1 };
+      out.(j) <- { Crypto.Elgamal.c1 = l.Crypto.Group.l2; c2 = l.Crypto.Group.l3 });
+  out
 
 type decryption_share = {
   cp_id : int;
@@ -89,28 +111,42 @@ type decryption_share = {
 
 let decrypt_shares t ?(prove = true) vector =
   let n = Array.length vector in
-  if not prove then
-    let shares =
-      Parallel.parallel_map (fun ct -> Crypto.Elgamal.partial_decrypt t.priv ct) vector
-    in
+  let x = t.priv in
+  let shares = Array.make n Crypto.Group.one in
+  let c1 i = vector.(i).Crypto.Elgamal.c1 in
+  if not prove then begin
+    (* four shares per call *)
+    Parallel.parallel_for ((n + 3) / 4) (fun h ->
+        let i = 4 * h in
+        let at k = min (i + k) (n - 1) in
+        let l = Crypto.Group.pow_lanes (c1 i) x (c1 (at 1)) x (c1 (at 2)) x (c1 (at 3)) x in
+        shares.(i) <- l.Crypto.Group.l0;
+        shares.(at 1) <- l.Crypto.Group.l1;
+        shares.(at 2) <- l.Crypto.Group.l2;
+        shares.(at 3) <- l.Crypto.Group.l3);
     { cp_id = t.id; shares; proofs = None }
+  end
   else begin
     (* commitment nonces from one bulk DRBG read, then a single pooled
-       pass computes each share and its proof together — the share is
-       the proof's second public point, so it is computed exactly once *)
+       pass computes each share c1^x with its proof's commitment
+       a2 = c1^k on the same four-lane call — the share is the proof's
+       second public point, so each is computed exactly once *)
     let ks = Crypto.Group.random_exps t.drbg n in
-    let shares = Array.make n Crypto.Group.one in
     let proofs =
       Array.make n
         { Crypto.Sigma.a1 = Crypto.Group.one; a2 = Crypto.Group.one;
           z = Crypto.Group.zero_exp }
     in
-    Parallel.parallel_for n (fun i ->
-        let share = Crypto.Elgamal.partial_decrypt t.priv vector.(i) in
-        shares.(i) <- share;
-        proofs.(i) <-
-          Crypto.Sigma.dleq_prove_with ~public2:share ~public1:t.pub ~k:ks.(i)
-            ~secret:t.priv ~base2:vector.(i).Crypto.Elgamal.c1 ~context:"psc-decrypt" ());
+    let prove i share a2 =
+      shares.(i) <- share;
+      proofs.(i) <-
+        Crypto.Sigma.dleq_prove_with ~public2:share ~a2 ~public1:t.pub ~k:ks.(i) ~secret:x
+          ~base2:(c1 i) ~context:"psc-decrypt" ()
+    in
+    iter_pairs n (fun i j ->
+        let l = Crypto.Group.pow_lanes (c1 i) x (c1 i) ks.(i) (c1 j) x (c1 j) ks.(j) in
+        prove i l.Crypto.Group.l0 l.Crypto.Group.l1;
+        if j > i then prove j l.Crypto.Group.l2 l.Crypto.Group.l3);
     { cp_id = t.id; shares; proofs = Some proofs }
   end
 

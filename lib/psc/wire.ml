@@ -34,17 +34,43 @@ let kind = function
   | Decrypt_request _ -> "psc.decrypt_req"
   | Decrypt_share _ -> "psc.decrypt"
 
-(* group values on the wire: plain varints of their canonical ints,
-   with membership re-checked on the way back in *)
+(* group values on the wire: plain varints of their canonical ints.
+   A vector's raw ints are read first, then its group elements are
+   checked for membership in one batched call (Group.elts_of_ints);
+   a lone element uses the one-lane check. *)
 
 let max_vec = 1 lsl 22
+
+let non_member () = Codec.R.fail "non-member group element"
 
 let read_elt r =
   match Crypto.Group.elt_of_int (Codec.R.varint r) with
   | e -> e
-  | exception Invalid_argument _ -> Codec.R.fail "non-member group element"
+  | exception Invalid_argument _ -> non_member ()
+
+let check_elts raw =
+  match Crypto.Group.elts_of_ints raw with
+  | e -> e
+  | exception Invalid_argument _ -> non_member ()
 
 let write_elt w e = Codec.W.varint w (Crypto.Group.elt_to_int e)
+
+(* [width]: the fewest varints one element takes *)
+let read_count ?width r ~max what =
+  let n = Codec.R.count ?width r in
+  if n > max then Codec.R.fail (what ^ " too long");
+  n
+
+let read_raw r n =
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- Codec.R.varint r
+  done;
+  a
+
+(* the first two of every [stride] raw ints, checked as one batch *)
+let check_pairs raw ~stride n =
+  check_elts (Array.init (2 * n) (fun k -> raw.((stride * (k / 2)) + (k land 1))))
 
 let write_cts w cts =
   Codec.W.varint w (Array.length cts);
@@ -55,28 +81,15 @@ let write_cts w cts =
     cts
 
 let read_cts r =
-  let n = Codec.R.varint r in
-  if n > max_vec then Codec.R.fail "ciphertext vector too long";
-  let cts = ref [] in
-  for _ = 1 to n do
-    let c1 = read_elt r in
-    let c2 = read_elt r in
-    cts := { Crypto.Elgamal.c1; c2 } :: !cts
-  done;
-  Array.of_list (List.rev !cts)
+  let n = read_count ~width:2 r ~max:max_vec "ciphertext vector" in
+  let e = check_elts (read_raw r (2 * n)) in
+  Array.init n (fun i -> { Crypto.Elgamal.c1 = e.(2 * i); c2 = e.((2 * i) + 1) })
 
 let write_ints w a =
   Codec.W.varint w (Array.length a);
   Array.iter (Codec.W.varint w) a
 
-let read_ints ~max r =
-  let n = Codec.R.varint r in
-  if n > max then Codec.R.fail "int vector too long";
-  let a = Array.make n 0 in
-  for i = 0 to n - 1 do
-    a.(i) <- Codec.R.varint r
-  done;
-  a
+let read_ints ~max r = read_raw r (read_count r ~max "int vector")
 
 let encode m =
   let w = Codec.W.create () in
@@ -125,22 +138,16 @@ let encode m =
             ps));
   Codec.W.contents w
 
+(* per slot: c1, c2, then the eight bit-proof ints; the slots' c1/c2
+   are one batch, each proof's four elements one four-lane check *)
 let read_bit_slots r =
-  let n = Codec.R.varint r in
-  if n > max_vec then Codec.R.fail "noise vector too long";
-  let slots = ref [] in
-  for _ = 1 to n do
-    let c1 = read_elt r in
-    let c2 = read_elt r in
-    let ints = Array.make 8 0 in
-    for i = 0 to 7 do
-      ints.(i) <- Codec.R.varint r
-    done;
-    match Crypto.Bit_proof.of_ints ints with
-    | Some proof -> slots := ({ Crypto.Elgamal.c1; c2 }, proof) :: !slots
-    | None -> Codec.R.fail "malformed bit proof"
-  done;
-  Array.of_list (List.rev !slots)
+  let n = read_count ~width:10 r ~max:max_vec "noise vector" in
+  let raw = read_raw r (10 * n) in
+  let cs = check_pairs raw ~stride:10 n in
+  Array.init n (fun i ->
+      match Crypto.Bit_proof.of_ints (Array.sub raw ((10 * i) + 2) 8) with
+      | Some proof -> ({ Crypto.Elgamal.c1 = cs.(2 * i); c2 = cs.((2 * i) + 1) }, proof)
+      | None -> Codec.R.fail "malformed bit proof")
 
 let decode ~kind body =
   match kind with
@@ -179,27 +186,22 @@ let decode ~kind body =
   | "psc.decrypt_req" -> Codec.decode body (fun r -> Decrypt_request (read_cts r))
   | "psc.decrypt" ->
       Codec.decode body (fun r ->
-          let n = Codec.R.varint r in
-          if n > max_vec then Codec.R.fail "share vector too long";
-          let shares = ref [] in
-          for _ = 1 to n do
-            shares := read_elt r :: !shares
-          done;
-          let shares = Array.of_list (List.rev !shares) in
+          let shares = check_elts (read_raw r (read_count r ~max:max_vec "share vector")) in
           let proofs =
             match Codec.R.u8 r with
             | 0 -> None
             | 1 ->
-                let np = Codec.R.varint r in
-                if np > max_vec then Codec.R.fail "proof vector too long";
-                let ps = ref [] in
-                for _ = 1 to np do
-                  let a1 = read_elt r in
-                  let a2 = read_elt r in
-                  let z = Crypto.Group.exp_of_int (Codec.R.varint r) in
-                  ps := { Crypto.Sigma.a1; a2; z } :: !ps
-                done;
-                Some (Array.of_list (List.rev !ps))
+                (* per proof: a1, a2, z *)
+                let np = read_count ~width:3 r ~max:max_vec "proof vector" in
+                let raw = read_raw r (3 * np) in
+                let a = check_pairs raw ~stride:3 np in
+                Some
+                  (Array.init np (fun i ->
+                       {
+                         Crypto.Sigma.a1 = a.(2 * i);
+                         a2 = a.((2 * i) + 1);
+                         z = Crypto.Group.exp_of_int raw.((3 * i) + 2);
+                       }))
             | _ -> Codec.R.fail "bad proof tag"
           in
           Decrypt_share { shares; proofs })
@@ -227,13 +229,14 @@ let decode_result s =
       let estimate = Codec.R.f64 r in
       let lo = Codec.R.f64 r in
       let hi = Codec.R.f64 r in
+      if lo > hi then Codec.R.fail "interval lo > hi";
       let proofs_ok =
         match Codec.R.u8 r with
         | 0 -> false
         | 1 -> true
         | _ -> Codec.R.fail "bad proofs_ok"
       in
-      let n = Codec.R.varint r in
+      let n = Codec.R.count r in
       if n > 4096 then Codec.R.fail "too many culprits";
       let culprits = ref [] in
       for _ = 1 to n do

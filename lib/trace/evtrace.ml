@@ -150,7 +150,7 @@ module Segment = struct
         if shards < 1 then Bus.Codec.R.fail "shard count must be positive";
         if shard >= shards then Bus.Codec.R.fail "shard index out of range";
         let pairs () =
-          let n = Bus.Codec.R.varint r in
+          let n = Bus.Codec.R.count ~width:2 r in
           List.init n (fun _ ->
               let k = Bus.Codec.R.bytes r in
               let v = Bus.Codec.R.zint r in
@@ -159,7 +159,7 @@ module Segment = struct
         let config = pairs () in
         let tallies = pairs () in
         let table () =
-          let n = Bus.Codec.R.varint r in
+          let n = Bus.Codec.R.count r in
           Array.init n (fun _ -> Bus.Codec.R.bytes r)
         in
         let countries = table () in

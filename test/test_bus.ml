@@ -574,6 +574,257 @@ let test_deploy_digest_pins () =
       ("malicious-cp", "0f68a1416f049420e340b48d184c458d2af8b243a3bf612483e488e3e5a41d43");
     ]
 
+(* --- decoder fuzzing: per-protocol wire bodies and checkpoints ---
+
+   Each sample PSC message is also written out by hand as a list of
+   fields. That pins the layout, and it names every group-element
+   position, so a non-member can be planted at each one in turn. *)
+
+type field = Elt of int | Var of int | Byte of int
+
+let write_fields fields =
+  let w = Bus.Codec.W.create () in
+  List.iter
+    (function Elt v | Var v -> Bus.Codec.W.varint w v | Byte v -> Bus.Codec.W.u8 w v)
+    fields;
+  Bus.Codec.W.contents w
+
+let elt e = Elt (Crypto.Group.elt_to_int e)
+let var_exp e = Var (Crypto.Group.exp_to_int e)
+
+let cts_fields cts =
+  Var (Array.length cts)
+  :: List.concat_map
+       (fun ct -> [ elt ct.Crypto.Elgamal.c1; elt ct.Crypto.Elgamal.c2 ])
+       (Array.to_list cts)
+
+(* nrounds, then per round: n, 2n shadow elements, the opening tag, n
+   permutation ints and n exponents *)
+let shuffle_proof_fields ints =
+  let out = ref [ Var ints.(0) ] and pos = ref 1 in
+  for _ = 1 to ints.(0) do
+    let n = ints.(!pos) in
+    for i = 0 to (4 * n) + 1 do
+      let v = ints.(!pos + i) in
+      out := (if i >= 1 && i <= 2 * n then Elt v else Var v) :: !out
+    done;
+    pos := !pos + (4 * n) + 2
+  done;
+  List.rev !out
+
+let psc_fields = function
+  | Psc.Wire.Cp_key { pub; proof } ->
+    [ elt pub; elt proof.Crypto.Sigma.commitment; var_exp proof.Crypto.Sigma.response ]
+  | Psc.Wire.Joint { joint } -> [ elt joint ]
+  | Psc.Wire.Table_request -> []
+  | Psc.Wire.Table_submit cts
+  | Psc.Wire.Rerand_request cts
+  | Psc.Wire.Rerandomized cts
+  | Psc.Wire.Decrypt_request cts ->
+    cts_fields cts
+  | Psc.Wire.Noise_request { flips } -> [ Var flips ]
+  | Psc.Wire.Noise_slots slots ->
+    (* a bit proof is (a1, a2, e, z) per branch *)
+    Var (Array.length slots)
+    :: List.concat_map
+         (fun (ct, proof) ->
+           [ elt ct.Crypto.Elgamal.c1; elt ct.Crypto.Elgamal.c2 ]
+           @ List.mapi
+               (fun i v -> if i mod 4 < 2 then Elt v else Var v)
+               (Array.to_list (Crypto.Bit_proof.to_ints proof)))
+         (Array.to_list slots)
+  | Psc.Wire.Shuffle_request { vector; rounds } -> Var rounds :: cts_fields vector
+  | Psc.Wire.Shuffled { output; proof = None } -> cts_fields output @ [ Byte 0 ]
+  | Psc.Wire.Shuffled { output; proof = Some p } ->
+    let ints = Crypto.Shuffle.proof_to_ints p in
+    cts_fields output @ (Byte 1 :: Var (Array.length ints) :: shuffle_proof_fields ints)
+  | Psc.Wire.Decrypt_share { shares; proofs } ->
+    (Var (Array.length shares) :: List.map elt (Array.to_list shares))
+    @
+    (match proofs with
+    | None -> [ Byte 0 ]
+    | Some ps ->
+      Byte 1 :: Var (Array.length ps)
+      :: List.concat_map
+           (fun p -> [ elt p.Crypto.Sigma.a1; elt p.Crypto.Sigma.a2; var_exp p.Crypto.Sigma.z ])
+           (Array.to_list ps))
+
+(* one message of every PSC kind, from real keys and proofs *)
+let psc_samples =
+  lazy
+    (let cp0 = Psc.Cp.create ~id:0 ~seed:7 and cp1 = Psc.Cp.create ~id:1 ~seed:7 in
+     let joint = Crypto.Elgamal.joint_pub [ Psc.Cp.public_key cp0; Psc.Cp.public_key cp1 ] in
+     let drbg = Crypto.Drbg.create "test-bus-fuzz" in
+     let cts =
+       Array.init 3 (fun i ->
+           Crypto.Elgamal.encrypt drbg joint
+             (if i = 1 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
+     in
+     let output, proof = Psc.Cp.shuffle cp0 ~joint ~rounds:(Some 2) cts in
+     let share = Psc.Cp.decrypt_shares cp1 ~prove:true output in
+     Psc.Wire.
+       [
+         Cp_key { pub = Psc.Cp.public_key cp0; proof = Psc.Cp.key_proof cp0 };
+         Joint { joint };
+         Table_request;
+         Table_submit cts;
+         Noise_request { flips = 5 };
+         Noise_slots (Psc.Cp.noise_slots_proven cp0 ~joint ~flips:2);
+         Shuffle_request { vector = cts; rounds = 2 };
+         Shuffled { output; proof };
+         Shuffled { output; proof = None };
+         Rerand_request output;
+         Rerandomized (Psc.Cp.rerandomize_bits cp1 output);
+         Decrypt_request output;
+         Decrypt_share { shares = share.Psc.Cp.shares; proofs = share.Psc.Cp.proofs };
+         Decrypt_share { shares = share.Psc.Cp.shares; proofs = None };
+       ])
+
+let psc_kinds = List.sort_uniq compare (List.map Psc.Wire.kind (Lazy.force psc_samples))
+
+let pc_samples =
+  Privcount.Wire.
+    [
+      Blind_shares { sk = 1; counters = [| 0; 5; 17; 123456789 |] };
+      Report_request;
+      Dc_report [ ("exit.bytes", 42); ("exit.circuits", 7) ];
+      Sk_report_request { exclude_dcs = [ 0; 2 ] };
+      Sk_report [ ("exit.bytes", 99) ];
+    ]
+
+let pc_kinds = List.map Privcount.Wire.kind pc_samples
+
+(* every decoder of outside bytes, by name *)
+let decoders =
+  List.map (fun k -> ("psc " ^ k, fun s -> Result.map ignore (Psc.Wire.decode ~kind:k s))) psc_kinds
+  @ List.map
+      (fun k -> ("pc " ^ k, fun s -> Result.map ignore (Privcount.Wire.decode ~kind:k s)))
+      pc_kinds
+  @ [
+      ("psc result", fun s -> Result.map ignore (Psc.Wire.decode_result s));
+      ("pc results", fun s -> Result.map ignore (Privcount.Wire.decode_results s));
+      ("checkpoint", fun s -> Result.map ignore (Bus.Checkpoint.decode s));
+    ]
+
+(* every valid sample body, as (decoder name, bytes) *)
+let valid_bodies () =
+  let psc_result =
+    {
+      Psc.Protocol.raw_nonzero = 12;
+      total_flips = 64;
+      estimate = 11.5;
+      ci = Stats.Ci.make 3.25 19.0;
+      proofs_ok = false;
+      culprits = [ 1; 2 ];
+    }
+  in
+  let pc_results =
+    [ { Privcount.Ts.name = "a"; value = -3.25; sigma = 1.5; ci = Stats.Ci.make (-5.0) 2.0 } ]
+  in
+  List.map (fun m -> ("psc " ^ Psc.Wire.kind m, Psc.Wire.encode m)) (Lazy.force psc_samples)
+  @ List.map (fun m -> ("pc " ^ Privcount.Wire.kind m, Privcount.Wire.encode m)) pc_samples
+  @ [
+      ("psc result", Psc.Wire.encode_result psc_result);
+      ("pc results", Privcount.Wire.encode_results pc_results);
+      ("checkpoint", Bus.Checkpoint.encode sample_checkpoint);
+    ]
+
+let decoder name = List.assoc name decoders
+
+let prop_decoders_garbage_total =
+  QCheck.Test.make ~name:"wire bodies and checkpoints: arbitrary bytes never raise" ~count:2000
+    QCheck.(pair (int_bound 1000) (string_of_size (QCheck.Gen.int_bound 80)))
+    (fun (k, s) ->
+      let _, decode = List.nth decoders (k mod List.length decoders) in
+      ignore (decode s);
+      true)
+
+(* garbage rarely gets past the first count; mutating one byte of a
+   valid body reaches every later field *)
+let prop_decoders_mutation_total =
+  QCheck.Test.make ~name:"wire bodies and checkpoints: one mutated byte never raises"
+    ~count:2000
+    QCheck.(triple (int_bound 1000) small_nat (int_bound 255))
+    (fun (k, pos, byte) ->
+      let bodies = valid_bodies () in
+      let name, body = List.nth bodies (k mod List.length bodies) in
+      if body = "" then true
+      else begin
+        let b = Bytes.of_string body in
+        Bytes.set b (pos mod Bytes.length b) (Char.chr byte);
+        ignore (decoder name (Bytes.to_string b));
+        true
+      end)
+
+let test_decoders_roundtrip_and_prefixes () =
+  List.iter
+    (fun (name, body) ->
+      Alcotest.(check bool) (name ^ " decodes") true (decoder name body = Ok ());
+      for cut = 0 to String.length body - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: prefix of %d bytes is Truncated" name cut)
+          true
+          (decoder name (String.sub body 0 cut) = Error Bus.Codec.Truncated)
+      done)
+    (valid_bodies ())
+
+let test_psc_wire_non_member_positions () =
+  List.iter
+    (fun m ->
+      let kind = Psc.Wire.kind m in
+      let fields = psc_fields m in
+      Alcotest.(check string) (kind ^ ": field layout") (Psc.Wire.encode m) (write_fields fields);
+      let planted = ref 0 in
+      List.iteri
+        (fun k f ->
+          match f with
+          | Elt _ ->
+            (* p - 1 = -1 is in range but not a square; 2^40 is out of range *)
+            let bad = if k land 1 = 0 then Crypto.Group.p - 1 else 1 lsl 40 in
+            incr planted;
+            let body = write_fields (List.mapi (fun j f -> if j = k then Elt bad else f) fields) in
+            (match Psc.Wire.decode ~kind body with
+            | Error (Bus.Codec.Invalid _) -> ()
+            | Ok _ -> Alcotest.failf "%s: non-member at field %d accepted" kind k
+            | Error e ->
+              Alcotest.failf "%s: non-member at field %d: %s" kind k
+                (Bus.Codec.error_to_string e))
+          | Var _ | Byte _ -> ())
+        fields;
+      let has_elements = match m with Psc.Wire.Table_request | Psc.Wire.Noise_request _ -> false | _ -> true in
+      Alcotest.(check bool) (kind ^ ": has element positions") has_elements (!planted > 0))
+    (Lazy.force psc_samples)
+
+(* A length prefix may claim far more elements than the body holds;
+   the decoder must fail without allocating for the claim. *)
+let test_hostile_counts_bounded () =
+  let varint v =
+    let w = Bus.Codec.W.create () in
+    Bus.Codec.W.varint w v;
+    Bus.Codec.W.contents w
+  in
+  let check name decode body =
+    let before = Gc.allocated_bytes () in
+    let got = decode body in
+    let used = Gc.allocated_bytes () -. before in
+    Alcotest.(check bool) (name ^ " is Truncated") true (got = Error Bus.Codec.Truncated);
+    Alcotest.(check bool) (Printf.sprintf "%s allocates under 1 MiB (%.0f B)" name used) true
+      (used < 1048576.0)
+  in
+  (* empty output, proof tag 1, then 2^26 proof ints *)
+  let shuffled = "\x00\x01" ^ varint (1 lsl 26) in
+  Alcotest.(check int) "shuffled body is 6 bytes" 6 (String.length shuffled);
+  check "psc.shuffled claiming 2^26 ints" (decoder "psc psc.shuffled") shuffled;
+  check "psc.table claiming 2^22 ciphertexts" (decoder "psc psc.table") (varint (1 lsl 22));
+  check "pc.blind claiming 2^24 counters" (decoder "pc pc.blind") ("\x00" ^ varint (1 lsl 24));
+  (* magic, version, seed, shard, shards, no config, no tallies, then
+     2^40 countries of which one is present *)
+  let segment = "TMT\x01\x00\x00\x01\x00\x00" ^ varint (1 lsl 40) ^ "\x02US" in
+  Alcotest.(check int) "segment header is 18 bytes" 18 (String.length segment);
+  check "Evtrace segment claiming 2^40 countries"
+    (fun s -> Result.map ignore (Evtrace.Segment.decode s))
+    segment
+
 let () =
   Alcotest.run "bus"
     [
@@ -592,6 +843,14 @@ let () =
           Alcotest.test_case "privcount messages" `Quick test_privcount_wire;
           Alcotest.test_case "psc proofs survive the wire" `Quick
             test_psc_wire_proofs;
+          Alcotest.test_case "bodies decode; every strict prefix is an error" `Quick
+            test_decoders_roundtrip_and_prefixes;
+          Alcotest.test_case "psc non-member at every element position" `Quick
+            test_psc_wire_non_member_positions;
+          Alcotest.test_case "hostile counts allocate nothing" `Quick
+            test_hostile_counts_bounded;
+          QCheck_alcotest.to_alcotest prop_decoders_garbage_total;
+          QCheck_alcotest.to_alcotest prop_decoders_mutation_total;
         ] );
       ( "sched",
         [

@@ -820,6 +820,107 @@ let prop_elgamal_roundtrip =
       let m = Group.random_elt d in
       Group.elt_to_int (Elgamal.decrypt sk (Elgamal.encrypt d pk m)) = Group.elt_to_int m)
 
+(* --- four-lane kernels against the one-lane reference ---
+
+   The reference power is plain square-and-multiply with [mod], which
+   is exact for operands below p < 2^31. *)
+
+let ref_pow b e =
+  let rec go b e acc =
+    if e = 0 then acc else go (b * b mod Group.p) (e lsr 1) (if e land 1 = 1 then acc * b mod Group.p else acc)
+  in
+  go (b mod Group.p) e 1
+
+let ref_member x = x >= 1 && x < Group.p && ref_pow x Group.q = 1
+
+let prop_is_member_reference =
+  (* any int: negatives, the whole 63-bit range, values at and past p,
+     and members, which a uniform int almost never is *)
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, int);
+          (2, int_range (-5) ((2 * Group.p) + 5));
+          (1, oneofl [ max_int; min_int; max_int - 1; min_int + 1; -1; 1 lsl 31; 1 lsl 62 ]);
+          (2, map (fun k -> Group.elt_to_int (Group.pow_g (Group.exp_of_int k))) int);
+          (1, map (fun k -> Group.p - Group.elt_to_int (Group.pow_g (Group.exp_of_int k))) int);
+        ])
+  in
+  QCheck.Test.make ~name:"is_member = range check and x^q = 1" ~count:2000
+    (QCheck.make ~print:string_of_int gen) (fun x -> Group.is_member x = ref_member x)
+
+let test_is_member_edges () =
+  List.iter
+    (fun (name, x, want) ->
+      Alcotest.(check bool) name want (Group.is_member x);
+      Alcotest.(check bool) (name ^ " (reference)") want (ref_member x);
+      Alcotest.(check bool) (name ^ " (batched)") want
+        (match Group.elts_of_ints [| x |] with _ -> true | exception Invalid_argument _ -> false))
+    [
+      ("0", 0, false);
+      ("1", 1, true);
+      ("g", Group.elt_to_int Group.g, true);
+      ("p - 1 = -1", Group.p - 1, false);
+      ("p", Group.p, false);
+      ("p + 1", Group.p + 1, false);
+      ("2^31", 1 lsl 31, false);
+    ]
+
+(* every length 0..13 (three full lane groups and every tail), with one
+   bad value planted at each index in turn; 2^40 is out of range, so
+   its lane is only rejected through the range check *)
+let test_elts_of_ints_positions () =
+  let d = drbg () in
+  for n = 0 to 13 do
+    let members = Array.init n (fun _ -> Group.elt_to_int (Group.random_elt d)) in
+    Alcotest.(check (array int))
+      (Printf.sprintf "length %d accepted" n)
+      members
+      (Array.map Group.elt_to_int (Group.elts_of_ints members));
+    List.iter
+      (fun bad ->
+        for i = 0 to n - 1 do
+          let a = Array.copy members in
+          a.(i) <- bad;
+          Alcotest.check_raises
+            (Printf.sprintf "length %d, %d at %d" n bad i)
+            (Invalid_argument "Group.elt_of_int: not a subgroup element")
+            (fun () -> ignore (Group.elts_of_ints a))
+        done)
+      [ Group.p - 1; 1 lsl 40; 0; -4 ]
+  done
+
+let test_pow_lanes_matches_pow () =
+  let d = drbg () in
+  let bases = [| Group.one; Group.g; Group.random_elt d; Group.random_elt d |] in
+  let exps =
+    [| Group.zero_exp; Group.one_exp; Group.exp_of_int (Group.q - 1); Group.random_exp d;
+       Group.random_exp d |]
+  in
+  (* every exponent in every lane, beside every base *)
+  Array.iter
+    (fun b ->
+      Array.iteri
+        (fun k e ->
+          let e' = exps.((k + 3) mod Array.length exps) in
+          let b' = Group.random_elt d in
+          let l = Group.pow_lanes b e b' e' b' e b e' in
+          let want = [ Group.pow b e; Group.pow b' e'; Group.pow b' e; Group.pow b e' ] in
+          Alcotest.(check (list int)) "lanes = pow"
+            (List.map Group.elt_to_int want)
+            (List.map Group.elt_to_int [ l.Group.l0; l.Group.l1; l.Group.l2; l.Group.l3 ]))
+        exps)
+    bases;
+  for _ = 1 to 200 do
+    let b = Array.init 4 (fun _ -> Group.random_elt d) in
+    let e = Array.init 4 (fun _ -> Group.random_exp d) in
+    let l = Group.pow_lanes b.(0) e.(0) b.(1) e.(1) b.(2) e.(2) b.(3) e.(3) in
+    Alcotest.(check (list int)) "random lanes = reference"
+      (List.init 4 (fun i -> ref_pow (Group.elt_to_int b.(i)) (Group.exp_to_int e.(i))))
+      (List.map Group.elt_to_int [ l.Group.l0; l.Group.l1; l.Group.l2; l.Group.l3 ])
+  done
+
 let prop_group_pow_cycle =
   QCheck.Test.make ~name:"g^(x mod q) well-defined" ~count:200 QCheck.int (fun x ->
       let e = Group.exp_of_int x in
@@ -1164,6 +1265,10 @@ let () =
           Alcotest.test_case "exponent field" `Quick test_exp_field;
           Alcotest.test_case "exp_of_int negative" `Quick test_exp_of_int_negative;
           Alcotest.test_case "elt_of_int rejects" `Quick test_elt_of_int_rejects;
+          Alcotest.test_case "is_member edge cases" `Quick test_is_member_edges;
+          Alcotest.test_case "elts_of_ints every lane and tail" `Quick
+            test_elts_of_ints_positions;
+          Alcotest.test_case "pow_lanes matches pow" `Quick test_pow_lanes_matches_pow;
           Alcotest.test_case "hash_to_exp" `Quick test_hash_to_exp_stable;
           Alcotest.test_case "hash_to_elt member" `Quick test_hash_to_elt_member;
           Alcotest.test_case "precomp matches pow" `Quick test_precomp_matches_pow;
@@ -1244,6 +1349,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_elgamal_roundtrip; prop_group_pow_cycle; prop_pow_precomp_agrees;
+            prop_is_member_reference;
             prop_additive_sharing;
             prop_sha256_incremental; prop_hmac_keyed_matches; prop_sha256_pool_workers;
             prop_sha256_finalized_rejects; prop_transcript_matches_concat;

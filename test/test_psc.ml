@@ -355,6 +355,81 @@ let test_cp_bit_rerandomization () =
      <> Crypto.Group.elt_to_int Crypto.Elgamal.marker
     || true (* with tiny probability k=1 keeps it; tolerated *))
 
+(* Rerandomization and decryption shares run on the four-lane power
+   kernel: two ciphertexts per call, one pair per pool index. They must
+   equal the one-lane reference (Elgamal.pow, partial_decrypt, and
+   dleq_prove_with computing its own commitment) on every length, odd
+   tails included, at pool sizes 1 and 4. The reference replays the
+   CP's DRBG stream: [Cp.create] draws the key, then each phase makes
+   its bulk read. *)
+let test_cp_vector_phases_match_reference () =
+  let seed = 17 and id = 1 in
+  let replay () =
+    let d = Crypto.Drbg.create (Printf.sprintf "psc-cp|%d|%d" seed id) in
+    let x, pub = Crypto.Elgamal.keygen d in
+    (d, x, pub)
+  in
+  let ints cts =
+    Array.map
+      (fun ct -> Crypto.Group.(elt_to_int ct.Crypto.Elgamal.c1, elt_to_int ct.Crypto.Elgamal.c2))
+      cts
+  in
+  let proof_ints ps =
+    Array.map
+      (fun p -> Crypto.(Group.elt_to_int p.Sigma.a1, Group.elt_to_int p.Sigma.a2, Group.exp_to_int p.Sigma.z))
+      ps
+  in
+  let elts a = Array.map Crypto.Group.elt_to_int a in
+  let enc = Crypto.Drbg.create "vector-phases" in
+  let _, _, pub = replay () in
+  List.iter
+    (fun n ->
+      let vector =
+        Array.init n (fun i ->
+            Crypto.Elgamal.encrypt enc pub
+              (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
+      in
+      let d, x, _ = replay () in
+      let raw = Crypto.Drbg.uniform_array d (Crypto.Group.q - 1) n in
+      let rerandomized =
+        Array.mapi
+          (fun i ct -> Crypto.Elgamal.pow ct (Crypto.Group.exp_of_int (1 + raw.(i))))
+          vector
+      in
+      let d, _, _ = replay () in
+      let ks = Crypto.Group.random_exps d n in
+      let shares = Array.map (Crypto.Elgamal.partial_decrypt x) vector in
+      let proofs =
+        Array.mapi
+          (fun i ct ->
+            Crypto.Sigma.dleq_prove_with ~public1:pub ~k:ks.(i) ~secret:x
+              ~base2:ct.Crypto.Elgamal.c1 ~context:"psc-decrypt" ())
+          vector
+      in
+      List.iter
+        (fun jobs ->
+          let before = Parallel.jobs () in
+          Parallel.set_jobs jobs;
+          Fun.protect
+            ~finally:(fun () -> Parallel.set_jobs before)
+            (fun () ->
+              let name what = Printf.sprintf "%s, length %d, jobs %d" what n jobs in
+              let got = Cp.rerandomize_bits (Cp.create ~id ~seed) vector in
+              Alcotest.(check (array (pair int int))) (name "rerandomize") (ints rerandomized)
+                (ints got);
+              let got = Cp.decrypt_shares (Cp.create ~id ~seed) ~prove:true vector in
+              Alcotest.(check (array int)) (name "shares") (elts shares) (elts got.Cp.shares);
+              (match got.Cp.proofs with
+              | Some ps ->
+                Alcotest.(check (array (triple int int int))) (name "proofs") (proof_ints proofs)
+                  (proof_ints ps)
+              | None -> Alcotest.fail "proofs missing");
+              let got = Cp.decrypt_shares (Cp.create ~id ~seed) ~prove:false vector in
+              Alcotest.(check (array int)) (name "unproven shares") (elts shares)
+                (elts got.Cp.shares)))
+        [ 1; 4 ])
+    (List.init 10 Fun.id @ [ 67; 130 ])
+
 let test_larger_union_estimates_monotone () =
   let estimate n =
     let cfg = config ~table_size:4_096 ~flips:16 ~proof_rounds:None ~verify:false () in
@@ -500,6 +575,8 @@ let () =
         [
           Alcotest.test_case "table structure" `Quick test_table_privacy_structure;
           Alcotest.test_case "bit rerandomization" `Quick test_cp_bit_rerandomization;
+          Alcotest.test_case "vector phases = one-lane reference, jobs 1 and 4" `Quick
+            test_cp_vector_phases_match_reference;
           Alcotest.test_case "combine size mismatch" `Quick test_combine_size_mismatch_rejected;
         ] );
       ( "properties",
