@@ -151,15 +151,19 @@ let check_pc_roundtrip m =
     Alcotest.(check string) "pc wire round-trip" bytes (Privcount.Wire.encode m')
   | Error e -> Alcotest.failf "pc wire: %s" (Bus.Codec.error_to_string e)
 
-let test_privcount_wire () =
-  List.iter check_pc_roundtrip
+(* one message of every PrivCount kind *)
+let pc_samples =
+  Privcount.Wire.
     [
-      Privcount.Wire.Blind_shares { sk = 1; counters = [| 0; 5; 17; 123456789 |] };
-      Privcount.Wire.Report_request;
-      Privcount.Wire.Dc_report [ ("exit.bytes", 42); ("exit.circuits", 7) ];
-      Privcount.Wire.Sk_report_request { exclude_dcs = [ 0; 2 ] };
-      Privcount.Wire.Sk_report [ ("exit.bytes", 99) ];
-    ];
+      Blind_shares { sk = 1; counters = [| 0; 5; 17; 123456789 |] };
+      Report_request;
+      Dc_report [ ("exit.bytes", 42); ("exit.circuits", 7) ];
+      Sk_report_request { exclude_dcs = [ 0; 2 ] };
+      Sk_report [ ("exit.bytes", 99) ];
+    ]
+
+let test_privcount_wire () =
+  List.iter check_pc_roundtrip pc_samples;
   (match Privcount.Wire.decode ~kind:"psc.table" "" with
   | Error (Bus.Codec.Invalid _) -> ()
   | _ -> Alcotest.fail "unknown kind must be Invalid");
@@ -681,16 +685,6 @@ let psc_samples =
        ])
 
 let psc_kinds = List.sort_uniq compare (List.map Psc.Wire.kind (Lazy.force psc_samples))
-
-let pc_samples =
-  Privcount.Wire.
-    [
-      Blind_shares { sk = 1; counters = [| 0; 5; 17; 123456789 |] };
-      Report_request;
-      Dc_report [ ("exit.bytes", 42); ("exit.circuits", 7) ];
-      Sk_report_request { exclude_dcs = [ 0; 2 ] };
-      Sk_report [ ("exit.bytes", 99) ];
-    ]
 
 let pc_kinds = List.map Privcount.Wire.kind pc_samples
 
