@@ -113,28 +113,14 @@ let[@inline] mulp a b = reduce_p (a * b)
    squarings and 8 multiplications against ~45 operations for
    square-and-multiply. The range check comes first: a lane outside
    [1, p) runs the chain on 0, whose power is 0, so its verdict is
-   false and [reduce_p] never sees a product of 2^62 or more. *)
+   false and [reduce_p] never sees a product of 2^62 or more. The
+   chain exists only on four lanes: padding three of them costs a lone
+   element more than square-and-multiply, so [is_member] keeps that. *)
 let chain_offsets = 15 + 12 + 2
 
 let[@inline] in_range x = if x >= 1 && x < p then x else 0
 
-let pow_q x =
-  let x2 = sqr x in
-  let x3 = mulp x2 x in
-  let x12 = sqr (sqr x3) in
-  let x15 = mulp x12 x3 in
-  let y = ref x15 in
-  for _ = 1 to 4 do y := sqr !y done;
-  let x255 = mulp !y x15 in
-  y := x255;
-  for _ = 1 to 8 do y := sqr !y done;
-  y := mulp !y x255;
-  for _ = 1 to 8 do y := sqr !y done;
-  y := mulp !y x255;
-  for _ = 1 to 6 do y := sqr !y done;
-  mulp (mulp (mulp !y x15) x12) x2
-
-(* The same chain on four lanes; true iff every lane is a member. *)
+(* true iff every lane is a member *)
 let members4 x0 x1 x2 x3 =
   let a = in_range x0 and b = in_range x1 and c = in_range x2 and d = in_range x3 in
   let a2 = sqr a and b2 = sqr b and c2 = sqr c and d2 = sqr d in
@@ -157,7 +143,7 @@ let members4 x0 x1 x2 x3 =
   let rc = mulp (mulp (mulp !yc c15) c12) c2 and rd = mulp (mulp (mulp !yd d15) d12) d2 in
   (ra lxor 1) lor (rb lxor 1) lor (rc lxor 1) lor (rd lxor 1) = 0
 
-let is_member x = pow_q (in_range x) = 1
+let is_member x = x >= 1 && x < p && pow_int x q = 1
 
 let elt_of_int x =
   if not (is_member x) then invalid_arg "Group.elt_of_int: not a subgroup element";
@@ -166,6 +152,8 @@ let elt_of_int x =
 (* a short tail is padded with 1, a member *)
 let[@inline] lane a n i = if i < n then Array.unsafe_get a i else 1
 
+(* [elt] is [int] here, so the checked array is returned as it is,
+   without a copy; the caller hands it over (group.mli). *)
 let elts_of_ints a =
   let n = Array.length a in
   let i = ref 0 in
@@ -173,7 +161,7 @@ let elts_of_ints a =
     i := !i + 4
   done;
   if !i < n then invalid_arg "Group.elt_of_int: not a subgroup element";
-  Array.copy a
+  a
 
 type lanes = { l0 : elt; l1 : elt; l2 : elt; l3 : elt }
 
@@ -199,14 +187,13 @@ let pow_lanes b0 e0 b1 e1 b2 e2 b3 e3 =
   done;
   { l0 = !r0; l1 = !r1; l2 = !r2; l3 = !r3 }
 
-(* Startup self-check: the chain's decomposition is q, and both chain
-   widths and the lane power agree with square-and-multiply. *)
+(* Startup self-check: the chain's decomposition is q, and the chain
+   and the lane power agree with square-and-multiply. *)
 let () =
   assert ((((1 lsl 24) - 1) lsl 6) + chain_offsets = q);
   let samples = [ 1; 2; 4; p - 1; 12345; 1 lsl 30 ] in
   List.iter
     (fun x ->
-      assert (pow_q x = pow_int x q);
       assert (members4 x 1 1 1 = (pow_int x q = 1));
       let l = pow_lanes x (q - 1) 1 0 x 1 4 (x mod q) in
       assert (l.l0 = pow_int x (q - 1) && l.l1 = 1 && l.l2 = x && l.l3 = pow_int 4 (x mod q)))

@@ -31,12 +31,13 @@ val elt_of_int : int -> elt
     the subgroup ({!is_member}). *)
 
 val elts_of_ints : int array -> elt array
-(** Batched {!elt_of_int}: a fresh array of the same values, checked
-    four at a time through the four-lane membership chain (~66 ns per
-    element against ~184 ns one at a time). Raises the same
-    [Invalid_argument] as {!elt_of_int} if any value is not in the
-    subgroup. Wire decoders read a whole vector's raw ints first and
-    check them with one call. *)
+(** Batched {!elt_of_int}: checks every value four at a time through
+    the four-lane membership chain and raises the same
+    [Invalid_argument] as {!elt_of_int} if any is not in the subgroup.
+    The result is the argument itself, not a copy: the caller hands the
+    array over and must not write to it afterwards. Wire decoders read
+    a whole vector's raw ints into a fresh array and check it with one
+    call. Costs are in DESIGN.md §3c. *)
 
 val exp_of_int : int -> exp
 (** Reduces mod q (accepts any int, including negatives). *)
@@ -102,20 +103,21 @@ val exp_inv : exp -> exp
 
 val is_member : int -> bool
 (** Membership test for the order-q subgroup: [1 <= x < p] and
-    [x^q = 1] (Euler's criterion), any int accepted. The power runs a
-    fixed addition chain for q (29 squarings, 8 multiplications); this
-    is the one-lane use of the chain behind {!elts_of_ints}. *)
+    [x^q = 1] (Euler's criterion), any int accepted. One element at a
+    time by square-and-multiply; vectors go through {!elts_of_ints},
+    whose four-lane addition chain the startup self-check holds to
+    this test. *)
 
 type lanes = { l0 : elt; l1 : elt; l2 : elt; l3 : elt }
 
 val pow_lanes : elt -> exp -> elt -> exp -> elt -> exp -> elt -> exp -> lanes
 (** [pow_lanes b0 e0 b1 e1 b2 e2 b3 e3] is [{l0 = pow b0 e0; ...;
     l3 = pow b3 e3}]: four independent exponentiations interleaved, so
-    their multiply chains overlap (~101 ns per power against ~203 ns
-    for {!pow}). The kernel is branchless — each exponent bit selects a
-    multiplication by [b] or by 1 — and always runs 30 steps. Vector
-    phases call it on four (base, exponent) lanes at a time, padding a
-    short tail with any lane. *)
+    their multiply chains overlap (costs in DESIGN.md §3c). The kernel
+    is branchless — each exponent bit selects a multiplication by [b]
+    or by 1 — and always runs 30 steps. Vector phases call it on four
+    (base, exponent) lanes at a time, padding a short tail with any
+    lane. *)
 
 val random_exp : Drbg.t -> exp
 (** Uniform exponent in [0, q). *)
