@@ -62,10 +62,11 @@ let ledger_arg =
   in
   Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
 
-(* Write a file named on the command line. An unwritable path ends the
-   run with exit 1 and the reason, not an uncaught Sys_error. *)
+(* Write a file named on the command line, in binary mode so the bytes
+   land as given. An unwritable path ends the run with exit 1 and the
+   reason, not an uncaught Sys_error. *)
 let write_output path contents =
-  match Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents) with
+  match Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents) with
   | () -> ()
   | exception Sys_error msg ->
     let prefix = path ^ ": " in
@@ -206,7 +207,14 @@ let record_cmd =
        captures exact ingestion tallies by design, not pipeline output *)
     let rec_ = Tormeasure.Netday.record ~config ~seed () in
     let dt = Obs.Trace.now () -. t0 in
-    let paths = Tormeasure.Netday.write_recording rec_ ~prefix:out in
+    let paths =
+      List.mapi
+        (fun shard seg ->
+          let path = Tormeasure.Netday.segment_path ~prefix:out ~shard in
+          write_output path seg;
+          path)
+        (Array.to_list rec_.Tormeasure.Netday.segments)
+    in
     let r = rec_.Tormeasure.Netday.result in
     let bytes =
       Array.fold_left (fun a s -> a + String.length s) 0 rec_.Tormeasure.Netday.segments
@@ -399,7 +407,7 @@ let deploy_cmd =
         Printf.printf "restarts from checkpoint: %d\n" o.Tormeasure.Deploy.restarts;
       Printf.printf "published digest: %s\n" o.Tormeasure.Deploy.digest;
       let mismatch =
-        sc.reference_comparable
+        Bus.Scenario.reference_comparable sc
         &&
         (* torlint: allow privflow/transitive-leak — the reference is
            the in-process tally; its reports stay blinded until noised *)
@@ -419,7 +427,7 @@ let deploy_cmd =
         (match o.Tormeasure.Deploy.last_checkpoint with
         | None -> ()
         | Some cp ->
-          Bus.Checkpoint.save path cp;
+          write_output path (Bus.Checkpoint.encode cp);
           Printf.printf "wrote checkpoint (epoch %d, %d parties) to %s\n"
             cp.Bus.Checkpoint.epoch
             (List.length cp.Bus.Checkpoint.entries)

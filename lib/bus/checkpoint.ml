@@ -47,12 +47,6 @@ let decode s =
       done;
       { seed; scenario; epoch; phase; entries = List.rev !entries })
 
-let save path t =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (encode t))
-
 let load path =
   match
     let ic = open_in_bin path in

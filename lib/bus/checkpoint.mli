@@ -11,16 +11,13 @@ type t = {
   seed : int;
   scenario : string;
   epoch : int;  (** the epoch whose collection the blobs capture *)
-  phase : string;  (** lifecycle phase the checkpoint was taken after *)
+  phase : string;  (** epoch phase the checkpoint was taken after *)
   entries : entry list;
 }
 
 val version : int
 val encode : t -> string
 val decode : string -> (t, Codec.error) result
-
-val save : string -> t -> unit
-(** Write [encode t] to a file (binary mode). *)
 
 val load : string -> (t, Codec.error) result
 (** [Invalid] carries the OS error message when the file is unreadable. *)

@@ -9,7 +9,6 @@ type t = {
   name : string;
   summary : string;
   faults : fault list;
-  reference_comparable : bool;
 }
 
 let catalogue =
@@ -19,27 +18,23 @@ let catalogue =
       summary = "all parties honest and live; the bus must reproduce the \
                  in-process pipelines byte-for-byte";
       faults = [];
-      reference_comparable = true;
     };
     {
       name = "dc-crash";
       summary = "one DC crashes mid-collection in epoch 0; the tally \
                  excludes its shares via dropout recovery";
       faults = [ Dc_crash { dc = 1; epoch = 0 } ];
-      reference_comparable = false;
     };
     {
       name = "churn";
       summary = "relay churn: one DC leaves the deployment from epoch 1 on";
       faults = [ Churn { epoch = 1; delta = -1 } ];
-      reference_comparable = true;
     };
     {
       name = "slow-cp";
       summary = "one CP's links are 8x slower; published values must be \
                  unchanged, only the delivery schedule differs";
       faults = [ Slow { party = Party.Cp 1; factor = 8 } ];
-      reference_comparable = true;
     };
     {
       name = "malicious-cp";
@@ -47,7 +42,6 @@ let catalogue =
                  honest parties must blame it and the ledger records the \
                  failed proof";
       faults = [ Malicious_cp { cp = 1 } ];
-      reference_comparable = true;
     };
     {
       name = "restart";
@@ -55,7 +49,6 @@ let catalogue =
                  and resumed from checkpoint; published tallies must equal \
                  the benign run's exactly";
       faults = [ Restart { epoch = 0 } ];
-      reference_comparable = true;
     };
   ]
 
@@ -82,6 +75,9 @@ let slow t =
 
 let malicious_cp t =
   List.find_map (function Malicious_cp { cp } -> Some cp | _ -> None) t.faults
+
+let reference_comparable t =
+  not (List.exists (function Dc_crash _ -> true | _ -> false) t.faults)
 
 let restart_epoch t =
   List.find_map (function Restart { epoch } -> Some epoch | _ -> None) t.faults

@@ -24,10 +24,6 @@ type t = {
   name : string;
   summary : string;
   faults : fault list;
-  reference_comparable : bool;
-      (** true when published bytes must equal the in-process reference
-          pipeline at the same seed (every fault but a DC crash has an
-          in-process equivalent) *)
 }
 
 val catalogue : t list
@@ -44,3 +40,8 @@ val dcs_at : t -> base_dcs:int -> epoch:int -> int
 val slow : t -> (Party.t * int) list
 val malicious_cp : t -> int option
 val restart_epoch : t -> int option
+
+val reference_comparable : t -> bool
+(** True when published bytes must equal the in-process reference
+    pipeline at the same seed: every fault but a DC crash has an
+    in-process equivalent. *)

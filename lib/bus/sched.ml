@@ -12,7 +12,6 @@ type entry = {
 }
 
 type t = {
-  seed : int;
   jitter : Prng.Rng.t;
   mutable heap : pending array;  (* binary min-heap on (due, seq) *)
   mutable size : int;
@@ -24,12 +23,11 @@ type t = {
   mutable delivered : int;
   mutable dropped : int;
   mutable bytes : int;
-  order : Buffer.t option;
+  order : Crypto.Sha256.ctx;  (* every delivered wire, then '\n' *)
 }
 
-let create ?(record_order = false) ~seed () =
+let create ~seed =
   {
-    seed;
     jitter = Prng.Rng.create (seed lxor 0x6275735f);
     heap = Array.make 64 { due = 0; seq = 0; wire = "" };
     size = 0;
@@ -39,7 +37,7 @@ let create ?(record_order = false) ~seed () =
     delivered = 0;
     dropped = 0;
     bytes = 0;
-    order = (if record_order then Some (Buffer.create 4096) else None);
+    order = Crypto.Sha256.init ();
   }
 
 let find t p = List.find_opt (fun e -> Party.equal e.party p) t.parties
@@ -145,11 +143,8 @@ let deliver t m =
                (Envelope.to_string env));
         t.delivered <- t.delivered + 1;
         t.bytes <- t.bytes + String.length m.wire;
-        match t.order with
-        | Some buf ->
-            Buffer.add_string buf m.wire;
-            Buffer.add_char buf '\n'
-        | None -> ()
+        Crypto.Sha256.update t.order m.wire;
+        Crypto.Sha256.update t.order "\n"
       end
 
 let run t =
@@ -159,6 +154,4 @@ let run t =
   { delivered = t.delivered; dropped = t.dropped; bytes = t.bytes }
 
 let order_digest t =
-  match t.order with
-  | None -> invalid_arg "Sched.order_digest: created without record_order"
-  | Some buf -> Crypto.Sha256.hex (Buffer.contents buf)
+  Crypto.Sha256.to_hex (Crypto.Sha256.finalize (Crypto.Sha256.copy t.order))

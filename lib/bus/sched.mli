@@ -21,9 +21,7 @@ type stats = {
   bytes : int;  (** total encoded envelope bytes delivered *)
 }
 
-val create : ?record_order:bool -> seed:int -> unit -> t
-(** [record_order] (default false) keeps a digest-able log of the
-    delivery order for invariance tests. *)
+val create : seed:int -> t
 
 val register : t -> Party.t -> (Envelope.t -> bool) -> unit
 (** Add a handler for a party. A party may register several (one per
@@ -53,5 +51,6 @@ val run : t -> stats
     included). Returns cumulative stats for this scheduler. *)
 
 val order_digest : t -> string
-(** Hex SHA-256 over the recorded delivery order (envelope bytes in
-    delivery sequence). Requires [record_order:true]; raises otherwise. *)
+(** Hex SHA-256 over the delivery order so far: each delivered
+    envelope's bytes followed by ['\n'], in delivery sequence. The hash
+    streams as messages are delivered; nothing is buffered. *)

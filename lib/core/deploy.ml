@@ -117,7 +117,7 @@ let psc_round cfg scenario =
       (Bus.Scenario.malicious_cp scenario)
   in
   Psc.Protocol.config ~num_cps:cfg.num_cps ~noise_flips_per_cp:cfg.noise_flips_per_cp
-    ~proof_rounds:(Some cfg.proof_rounds) ~verify:true ~confidence:0.95 ?tamper
+    ~proof_rounds:(Some cfg.proof_rounds) ~verify:true ?tamper
     ~table_size:cfg.table_size ()
 
 (* ------------------------------------------------------------------ *)
@@ -140,7 +140,7 @@ let spawn_parties cfg (scenario : Bus.Scenario.t) ~epoch =
   | Some cp when cp < 0 || cp >= cfg.num_cps ->
       invalid_arg "Deploy: malicious CP index outside the deployment"
   | _ -> ());
-  let sched = Bus.Sched.create ~record_order:true ~seed:eseed () in
+  let sched = Bus.Sched.create ~seed:eseed in
   List.iter
     (fun (party, factor) -> Bus.Sched.set_delay sched party factor)
     (Bus.Scenario.slow scenario);
@@ -180,7 +180,9 @@ let split_dc_blob blob =
       let psc = Bus.Codec.R.bytes r in
       (pc, psc))
 
-let checkpoint_of cfg (scenario : Bus.Scenario.t) p ~epoch =
+(* Capture and immediately round-trip: a blob that cannot survive the
+   wire format must fail in every scenario, not only restart. *)
+let checkpoint cfg (scenario : Bus.Scenario.t) p ~epoch =
   let dc_entries =
     List.concat
       (tabulate p.live (fun i ->
@@ -194,41 +196,36 @@ let checkpoint_of cfg (scenario : Bus.Scenario.t) p ~epoch =
           state = Privcount.Node.sk_state p.pc_sks.(i);
         })
   in
-  {
-    Bus.Checkpoint.seed = cfg.seed;
-    scenario = scenario.Bus.Scenario.name;
-    epoch;
-    phase = "collect";
-    entries = dc_entries @ sk_entries;
-  }
+  let cp =
+    {
+      Bus.Checkpoint.seed = cfg.seed;
+      scenario = scenario.Bus.Scenario.name;
+      epoch;
+      phase = "collect";
+      entries = dc_entries @ sk_entries;
+    }
+  in
+  match Bus.Checkpoint.decode (Bus.Checkpoint.encode cp) with
+  | Ok cp -> cp
+  | Error e ->
+      invalid_arg
+        (Printf.sprintf "Deploy.run: epoch %d checkpoint does not round-trip: %s" epoch
+           (Bus.Codec.error_to_string e))
 
 (* ------------------------------------------------------------------ *)
-(* Lifecycle hooks over a mutable current-epoch slot *)
+(* Epoch phases. Each takes the epoch's party set from the loop in
+   [run]; setup and restore build a fresh one. *)
 
-type st = {
-  cfg : config;
-  scenario : Bus.Scenario.t;
-  mutable cur : parties option;
-  mutable epoch_stats : Bus.Sched.stats list;  (* reversed *)
-  mutable epoch_orders : string list;  (* reversed *)
-}
-
-let cur st =
-  match st.cur with
-  | Some p -> p
-  | None -> invalid_arg "Deploy: lifecycle hook before setup"
-
-let setup st ~epoch =
-  let p = spawn_parties st.cfg st.scenario ~epoch in
+let setup cfg scenario ~epoch =
+  let p = spawn_parties cfg scenario ~epoch in
   (* drain the exchange: blinding rows to the SKs, CP keys to the TS,
      the joint key out, the DC tables built *)
   ignore (Bus.Sched.run p.sched : Bus.Sched.stats);
-  st.cur <- Some p
+  p
 
-let collect st ~epoch =
-  let p = cur st in
-  let wl = workload st.cfg ~epoch ~live:p.live in
-  let crash = Bus.Scenario.crashed_dc st.scenario ~epoch in
+let collect cfg scenario p ~epoch =
+  let wl = workload cfg ~epoch ~live:p.live in
+  let crash = Bus.Scenario.crashed_dc scenario ~epoch in
   (match crash with
   | Some d when d < 0 || d >= p.live ->
       invalid_arg "Deploy: crashed DC index outside the deployment"
@@ -253,44 +250,11 @@ let collect st ~epoch =
       if not dead then Psc.Node.dc_insert p.psc_dcs.(dc) item)
     wl.psc_items
 
-let aggregate st ~epoch =
-  let p = cur st in
-  let dcs = tabulate p.live Fun.id in
-  Privcount.Node.ts_request_reports p.pc_ts ~epoch ~dcs;
-  Psc.Node.ts_request_tables p.psc_ts ~epoch ~dcs;
-  ignore (Bus.Sched.run p.sched : Bus.Sched.stats);
-  (* close with whatever arrived: missing DCs are excluded by the SKs
-     (PrivCount dropout recovery) and absent from the PSC combine *)
-  Privcount.Node.ts_close p.pc_ts ~epoch;
-  Psc.Node.ts_start_aggregate p.psc_ts ~epoch;
-  ignore (Bus.Sched.run p.sched : Bus.Sched.stats)
-
-let publish st ~epoch =
-  let p = cur st in
-  let pc, pc_bytes = Privcount.Node.ts_publish p.pc_ts in
-  let psc, psc_bytes =
-    match Psc.Node.ts_result p.psc_ts with
-    | Some r -> r
-    | None -> invalid_arg "Deploy: PSC cascade did not complete"
-  in
-  st.epoch_stats <- Bus.Sched.run p.sched :: st.epoch_stats;
-  st.epoch_orders <- Bus.Sched.order_digest p.sched :: st.epoch_orders;
-  {
-    epoch;
-    pc;
-    pc_bytes;
-    psc;
-    psc_bytes;
-    missing_dcs = Privcount.Node.ts_missing_dcs p.pc_ts;
-  }
-
-let restore st cp =
-  let epoch = cp.Bus.Checkpoint.epoch in
+let restore cfg scenario cp =
   (* Fresh scheduler, full setup replay: re-derives every DRBG stream
      from (seed, epoch), then the checkpoint blobs load the collected
      state over the replayed skeleton. *)
-  let p = spawn_parties st.cfg st.scenario ~epoch in
-  ignore (Bus.Sched.run p.sched : Bus.Sched.stats);
+  let p = setup cfg scenario ~epoch:cp.Bus.Checkpoint.epoch in
   for i = 0 to p.live - 1 do
     match Bus.Checkpoint.find cp (Bus.Party.Dc i) with
     | None ->
@@ -317,75 +281,95 @@ let restore st cp =
                   ("Deploy.restore: PSC DC state: "
                   ^ Bus.Codec.error_to_string e)))
   done;
-  for i = 0 to st.cfg.num_sks - 1 do
+  for i = 0 to cfg.num_sks - 1 do
     match Bus.Checkpoint.find cp (Bus.Party.Sk i) with
     | Some blob ->
         if not (Privcount.Node.sk_check p.pc_sks.(i) blob) then
           invalid_arg "Deploy.restore: replayed SK state diverges from checkpoint"
     | None -> invalid_arg "Deploy.restore: checkpoint is missing an SK entry"
   done;
-  st.cur <- Some p
+  p
 
-let run cfg (scenario : Bus.Scenario.t) =
-  let st = { cfg; scenario; cur = None; epoch_stats = []; epoch_orders = [] } in
-  let hooks =
-    {
-      Bus.Lifecycle.setup = setup st;
-      collect = collect st;
-      aggregate = aggregate st;
-      publish = publish st;
-      checkpoint =
-        (fun ~epoch -> checkpoint_of cfg scenario (cur st) ~epoch);
-      restore = restore st;
-    }
-  in
-  let oc =
-    Bus.Lifecycle.run
-      ?restart_at:(Bus.Scenario.restart_epoch scenario)
-      ~epochs:cfg.epochs hooks
-  in
-  let digest =
-    Crypto.Sha256.hex
-      (String.concat ""
-         (List.concat_map (fun p -> [ p.pc_bytes; p.psc_bytes ]) oc.Bus.Lifecycle.publishes))
-  in
-  let culprits =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun p -> p.psc.Psc.Protocol.culprits)
-         oc.Bus.Lifecycle.publishes)
-  in
-  let detected =
-    List.exists
-      (fun p -> not p.psc.Psc.Protocol.proofs_ok)
-      oc.Bus.Lifecycle.publishes
+let aggregate p ~epoch =
+  let dcs = tabulate p.live Fun.id in
+  Privcount.Node.ts_request_reports p.pc_ts ~epoch ~dcs;
+  Psc.Node.ts_request_tables p.psc_ts ~epoch ~dcs;
+  ignore (Bus.Sched.run p.sched : Bus.Sched.stats);
+  (* close with whatever arrived: missing DCs are excluded by the SKs
+     (PrivCount dropout recovery) and absent from the PSC combine *)
+  Privcount.Node.ts_close p.pc_ts ~epoch;
+  Psc.Node.ts_start_aggregate p.psc_ts ~epoch;
+  ignore (Bus.Sched.run p.sched : Bus.Sched.stats)
+
+let publish p ~epoch =
+  let pc, pc_bytes = Privcount.Node.ts_publish p.pc_ts in
+  let psc, psc_bytes =
+    match Psc.Node.ts_result p.psc_ts with
+    | Some r -> r
+    | None -> invalid_arg "Deploy: PSC cascade did not complete"
   in
   {
+    epoch;
+    pc;
+    pc_bytes;
+    psc;
+    psc_bytes;
+    missing_dcs = Privcount.Node.ts_missing_dcs p.pc_ts;
+  }
+
+(* The epoch loop. The restart epoch models an operator restart: its
+   parties are dropped after collection and rebuilt from the decoded
+   checkpoint. *)
+let run cfg (scenario : Bus.Scenario.t) =
+  if cfg.epochs < 1 then invalid_arg "Deploy.run: epochs must be >= 1";
+  let publishes = ref [] and stats = ref [] and orders = ref [] in
+  let restarts = ref 0 and last_checkpoint = ref None in
+  for epoch = 0 to cfg.epochs - 1 do
+    let phase name f =
+      Obs.Ledger.phase ~attrs:[ ("epoch", string_of_int epoch) ] ("deploy." ^ name) f
+    in
+    let p = phase "setup" (fun () -> setup cfg scenario ~epoch) in
+    phase "collect" (fun () -> collect cfg scenario p ~epoch);
+    let cp = checkpoint cfg scenario p ~epoch in
+    last_checkpoint := Some cp;
+    let p =
+      match Bus.Scenario.restart_epoch scenario with
+      | Some e when e = epoch ->
+          incr restarts;
+          Obs.Ledger.note ~key:"deploy.restart"
+            ~value:(Printf.sprintf "epoch=%d phase=%s" epoch cp.Bus.Checkpoint.phase);
+          phase "setup" (fun () -> restore cfg scenario cp)
+      | _ -> p
+    in
+    phase "aggregate" (fun () -> aggregate p ~epoch);
+    phase "publish" (fun () ->
+        publishes := publish p ~epoch :: !publishes;
+        stats := Bus.Sched.run p.sched :: !stats;
+        orders := Bus.Sched.order_digest p.sched :: !orders)
+  done;
+  let publishes = List.rev !publishes in
+  {
     scenario = scenario.Bus.Scenario.name;
-    publishes = oc.Bus.Lifecycle.publishes;
-    digest;
-    detected;
-    culprits;
-    restarts = oc.Bus.Lifecycle.restarts;
-    stats = List.rev st.epoch_stats;
-    order_digests = List.rev st.epoch_orders;
-    last_checkpoint =
-      (match List.rev oc.Bus.Lifecycle.checkpoints with
-      | [] -> None
-      | c :: _ -> Some c);
+    publishes;
+    digest =
+      Crypto.Sha256.hex
+        (String.concat "" (List.concat_map (fun p -> [ p.pc_bytes; p.psc_bytes ]) publishes));
+    detected = List.exists (fun p -> not p.psc.Psc.Protocol.proofs_ok) publishes;
+    culprits =
+      List.sort_uniq compare
+        (List.concat_map (fun p -> p.psc.Psc.Protocol.culprits) publishes);
+    restarts = !restarts;
+    stats = List.rev !stats;
+    order_digests = List.rev !orders;
+    last_checkpoint = !last_checkpoint;
   }
 
 (* ------------------------------------------------------------------ *)
 (* In-process reference: same seeds, same workload, no bus. *)
 
 let run_reference cfg (scenario : Bus.Scenario.t) =
-  List.iter
-    (function
-      | Bus.Scenario.Dc_crash _ ->
-          invalid_arg "Deploy.run_reference: crash has no in-process equivalent"
-      | Bus.Scenario.Malicious_cp _ | Bus.Scenario.Churn _ | Bus.Scenario.Slow _
-      | Bus.Scenario.Restart _ -> ())
-    scenario.Bus.Scenario.faults;
+  if not (Bus.Scenario.reference_comparable scenario) then
+    invalid_arg "Deploy.run_reference: crash has no in-process equivalent";
   Obs.with_enabled false (fun () ->
       let buf = Buffer.create 4096 in
       for epoch = 0 to cfg.epochs - 1 do

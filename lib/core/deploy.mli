@@ -1,14 +1,13 @@
 (** Scenario driver for the bus-hosted deployment: both measurement
     pipelines — PrivCount (TS + SKs + DCs, blinded counters) and PSC
     (TS + CPs + DCs, oblivious tables) — run side by side on one seeded
-    deterministic scheduler, through the epoch lifecycle
-    setup → collect → aggregate → publish, under a failure-injection
-    scenario from {!Bus.Scenario.catalogue}.
+    deterministic scheduler, under a failure-injection scenario from
+    {!Bus.Scenario.catalogue}. {!run} owns the epoch loop.
 
-    The central claim, locked in by the tests: for every
-    [reference_comparable] scenario the concatenated published bytes
-    equal {!run_reference} — the in-process pipelines at the same seed
-    and workload — byte for byte. *)
+    The central claim, locked in by the tests: for every scenario
+    {!Bus.Scenario.reference_comparable} accepts, the concatenated
+    published bytes equal {!run_reference} — the in-process pipelines
+    at the same seed and workload — byte for byte. *)
 
 type config = {
   seed : int;
@@ -67,14 +66,23 @@ type outcome = {
 }
 
 val run : config -> Bus.Scenario.t -> outcome
-(** Execute the scenario. Raises [Invalid_argument] on configs the
-    scenario cannot apply to (e.g. a crashed or malicious index outside
-    the deployment). *)
+(** Execute the scenario, epoch by epoch: setup → collect → checkpoint →
+    aggregate → publish, each phase inside an [Obs.Ledger.phase] span
+    named [deploy.<phase>] with the epoch as an attribute. The
+    checkpoint is round-tripped through its binary encoding at capture,
+    in every scenario. On the scenario's restart epoch the parties are
+    torn down after collection and rebuilt from the decoded checkpoint
+    in a second [deploy.setup], after a [deploy.restart] ledger note.
+
+    Raises [Invalid_argument] if [epochs < 1], if a checkpoint does not
+    round-trip, or on configs the scenario cannot apply to (e.g. a
+    crashed or malicious index outside the deployment). *)
 
 val run_reference : config -> Bus.Scenario.t -> string
 (** The same workload through the in-process pipelines
     ({!Privcount.Deployment} and {!Psc.Protocol}), with telemetry
     suppressed so only the bus run populates the ledger; returns the
     digest to compare with {!run}. A malicious CP runs as the same
-    [`Shuffle_swap] tamper in both. Raises [Invalid_argument] for a DC
-    crash, which has no in-process equivalent. *)
+    [`Shuffle_swap] tamper in both. Raises [Invalid_argument] when
+    {!Bus.Scenario.reference_comparable} rejects the scenario (a DC
+    crash has no in-process equivalent). *)

@@ -254,12 +254,6 @@ let record ?(config = default) ~seed () =
 
 let segment_path ~prefix ~shard = Printf.sprintf "%s.seg%d" prefix shard
 
-let write_recording recording ~prefix =
-  List.init (Array.length recording.segments) (fun s ->
-      let path = segment_path ~prefix ~shard:s in
-      Evtrace.Segment.write_file path recording.segments.(s);
-      path)
-
 let load_recording ~prefix =
   let load shard =
     match Evtrace.Segment.read_file (segment_path ~prefix ~shard) with

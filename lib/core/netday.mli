@@ -55,9 +55,6 @@ val record : ?config:config -> seed:int -> unit -> recording
 val segment_path : prefix:string -> shard:int -> string
 (** ["<prefix>.seg<shard>"] — the on-disk layout of a recording. *)
 
-val write_recording : recording -> prefix:string -> string list
-(** Write one segment file per shard; returns the paths written. *)
-
 val load_recording : prefix:string -> Evtrace.Segment.t array
 (** Read segment 0 for the shard count, then every remaining shard.
     Raises [Evtrace.Error] on unreadable or malformed segments. *)

@@ -34,7 +34,7 @@ let default =
     launder = [ "lib/dp" ];
     crypto_modules =
       [
-        "Group"; "Elgamal"; "Pedersen"; "Sigma"; "Bit_proof"; "Schnorr_sig";
+        "Group"; "Elgamal"; "Sigma"; "Bit_proof"; "Schnorr_sig";
         "Shuffle"; "Secret_sharing"; "Hmac"; "Sha256"; "Drbg";
       ];
     escapes = [ "_to_int"; "_to_string"; "_of_int"; "length" ];

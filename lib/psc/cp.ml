@@ -69,8 +69,8 @@ let shuffle ?tab t ~joint ~rounds vector =
     let output, proof = Crypto.Shuffle.shuffle ~rounds ?tab t.drbg joint vector in
     (output, Some proof))
   | None ->
-    (* proof-less fast path for large simulation runs; tests always
-       run with proofs on *)
+    (* proof-less fast path for large simulation runs, and for the
+       tests that switch proofs off *)
     (Crypto.Shuffle.shuffle_unproven ?tab t.drbg joint vector, None)
 
 (* The vector phases below run on Group.pow_lanes: two ciphertexts per

@@ -6,7 +6,6 @@ type config = {
   noise_flips_per_cp : int;
   proof_rounds : int option;
   verify : bool;
-  confidence : float;
   tamper : tamper option;
       (* fault injection for tests: make one CP misbehave and check the
          proofs identify it *)
@@ -16,14 +15,14 @@ type config = {
 }
 
 let config ?(num_cps = 3) ?(noise_flips_per_cp = 64) ?(proof_rounds = Some 8) ?(verify = true)
-    ?(confidence = 0.95) ?tamper ?dp ~table_size () =
+    ?tamper ?dp ~table_size () =
   if table_size <= 0 then invalid_arg "Protocol.config: table_size must be positive";
   if num_cps < 1 then invalid_arg "Protocol.config: need at least one CP";
   if noise_flips_per_cp < 0 then invalid_arg "Protocol.config: negative flips";
   (* the shuffle's coins come from one 256-bit digest: past 256 rounds they repeat *)
   if Option.fold ~none:false ~some:(fun r -> r < 1 || r > 256) proof_rounds then
     invalid_arg "Protocol.config: proof_rounds must be in 1..256";
-  { table_size; num_cps; noise_flips_per_cp; proof_rounds; verify; confidence; tamper; dp }
+  { table_size; num_cps; noise_flips_per_cp; proof_rounds; verify; tamper; dp }
 
 let flips_for_params params ~sensitivity ~num_cps =
   let total = Dp.Mechanism.binomial_n_for params ~sensitivity in
@@ -171,14 +170,14 @@ let decrypt_count v vector (shares : Cp.decryption_share array) =
 
 (* Estimator: subtract the binomial noise mean, invert the occupancy
    bias, attach the exact interval. *)
-let estimate_of ~table_size ~confidence ~raw_nonzero ~total_flips =
+let estimate_of ~table_size ~raw_nonzero ~total_flips =
   let occupied = float_of_int raw_nonzero -. (float_of_int total_flips /. 2.0) in
   let estimate =
     Stats.Ci.invert_occupancy ~table_size
       (max 0.0 (min occupied (float_of_int table_size -. 1.0)))
   in
   let ci =
-    Stats.Ci.binomial_exact ~confidence ~observed:raw_nonzero ~flips:total_flips
+    Stats.Ci.binomial_exact ~confidence:0.95 ~observed:raw_nonzero ~flips:total_flips
       ~table_size ()
   in
   (estimate, ci)
@@ -188,8 +187,7 @@ let result_of v ~raw_nonzero =
   let total_flips = cfg.noise_flips_per_cp * Array.length v.pubs in
   let estimate, ci =
     Obs.Ledger.phase "psc.estimate" @@ fun () ->
-    estimate_of ~table_size:cfg.table_size ~confidence:cfg.confidence ~raw_nonzero
-      ~total_flips
+    estimate_of ~table_size:cfg.table_size ~raw_nonzero ~total_flips
   in
   Obs.Metrics.set "psc_raw_nonzero_slots" (float_of_int raw_nonzero);
   Obs.Metrics.set "psc_noise_flips" (float_of_int total_flips);

@@ -19,9 +19,8 @@ type config = {
   proof_rounds : int option;
       (** shuffle-proof soundness rounds, 1..256 ({!config} raises
           [Invalid_argument] otherwise); [None] disables proofs for
-          large throughput runs (tests keep them on) *)
+          large throughput runs *)
   verify : bool;  (** verify noise, shuffle and decryption proofs *)
-  confidence : float;
   tamper : tamper option;
   dp : Dp.Mechanism.params option;
       (** the (ε,δ) the configured noise was calibrated for; recorded
@@ -30,7 +29,7 @@ type config = {
 
 val config :
   ?num_cps:int -> ?noise_flips_per_cp:int -> ?proof_rounds:int option ->
-  ?verify:bool -> ?confidence:float -> ?tamper:tamper -> ?dp:Dp.Mechanism.params ->
+  ?verify:bool -> ?tamper:tamper -> ?dp:Dp.Mechanism.params ->
   table_size:int -> unit -> config
 
 val flips_for_params : Dp.Mechanism.params -> sensitivity:float -> num_cps:int -> int

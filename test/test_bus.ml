@@ -223,7 +223,7 @@ let test_psc_wire_proofs () =
 (* a 4-party token ring: each delivery decrements a ttl and forwards,
    so one run exercises posting from inside handlers *)
 let ring_digest ~seed =
-  let s = Bus.Sched.create ~record_order:true ~seed () in
+  let s = Bus.Sched.create ~seed in
   for i = 0 to 3 do
     Bus.Sched.register s (Bus.Party.Dc i) (fun env ->
         let ttl = int_of_string env.Bus.Envelope.body in
@@ -251,7 +251,7 @@ let test_sched_determinism () =
   Alcotest.(check bool) "different seed, different interleaving" true (d1 <> d3)
 
 let test_sched_crash_and_unclaimed () =
-  let s = Bus.Sched.create ~seed:1 () in
+  let s = Bus.Sched.create ~seed:1 in
   let hits = ref 0 in
   Bus.Sched.register s (Bus.Party.Dc 0) (fun _ -> incr hits; true);
   Bus.Sched.crash s (Bus.Party.Dc 0);
@@ -260,7 +260,7 @@ let test_sched_crash_and_unclaimed () =
   let stats = Bus.Sched.run s in
   Alcotest.(check int) "crashed party's mail dropped" 1 stats.Bus.Sched.dropped;
   Alcotest.(check int) "crashed handler never runs" 0 !hits;
-  let s2 = Bus.Sched.create ~seed:1 () in
+  let s2 = Bus.Sched.create ~seed:1 in
   Bus.Sched.register s2 (Bus.Party.Dc 0) (fun _ -> false);
   Bus.Sched.post s2 ~epoch:0 ~src:Bus.Party.Ts ~dst:(Bus.Party.Dc 0) ~kind:"x"
     ~body:"";
@@ -301,7 +301,7 @@ let test_checkpoint_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Bus.Checkpoint.save path sample_checkpoint;
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
       match Bus.Checkpoint.load path with
       | Ok cp ->
         Alcotest.(check string) "file round-trip" bytes (Bus.Checkpoint.encode cp)
@@ -316,24 +316,35 @@ let test_scenario_catalogue () =
     [ "benign"; "dc-crash"; "churn"; "slow-cp"; "malicious-cp"; "restart" ]
     (Bus.Scenario.names ());
   Alcotest.(check bool) "find hit" true (Bus.Scenario.find "restart" <> None);
-  Alcotest.(check bool) "find miss" true (Bus.Scenario.find "nope" = None);
-  let hooks =
-    {
-      Bus.Lifecycle.setup = (fun ~epoch:_ -> ());
-      collect = (fun ~epoch:_ -> ());
-      aggregate = (fun ~epoch:_ -> ());
-      publish = (fun ~epoch:_ -> ());
-      checkpoint = (fun ~epoch:_ -> sample_checkpoint);
-      restore = (fun _ -> ());
-    }
-  in
-  match Bus.Lifecycle.run ~epochs:0 hooks with
-  | _ -> Alcotest.fail "epochs 0 must be rejected"
-  | exception Invalid_argument _ -> ()
+  Alcotest.(check bool) "find miss" true (Bus.Scenario.find "nope" = None)
 
 (* --- deploy scenarios end-to-end --- *)
 
 let deploy_cfg ?(epochs = 1) () = Tormeasure.Deploy.default_config ~seed:11 ~epochs ()
+
+let test_deploy_rejects_zero_epochs () =
+  match Tormeasure.Deploy.run (deploy_cfg ~epochs:0 ()) (scenario "benign") with
+  | _ -> Alcotest.fail "epochs 0 must be rejected"
+  | exception Invalid_argument _ -> ()
+
+(* the one comparability rule decides which scenarios the reference
+   pipeline accepts *)
+let test_reference_comparable_is_acceptance () =
+  List.iter
+    (fun (s : Bus.Scenario.t) ->
+      let accepted =
+        match Tormeasure.Deploy.run_reference (deploy_cfg ()) s with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      Alcotest.(check bool) s.name (Bus.Scenario.reference_comparable s) accepted)
+    Bus.Scenario.catalogue;
+  Alcotest.(check (list string)) "only the DC crash has no in-process equivalent"
+    [ "dc-crash" ]
+    (List.filter_map
+       (fun (s : Bus.Scenario.t) ->
+         if Bus.Scenario.reference_comparable s then None else Some s.name)
+       Bus.Scenario.catalogue)
 
 let test_deploy_benign_matches_reference () =
   let cfg = deploy_cfg ~epochs:2 () in
@@ -476,7 +487,7 @@ let test_deploy_malicious_cp_same_proofs () =
 (* A checkpointed PSC table of the wrong size must fail the restore
    with a typed error, not leave the replayed table in place. *)
 let test_psc_dc_load_wrong_size () =
-  let sched = Bus.Sched.create ~seed:3 () in
+  let sched = Bus.Sched.create ~seed:3 in
   let cfg =
     {
       Psc.Node.round =
@@ -576,6 +587,24 @@ let test_deploy_digest_pins () =
     [
       ("benign", "a703784114412f64e2d338689d304a0b682adde9dc0a2eb20c086c2a190c0570");
       ("malicious-cp", "0f68a1416f049420e340b48d184c458d2af8b243a3bf612483e488e3e5a41d43");
+    ]
+
+let test_deploy_order_digest_pins () =
+  List.iter
+    (fun (name, epochs, want) ->
+      Alcotest.(check (list string)) name want
+        (Tormeasure.Deploy.run (deploy_cfg ~epochs ()) (scenario name))
+          .Tormeasure.Deploy.order_digests)
+    [
+      ( "benign",
+        2,
+        [
+          "299930a01de0ac39513e69462ade339d8ecbc42160685d80aebb44fadd424c20";
+          "78f9116f8e9fe083a7cbfe3437d866588c4365df9eb71cee1e73e7f9ad8bbdde";
+        ] );
+      ( "malicious-cp",
+        1,
+        [ "d07a29d12a90ae18067cf589699f9cab09018ca9666c10faafabaa811dd6266b" ] );
     ]
 
 (* --- decoder fuzzing: per-protocol wire bodies and checkpoints ---
@@ -859,6 +888,9 @@ let () =
         ] );
       ( "deploy",
         [
+          Alcotest.test_case "zero epochs rejected" `Quick test_deploy_rejects_zero_epochs;
+          Alcotest.test_case "reference_comparable = run_reference accepts" `Quick
+            test_reference_comparable_is_acceptance;
           Alcotest.test_case "benign = in-process bytes" `Quick
             test_deploy_benign_matches_reference;
           Alcotest.test_case "pool-size invariance" `Quick test_deploy_jobs_invariance;
@@ -881,5 +913,7 @@ let () =
         [
           Alcotest.test_case "psc encoded result" `Quick test_psc_result_pin;
           Alcotest.test_case "deploy digests at seed 11" `Quick test_deploy_digest_pins;
+          Alcotest.test_case "deploy order digests at seed 11" `Quick
+            test_deploy_order_digest_pins;
         ] );
     ]

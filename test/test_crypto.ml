@@ -281,24 +281,6 @@ let test_elgamal_joint_missing_share_fails () =
   Alcotest.(check bool) "missing share breaks decryption" false
     (Group.elt_to_int m = Group.elt_to_int (Elgamal.combine_partial ct shares))
 
-(* --- Pedersen --- *)
-
-let test_pedersen_verify () =
-  let d = drbg () in
-  let v = Group.random_exp d in
-  let c, blind = Pedersen.commit_random d v in
-  Alcotest.(check bool) "verifies" true (Pedersen.verify c ~value:v ~blind);
-  Alcotest.(check bool) "wrong value rejected" false
-    (Pedersen.verify c ~value:(Group.exp_add v Group.one_exp) ~blind)
-
-let test_pedersen_homomorphic () =
-  let d = drbg () in
-  let a = Group.random_exp d and b = Group.random_exp d in
-  let ca, ra = Pedersen.commit_random d a in
-  let cb, rb = Pedersen.commit_random d b in
-  Alcotest.(check bool) "sum opens" true
-    (Pedersen.verify (Pedersen.add ca cb) ~value:(Group.exp_add a b) ~blind:(Group.exp_add ra rb))
-
 (* --- sigma protocols --- *)
 
 let test_schnorr () =
@@ -1306,11 +1288,6 @@ let () =
           Alcotest.test_case "missing share fails" `Quick test_elgamal_joint_missing_share_fails;
           Alcotest.test_case "encrypt with table identical" `Quick test_encrypt_with_tab_identical;
           Alcotest.test_case "combine_partial_arr agrees" `Quick test_combine_partial_arr_agrees;
-        ] );
-      ( "pedersen",
-        [
-          Alcotest.test_case "verify" `Quick test_pedersen_verify;
-          Alcotest.test_case "homomorphic" `Quick test_pedersen_homomorphic;
         ] );
       ( "sigma",
         [

@@ -240,17 +240,6 @@ let test_accountant_window_spend () =
   let w = Accountant.window_spend acc ~window_start:0 in
   Alcotest.(check (float 1e-9)) "single window spend" 0.3 w.Mechanism.epsilon
 
-(* --- sensitivity --- *)
-
-let test_sensitivity_of_statistics () =
-  let open Sensitivity in
-  Alcotest.(check (float 0.0)) "count" 20.0
-    (of_statistic (Count Action_bounds.Connect_to_domain));
-  Alcotest.(check (float 0.0)) "histogram same as count" 20.0
-    (of_statistic (Histogram (Action_bounds.Connect_to_domain, 10)));
-  Alcotest.(check (float 0.0)) "unique ips" 4.0
-    (of_statistic (Unique Action_bounds.New_ip_day1))
-
 let prop_split_never_exceeds_budget =
   QCheck.Test.make ~name:"split then compose <= budget" ~count:200
     QCheck.(int_range 1 50)
@@ -304,6 +293,5 @@ let () =
           Alcotest.test_case "total spend" `Quick test_accountant_total_spend;
           Alcotest.test_case "window spend" `Quick test_accountant_window_spend;
         ] );
-      ("sensitivity", [ Alcotest.test_case "statistics" `Quick test_sensitivity_of_statistics ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_split_never_exceeds_budget ]);
     ]

@@ -282,7 +282,7 @@ let test_short_shuffle_proof_blamed () =
    that rewrites its 2-round shuffle request to 1 round, so the real CP
    code answers with a valid 1-round proof that the TS must reject. *)
 let test_short_shuffle_proof_blamed_on_bus () =
-  let sched = Bus.Sched.create ~seed:3 () in
+  let sched = Bus.Sched.create ~seed:3 in
   let cfg =
     {
       Node.round =

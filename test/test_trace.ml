@@ -308,7 +308,14 @@ let test_replay_mismatch () =
 let test_recording_files () =
   let r = Lazy.force recording in
   let prefix = Filename.concat (Filename.get_temp_dir_name ()) "tmt-test" in
-  let paths = Netday.write_recording r ~prefix in
+  let paths =
+    List.mapi
+      (fun shard seg ->
+        let path = Netday.segment_path ~prefix ~shard in
+        Evtrace.Segment.write_file path seg;
+        path)
+      (Array.to_list r.Netday.segments)
+  in
   Fun.protect ~finally:(fun () -> List.iter Sys.remove paths) @@ fun () ->
   Alcotest.(check int) "one file per shard" netday_config.Netday.shards (List.length paths);
   let segs = Netday.load_recording ~prefix in
