@@ -503,6 +503,27 @@ let prop_jobs_invariant_tampered =
       && a.Protocol.culprits = [ cp ]
       && a.Protocol.culprits = b.Protocol.culprits)
 
+(* Absolute pins on what a verified round decrypts and publishes at
+   fixed seeds, honest and tampered: the decryption proof's shape may
+   change, the decrypted counts and estimates must not. *)
+let test_decrypted_counts_pinned () =
+  List.iter
+    (fun (seed, n, tamper, want_raw, want_estimate) ->
+      let r = run_at ?tamper ~seed ~n 1 in
+      let name = Printf.sprintf "seed %d, %d items" seed n in
+      Alcotest.(check int) (name ^ ": raw nonzero") want_raw r.Protocol.raw_nonzero;
+      Alcotest.(check string) (name ^ ": estimate") want_estimate
+        (Printf.sprintf "%h" r.Protocol.estimate))
+    [
+      (1, 0, None, 10, "0x0p+0");
+      (7, 40, None, 44, "0x1.10f014d8ed6a3p+5");
+      (23, 120, None, 105, "0x1.cd5ba96ec11c6p+6");
+      ( 5, 60, Some { Protocol.tampered_cp = 1; action = `Shuffle_swap },
+        66, "0x1.e43e2f036ee7fp+5" );
+      ( 5, 60, Some { Protocol.tampered_cp = 2; action = `Noise_nonbit },
+        65, "0x1.da262974ecf33p+5" );
+    ]
+
 let prop_estimate_tracks_truth =
   QCheck.Test.make ~name:"estimate within noise of true union" ~count:8
     QCheck.(pair (int_range 1 60) (int_range 0 300))
@@ -558,6 +579,8 @@ let () =
           Alcotest.test_case "flips calibration" `Quick test_flips_for_params;
           Alcotest.test_case "monotone estimates" `Quick test_larger_union_estimates_monotone;
           Alcotest.test_case "permuted insertion" `Quick test_permuted_insertion_order;
+          Alcotest.test_case "decrypted counts pinned at fixed seeds" `Quick
+            test_decrypted_counts_pinned;
         ] );
       ( "failure_injection",
         [
