@@ -18,6 +18,10 @@ let ints a t =
   Array.iter (Sha256.update_int32_be t) a;
   t
 
+let elts a t =
+  Array.iter (fun e -> Sha256.update_int32_be t (Group.elt_to_int e)) a;
+  t
+
 let exps a t =
   Array.iter (fun e -> Sha256.update_int32_be t (Group.exp_to_int e)) a;
   t

@@ -19,6 +19,7 @@ val int : int -> t -> t
 val elt : Group.elt -> t -> t
 val exp : Group.exp -> t -> t
 val ints : int array -> t -> t
+val elts : Group.elt array -> t -> t
 val exps : Group.exp array -> t -> t
 val ciphertexts : Elgamal.ciphertext array -> t -> t
 (** Each ciphertext as [c1] then [c2]. *)

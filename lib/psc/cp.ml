@@ -73,7 +73,7 @@ let shuffle ?tab t ~joint ~rounds vector =
        tests that switch proofs off *)
     (Crypto.Shuffle.shuffle_unproven ?tab t.drbg joint vector, None)
 
-(* The vector phases below run on Group.pow_lanes: two ciphertexts per
+(* Rerandomization runs on Group.pow_lanes: two ciphertexts per
    four-lane call, one pair per pool index, so every pool chunk is a
    multiple of four lanes. An odd tail pairs the last slot with itself
    and writes it twice. *)
@@ -106,64 +106,57 @@ let rerandomize_bits t vector =
 type decryption_share = {
   cp_id : int;
   shares : Crypto.Group.elt array;
-  proofs : Crypto.Sigma.dleq_proof array option;
+  proof : Crypto.Sigma.dleq_proof option;
 }
+
+(* The folded statement both sides derive (the "composite" DLEQ of
+   RFC 9497 §2.2.1). Weights w_i come from a transcript over the CP's
+   key, every c1_i and every share_i, so they are fixed only after the
+   shares are; the folded base is C = prod c1_i^w_i. The prover's
+   folded share is C^x, the verifier's prod share_i^w_i: one DLEQ
+   between (g, pk) and (C, folded share) proves every share_i = c1_i^x
+   up to a 1/q error (DESIGN.md §3c). *)
+let fold ~pub vector shares =
+  let c1s = Array.map (fun ct -> ct.Crypto.Elgamal.c1) vector in
+  let digest =
+    Crypto.Transcript.(
+      create "psc-decrypt|" |> elt pub |> elts c1s |> elts shares |> digest)
+  in
+  let w = Crypto.Batch_verify.weights ~context:"psc-decrypt" ~digest (Array.length vector) in
+  (w, Crypto.Group.multi_exp ~bases:c1s ~exps:w)
 
 let decrypt_shares t ?(prove = true) vector =
   let n = Array.length vector in
   let x = t.priv in
   let shares = Array.make n Crypto.Group.one in
   let c1 i = vector.(i).Crypto.Elgamal.c1 in
-  if not prove then begin
-    (* four shares per call *)
-    Parallel.parallel_for ((n + 3) / 4) (fun h ->
-        let i = 4 * h in
-        let at k = min (i + k) (n - 1) in
-        let l = Crypto.Group.pow_lanes (c1 i) x (c1 (at 1)) x (c1 (at 2)) x (c1 (at 3)) x in
-        shares.(i) <- l.Crypto.Group.l0;
-        shares.(at 1) <- l.Crypto.Group.l1;
-        shares.(at 2) <- l.Crypto.Group.l2;
-        shares.(at 3) <- l.Crypto.Group.l3);
-    { cp_id = t.id; shares; proofs = None }
-  end
-  else begin
-    (* commitment nonces from one bulk DRBG read, then a single pooled
-       pass computes each share c1^x with its proof's commitment
-       a2 = c1^k on the same four-lane call — the share is the proof's
-       second public point, so each is computed exactly once *)
-    let ks = Crypto.Group.random_exps t.drbg n in
-    let proofs =
-      Array.make n
-        { Crypto.Sigma.a1 = Crypto.Group.one; a2 = Crypto.Group.one;
-          z = Crypto.Group.zero_exp }
-    in
-    let prove i share a2 =
-      shares.(i) <- share;
-      proofs.(i) <-
-        Crypto.Sigma.dleq_prove_with ~public2:share ~a2 ~public1:t.pub ~k:ks.(i) ~secret:x
-          ~base2:(c1 i) ~context:"psc-decrypt" ()
-    in
-    iter_pairs n (fun i j ->
-        let l = Crypto.Group.pow_lanes (c1 i) x (c1 i) ks.(i) (c1 j) x (c1 j) ks.(j) in
-        prove i l.Crypto.Group.l0 l.Crypto.Group.l1;
-        if j > i then prove j l.Crypto.Group.l2 l.Crypto.Group.l3);
-    { cp_id = t.id; shares; proofs = Some proofs }
-  end
+  (* four shares per call *)
+  Parallel.parallel_for ((n + 3) / 4) (fun h ->
+      let i = 4 * h in
+      let at k = min (i + k) (n - 1) in
+      let l = Crypto.Group.pow_lanes (c1 i) x (c1 (at 1)) x (c1 (at 2)) x (c1 (at 3)) x in
+      shares.(i) <- l.Crypto.Group.l0;
+      shares.(at 1) <- l.Crypto.Group.l1;
+      shares.(at 2) <- l.Crypto.Group.l2;
+      shares.(at 3) <- l.Crypto.Group.l3);
+  let proof =
+    if not prove then None
+    else begin
+      let _, base2 = fold ~pub:t.pub vector shares in
+      Some
+        (Crypto.Sigma.dleq_prove_with ~public2:(Crypto.Group.pow base2 x) ~public1:t.pub
+           ~k:(Crypto.Group.random_exp t.drbg) ~secret:x ~base2 ~context:"psc-decrypt" ())
+    end
+  in
+  { cp_id = t.id; shares; proof }
 
-let verify_decryption ?pub_tab ~pub ~vector { shares; proofs; _ } =
-  match proofs with
+let verify_decryption ~pub ~vector { shares; proof; _ } =
+  match proof with
   | None -> false
-  | Some proofs ->
+  | Some proof ->
     Array.length shares = Array.length vector
-    && Array.length proofs = Array.length vector
     &&
-    let statements =
-      Array.init (Array.length vector) (fun i ->
-          (vector.(i).Crypto.Elgamal.c1, shares.(i)))
-    in
-    (match
-       Crypto.Sigma.dleq_verify_batch ?public1_tab:pub_tab ~public1:pub
-         ~context:"psc-decrypt" ~statements proofs
-     with
-    | Crypto.Batch_verify.Accepted -> true
-    | Crypto.Batch_verify.Rejected _ -> false)
+    let w, base2 = fold ~pub vector shares in
+    Crypto.Sigma.dleq_verify ~public1:pub ~base2
+      ~public2:(Crypto.Group.multi_exp ~bases:shares ~exps:w)
+      ~context:"psc-decrypt" proof

@@ -37,16 +37,23 @@ val rerandomize_bits : t -> Crypto.Elgamal.ciphertext array -> Crypto.Elgamal.ci
 
 type decryption_share = {
   cp_id : int;
-  shares : Crypto.Group.elt array;
-  proofs : Crypto.Sigma.dleq_proof array option;
+  shares : Crypto.Group.elt array;  (** [c1_i^x] per slot *)
+  proof : Crypto.Sigma.dleq_proof option;
+      (** one Chaum–Pedersen proof for the whole vector *)
 }
 
 val decrypt_shares : t -> ?prove:bool -> Crypto.Elgamal.ciphertext array -> decryption_share
+(** Partial decryptions of every slot and, with [prove] (the default),
+    one folded Chaum–Pedersen proof: weights drawn from a transcript
+    over the CP's key, every [c1_i] and every share fold the vector
+    into one statement [(C, C^x)] with [C = prod c1_i^w_i], proven
+    equal-log to [(g, pk)] with a single nonce from the CP's DRBG
+    (DESIGN.md §3c). *)
 
 val verify_decryption :
-  ?pub_tab:Crypto.Group.precomp ->
   pub:Crypto.Elgamal.pub -> vector:Crypto.Elgamal.ciphertext array -> decryption_share -> bool
-(** Batched Chaum–Pedersen verification of one party's shares
-    ({!Crypto.Sigma.dleq_verify_batch}); a failed batch falls back to
-    single proofs internally, so a [false] still pinpoints real forgeries.
-    [?pub_tab] is a fixed-base table for this CP's public key. *)
+(** Recompute the weights and [C], fold the shares into
+    [prod share_i^w_i] and check the one proof: [false] on a missing
+    proof, a share vector of the wrong length, or any share other than
+    [c1_i^x] (up to the 1/q fold error). Shares must be subgroup
+    members, which {!Crypto.Group.elt} guarantees. *)

@@ -46,9 +46,7 @@ let spawn_cp sched ~epoch cfg ~id =
           true
       | Ok (Wire.Decrypt_request vector) ->
           let share = Cp.decrypt_shares cp ~prove:true vector in
-          reply
-            (Wire.Decrypt_share
-               { shares = share.Cp.shares; proofs = share.Cp.proofs });
+          reply (Wire.Decrypt_share { shares = share.Cp.shares; proof = share.Cp.proof });
           true
       | Ok _ | Error _ -> false)
 
@@ -104,7 +102,12 @@ type stage =
   | Waiting  (** no cascade step in flight *)
   | Chain of { cp : int; vector : Crypto.Elgamal.ciphertext array }
       (** [vector] is the chain input being verified against *)
-  | Decrypt of { vector : Crypto.Elgamal.ciphertext array }
+  | Decrypt of {
+      vector : Crypto.Elgamal.ciphertext array;
+      shares : Cp.decryption_share option array;
+    }
+      (** [shares.(cp)] is CP [cp]'s first answer. The stage stays
+          after the result, so any later answer is a duplicate. *)
 
 type ts = {
   ts_sched : Bus.Sched.t;
@@ -115,7 +118,6 @@ type ts = {
   mutable verifier : Protocol.verifier option;
   mutable tables : (int * Crypto.Elgamal.ciphertext array) list;
   mutable noise : (int * (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array) list;
-  mutable dec_shares : (int * Cp.decryption_share) list;
   mutable result : (Protocol.result * string) option;
 }
 
@@ -147,7 +149,6 @@ let spawn_ts sched cfg =
       verifier = None;
       tables = [];
       noise = [];
-      dec_shares = [];
       result = None;
     }
   in
@@ -208,26 +209,29 @@ let spawn_ts sched cfg =
                 post t ~epoch (Bus.Party.Cp (cp + 1)) (Wire.Shuffle_request { vector; rounds })
               end
               else begin
-                t.stage <- Decrypt { vector };
+                t.stage <- Decrypt { vector; shares = Array.make num_cps None };
                 for c = 0 to num_cps - 1 do
                   post t ~epoch (Bus.Party.Cp c) (Wire.Decrypt_request vector)
                 done
               end;
               true
           | _ -> invalid_arg "Node.ts: unexpected rerandomized vector")
-      | Ok (Wire.Decrypt_share { shares; proofs }) -> (
+      | Ok (Wire.Decrypt_share { shares = s; proof }) -> (
           let cp = src_cp () in
           match t.stage with
-          | Decrypt { vector } ->
-              t.dec_shares <- (cp, { Cp.cp_id = cp; shares; proofs }) :: t.dec_shares;
-              if List.length t.dec_shares = num_cps then begin
-                let v = verifier_exn t in
-                let res =
-                  Protocol.result_of v
-                    ~raw_nonzero:(Protocol.decrypt_count v vector (by_id t.dec_shares))
-                in
-                t.stage <- Waiting;
-                t.result <- Some (res, Wire.encode_result res)
+          | Decrypt { vector; shares } when cp < num_cps ->
+              (* only a CP's first answer is checked against its key;
+                 a second one is ignored *)
+              if Option.is_none shares.(cp) then begin
+                shares.(cp) <- Some { Cp.cp_id = cp; shares = s; proof };
+                if Array.for_all Option.is_some shares then begin
+                  let v = verifier_exn t in
+                  let raw_nonzero =
+                    Protocol.decrypt_count v vector (Array.map Option.get shares)
+                  in
+                  let res = Protocol.result_of v ~raw_nonzero in
+                  t.result <- Some (res, Wire.encode_result res)
+                end
               end;
               true
           | _ -> invalid_arg "Node.ts: unexpected decryption share")

@@ -90,9 +90,6 @@ type verifier = {
   joint : Crypto.Elgamal.pub;
   joint_tab : Crypto.Group.precomp; (* fixed-base table for [joint], built once per round *)
   pubs : Crypto.Elgamal.pub array;
-  pub_tabs : Crypto.Group.precomp array;
-      (* fixed-base table per CP public key, reused by every
-         verification touching that key *)
   mutable culprits : int list;
 }
 
@@ -115,7 +112,6 @@ let verifier cfg keys =
     joint;
     joint_tab = Crypto.Group.precomp joint;
     pubs;
-    pub_tabs = Array.map Crypto.Group.precomp pubs;
     culprits = [];
   }
 
@@ -151,15 +147,28 @@ let check_shuffle v ~cp ~input ~output proof =
   | None -> ()
 
 let decrypt_count v vector (shares : Cp.decryption_share array) =
-  if v.vcfg.verify then
-    Array.iteri
-      (fun cp share ->
-        let ok =
-          Cp.verify_decryption ~pub_tab:v.pub_tabs.(cp) ~pub:v.pubs.(cp) ~vector share
-        in
-        Obs.Ledger.proof ~kind:"psc-decrypt" ~party:cp ~ok ~batch:(Array.length vector);
-        if not ok then blame v cp)
-      shares;
+  if Array.length shares <> Array.length v.pubs then
+    invalid_arg "Protocol.decrypt_count: one share vector per CP";
+  let n = Array.length vector in
+  Array.iteri
+    (fun cp share ->
+      let ok =
+        if v.vcfg.verify then begin
+          let ok = Cp.verify_decryption ~pub:v.pubs.(cp) ~vector share in
+          Obs.Ledger.proof ~kind:"psc-decrypt" ~party:cp ~ok ~batch:n;
+          ok
+        end
+        else Array.length share.Cp.shares = n
+      in
+      if not ok then blame v cp)
+    shares;
+  (* a share vector of the wrong length is blamed above and left out
+     here; once anyone is blamed the count means nothing, as with a
+     forged share, and [proofs_ok] says so *)
+  let shares =
+    Array.of_list
+      (List.filter (fun s -> Array.length s.Cp.shares = n) (Array.to_list shares))
+  in
   let plains =
     Crypto.Elgamal.combine_partial_all vector ~parties:(Array.length shares)
       ~share:(fun p i -> shares.(p).Cp.shares.(i))

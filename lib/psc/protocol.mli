@@ -116,9 +116,12 @@ val check_shuffle :
 
 val decrypt_count :
   verifier -> Crypto.Elgamal.ciphertext array -> Cp.decryption_share array -> int
-(** Verify every CP's decryption shares when [verify] is on
-    ([psc-decrypt]; index = CP id), combine them and count the
-    non-identity plaintexts. *)
+(** Verify every CP's folded decryption proof when [verify] is on
+    ([psc-decrypt]; index = CP id), combine the shares and count the
+    non-identity plaintexts. A share vector whose length differs from
+    the vector's blames its CP, with or without [verify], and is left
+    out of the combination. Raises [Invalid_argument] unless there is
+    one share vector per CP. *)
 
 val result_of : verifier -> raw_nonzero:int -> result
 (** The published estimate: noise-mean subtraction, occupancy-bias

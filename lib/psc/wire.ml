@@ -17,7 +17,7 @@ type msg =
   | Decrypt_request of Crypto.Elgamal.ciphertext array
   | Decrypt_share of {
       shares : Crypto.Group.elt array;
-      proofs : Crypto.Sigma.dleq_proof array option;
+      proof : Crypto.Sigma.dleq_proof option;
     }
 
 let kind = function
@@ -122,20 +122,16 @@ let encode m =
       | Some p ->
           Codec.W.u8 w 1;
           write_ints w (Crypto.Shuffle.proof_to_ints p))
-  | Decrypt_share { shares; proofs } ->
+  | Decrypt_share { shares; proof } ->
       Codec.W.varint w (Array.length shares);
       Array.iter (write_elt w) shares;
-      (match proofs with
+      (match proof with
       | None -> Codec.W.u8 w 0
-      | Some ps ->
+      | Some p ->
           Codec.W.u8 w 1;
-          Codec.W.varint w (Array.length ps);
-          Array.iter
-            (fun p ->
-              write_elt w p.Crypto.Sigma.a1;
-              write_elt w p.Crypto.Sigma.a2;
-              Codec.W.varint w (Crypto.Group.exp_to_int p.Crypto.Sigma.z))
-            ps));
+          write_elt w p.Crypto.Sigma.a1;
+          write_elt w p.Crypto.Sigma.a2;
+          Codec.W.varint w (Crypto.Group.exp_to_int p.Crypto.Sigma.z)));
   Codec.W.contents w
 
 (* per slot: c1, c2, then the eight bit-proof ints; the slots' c1/c2
@@ -187,24 +183,17 @@ let decode ~kind body =
   | "psc.decrypt" ->
       Codec.decode body (fun r ->
           let shares = check_elts (read_raw r (read_count r ~max:max_vec "share vector")) in
-          let proofs =
+          let proof =
             match Codec.R.u8 r with
             | 0 -> None
             | 1 ->
-                (* per proof: a1, a2, z *)
-                let np = read_count ~width:3 r ~max:max_vec "proof vector" in
-                let raw = read_raw r (3 * np) in
-                let a = check_pairs raw ~stride:3 np in
-                Some
-                  (Array.init np (fun i ->
-                       {
-                         Crypto.Sigma.a1 = a.(2 * i);
-                         a2 = a.((2 * i) + 1);
-                         z = Crypto.Group.exp_of_int raw.((3 * i) + 2);
-                       }))
+                let a1 = read_elt r in
+                let a2 = read_elt r in
+                let z = Crypto.Group.exp_of_int (Codec.R.varint r) in
+                Some { Crypto.Sigma.a1; a2; z }
             | _ -> Codec.R.fail "bad proof tag"
           in
-          Decrypt_share { shares; proofs })
+          Decrypt_share { shares; proof })
   | k -> Error (Codec.Invalid (Printf.sprintf "unknown psc kind %S" k))
 
 let post sched ~epoch ~src ~dst m =

@@ -2,9 +2,12 @@
     noise → shuffle → rerandomize → decrypt cascade, all as serialized
     envelopes. Ciphertexts, decryption shares and every proof kind
     (Schnorr key proofs, disjunctive bit proofs, cut-and-choose shuffle
-    proofs, DLEQ decryption proofs) cross the wire as flat integer
-    vectors with subgroup membership re-checked on decode — a proof
-    that cannot round-trip cannot convince anyone. *)
+    proofs, one folded DLEQ decryption proof per CP) cross the wire as
+    flat integer vectors with subgroup membership re-checked on decode
+    — a proof that cannot round-trip cannot convince anyone. A
+    [psc.decrypt] body is the share vector, a proof tag, then the
+    proof's [a1], [a2] and [z]; the shares, [a1] and [a2] are
+    membership-checked. *)
 
 type msg =
   | Cp_key of { pub : Crypto.Elgamal.pub; proof : Crypto.Sigma.schnorr_proof }
@@ -23,7 +26,8 @@ type msg =
   | Decrypt_request of Crypto.Elgamal.ciphertext array
   | Decrypt_share of {
       shares : Crypto.Group.elt array;
-      proofs : Crypto.Sigma.dleq_proof array option;
+      proof : Crypto.Sigma.dleq_proof option;
+          (** one folded proof for the whole vector ({!Cp.decrypt_shares}) *)
     }
 
 val kind : msg -> string

@@ -208,15 +208,27 @@ let test_psc_wire_proofs () =
   in
   let output, proof = Psc.Cp.shuffle cp1 ~joint ~rounds:(Some 4) input in
   let proof = match proof with Some p -> p | None -> Alcotest.fail "no proof" in
-  match
-    Psc.Wire.decode ~kind:"psc.shuffled"
-      (Psc.Wire.encode (Psc.Wire.Shuffled { output; proof = Some proof }))
-  with
+  (match
+     Psc.Wire.decode ~kind:"psc.shuffled"
+       (Psc.Wire.encode (Psc.Wire.Shuffled { output; proof = Some proof }))
+   with
   | Ok (Psc.Wire.Shuffled { output = output'; proof = Some proof' }) ->
     Alcotest.(check bool) "shuffle proof verifies after decode" true
       (Crypto.Shuffle.verify joint ~input ~output:output' proof')
   | Ok _ -> Alcotest.fail "decoded to the wrong constructor"
-  | Error e -> Alcotest.failf "shuffled: %s" (Bus.Codec.error_to_string e)
+  | Error e -> Alcotest.failf "shuffled: %s" (Bus.Codec.error_to_string e));
+  let share = Psc.Cp.decrypt_shares cp0 output in
+  match
+    Psc.Wire.decode ~kind:"psc.decrypt"
+      (Psc.Wire.encode
+         (Psc.Wire.Decrypt_share { shares = share.Psc.Cp.shares; proof = share.Psc.Cp.proof }))
+  with
+  | Ok (Psc.Wire.Decrypt_share { shares; proof }) ->
+    Alcotest.(check bool) "decryption proof verifies after decode" true
+      (Psc.Cp.verify_decryption ~pub:(Psc.Cp.public_key cp0) ~vector:output
+         { share with Psc.Cp.shares; proof })
+  | Ok _ -> Alcotest.fail "decoded to the wrong constructor"
+  | Error e -> Alcotest.failf "decrypt: %s" (Bus.Codec.error_to_string e)
 
 (* --- scheduler determinism --- *)
 
@@ -671,16 +683,13 @@ let psc_fields = function
   | Psc.Wire.Shuffled { output; proof = Some p } ->
     let ints = Crypto.Shuffle.proof_to_ints p in
     cts_fields output @ (Byte 1 :: Var (Array.length ints) :: shuffle_proof_fields ints)
-  | Psc.Wire.Decrypt_share { shares; proofs } ->
+  | Psc.Wire.Decrypt_share { shares; proof } ->
     (Var (Array.length shares) :: List.map elt (Array.to_list shares))
     @
-    (match proofs with
+    (match proof with
     | None -> [ Byte 0 ]
-    | Some ps ->
-      Byte 1 :: Var (Array.length ps)
-      :: List.concat_map
-           (fun p -> [ elt p.Crypto.Sigma.a1; elt p.Crypto.Sigma.a2; var_exp p.Crypto.Sigma.z ])
-           (Array.to_list ps))
+    | Some p ->
+      [ Byte 1; elt p.Crypto.Sigma.a1; elt p.Crypto.Sigma.a2; var_exp p.Crypto.Sigma.z ])
 
 (* one message of every PSC kind, from real keys and proofs *)
 let psc_samples =
@@ -709,8 +718,8 @@ let psc_samples =
          Rerand_request output;
          Rerandomized (Psc.Cp.rerandomize_bits cp1 output);
          Decrypt_request output;
-         Decrypt_share { shares = share.Psc.Cp.shares; proofs = share.Psc.Cp.proofs };
-         Decrypt_share { shares = share.Psc.Cp.shares; proofs = None };
+         Decrypt_share { shares = share.Psc.Cp.shares; proof = share.Psc.Cp.proof };
+         Decrypt_share { shares = share.Psc.Cp.shares; proof = None };
        ])
 
 let psc_kinds = List.sort_uniq compare (List.map Psc.Wire.kind (Lazy.force psc_samples))

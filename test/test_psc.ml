@@ -278,10 +278,11 @@ let test_short_shuffle_proof_blamed () =
   Alcotest.(check bool) "proofs fail" false result.Protocol.proofs_ok;
   Alcotest.(check (list int)) "CP 0 blamed" [ 0 ] result.Protocol.culprits
 
-(* The same through the bus parties: CP 0's handler is fronted by one
-   that rewrites its 2-round shuffle request to 1 round, so the real CP
-   code answers with a valid 1-round proof that the TS must reject. *)
-let test_short_shuffle_proof_blamed_on_bus () =
+(* One verified 2-CP round through the bus parties, with CP 0's
+   handler fronted by [front sched]: the front sees CP 0's mail first
+   and may answer it itself (returning [true]) or pass it to the real
+   CP. Returns the TS's result and the aggregation's ledger. *)
+let bus_round ~front =
   let sched = Bus.Sched.create ~seed:3 in
   let cfg =
     {
@@ -293,34 +294,201 @@ let test_short_shuffle_proof_blamed_on_bus () =
     }
   in
   let ts = Node.spawn_ts sched cfg in
-  Bus.Sched.register sched (Bus.Party.Cp 0) (fun env ->
-      match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
-      | Ok (Wire.Shuffle_request { vector; rounds = 2 }) ->
-        Wire.post sched ~epoch:env.Bus.Envelope.epoch ~src:Bus.Party.Ts
-          ~dst:(Bus.Party.Cp 0) (Wire.Shuffle_request { vector; rounds = 1 });
-        true
-      | _ -> false);
+  Bus.Sched.register sched (Bus.Party.Cp 0) (front sched);
   for id = 0 to 1 do
     Node.spawn_cp sched ~epoch:0 cfg ~id
   done;
   let dc = Node.spawn_dc sched cfg ~id:0 in
   ignore (Bus.Sched.run sched : Bus.Sched.stats);
-  Node.dc_insert dc "a";
-  let result, events =
-    with_ledger (fun () ->
-        Node.ts_request_tables ts ~epoch:0 ~dcs:[ 0 ];
-        ignore (Bus.Sched.run sched : Bus.Sched.stats);
-        Node.ts_start_aggregate ts ~epoch:0;
-        ignore (Bus.Sched.run sched : Bus.Sched.stats);
-        Node.ts_result ts)
+  List.iter (Node.dc_insert dc) [ "a"; "b"; "c" ];
+  with_ledger (fun () ->
+      Node.ts_request_tables ts ~epoch:0 ~dcs:[ 0 ];
+      ignore (Bus.Sched.run sched : Bus.Sched.stats);
+      Node.ts_start_aggregate ts ~epoch:0;
+      ignore (Bus.Sched.run sched : Bus.Sched.stats);
+      match Node.ts_result ts with
+      | Some (r, _) -> r
+      | None -> Alcotest.fail "the cascade must finish")
+
+(* [front] for {!bus_round} that hands CP 0 its first message of one
+   kind, rewritten by [f], and every other message unchanged *)
+let rewrite_first f sched =
+  let fired = ref false in
+  fun env ->
+    match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
+    | Ok m when not !fired -> (
+      match f m with
+      | [] -> false
+      | ms ->
+        fired := true;
+        List.iter
+          (Wire.post sched ~epoch:env.Bus.Envelope.epoch ~src:Bus.Party.Ts
+             ~dst:(Bus.Party.Cp 0))
+          ms;
+        true)
+    | _ -> false
+
+(* The same through the bus parties: CP 0 is asked for 1 shuffle-proof
+   round instead of 2, so the real CP code answers with a valid
+   1-round proof that the TS must reject. *)
+let test_short_shuffle_proof_blamed_on_bus () =
+  let r, events =
+    bus_round
+      ~front:
+        (rewrite_first (function
+          | Wire.Shuffle_request { vector; rounds = 2 } ->
+            [ Wire.Shuffle_request { vector; rounds = 1 } ]
+          | _ -> []))
   in
   Alcotest.(check (list (pair int bool))) "CP 0's short proof fails"
     [ (0, false); (1, true) ] (shuffle_proofs events);
-  match result with
-  | Some (r, _) ->
-    Alcotest.(check bool) "proofs fail" false r.Protocol.proofs_ok;
-    Alcotest.(check (list int)) "CP 0 blamed" [ 0 ] r.Protocol.culprits
-  | None -> Alcotest.fail "the cascade must finish"
+  Alcotest.(check bool) "proofs fail" false r.Protocol.proofs_ok;
+  Alcotest.(check (list int)) "CP 0 blamed" [ 0 ] r.Protocol.culprits
+
+(* --- decryption blame --- *)
+
+let decrypt_proofs events =
+  List.filter_map
+    (function
+      | Obs.Ledger.Proof { kind = "psc-decrypt"; party; ok; _ } -> Some (party, ok)
+      | _ -> None)
+    events
+
+(* A 3-CP decrypt step: the verifier, an n-slot vector under the joint
+   key (a marker in every third slot) and each CP's share vector. *)
+let decrypt_step ?(verify = true) ~seed n =
+  let cfg =
+    Protocol.config ~table_size:16 ~num_cps:3 ~noise_flips_per_cp:2 ~proof_rounds:None ~verify ()
+  in
+  let cps = Array.init 3 (fun id -> Cp.create ~id ~seed) in
+  let v =
+    Protocol.verifier cfg (Array.map (fun cp -> (Cp.public_key cp, Cp.key_proof cp)) cps)
+  in
+  let d = Crypto.Drbg.create (Printf.sprintf "decrypt-step|%d" seed) in
+  let vector =
+    Array.init n (fun i ->
+        Crypto.Elgamal.encrypt d (Protocol.joint v)
+          (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
+  in
+  (v, vector, Array.map (fun cp -> Cp.decrypt_shares cp ~prove:verify vector) cps)
+
+(* decrypt_count's ledger proofs, count, and the published verdict *)
+let decrypt_verdict v vector shares =
+  let raw, events = with_ledger (fun () -> Protocol.decrypt_count v vector shares) in
+  let r = Protocol.result_of v ~raw_nonzero:raw in
+  (decrypt_proofs events, raw, r.Protocol.proofs_ok, r.Protocol.culprits)
+
+let verdict = Alcotest.(pair (list (pair int bool)) (pair int (pair bool (list int))))
+let of_verdict (proofs, raw, ok, culprits) = (proofs, (raw, (ok, culprits)))
+
+(* A share vector one short, one long, or another CP's is blamed on
+   its CP; the round finishes instead of indexing past a vector. *)
+let test_wrong_share_vectors_blamed () =
+  let n = 7 in
+  let v, vector, honest = decrypt_step ~seed:4 n in
+  Alcotest.check verdict "honest"
+    ([ (0, true); (1, true); (2, true) ], (3, (true, [])))
+    (of_verdict (decrypt_verdict v vector honest));
+  List.iter
+    (fun (name, forge) ->
+      let v, vector, shares = decrypt_step ~seed:4 n in
+      shares.(1) <- forge shares;
+      let proofs, _, ok, culprits = decrypt_verdict v vector shares in
+      Alcotest.(check (list (pair int bool))) (name ^ ": ledger")
+        [ (0, true); (1, false); (2, true) ] proofs;
+      Alcotest.(check (pair bool (list int))) (name ^ ": CP 1 blamed") (false, [ 1 ])
+        (ok, culprits))
+    [
+      ("short", fun s -> { (s.(1)) with Cp.shares = Array.sub s.(1).Cp.shares 0 (n - 1) });
+      ( "long",
+        fun s -> { (s.(1)) with Cp.shares = Array.append s.(1).Cp.shares [| Crypto.Group.g |] } );
+      ("CP 0's", fun s -> s.(0));
+      ("no proof", fun s -> { (s.(1)) with Cp.proof = None });
+    ];
+  (* without verification a wrong length is still blamed, with no proof
+     recorded *)
+  let v, vector, shares = decrypt_step ~verify:false ~seed:4 n in
+  shares.(2) <- { (shares.(2)) with Cp.shares = Array.sub shares.(2).Cp.shares 0 1 };
+  let proofs, _, ok, culprits = decrypt_verdict v vector shares in
+  Alcotest.(check (list (pair int bool))) "unverified: no ledger proofs" [] proofs;
+  Alcotest.(check (pair bool (list int))) "unverified: CP 2 blamed" (false, [ 2 ]) (ok, culprits);
+  Alcotest.check_raises "one share vector per CP"
+    (Invalid_argument "Protocol.decrypt_count: one share vector per CP") (fun () ->
+      ignore (Protocol.decrypt_count v vector (Array.sub shares 0 2)))
+
+(* The folded proof binds every share: one share replaced by another
+   subgroup member, anywhere in the vector, fails its CP's proof, and
+   decrypt_count blames exactly that CP. *)
+let prop_forged_share_blamed =
+  QCheck.Test.make ~name:"a forged decryption share blames exactly its CP" ~count:25
+    QCheck.(
+      quad (int_range 1 40) (int_range 1 40) (int_range 0 2) (pair small_nat (int_range 1 1000)))
+    (fun (seed, n, cp, (pos, e)) ->
+      let v, vector, shares = decrypt_step ~seed n in
+      let pos = pos mod n in
+      let forged = Array.copy shares.(cp).Cp.shares in
+      forged.(pos) <-
+        Crypto.Group.mul forged.(pos) (Crypto.Group.pow_g (Crypto.Group.exp_of_int e));
+      shares.(cp) <- { (shares.(cp)) with Cp.shares = forged };
+      let proofs, _, ok, culprits = decrypt_verdict v vector shares in
+      proofs = List.init 3 (fun i -> (i, i <> cp)) && (not ok) && culprits = [ cp ])
+
+(* The proof is the same bytes at any pool size; the vector is past
+   multi_exp's 2^14-term chunk, so the fold runs on the pool. *)
+let test_decryption_proof_jobs_invariant () =
+  let cp = Cp.create ~id:2 ~seed:8 in
+  let d = Crypto.Drbg.create "jobs-invariant" in
+  let vector =
+    Array.init ((1 lsl 14) + 37) (fun i ->
+        Crypto.Elgamal.encrypt d (Cp.public_key cp)
+          (if i land 1 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
+  in
+  let body jobs =
+    let before = Parallel.jobs () in
+    Parallel.set_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_jobs before)
+      (fun () ->
+        let s = Cp.decrypt_shares (Cp.create ~id:2 ~seed:8) vector in
+        Alcotest.(check bool) (Printf.sprintf "verifies at jobs %d" jobs) true
+          (Cp.verify_decryption ~pub:(Cp.public_key cp) ~vector s);
+        Wire.encode (Wire.Decrypt_share { shares = s.Cp.shares; proof = s.Cp.proof }))
+  in
+  Alcotest.(check string) "psc.decrypt body at jobs 1 and 4" (body 1) (body 4)
+
+(* The bus: CP 0 is asked to decrypt a vector one slot short or one
+   slot long, and answers it with a valid proof over that vector; or
+   it is asked twice and answers twice. *)
+let test_wrong_share_vectors_blamed_on_bus () =
+  let honest, _ = bus_round ~front:(fun _ _ -> false) in
+  List.iter
+    (fun (name, resize) ->
+      let r, events =
+        bus_round
+          ~front:
+            (rewrite_first (function
+              | Wire.Decrypt_request vector -> [ Wire.Decrypt_request (resize vector) ]
+              | _ -> []))
+      in
+      Alcotest.(check (list (pair int bool))) (name ^ ": ledger") [ (0, false); (1, true) ]
+        (decrypt_proofs events);
+      Alcotest.(check (pair bool (list int))) (name ^ ": CP 0 blamed") (false, [ 0 ])
+        (r.Protocol.proofs_ok, r.Protocol.culprits))
+    [
+      ("short", fun v -> Array.sub v 0 (Array.length v - 1));
+      ("long", fun v -> Array.append v [| v.(0) |]);
+    ];
+  let r, events =
+    bus_round
+      ~front:
+        (rewrite_first (function
+          | Wire.Decrypt_request _ as m -> [ m; m ]
+          | _ -> []))
+  in
+  Alcotest.(check (list (pair int bool))) "duplicate: one proof per CP" [ (0, true); (1, true) ]
+    (List.sort compare (decrypt_proofs events));
+  Alcotest.(check string) "duplicate: the honest result"
+    (Wire.encode_result honest) (Wire.encode_result r)
 
 let test_table_privacy_structure () =
   (* every slot of a DC table must be a fresh ciphertext: two tables over
@@ -356,12 +524,13 @@ let test_cp_bit_rerandomization () =
     || true (* with tiny probability k=1 keeps it; tolerated *))
 
 (* Rerandomization and decryption shares run on the four-lane power
-   kernel: two ciphertexts per call, one pair per pool index. They must
-   equal the one-lane reference (Elgamal.pow, partial_decrypt, and
-   dleq_prove_with computing its own commitment) on every length, odd
-   tails included, at pool sizes 1 and 4. The reference replays the
-   CP's DRBG stream: [Cp.create] draws the key, then each phase makes
-   its bulk read. *)
+   kernel, and the decryption proof folds the vector with multi_exp.
+   They must equal the one-lane reference (Elgamal.pow,
+   partial_decrypt, and one dleq_prove_with over the plain product
+   prod c1_i^w_i) on every length, odd tails and the empty vector
+   included, at pool sizes 1 and 4. The reference replays the CP's
+   DRBG stream: [Cp.create] draws the key, then each phase makes its
+   read. *)
 let test_cp_vector_phases_match_reference () =
   let seed = 17 and id = 1 in
   let replay () =
@@ -374,10 +543,8 @@ let test_cp_vector_phases_match_reference () =
       (fun ct -> Crypto.Group.(elt_to_int ct.Crypto.Elgamal.c1, elt_to_int ct.Crypto.Elgamal.c2))
       cts
   in
-  let proof_ints ps =
-    Array.map
-      (fun p -> Crypto.(Group.elt_to_int p.Sigma.a1, Group.elt_to_int p.Sigma.a2, Group.exp_to_int p.Sigma.z))
-      ps
+  let proof_ints p =
+    Crypto.(Group.elt_to_int p.Sigma.a1, Group.elt_to_int p.Sigma.a2, Group.exp_to_int p.Sigma.z)
   in
   let elts a = Array.map Crypto.Group.elt_to_int a in
   let enc = Crypto.Drbg.create "vector-phases" in
@@ -397,14 +564,19 @@ let test_cp_vector_phases_match_reference () =
           vector
       in
       let d, _, _ = replay () in
-      let ks = Crypto.Group.random_exps d n in
       let shares = Array.map (Crypto.Elgamal.partial_decrypt x) vector in
-      let proofs =
-        Array.mapi
-          (fun i ct ->
-            Crypto.Sigma.dleq_prove_with ~public1:pub ~k:ks.(i) ~secret:x
-              ~base2:ct.Crypto.Elgamal.c1 ~context:"psc-decrypt" ())
-          vector
+      let proof =
+        let c1s = Array.map (fun ct -> ct.Crypto.Elgamal.c1) vector in
+        let digest =
+          Crypto.Transcript.(
+            create "psc-decrypt|" |> elt pub |> elts c1s |> elts shares |> digest)
+        in
+        let w = Crypto.Batch_verify.weights ~context:"psc-decrypt" ~digest n in
+        let base2 =
+          Array.fold_left Crypto.Group.mul Crypto.Group.one (Array.map2 Crypto.Group.pow c1s w)
+        in
+        Crypto.Sigma.dleq_prove_with ~public1:pub ~k:(Crypto.Group.random_exp d) ~secret:x
+          ~base2 ~context:"psc-decrypt" ()
       in
       List.iter
         (fun jobs ->
@@ -419,11 +591,13 @@ let test_cp_vector_phases_match_reference () =
                 (ints got);
               let got = Cp.decrypt_shares (Cp.create ~id ~seed) ~prove:true vector in
               Alcotest.(check (array int)) (name "shares") (elts shares) (elts got.Cp.shares);
-              (match got.Cp.proofs with
-              | Some ps ->
-                Alcotest.(check (array (triple int int int))) (name "proofs") (proof_ints proofs)
-                  (proof_ints ps)
-              | None -> Alcotest.fail "proofs missing");
+              (match got.Cp.proof with
+              | Some p ->
+                Alcotest.(check (triple int int int)) (name "proof") (proof_ints proof)
+                  (proof_ints p)
+              | None -> Alcotest.fail "proof missing");
+              Alcotest.(check bool) (name "proof verifies") true
+                (Cp.verify_decryption ~pub ~vector got);
               let got = Cp.decrypt_shares (Cp.create ~id ~seed) ~prove:false vector in
               Alcotest.(check (array int)) (name "unproven shares") (elts shares)
                 (elts got.Cp.shares)))
@@ -593,6 +767,11 @@ let () =
             test_short_shuffle_proof_blamed;
           Alcotest.test_case "short shuffle proof blamed on the bus" `Quick
             test_short_shuffle_proof_blamed_on_bus;
+          Alcotest.test_case "wrong share vectors blamed" `Quick test_wrong_share_vectors_blamed;
+          Alcotest.test_case "wrong share vectors blamed on the bus" `Quick
+            test_wrong_share_vectors_blamed_on_bus;
+          Alcotest.test_case "decryption proof bytes at jobs 1 and 4" `Quick
+            test_decryption_proof_jobs_invariant;
         ] );
       ( "components",
         [
@@ -604,5 +783,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_estimate_tracks_truth; prop_jobs_invariant; prop_jobs_invariant_tampered ] );
+          [
+            prop_estimate_tracks_truth;
+            prop_jobs_invariant;
+            prop_jobs_invariant_tampered;
+            prop_forged_share_blamed;
+          ] );
     ]
