@@ -611,12 +611,12 @@ let test_deploy_order_digest_pins () =
       ( "benign",
         2,
         [
-          "299930a01de0ac39513e69462ade339d8ecbc42160685d80aebb44fadd424c20";
-          "78f9116f8e9fe083a7cbfe3437d866588c4365df9eb71cee1e73e7f9ad8bbdde";
+          "1723423c249d39c35a2f4f1004c83c9a79f3d3ece55769b8392fdc55ac7cd25d";
+          "a5da74f46cc4ac006a7dda48aa9961c389a7e70afff7cae76187c7b202b6c9da";
         ] );
       ( "malicious-cp",
         1,
-        [ "d07a29d12a90ae18067cf589699f9cab09018ca9666c10faafabaa811dd6266b" ] );
+        [ "cf14a9c5fb065fb6e8faaafb875287408dd172b32c5bf2ba782f0bbd89efe49c" ] );
     ]
 
 (* --- decoder fuzzing: per-protocol wire bodies and checkpoints ---
