@@ -75,12 +75,6 @@ let fmt_ci (ci : Stats.Ci.t) = Printf.sprintf "[%s; %s]" (fmt_count ci.Stats.Ci.
 
 let fmt_count_ci v ci = Printf.sprintf "%s %s" (fmt_count v) (fmt_ci ci)
 
-let fmt_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
-
-let fmt_pct_ci v (ci : Stats.Ci.t) =
-  Printf.sprintf "%.1f%% [%.1f; %.1f]%%" (100.0 *. v) (100.0 *. ci.Stats.Ci.lo)
-    (100.0 *. ci.Stats.Ci.hi)
-
 let within ~tolerance ~expected actual =
   if expected = 0.0 then Float.abs actual <= tolerance
   else Float.abs (actual -. expected) /. Float.abs expected <= tolerance

@@ -33,8 +33,6 @@ val all_ok : t -> bool
 val fmt_count : float -> string
 val fmt_ci : Stats.Ci.t -> string
 val fmt_count_ci : float -> Stats.Ci.t -> string
-val fmt_pct : float -> string
-val fmt_pct_ci : float -> Stats.Ci.t -> string
 
 val within : tolerance:float -> expected:float -> float -> bool
 (** Relative-error check (absolute when [expected] is 0). *)

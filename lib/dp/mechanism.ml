@@ -19,10 +19,6 @@ let gaussian_mechanism rng params ~sensitivity value =
   Obs.Metrics.inc_float "dp_epsilon_spent_total{mechanism=\"gaussian\"}" params.epsilon;
   (value +. gaussian_noise rng ~sigma, sigma)
 
-let binomial_flips rng ~n =
-  Obs.Metrics.inc "dp_calls_total{mechanism=\"binomial\"}";
-  Prng.Dist.binomial rng ~n ~p:0.5
-
 let binomial_n_for params ~sensitivity =
   check params;
   let n =
@@ -41,12 +37,6 @@ let laplace_noise rng ~scale =
   let u = Prng.Rng.float rng -. 0.5 in
   let sign = if u < 0.0 then 1.0 else -1.0 in
   sign *. scale *. log (1.0 -. (2.0 *. Float.abs u))
-
-let laplace_mechanism rng ~epsilon ~sensitivity value =
-  let scale = laplace_scale ~epsilon ~sensitivity in
-  Obs.Metrics.inc "dp_calls_total{mechanism=\"laplace\"}";
-  Obs.Metrics.inc_float "dp_epsilon_spent_total{mechanism=\"laplace\"}" epsilon;
-  (value +. laplace_noise rng ~scale, scale)
 
 let epsilon_consumed ~sigma ~sensitivity ~delta =
   if sigma <= 0.0 then invalid_arg "Mechanism.epsilon_consumed: sigma must be positive";

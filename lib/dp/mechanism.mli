@@ -23,11 +23,6 @@ val gaussian_mechanism :
 (** [gaussian_mechanism rng params ~sensitivity value] returns
     (noisy value, σ used). *)
 
-val binomial_flips : Prng.Rng.t -> n:int -> int
-(** PSC noise: [n] fair-coin flips; the count of heads is added to the
-    cardinality. Mean n/2 is publicly subtracted; the residual is the
-    DP noise. *)
-
 val binomial_n_for : params -> sensitivity:float -> int
 (** Number of coin flips per computation party needed so that the
     binomial mechanism is (ε,δ)-DP for the given sensitivity
@@ -42,9 +37,3 @@ val laplace_scale : epsilon:float -> sensitivity:float -> float
 (** b = Δ/ε for the pure-ε Laplace mechanism. *)
 
 val laplace_noise : Prng.Rng.t -> scale:float -> float
-
-val laplace_mechanism :
-  Prng.Rng.t -> epsilon:float -> sensitivity:float -> float -> float * float
-(** (noisy value, scale used); (ε, 0)-DP. PrivEx's secret-sharing
-    variant — the paper's predecessor system — publishes with Laplace
-    noise; provided for comparison and ablations. *)

@@ -143,21 +143,6 @@ let read_file path =
   | source -> Ok source
   | exception Sys_error msg -> Error msg
 
-let lint_file ?strict_allows config path =
-  match read_file path with
-  | Ok source -> lint_source ?strict_allows config ~path source
-  | Error msg ->
-    [
-      {
-        Diagnostic.path;
-        line = 1;
-        col = 0;
-        rule_id = "parse/unreadable";
-        severity = Diagnostic.Error;
-        message = msg;
-      };
-    ]
-
 (* --- directory walking --- *)
 
 let is_dir path = Sys.file_exists path && Sys.is_directory path

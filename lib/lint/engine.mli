@@ -23,10 +23,6 @@ val lint_source :
   ?strict_allows:bool -> Config.t -> path:string -> string -> Diagnostic.t list
 (** [lint_sources] with a single file. *)
 
-val lint_file : ?strict_allows:bool -> Config.t -> string -> Diagnostic.t list
-(** Read and lint one file. An unreadable file yields a
-    [parse/unreadable] diagnostic. *)
-
 val walk : string -> string list
 (** [walk root] is every [.ml] file under [root/lib] and [root/bin]
     (or [root] itself when it is a single directory of sources), in

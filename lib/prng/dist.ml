@@ -89,8 +89,6 @@ let zipf rng ~n ~s =
     draw ()
   end
 
-let zipf_weights ~n ~s = Array.init n (fun i -> (float_of_int (i + 1)) ** -.s)
-
 let log_factorial =
   let table = lazy (
     let t = Array.make 257 0.0 in

@@ -23,9 +23,6 @@ val zipf : Rng.t -> n:int -> s:float -> int
 (** Zipf variate on {1..n} with exponent [s] > 0, by rejection-inversion
     (W. Hörmann, G. Derflinger). Heavy-tail model for domain popularity. *)
 
-val zipf_weights : n:int -> s:float -> float array
-(** Unnormalized Zipf pmf 1/k^s for k = 1..n, for alias-table setup. *)
-
 val log_factorial : int -> float
 (** ln(n!), via Stirling series for large n; used by exact CI code. *)
 

@@ -31,9 +31,3 @@ let hsdir_visibility ~observed_slots ~total_slots ~replicas =
     invalid_arg "Extrapolate.hsdir_visibility: bad slot counts";
   let f = float_of_int observed_slots /. float_of_int total_slots in
   1.0 -. ((1.0 -. f) ** float_of_int replicas)
-
-let hsdir_unique ~observed_slots ~total_slots ~replicas value =
-  value /. hsdir_visibility ~observed_slots ~total_slots ~replicas
-
-let hsdir_unique_ci ~observed_slots ~total_slots ~replicas (ci : Ci.t) =
-  Ci.scale ci (1.0 /. hsdir_visibility ~observed_slots ~total_slots ~replicas)

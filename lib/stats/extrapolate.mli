@@ -14,8 +14,3 @@ val unique_range_ci : fraction:float -> Ci.t -> Ci.t
 val hsdir_visibility : observed_slots:int -> total_slots:int -> replicas:int -> float
 (** Probability that a descriptor replicated onto [replicas] uniform
     ring slots lands on at least one observed relay. *)
-
-val hsdir_unique : observed_slots:int -> total_slots:int -> replicas:int -> float -> float
-(** Replication-based extrapolation of a unique-address count (§6.1). *)
-
-val hsdir_unique_ci : observed_slots:int -> total_slots:int -> replicas:int -> Ci.t -> Ci.t

@@ -94,4 +94,3 @@ let pick_observers_by_weight t rng ~role ~target_fraction =
   if capped_w >= target_fraction *. total then capped else fst (pick ~use_cap:false)
 
 let total_guard_weight t = t.total_guard
-let total_exit_weight t = t.total_exit

@@ -34,4 +34,3 @@ val pick_observers_by_weight :
     chosen share of the network. *)
 
 val total_guard_weight : t -> float
-val total_exit_weight : t -> float

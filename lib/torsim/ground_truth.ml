@@ -151,9 +151,3 @@ let unique_fetched_onions t = Hashtbl.length t.unique_fetched_onions
 
 let country_connections t c =
   match Hashtbl.find_opt t.per_country_connections c with Some r -> !r | None -> 0
-
-let country_bytes t c =
-  match Hashtbl.find_opt t.per_country_bytes c with Some r -> !r | None -> 0.0
-
-let country_circuits t c =
-  match Hashtbl.find_opt t.per_country_circuits c with Some r -> !r | None -> 0

@@ -56,5 +56,3 @@ val unique_published_onions : t -> int
 val unique_fetched_onions : t -> int
 
 val country_connections : t -> string -> int
-val country_bytes : t -> string -> float
-val country_circuits : t -> string -> int

@@ -5,7 +5,6 @@
    bit under half of the clients, and roughly 12k ASes host at least one
    Tor client per day. *)
 
-let total_defined = 59_597
 let top_ranked = 1_000
 
 (* Share of clients inside the CAIDA top-1000 (paper: the rest hold 53%

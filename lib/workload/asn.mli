@@ -2,9 +2,6 @@
     and AS-rank). Heavy-tailed: the top-1000 ASes hold just under half
     of the clients and no single AS dominates (§5.2). *)
 
-val total_defined : int
-(** 59,597 — defined ASes at the paper's measurement time. *)
-
 val top_ranked : int
 val top1000_share : float
 val active : int

@@ -50,5 +50,3 @@ let next_day t rng =
     clients.(idx) <- fresh
   done;
   t.population <- { t.population with Population.clients }
-
-let unique_ips_over_days t = t.next_ip

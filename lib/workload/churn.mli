@@ -19,6 +19,3 @@ val population : t -> Population.t
 val next_day : t -> Prng.Rng.t -> unit
 (** Replace a [daily_turnover] fraction of clients with fresh-IP
     clients (fresh guard choices too). *)
-
-val unique_ips_over_days : t -> int
-(** Total distinct IPs allocated so far (simulator-side truth). *)

@@ -58,8 +58,6 @@ let universe : country array =
   ignore n_tail;
   Array.of_list (major @ tail)
 
-let total_countries = Array.length universe
-
 (* Eager, not lazy: [sample] runs on pool workers via Population.build,
    and forcing a lazy from two domains races the initializer. *)
 let sampler = Prng.Alias.create (Array.map (fun c -> c.weight) universe)

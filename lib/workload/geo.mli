@@ -17,8 +17,6 @@ val universe : country array
 (** [major] plus a ~210-country tail, so PSC's unique-country count can
     approach the paper's 203-of-250. *)
 
-val total_countries : int
-
 val sample : Prng.Rng.t -> country
 (** Weighted draw of a client's country. *)
 
