@@ -14,10 +14,10 @@
    gives the same weights on any run, pool size or host.
 
    One weight vector serves every fold that is checked on its own
-   (DLEQ's two sides, a shuffle link's c1 and c2, a bit proof's g and
-   pk sides): each fold is its own accept test, and a false equation in
-   it makes that fold fail with probability >= 1 - 1/q whatever the
-   other fold does with the same weights. Only equations summed into
+   (a shuffle link's c1 and c2, a bit proof's g and pk sides): each
+   fold is its own accept test, and a false equation in it makes that
+   fold fail with probability >= 1 - 1/q whatever the other fold does
+   with the same weights. Only equations summed into
    one fold need independent weights (a bit proof's two branches).
 
    The batch verifiers live with their proof systems; each keeps its

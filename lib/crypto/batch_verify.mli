@@ -1,6 +1,7 @@
 (** Random-linear-combination batch verification: the weight stream and
-    outcome vocabulary shared by the batched verifiers in {!Sigma},
-    {!Bit_proof} and {!Shuffle}.
+    outcome vocabulary shared by the batched verifiers in {!Bit_proof}
+    and {!Shuffle}. PSC's folded decryption proof draws its fold
+    weights from the same stream.
 
     N verification equations fold into one group equation with random
     weights in [1, q); a batch that contains any invalid proof passes
