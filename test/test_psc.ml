@@ -698,6 +698,36 @@ let test_decrypted_counts_pinned () =
         65, "0x1.da262974ecf33p+5" );
     ]
 
+(* Absolute pins on a CP's shuffle output at fixed seeds: the vector a
+   CP publishes is fixed by its permutation and rerandomization draws,
+   whatever proof accompanies it. *)
+let test_shuffle_outputs_pinned () =
+  List.iter
+    (fun (seed, id, n, want) ->
+      let cp = Cp.create ~id ~seed in
+      let joint = Cp.public_key cp in
+      let d = Crypto.Drbg.create (Printf.sprintf "shuffle-pin|%d" seed) in
+      let input =
+        Array.init n (fun i ->
+            Crypto.Elgamal.encrypt d joint
+              (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
+      in
+      let output, _ = Cp.shuffle cp ~joint ~rounds:(Some 2) input in
+      let ints =
+        Array.to_list output
+        |> List.concat_map (fun ct ->
+               Crypto.Group.[ elt_to_int ct.Crypto.Elgamal.c1; elt_to_int ct.Crypto.Elgamal.c2 ])
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, CP %d, %d slots" seed id n)
+        want
+        (Crypto.Sha256.hex (String.concat "," (List.map string_of_int ints))))
+    [
+      (3, 0, 1, "fe8e91771a778ac734796160a4ceed5e11d25d91f9c9de03d21b5d6d4d8d12a6");
+      (11, 1, 48, "8819aa74b3713cfce25d25d9f6082daa848f9a518065412ac8b6b160878e10d0");
+      (29, 2, 301, "94346b4d32347fcc73dcd2a9093a168c1bfb7aef45626ded3ae9c5303ea76bb8");
+    ]
+
 let prop_estimate_tracks_truth =
   QCheck.Test.make ~name:"estimate within noise of true union" ~count:8
     QCheck.(pair (int_range 1 60) (int_range 0 300))
@@ -755,6 +785,8 @@ let () =
           Alcotest.test_case "permuted insertion" `Quick test_permuted_insertion_order;
           Alcotest.test_case "decrypted counts pinned at fixed seeds" `Quick
             test_decrypted_counts_pinned;
+          Alcotest.test_case "shuffle outputs pinned at fixed seeds" `Quick
+            test_shuffle_outputs_pinned;
         ] );
       ( "failure_injection",
         [
