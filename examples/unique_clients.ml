@@ -22,7 +22,7 @@ let () =
   let proto =
     Psc.Protocol.create
       (Psc.Protocol.config ~table_size:16_384 ~num_cps:3 ~noise_flips_per_cp:flips
-         ~proof_rounds:(Some 8) ~verify:true ~dp:Dp.Mechanism.paper_params ())
+         ~verify:true ~dp:Dp.Mechanism.paper_params ())
       ~num_dcs:(List.length observers) ~seed:3
   in
   List.iteri

@@ -6,8 +6,7 @@
 let collision_correction ?(seed = 61) () =
   let n_items = 3_000 and table_size = 4_096 in
   let cfg =
-    Psc.Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:32 ~proof_rounds:None
-      ~verify:false ()
+    Psc.Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:32 ~verify:false ()
   in
   let proto = Psc.Protocol.create cfg ~num_dcs:1 ~seed in
   for i = 0 to n_items - 1 do

@@ -12,7 +12,6 @@ type config = {
   num_cps : int;
   table_size : int;
   noise_flips_per_cp : int;
-  proof_rounds : int;
   events_per_epoch : int;
   items_per_epoch : int;
 }
@@ -26,7 +25,6 @@ let default_config ?(seed = 1) ?(epochs = 1) () =
     num_cps = 3;
     table_size = 64;
     noise_flips_per_cp = 8;
-    proof_rounds = 4;
     events_per_epoch = 60;
     items_per_epoch = 24;
   }
@@ -117,7 +115,7 @@ let psc_round cfg scenario =
       (Bus.Scenario.malicious_cp scenario)
   in
   Psc.Protocol.config ~num_cps:cfg.num_cps ~noise_flips_per_cp:cfg.noise_flips_per_cp
-    ~proof_rounds:(Some cfg.proof_rounds) ~verify:true ?tamper
+    ~verify:true ?tamper
     ~table_size:cfg.table_size ()
 
 (* ------------------------------------------------------------------ *)

@@ -17,7 +17,6 @@ type config = {
   num_cps : int;
   table_size : int;
   noise_flips_per_cp : int;
-  proof_rounds : int;
   events_per_epoch : int;  (** PrivCount counter observations *)
   items_per_epoch : int;  (** PSC item insertions *)
 }

@@ -27,7 +27,7 @@ let run ?(seed = 45) ?(visits = 900_000) ?(mc_trials = 40) () =
         ~num_cps:3
         ~noise_flips_per_cp:
           (Psc.Protocol.flips_for_params Dp.Mechanism.paper_params ~sensitivity:1.0 ~num_cps:3)
-        ~proof_rounds:None ~verify:false ~dp:Dp.Mechanism.paper_params ()
+        ~verify:false ~dp:Dp.Mechanism.paper_params ()
     in
     Psc.Protocol.create cfg ~num_dcs ~seed
   in

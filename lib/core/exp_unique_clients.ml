@@ -18,7 +18,7 @@ let make_protocol ~expected_items ~num_dcs ~seed =
   let cfg =
     Psc.Protocol.config
       ~table_size:(Harness.psc_table_size ~expected_items)
-      ~num_cps:3 ~noise_flips_per_cp:flips ~proof_rounds:None ~verify:false
+      ~num_cps:3 ~noise_flips_per_cp:flips ~verify:false
       ~dp:Dp.Mechanism.paper_params ()
   in
   Psc.Protocol.create cfg ~num_dcs ~seed

@@ -1,34 +1,73 @@
-(* Cut-and-choose shuffle argument.
+(* Terelius–Wikström proof of shuffle (AFRICACRYPT 2010), in the
+   notation of Wikström's Verificatum verifier specification.
 
-   Notation: permuting with [perm] places input element [perm.(i)] at
-   output position [i]. The real shuffle is
-     ys.(i) = E(1; r.(i)) * xs.(pi.(i))
-   and each shadow is
-     zs.(i) = E(1; s.(i)) * xs.(sigma.(i)).
-   Opening the shadow->output link uses tau = sigma^-1 . pi, so that
-     ys.(i) = E(1; r.(i) - s.(tau.(i))) * zs.(tau.(i)). *)
+   Permuting with [pi] places input element [pi.(i)] at output
+   position [i]:
+     y_i = E(1; r_i) * x_{pi(i)}.
+   The prover commits to the permutation matrix, one generator per
+   output position,
+     u_{pi(i)} = g^{s_{pi(i)}} h_i,
+   draws challenges e from the transcript and sets e'_i = e_{pi(i)}.
+   It then proves knowledge of openings with
+     prod u_j^{e_j} = g^a prod h_i^{e'_i}         (A)
+     prod u_j / prod h_i = g^c                      (C)
+     prod e'_i = prod e_i                           (B chain, D)
+     prod x_j^{e_j} = E(1; -f) prod y_i^{e'_i}      (F)
+   which together force the committed matrix to be a permutation and
+   the output to be its rerandomized image (DESIGN.md §3c). Slots are
+   0-based here: slot i uses generator h_{i+1} and chain element
+   B_{i+1}; h_0 is the chain's base B_0. *)
 
-type opening =
-  | Input_link of int array * Group.exp array   (* sigma, s: xs -> zs *)
-  | Output_link of int array * Group.exp array  (* tau, t: zs -> ys *)
+type proof = {
+  u : Group.elt array;  (** permutation commitment *)
+  b : Group.elt array;  (** B_1 .. B_n *)
+  b' : Group.elt array;  (** B'_1 .. B'_n *)
+  a' : Group.elt;
+  c' : Group.elt;
+  d' : Group.elt;
+  f' : Elgamal.ciphertext;
+  k_a : Group.exp;
+  k_b : Group.exp array;
+  k_c : Group.exp;
+  k_d : Group.exp;
+  k_e : Group.exp array;
+  k_f : Group.exp;
+}
 
-type round = { shadow : Elgamal.ciphertext array; opening : opening }
+(* Generators h_0, h_1, ...: squares of a fixed public DRBG stream, so
+   no party knows a discrete log between any two of them or g. Block k
+   holds h_{1024k} .. h_{1024k+1023} from its own stream, so a longer
+   prefix extends a shorter one. The cache grows only by publishing a
+   new array; a published array is never written. *)
+let gen_block = 1024
 
-type proof = { rounds : round list }
+let generator_block k =
+  let d = Drbg.create (Printf.sprintf "shuffle-generators|%d" k) in
+  (* x + 2 in [2, p - 2]: its square is a subgroup member other than 1 *)
+  Group.elts_of_ints
+    (Array.map
+       (fun x -> (x + 2) * (x + 2) mod Group.p)
+       (Drbg.uniform_array d (Group.p - 3) gen_block))
 
-let default_rounds = 16
+type generators = { h : Group.elt array; h0_tab : Group.precomp }
 
-(* Hot loop: one rerandomizing encryption per element, with the
-   randomness pre-drawn in [rand] — pure per index, so it runs on the
-   domain pool and uses the caller's fixed-base table for pk. *)
-let apply_link ?tab pk ~from ~perm ~rand =
-  Parallel.parallel_init (Array.length from) (fun i ->
-      Elgamal.mul (Elgamal.encrypt_with ?tab ~r:rand.(i) pk Elgamal.one) from.(perm.(i)))
+let cache =
+  let h = generator_block 0 in
+  Atomic.make { h; h0_tab = Group.precomp h.(0) }
 
-let invert_perm perm =
-  let inv = Array.make (Array.length perm) 0 in
-  Array.iteri (fun i p -> inv.(p) <- i) perm;
-  inv
+(* h_0 .. h_n, at least *)
+let generators n =
+  let cur = Atomic.get cache in
+  let have = Array.length cur.h / gen_block in
+  let need = (n / gen_block) + 1 in
+  if need <= have then cur
+  else begin
+    let grown =
+      { cur with h = Array.concat (cur.h :: List.init (need - have) (fun k -> generator_block (have + k))) }
+    in
+    Atomic.set cache grown;
+    grown
+  end
 
 (* Fisher–Yates with the swap indices drawn in one bulk DRBG read:
    draw k (0-based) swaps position i = n-1-k and needs a bound of i+1 =
@@ -48,218 +87,244 @@ let random_perm drbg n =
   end;
   a
 
-(* The round digest carries no domain tag: pk, then every ciphertext of
-   the input, the output and each shadow in round order. *)
-let transcript_digest pk ~input ~output ~shadows =
-  let t = Transcript.(create "" |> elt pk |> ciphertexts input |> ciphertexts output) in
-  Transcript.digest (List.fold_left (fun t s -> Transcript.ciphertexts s t) t shadows)
+(* e: one weight lane per slot, from a transcript over the statement
+   and the permutation commitment *)
+let e_challenges pk ~input ~output u =
+  let digest =
+    Transcript.(
+      create "shuffle|" |> elt pk |> ciphertexts input |> ciphertexts output |> elts u |> digest)
+  in
+  (digest, Batch_verify.weights ~context:"shuffle-e" ~digest (Array.length u))
 
-let challenge_bit digest j = (Char.code digest.[j / 8 mod 32] lsr (j mod 8)) land 1 = 1
+(* v: the digest over the e digest and every commitment *)
+let v_digest e_digest ~b ~b' ~a' ~c' ~d' ~(f' : Elgamal.ciphertext) =
+  Transcript.(
+    create e_digest |> elts b |> elts b' |> elt a' |> elt c' |> elt d' |> elt f'.c1
+    |> elt f'.c2 |> digest)
 
-let shuffle ?(rounds = default_rounds) ?tab drbg pk input =
+let inner a b =
+  let acc = ref Group.zero_exp in
+  Array.iteri (fun i x -> acc := Group.exp_add !acc (Group.exp_mul x b.(i))) a;
+  !acc
+
+let shuffle ?tab drbg pk input =
   let n = Array.length input in
   let tab = match tab with Some t -> t | None -> Group.precomp pk in
-  (* sequential randomness prepass in the legacy logical order — pi, r,
-     then (sigma_j, s_j) per round — each vector as one bulk DRBG read *)
+  let { h; h0_tab } = generators n in
+  (* randomness prepass: pi and r first, so the output vector depends
+     on them alone; then s, b, beta, epsilon and alpha, gamma, delta,
+     phi in one read *)
   let pi = random_perm drbg n in
   let r = Group.random_exps drbg n in
-  let round_rand = Array.make rounds ([||], [||]) in
-  for j = 0 to rounds - 1 do
-    let sigma = random_perm drbg n in
-    let s = Group.random_exps drbg n in
-    round_rand.(j) <- (sigma, s)
-  done;
-  (* one pooled pass writes the output and every shadow slot: all
-     writes are disjoint per index, all randomness pre-drawn *)
-  let dummy = { Elgamal.c1 = Group.one; c2 = Group.one } in
-  let output = Array.make n dummy in
-  let shadows = Array.init rounds (fun _ -> Array.make n dummy) in
+  let rand = Group.random_exps drbg ((4 * n) + 4) in
+  let s j = rand.(j) and b i = rand.(n + i) and beta i = rand.((2 * n) + i) in
+  let eps = Array.sub rand (3 * n) n in
+  let alpha = rand.(4 * n) and gamma = rand.((4 * n) + 1) in
+  let delta = rand.((4 * n) + 2) and phi = rand.((4 * n) + 3) in
+  (* one pooled pass writes the output and the commitment; writes are
+     disjoint per index since pi is a permutation *)
+  let output = Array.make n { Elgamal.c1 = Group.one; c2 = Group.one } in
+  let u = Array.make n Group.one in
   Parallel.parallel_for n (fun i ->
-      output.(i) <-
-        Elgamal.mul (Elgamal.encrypt_with ~tab ~r:r.(i) pk Elgamal.one) input.(pi.(i));
-      for j = 0 to rounds - 1 do
-        let sigma, s = round_rand.(j) in
-        shadows.(j).(i) <-
-          Elgamal.mul (Elgamal.encrypt_with ~tab ~r:s.(i) pk Elgamal.one) input.(sigma.(i))
-      done);
-  let digest = transcript_digest pk ~input ~output ~shadows:(Array.to_list shadows) in
-  let rounds =
-    List.init rounds (fun j ->
-        let sigma, s = round_rand.(j) in
-        let opening =
-          if challenge_bit digest j then begin
-            (* tau = sigma^-1 . pi: tau.(i) = sigma_inv.(pi.(i)) *)
-            let sigma_inv = invert_perm sigma in
-            let tau = Array.init n (fun i -> sigma_inv.(pi.(i))) in
-            let t = Array.init n (fun i -> Group.exp_sub r.(i) s.(tau.(i))) in
-            Output_link (tau, t)
-          end
-          else Input_link (sigma, s)
-        in
-        { shadow = shadows.(j); opening })
+      let j = pi.(i) in
+      output.(i) <- Elgamal.mul (Elgamal.encrypt_with ~tab ~r:r.(i) pk Elgamal.one) input.(j);
+      u.(j) <- Group.mul (Group.pow_g (s j)) h.(i + 1));
+  let e_digest, e = e_challenges pk ~input ~output u in
+  let e' = Array.init n (fun i -> e.(pi.(i))) in
+  (* B_i = g^{d_i} h_0^{P_i} in closed form, with d_i = b_i + e'_i d_{i-1}
+     and P_i = e'_1 ... e'_i; B'_i = g^{beta_i} B_{i-1}^{eps_i} likewise *)
+  let d = Array.make n Group.zero_exp and pp = Array.make n Group.one_exp in
+  for i = 0 to n - 1 do
+    let dprev = if i = 0 then Group.zero_exp else d.(i - 1) in
+    let pprev = if i = 0 then Group.one_exp else pp.(i - 1) in
+    d.(i) <- Group.exp_add (b i) (Group.exp_mul e'.(i) dprev);
+    pp.(i) <- Group.exp_mul pprev e'.(i)
+  done;
+  let bs = Array.make n Group.one and bs' = Array.make n Group.one in
+  Parallel.parallel_for n (fun i ->
+      let dprev = if i = 0 then Group.zero_exp else d.(i - 1) in
+      let pprev = if i = 0 then Group.one_exp else pp.(i - 1) in
+      bs.(i) <- Group.mul (Group.pow_g d.(i)) (Group.pow_precomp h0_tab pp.(i));
+      bs'.(i) <-
+        Group.mul
+          (Group.pow_g (Group.exp_add (beta i) (Group.exp_mul eps.(i) dprev)))
+          (Group.pow_precomp h0_tab (Group.exp_mul eps.(i) pprev)));
+  let a' = Group.mul (Group.pow_g alpha) (Group.multi_exp ~bases:(Array.sub h 1 n) ~exps:eps) in
+  let c' = Group.pow_g gamma and d' = Group.pow_g delta in
+  let neg_phi = Group.exp_neg phi in
+  let f' =
+    {
+      Elgamal.c1 =
+        Group.mul (Group.pow_g neg_phi)
+          (Group.multi_exp ~bases:(Array.map (fun ct -> ct.Elgamal.c1) output) ~exps:eps);
+      c2 =
+        Group.mul (Group.pow_tab ~tab pk neg_phi)
+          (Group.multi_exp ~bases:(Array.map (fun ct -> ct.Elgamal.c2) output) ~exps:eps);
+    }
   in
-  (output, { rounds })
+  let v = Group.exp_of_digest (v_digest e_digest ~b:bs ~b':bs' ~a' ~c' ~d' ~f') in
+  let resp x nonce = Group.exp_add (Group.exp_mul v x) nonce in
+  let sum_s = ref Group.zero_exp in
+  for j = 0 to n - 1 do
+    sum_s := Group.exp_add !sum_s (s j)
+  done;
+  let proof =
+    {
+      u;
+      b = bs;
+      b' = bs';
+      a';
+      c';
+      d';
+      f';
+      k_a = resp (inner (Array.sub rand 0 n) e) alpha;
+      k_b = Array.init n (fun i -> resp (b i) (beta i));
+      k_c = resp !sum_s gamma;
+      k_d = resp (if n = 0 then Group.zero_exp else d.(n - 1)) delta;
+      k_e = Array.init n (fun i -> resp e'.(i) eps.(i));
+      k_f = resp (inner r e') phi;
+    }
+  in
+  (output, proof)
 
 let shuffle_unproven ?tab drbg pk input =
   let n = Array.length input in
   let tab = match tab with Some t -> t | None -> Group.precomp pk in
   let pi = random_perm drbg n in
   let r = Group.random_exps drbg n in
-  apply_link ~tab pk ~from:input ~perm:pi ~rand:r
+  Parallel.parallel_init n (fun i ->
+      Elgamal.mul (Elgamal.encrypt_with ~tab ~r:r.(i) pk Elgamal.one) input.(pi.(i)))
 
-let is_perm perm n =
-  Array.length perm = n
-  &&
-  let seen = Array.make n false in
-  Array.for_all
-    (fun p ->
-      if p < 0 || p >= n || seen.(p) then false
-      else begin
-        seen.(p) <- true;
-        true
-      end)
-    perm
-
-(* Batched link check (Batch_verify). The opening claims, per slot i,
-     dst.(i) = E(1; e_i) * from.(perm(i)), i.e.
-     dst_c1(i) = g^{e_i} * from_c1(perm(i))   and
-     dst_c2(i) = pk^{e_i} * from_c2(perm(i)).
-   Folding each component's n equations with one weight vector w gives
-     prod from_c1(perm(i))^{w_i} * dst_c1(i)^{-w_i} = g^{-sum w_i e_i}
-   and likewise for c2 against pk. The folds are checked separately, so
-   they share w, its exponent vector and right-hand side (Batch_verify).
-   Versus recomputing the n rerandomizing encryptions, this allocates
-   no shadow-sized ciphertext vector per round. The round digest binds
-   pk, input, output and every shadow but not the opening, so the
-   weight seed hashes digest, round index, perm and exps. *)
-let round_link_ok ~tab ~digest ~j ~from ~dst ~perm ~exps pk =
-  let n = Array.length dst in
-  let seed =
-    Transcript.create digest |> Transcript.int j |> Transcript.ints perm |> Transcript.exps exps
-    |> Transcript.digest
-  in
-  let w = Batch_verify.weights ~context:"shuffle-link" ~digest:seed n in
-  let es = Array.make (2 * n) Group.zero_exp in
-  let sum = ref Group.zero_exp in
-  for i = 0 to n - 1 do
-    es.(2 * i) <- w.(i);
-    es.((2 * i) + 1) <- Group.exp_neg w.(i);
-    sum := Group.exp_add !sum (Group.exp_mul w.(i) exps.(i))
-  done;
-  let rhs = Group.exp_neg !sum in
-  let bases = Array.make (2 * n) Group.one in
-  let fold proj =
-    for i = 0 to n - 1 do
-      bases.(2 * i) <- proj from.(perm.(i));
-      bases.((2 * i) + 1) <- proj dst.(i)
-    done;
-    Group.elt_to_int (Group.multi_exp ~bases ~exps:es)
-  in
-  fold (fun ct -> ct.Elgamal.c1) = Group.elt_to_int (Group.pow_g rhs)
-  && fold (fun ct -> ct.Elgamal.c2) = Group.elt_to_int (Group.pow_tab ~tab pk rhs)
-
-let verify ?tab pk ~input ~output { rounds } =
+(* The five equations, each checked as one group equation:
+     A:  prod u_j^{v e_j} * prod h_i^{-k_E,i} * A' = g^{k_A}
+     F:  prod x_j^{v e_j} * prod y_i^{-k_E,i} * F' = E(1; -k_F)  (c1 and c2)
+     C:  (prod u_j / prod h_i)^v * C' = g^{k_C}
+     D:  (B_n / h_0^{prod e})^v * D' = g^{k_D}
+     B:  B_i^v * B'_i = g^{k_B,i} * B_{i-1}^{k_E,i}, for every i.
+   A and both F components share one exponent vector. The n chain
+   equations fold into one with Batch_verify weights seeded by the v
+   digest and the responses: B_i appears in equations i and i+1, so
+   the fold has 2n + 1 terms (B, B', h_0). *)
+let verify ?tab pk ~input ~output p =
   let n = Array.length input in
-  let tab = match tab with Some t -> t | None -> Group.precomp pk in
   Array.length output = n
-  && rounds <> []
+  && Array.length p.u = n
+  && Array.length p.b = n
+  && Array.length p.b' = n
+  && Array.length p.k_b = n
+  && Array.length p.k_e = n
   &&
-  let digest =
-    transcript_digest pk ~input ~output ~shadows:(List.map (fun r -> r.shadow) rounds)
+  let tab = match tab with Some t -> t | None -> Group.precomp pk in
+  let { h; h0_tab } = generators n in
+  let e_digest, e = e_challenges pk ~input ~output p.u in
+  let vd = v_digest e_digest ~b:p.b ~b':p.b' ~a':p.a' ~c':p.c' ~d':p.d' ~f':p.f' in
+  let v = Group.exp_of_digest vd in
+  let eq lhs rhs = Group.elt_to_int lhs = Group.elt_to_int rhs in
+  let prod_u = Array.fold_left Group.mul Group.one p.u in
+  let prod_h = ref Group.one and prod_e = ref Group.one_exp in
+  for i = 0 to n - 1 do
+    prod_h := Group.mul !prod_h h.(i + 1);
+    prod_e := Group.exp_mul !prod_e e.(i)
+  done;
+  let b_n = if n = 0 then h.(0) else p.b.(n - 1) in
+  eq (Group.mul (Group.pow (Group.div prod_u !prod_h) v) p.c') (Group.pow_g p.k_c)
+  && eq
+       (Group.mul (Group.pow (Group.div b_n (Group.pow_precomp h0_tab !prod_e)) v) p.d')
+       (Group.pow_g p.k_d)
+  &&
+  let es = Array.make (2 * n) Group.zero_exp and bases = Array.make (2 * n) Group.one in
+  for i = 0 to n - 1 do
+    es.(i) <- Group.exp_mul v e.(i);
+    es.(n + i) <- Group.exp_neg p.k_e.(i)
+  done;
+  let fold lhs rhs fill =
+    for i = 0 to n - 1 do
+      bases.(i) <- lhs i;
+      bases.(n + i) <- rhs i
+    done;
+    Group.mul (Group.multi_exp ~bases ~exps:es) fill
   in
-  List.for_all2
-    (fun j { shadow; opening } ->
-      Array.length shadow = n
-      &&
-      match opening with
-      | Input_link (sigma, s) ->
-        (not (challenge_bit digest j))
-        && is_perm sigma n && Array.length s = n
-        && round_link_ok ~tab ~digest ~j ~from:input ~dst:shadow ~perm:sigma ~exps:s pk
-      | Output_link (tau, t) ->
-        challenge_bit digest j
-        && is_perm tau n && Array.length t = n
-        && round_link_ok ~tab ~digest ~j ~from:shadow ~dst:output ~perm:tau ~exps:t pk)
-    (List.init (List.length rounds) Fun.id)
-    rounds
-
-let proof_rounds { rounds } = List.length rounds
-
-(* Bus wire form. Layout: [nrounds], then per round [n] (vector
-   length), 2n shadow ints (c1, c2 per slot), the opening tag (0 =
-   input link, 1 = output link), n permutation ints, n exponent ints.
-   Each shadow's membership is re-checked on decode as one batch
-   ([Group.elts_of_ints]). *)
-
-let split_opening = function
-  | Input_link (p, e) -> (0, p, e)
-  | Output_link (p, e) -> (1, p, e)
-
-let proof_to_ints { rounds } =
-  let size =
-    List.fold_left
-      (fun acc { shadow; opening } ->
-        let _, perm, exps = split_opening opening in
-        acc + 2 + (2 * Array.length shadow) + Array.length perm + Array.length exps)
-      1 rounds
+  let neg_kf = Group.exp_neg p.k_f in
+  eq (fold (fun j -> p.u.(j)) (fun i -> h.(i + 1)) p.a') (Group.pow_g p.k_a)
+  && eq
+       (fold (fun j -> input.(j).Elgamal.c1) (fun i -> output.(i).Elgamal.c1) p.f'.c1)
+       (Group.pow_g neg_kf)
+  && eq
+       (fold (fun j -> input.(j).Elgamal.c2) (fun i -> output.(i).Elgamal.c2) p.f'.c2)
+       (Group.pow_tab ~tab pk neg_kf)
+  &&
+  let w =
+    Batch_verify.weights ~context:"shuffle-chain"
+      ~digest:Transcript.(create vd |> exps p.k_b |> exps p.k_e |> digest)
+      n
   in
-  let a = Array.make size 0 in
-  a.(0) <- List.length rounds;
-  let pos = ref 1 in
-  List.iter
-    (fun { shadow; opening } ->
-      let n = Array.length shadow in
-      let p = !pos in
-      a.(p) <- n;
-      Array.iteri
-        (fun i ct ->
-          a.(p + 1 + (2 * i)) <- Group.elt_to_int ct.Elgamal.c1;
-          a.(p + 2 + (2 * i)) <- Group.elt_to_int ct.Elgamal.c2)
-        shadow;
-      let tag, perm, exps = split_opening opening in
-      let p = p + 1 + (2 * n) in
-      a.(p) <- tag;
-      Array.blit perm 0 a (p + 1) (Array.length perm);
-      let p = p + 1 + Array.length perm in
-      Array.iteri (fun i e -> a.(p + i) <- Group.exp_to_int e) exps;
-      pos := p + Array.length exps)
-    rounds;
+  let bases = Array.concat [ p.b; p.b'; [| h.(0) |] ] in
+  let es = Array.make ((2 * n) + 1) Group.zero_exp in
+  let rhs = ref Group.zero_exp in
+  for i = 0 to n - 1 do
+    (* B_{i+1} carries v w_i from its own equation and -w_{i+1} k_E,{i+1}
+       as the base of the next; B_0 = h_0 only the latter *)
+    let next = if i + 1 < n then Group.exp_mul w.(i + 1) p.k_e.(i + 1) else Group.zero_exp in
+    es.(i) <- Group.exp_sub (Group.exp_mul v w.(i)) next;
+    es.(n + i) <- w.(i);
+    rhs := Group.exp_add !rhs (Group.exp_mul w.(i) p.k_b.(i))
+  done;
+  if n > 0 then es.(2 * n) <- Group.exp_neg (Group.exp_mul w.(0) p.k_e.(0));
+  eq (Group.multi_exp ~bases ~exps:es) (Group.pow_g !rhs)
+
+(* Bus wire form, 5n + 9 ints: the 3n + 5 elements u, B, B', A', C',
+   D', F'.c1, F'.c2, then the 2n + 4 exponents k_A, k_B, k_C, k_D, k_E,
+   k_F. n follows from the length. *)
+let proof_to_ints p =
+  let n = Array.length p.u in
+  let a = Array.make ((5 * n) + 9) 0 in
+  let put_elts off v = Array.iteri (fun i x -> a.(off + i) <- Group.elt_to_int x) v in
+  let put_exps off v = Array.iteri (fun i x -> a.(off + i) <- Group.exp_to_int x) v in
+  put_elts 0 p.u;
+  put_elts n p.b;
+  put_elts (2 * n) p.b';
+  put_elts (3 * n) [| p.a'; p.c'; p.d'; p.f'.c1; p.f'.c2 |];
+  let o = (3 * n) + 5 in
+  a.(o) <- Group.exp_to_int p.k_a;
+  put_exps (o + 1) p.k_b;
+  put_exps (o + n + 1) [| p.k_c; p.k_d |];
+  put_exps (o + n + 3) p.k_e;
+  a.(o + (2 * n) + 3) <- Group.exp_to_int p.k_f;
   a
 
+(* The claimed n is checked against the length before anything is
+   allocated; every element is membership-checked in one batch and
+   every exponent must be canonical, in [0, q). *)
 let proof_of_ints a =
   let len = Array.length a in
-  let exception Bad in
-  match
-    if len = 0 then raise Bad;
-    let nrounds = a.(0) in
-    if nrounds < 0 || nrounds > 4096 then raise Bad;
-    let pos = ref 1 in
-    (* explicit loop: rounds follow the wire order *)
-    let rounds = ref [] in
-    for _ = 1 to nrounds do
-      let p = !pos in
-      if p >= len then raise Bad;
-      let n = a.(p) in
-      (* the round's 4n + 1 remaining ints must be there before any
-         vector is allocated *)
-      if n < 0 || n > 1 lsl 24 || len - p - 1 < (4 * n) + 1 then raise Bad;
-      let e = Group.elts_of_ints (Array.sub a (p + 1) (2 * n)) in
-      let shadow = Array.init n (fun i -> { Elgamal.c1 = e.(2 * i); c2 = e.((2 * i) + 1) }) in
-      let p = p + 1 + (2 * n) in
-      let perm = Array.sub a (p + 1) n in
-      let exps = Array.init n (fun i -> Group.exp_of_int a.(p + 1 + n + i)) in
-      let opening =
-        match a.(p) with
-        | 0 -> Input_link (perm, exps)
-        | 1 -> Output_link (perm, exps)
-        | _ -> raise Bad
-      in
-      rounds := { shadow; opening } :: !rounds;
-      pos := p + 1 + (2 * n)
-    done;
-    if !pos <> len then raise Bad;
-    { rounds = List.rev !rounds }
-  with
-  | p -> Some p
-  | exception Bad -> None
-  | exception Invalid_argument _ -> None
+  let n = (len - 9) / 5 in
+  if len < 9 || len <> (5 * n) + 9 then None
+  else
+    match Group.elts_of_ints (Array.sub a 0 ((3 * n) + 5)) with
+    | exception Invalid_argument _ -> None
+    | e ->
+      let o = (3 * n) + 5 in
+      let canonical = ref true in
+      for i = o to len - 1 do
+        if a.(i) < 0 || a.(i) >= Group.q then canonical := false
+      done;
+      if not !canonical then None
+      else begin
+        let exp i = Group.exp_of_int a.(o + i) in
+        Some
+          {
+            u = Array.sub e 0 n;
+            b = Array.sub e n n;
+            b' = Array.sub e (2 * n) n;
+            a' = e.(3 * n);
+            c' = e.((3 * n) + 1);
+            d' = e.((3 * n) + 2);
+            f' = { Elgamal.c1 = e.((3 * n) + 3); c2 = e.((3 * n) + 4) };
+            k_a = exp 0;
+            k_b = Array.init n (fun i -> exp (1 + i));
+            k_c = exp (n + 1);
+            k_d = exp (n + 2);
+            k_e = Array.init n (fun i -> exp (n + 3 + i));
+            k_f = exp ((2 * n) + 3);
+          }
+      end

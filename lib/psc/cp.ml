@@ -63,12 +63,11 @@ let noise_slots_proven ?tab t ~joint ~flips =
       in
       Crypto.Bit_proof.encrypt_bit_proven_with ?pk_tab:tab ~pk:joint br bit)
 
-let shuffle ?tab t ~joint ~rounds vector =
-  match rounds with
-  | Some rounds -> (
-    let output, proof = Crypto.Shuffle.shuffle ~rounds ?tab t.drbg joint vector in
-    (output, Some proof))
-  | None ->
+let shuffle ?tab t ~joint ~prove vector =
+  if prove then
+    let output, proof = Crypto.Shuffle.shuffle ?tab t.drbg joint vector in
+    (output, Some proof)
+  else
     (* proof-less fast path for large simulation runs, and for the
        tests that switch proofs off *)
     (Crypto.Shuffle.shuffle_unproven ?tab t.drbg joint vector, None)

@@ -26,10 +26,11 @@ val noise_slots_proven :
 
 val shuffle :
   ?tab:Crypto.Group.precomp ->
-  t -> joint:Crypto.Elgamal.pub -> rounds:int option -> Crypto.Elgamal.ciphertext array ->
+  t -> joint:Crypto.Elgamal.pub -> prove:bool -> Crypto.Elgamal.ciphertext array ->
   Crypto.Elgamal.ciphertext array * Crypto.Shuffle.proof option
-(** [rounds = None] is the proof-less fast path for throughput runs.
-    [?tab] is a fixed-base table for [joint], reused across phases. *)
+(** [prove = false] is the proof-less fast path for throughput runs; the
+    output vector is the same either way. [?tab] is a fixed-base table
+    for [joint], reused across phases. *)
 
 val rerandomize_bits : t -> Crypto.Elgamal.ciphertext array -> Crypto.Elgamal.ciphertext array
 (** x -> x^k for secret nonzero k per slot: bit 0 stays bit 0, anything

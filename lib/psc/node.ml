@@ -34,11 +34,9 @@ let spawn_cp sched ~epoch cfg ~id =
           let j, tab = joint_exn () in
           reply (Wire.Noise_slots (Protocol.proven_noise cfg.round ~tab cp ~joint:j ~flips));
           true
-      | Ok (Wire.Shuffle_request { vector; rounds }) ->
+      | Ok (Wire.Shuffle_request vector) ->
           let j, tab = joint_exn () in
-          let output, proof =
-            Protocol.cp_shuffle cfg.round ~tab cp ~joint:j ~rounds:(Some rounds) vector
-          in
+          let output, proof = Protocol.cp_shuffle cfg.round ~tab cp ~joint:j vector in
           reply (Wire.Shuffled { output; proof });
           true
       | Ok (Wire.Rerand_request vector) ->
@@ -112,7 +110,6 @@ type stage =
 type ts = {
   ts_sched : Bus.Sched.t;
   ts_cfg : cfg;
-  rounds : int;
   mutable stage : stage;
   mutable keys : (int * (Crypto.Elgamal.pub * Crypto.Sigma.schnorr_proof)) list;
   mutable verifier : Protocol.verifier option;
@@ -133,17 +130,13 @@ let verifier_exn t =
 let post t ~epoch dst msg = Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst msg
 
 let spawn_ts sched cfg =
-  let rounds =
-    match cfg.round.Protocol.proof_rounds with
-    | Some r when cfg.round.Protocol.verify -> r
-    | _ -> invalid_arg "Node.spawn_ts: bus rounds are always verified"
-  in
+  if not cfg.round.Protocol.verify then
+    invalid_arg "Node.spawn_ts: bus rounds are always verified";
   let num_cps = cfg.round.Protocol.num_cps in
   let t =
     {
       ts_sched = sched;
       ts_cfg = cfg;
-      rounds;
       stage = Waiting;
       keys = [];
       verifier = None;
@@ -189,7 +182,7 @@ let spawn_ts sched cfg =
             let per_cp = Array.mapi (fun cp -> Protocol.check_noise v ~cp) (by_id t.noise) in
             let vector = Array.concat (combined :: Array.to_list per_cp) in
             t.stage <- Chain { cp = 0; vector };
-            post t ~epoch (Bus.Party.Cp 0) (Wire.Shuffle_request { vector; rounds })
+            post t ~epoch (Bus.Party.Cp 0) (Wire.Shuffle_request vector)
           end;
           true
       | Ok (Wire.Shuffled { output; proof }) -> (
@@ -206,7 +199,7 @@ let spawn_ts sched cfg =
           | Chain { cp = expect; _ } when cp = expect ->
               if cp + 1 < num_cps then begin
                 t.stage <- Chain { cp = cp + 1; vector };
-                post t ~epoch (Bus.Party.Cp (cp + 1)) (Wire.Shuffle_request { vector; rounds })
+                post t ~epoch (Bus.Party.Cp (cp + 1)) (Wire.Shuffle_request vector)
               end
               else begin
                 t.stage <- Decrypt { vector; shares = Array.make num_cps None };

@@ -15,7 +15,7 @@
 type cfg = {
   round : Protocol.config;
       (** the round's parameters, [tamper] included; the bus always
-          proves, so [verify] must be on and [proof_rounds] set *)
+          proves, so [verify] must be on *)
   num_dcs : int;  (** the epoch's full deployment size *)
   seed : int;
 }

@@ -4,7 +4,6 @@ type config = {
   table_size : int;
   num_cps : int;
   noise_flips_per_cp : int;
-  proof_rounds : int option;
   verify : bool;
   tamper : tamper option;
       (* fault injection for tests: make one CP misbehave and check the
@@ -14,15 +13,13 @@ type config = {
          budget grant + draw in the run ledger when present *)
 }
 
-let config ?(num_cps = 3) ?(noise_flips_per_cp = 64) ?(proof_rounds = Some 8) ?(verify = true)
-    ?tamper ?dp ~table_size () =
+(* [?proof_rounds] is deprecated and ignored (protocol.mli) *)
+let config ?(num_cps = 3) ?(noise_flips_per_cp = 64) ?proof_rounds:_ ?(verify = true) ?tamper
+    ?dp ~table_size () =
   if table_size <= 0 then invalid_arg "Protocol.config: table_size must be positive";
   if num_cps < 1 then invalid_arg "Protocol.config: need at least one CP";
   if noise_flips_per_cp < 0 then invalid_arg "Protocol.config: negative flips";
-  (* the shuffle's coins come from one 256-bit digest: past 256 rounds they repeat *)
-  if Option.fold ~none:false ~some:(fun r -> r < 1 || r > 256) proof_rounds then
-    invalid_arg "Protocol.config: proof_rounds must be in 1..256";
-  { table_size; num_cps; noise_flips_per_cp; proof_rounds; verify; tamper; dp }
+  { table_size; num_cps; noise_flips_per_cp; verify; tamper; dp }
 
 let flips_for_params params ~sensitivity ~num_cps =
   let total = Dp.Mechanism.binomial_n_for params ~sensitivity in
@@ -74,8 +71,8 @@ let proven_noise cfg ?tab cp ~joint ~flips =
   end;
   proven
 
-let cp_shuffle cfg ?tab cp ~joint ~rounds vector =
-  let output, proof = Cp.shuffle ?tab cp ~joint ~rounds vector in
+let cp_shuffle cfg ?tab cp ~joint vector =
+  let output, proof = Cp.shuffle ?tab cp ~joint ~prove:cfg.verify vector in
   if tampers cfg cp `Shuffle_swap && Array.length output > 0 then begin
     (* a Byzantine CP substitutes a slot after shuffling and keeps the
        honest proof *)
@@ -132,19 +129,14 @@ let check_shuffle v ~cp ~input ~output proof =
   Obs.Ledger.phase "psc.verify_shuffle" ~attrs:[ ("cp", string_of_int cp) ] @@ fun () ->
   match proof with
   | Some proof ->
-    (* a swap survives 2^-rounds: fewer rounds than configured is weaker *)
-    let ok =
-      Option.equal Int.equal v.vcfg.proof_rounds (Some (Crypto.Shuffle.proof_rounds proof))
-      && Crypto.Shuffle.verify ~tab:v.joint_tab v.joint ~input ~output proof
-    in
+    let ok = Crypto.Shuffle.verify ~tab:v.joint_tab v.joint ~input ~output proof in
     Obs.Ledger.proof ~kind:"psc-shuffle" ~party:cp ~ok ~batch:(Array.length input);
     if not ok then blame v cp
-  | None when v.vcfg.proof_rounds <> None ->
+  | None ->
     (* a CP that was asked for a proof and produced none fails
        verification outright *)
     Obs.Ledger.proof ~kind:"psc-shuffle" ~party:cp ~ok:false ~batch:0;
     blame v cp
-  | None -> ()
 
 let decrypt_count v vector (shares : Cp.decryption_share array) =
   if Array.length shares <> Array.length v.pubs then
@@ -343,10 +335,7 @@ let run t =
         let cp_attr = [ ("cp", string_of_int (Cp.id cp)); jobs_attr ] in
         let output =
           Obs.Ledger.phase "psc.shuffle" ~attrs:cp_attr (fun () ->
-              let output, proof =
-                cp_shuffle t.cfg ~tab:v.joint_tab cp ~joint:v.joint
-                  ~rounds:t.cfg.proof_rounds vector
-              in
+              let output, proof = cp_shuffle t.cfg ~tab:v.joint_tab cp ~joint:v.joint vector in
               if t.cfg.verify then
                 check_shuffle v ~cp:(Cp.id cp) ~input:vector ~output proof;
               output)

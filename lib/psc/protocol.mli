@@ -16,11 +16,9 @@ type config = {
   table_size : int;
   num_cps : int;
   noise_flips_per_cp : int;
-  proof_rounds : int option;
-      (** shuffle-proof soundness rounds, 1..256 ({!config} raises
-          [Invalid_argument] otherwise); [None] disables proofs for
-          large throughput runs *)
-  verify : bool;  (** verify noise, shuffle and decryption proofs *)
+  verify : bool;
+      (** prove and verify noise, shuffle and decryption proofs; [false]
+          is the proof-less path for large throughput runs *)
   tamper : tamper option;
   dp : Dp.Mechanism.params option;
       (** the (ε,δ) the configured noise was calibrated for; recorded
@@ -31,6 +29,10 @@ val config :
   ?num_cps:int -> ?noise_flips_per_cp:int -> ?proof_rounds:int option ->
   ?verify:bool -> ?tamper:tamper -> ?dp:Dp.Mechanism.params ->
   table_size:int -> unit -> config
+(** Raises [Invalid_argument] on a non-positive table size, no CPs or
+    negative flips. [?proof_rounds] is deprecated and ignored: the
+    shuffle proof has no round count, and shuffles are proven iff
+    [verify]. It is accepted only for callers that still pass it. *)
 
 val flips_for_params : Dp.Mechanism.params -> sensitivity:float -> num_cps:int -> int
 (** Per-CP flips so the total binomial noise gives (ε,δ)-DP. *)
@@ -84,10 +86,10 @@ val proven_noise :
 
 val cp_shuffle :
   config -> ?tab:Crypto.Group.precomp -> Cp.t -> joint:Crypto.Elgamal.pub ->
-  rounds:int option -> Crypto.Elgamal.ciphertext array ->
+  Crypto.Elgamal.ciphertext array ->
   Crypto.Elgamal.ciphertext array * Crypto.Shuffle.proof option
-(** A CP's shuffle, with the configured [`Shuffle_swap] fault applied
-    when this CP is the tampering one. *)
+(** A CP's shuffle, proven iff [verify], with the configured
+    [`Shuffle_swap] fault applied when this CP is the tampering one. *)
 
 type verifier
 (** The tally server's side of a round: the CPs' verified keys and the
@@ -110,9 +112,9 @@ val check_shuffle :
   verifier -> cp:int -> input:Crypto.Elgamal.ciphertext array ->
   output:Crypto.Elgamal.ciphertext array -> Crypto.Shuffle.proof option -> unit
 (** Check one CP's shuffle of [input] ([psc-shuffle]) inside a
-    [psc.verify_shuffle] ledger phase. A CP asked for a proof that
-    returns none, or one with a round count other than [proof_rounds],
-    fails outright. *)
+    [psc.verify_shuffle] ledger phase. A CP that returns no proof, or a
+    proof whose vectors do not match the input's length, fails
+    outright. Called only when [verify] is on. *)
 
 val decrypt_count :
   verifier -> Crypto.Elgamal.ciphertext array -> Cp.decryption_share array -> int

@@ -7,7 +7,7 @@ type msg =
   | Table_submit of Crypto.Elgamal.ciphertext array
   | Noise_request of { flips : int }
   | Noise_slots of (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array
-  | Shuffle_request of { vector : Crypto.Elgamal.ciphertext array; rounds : int }
+  | Shuffle_request of Crypto.Elgamal.ciphertext array
   | Shuffled of {
       output : Crypto.Elgamal.ciphertext array;
       proof : Crypto.Shuffle.proof option;
@@ -100,8 +100,8 @@ let encode m =
       Codec.W.varint w (Crypto.Group.exp_to_int proof.Crypto.Sigma.response)
   | Joint { joint } -> write_elt w joint
   | Table_request -> ()
-  | Table_submit cts | Rerand_request cts | Rerandomized cts | Decrypt_request cts
-    ->
+  | Table_submit cts | Shuffle_request cts | Rerand_request cts | Rerandomized cts
+  | Decrypt_request cts ->
       write_cts w cts
   | Noise_request { flips } -> Codec.W.varint w flips
   | Noise_slots slots ->
@@ -112,9 +112,6 @@ let encode m =
           write_elt w ct.Crypto.Elgamal.c2;
           Array.iter (Codec.W.varint w) (Crypto.Bit_proof.to_ints proof))
         slots
-  | Shuffle_request { vector; rounds } ->
-      Codec.W.varint w rounds;
-      write_cts w vector
   | Shuffled { output; proof } ->
       write_cts w output;
       (match proof with
@@ -159,10 +156,7 @@ let decode ~kind body =
   | "psc.noise_req" ->
       Codec.decode body (fun r -> Noise_request { flips = Codec.R.varint r })
   | "psc.noise" -> Codec.decode body (fun r -> Noise_slots (read_bit_slots r))
-  | "psc.shuffle_req" ->
-      Codec.decode body (fun r ->
-          let rounds = Codec.R.varint r in
-          Shuffle_request { vector = read_cts r; rounds })
+  | "psc.shuffle_req" -> Codec.decode body (fun r -> Shuffle_request (read_cts r))
   | "psc.shuffled" ->
       Codec.decode body (fun r ->
           let output = read_cts r in

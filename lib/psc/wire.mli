@@ -1,13 +1,16 @@
 (** PSC's bus messages: key establishment, table submission and the
     noise → shuffle → rerandomize → decrypt cascade, all as serialized
     envelopes. Ciphertexts, decryption shares and every proof kind
-    (Schnorr key proofs, disjunctive bit proofs, cut-and-choose shuffle
-    proofs, one folded DLEQ decryption proof per CP) cross the wire as
-    flat integer vectors with subgroup membership re-checked on decode
-    — a proof that cannot round-trip cannot convince anyone. A
-    [psc.decrypt] body is the share vector, a proof tag, then the
-    proof's [a1], [a2] and [z]; the shares, [a1] and [a2] are
-    membership-checked. *)
+    (Schnorr key proofs, disjunctive bit proofs, Terelius–Wikström
+    shuffle proofs, one folded DLEQ decryption proof per CP) cross the
+    wire as flat integer vectors with subgroup membership re-checked on
+    decode — a proof that cannot round-trip cannot convince anyone. A
+    [psc.shuffle_req] body is the vector alone. A [psc.shuffled] body
+    is the output vector, a proof tag, then the proof's 5n + 9 ints
+    ({!Crypto.Shuffle.proof_to_ints}), whose 3n + 5 elements are
+    membership-checked in one batch. A [psc.decrypt] body is the share
+    vector, a proof tag, then the proof's [a1], [a2] and [z]; the
+    shares, [a1] and [a2] are membership-checked. *)
 
 type msg =
   | Cp_key of { pub : Crypto.Elgamal.pub; proof : Crypto.Sigma.schnorr_proof }
@@ -16,7 +19,7 @@ type msg =
   | Table_submit of Crypto.Elgamal.ciphertext array
   | Noise_request of { flips : int }
   | Noise_slots of (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array
-  | Shuffle_request of { vector : Crypto.Elgamal.ciphertext array; rounds : int }
+  | Shuffle_request of Crypto.Elgamal.ciphertext array
   | Shuffled of {
       output : Crypto.Elgamal.ciphertext array;
       proof : Crypto.Shuffle.proof option;

@@ -20,7 +20,7 @@ let psc_1m () =
   let proto =
     Psc.Protocol.create
       (Psc.Protocol.config ~table_size:1_048_576 ~num_cps:3 ~noise_flips_per_cp:64
-         ~proof_rounds:(Some 2) ~verify:true ())
+         ~verify:true ())
       ~num_dcs:2 ~seed:13
   in
   for i = 0 to 2_047 do

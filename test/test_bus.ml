@@ -206,7 +206,7 @@ let test_psc_wire_proofs () =
   let input =
     Array.init 8 (fun _ -> Crypto.Elgamal.encrypt drbg joint Crypto.Elgamal.marker)
   in
-  let output, proof = Psc.Cp.shuffle cp1 ~joint ~rounds:(Some 4) input in
+  let output, proof = Psc.Cp.shuffle cp1 ~joint ~prove:true input in
   let proof = match proof with Some p -> p | None -> Alcotest.fail "no proof" in
   (match
      Psc.Wire.decode ~kind:"psc.shuffled"
@@ -476,7 +476,6 @@ let test_deploy_malicious_cp_same_proofs () =
           Psc.Protocol.create
             (Psc.Protocol.config ~num_cps:cfg.Tormeasure.Deploy.num_cps
                ~noise_flips_per_cp:cfg.Tormeasure.Deploy.noise_flips_per_cp
-               ~proof_rounds:(Some cfg.Tormeasure.Deploy.proof_rounds)
                ~tamper:{ Psc.Protocol.tampered_cp = 1; action = `Shuffle_swap }
                ~table_size:cfg.Tormeasure.Deploy.table_size ())
             ~num_dcs:cfg.Tormeasure.Deploy.num_dcs ~seed:cfg.Tormeasure.Deploy.seed
@@ -503,7 +502,7 @@ let test_psc_dc_load_wrong_size () =
   let cfg =
     {
       Psc.Node.round =
-        Psc.Protocol.config ~num_cps:2 ~noise_flips_per_cp:2 ~proof_rounds:(Some 2)
+        Psc.Protocol.config ~num_cps:2 ~noise_flips_per_cp:2
           ~table_size:16 ();
       num_dcs = 1;
       seed = 3;
@@ -579,7 +578,7 @@ let test_deploy_churn_matches_reference () =
 let test_psc_result_pin () =
   let cfg =
     Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-      ~proof_rounds:(Some 3) ()
+      ()
   in
   let proto = Psc.Protocol.create cfg ~num_dcs:2 ~seed:7 in
   for i = 0 to 39 do
@@ -643,19 +642,10 @@ let cts_fields cts =
        (fun ct -> [ elt ct.Crypto.Elgamal.c1; elt ct.Crypto.Elgamal.c2 ])
        (Array.to_list cts)
 
-(* nrounds, then per round: n, 2n shadow elements, the opening tag, n
-   permutation ints and n exponents *)
+(* 5n + 9 ints: 3n + 5 elements, then 2n + 4 exponents *)
 let shuffle_proof_fields ints =
-  let out = ref [ Var ints.(0) ] and pos = ref 1 in
-  for _ = 1 to ints.(0) do
-    let n = ints.(!pos) in
-    for i = 0 to (4 * n) + 1 do
-      let v = ints.(!pos + i) in
-      out := (if i >= 1 && i <= 2 * n then Elt v else Var v) :: !out
-    done;
-    pos := !pos + (4 * n) + 2
-  done;
-  List.rev !out
+  let n = (Array.length ints - 9) / 5 in
+  List.mapi (fun i v -> if i < (3 * n) + 5 then Elt v else Var v) (Array.to_list ints)
 
 let psc_fields = function
   | Psc.Wire.Cp_key { pub; proof } ->
@@ -663,6 +653,7 @@ let psc_fields = function
   | Psc.Wire.Joint { joint } -> [ elt joint ]
   | Psc.Wire.Table_request -> []
   | Psc.Wire.Table_submit cts
+  | Psc.Wire.Shuffle_request cts
   | Psc.Wire.Rerand_request cts
   | Psc.Wire.Rerandomized cts
   | Psc.Wire.Decrypt_request cts ->
@@ -678,7 +669,6 @@ let psc_fields = function
                (fun i v -> if i mod 4 < 2 then Elt v else Var v)
                (Array.to_list (Crypto.Bit_proof.to_ints proof)))
          (Array.to_list slots)
-  | Psc.Wire.Shuffle_request { vector; rounds } -> Var rounds :: cts_fields vector
   | Psc.Wire.Shuffled { output; proof = None } -> cts_fields output @ [ Byte 0 ]
   | Psc.Wire.Shuffled { output; proof = Some p } ->
     let ints = Crypto.Shuffle.proof_to_ints p in
@@ -702,7 +692,7 @@ let psc_samples =
            Crypto.Elgamal.encrypt drbg joint
              (if i = 1 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
      in
-     let output, proof = Psc.Cp.shuffle cp0 ~joint ~rounds:(Some 2) cts in
+     let output, proof = Psc.Cp.shuffle cp0 ~joint ~prove:true cts in
      let share = Psc.Cp.decrypt_shares cp1 ~prove:true output in
      Psc.Wire.
        [
@@ -712,7 +702,7 @@ let psc_samples =
          Table_submit cts;
          Noise_request { flips = 5 };
          Noise_slots (Psc.Cp.noise_slots_proven cp0 ~joint ~flips:2);
-         Shuffle_request { vector = cts; rounds = 2 };
+         Shuffle_request cts;
          Shuffled { output; proof };
          Shuffled { output; proof = None };
          Rerand_request output;
@@ -847,6 +837,8 @@ let test_hostile_counts_bounded () =
   let shuffled = "\x00\x01" ^ varint (1 lsl 26) in
   Alcotest.(check int) "shuffled body is 6 bytes" 6 (String.length shuffled);
   check "psc.shuffled claiming 2^26 ints" (decoder "psc psc.shuffled") shuffled;
+  check "psc.shuffled claiming a 2^20-slot proof" (decoder "psc psc.shuffled")
+    ("\x00\x01" ^ varint ((5 lsl 20) + 9));
   check "psc.table claiming 2^22 ciphertexts" (decoder "psc psc.table") (varint (1 lsl 22));
   check "pc.blind claiming 2^24 counters" (decoder "pc pc.blind") ("\x00" ^ varint (1 lsl 24));
   (* magic, version, seed, shard, shards, no config, no tallies, then

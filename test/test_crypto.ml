@@ -423,15 +423,16 @@ let test_shuffle_verifies () =
   let d = drbg () in
   let _, pk = Elgamal.keygen d in
   let input = make_cts d pk 12 in
-  let output, proof = Shuffle.shuffle ~rounds:8 d pk input in
+  let output, proof = Shuffle.shuffle d pk input in
   Alcotest.(check bool) "verifies" true (Shuffle.verify pk ~input ~output proof);
-  Alcotest.(check int) "rounds recorded" 8 (Shuffle.proof_rounds proof)
+  Alcotest.(check int) "5n + 9 wire ints" ((5 * 12) + 9)
+    (Array.length (Shuffle.proof_to_ints proof))
 
 let test_shuffle_preserves_plaintexts () =
   let d = drbg () in
   let sk, pk = Elgamal.keygen d in
   let input = make_cts d pk 16 in
-  let output, _ = Shuffle.shuffle ~rounds:4 d pk input in
+  let output, _ = Shuffle.shuffle d pk input in
   let plain cts =
     Array.to_list cts
     |> List.map (fun ct -> Group.elt_to_int (Elgamal.decrypt sk ct))
@@ -443,7 +444,7 @@ let test_shuffle_tamper_detected () =
   let d = drbg () in
   let _, pk = Elgamal.keygen d in
   let input = make_cts d pk 10 in
-  let output, proof = Shuffle.shuffle ~rounds:8 d pk input in
+  let output, proof = Shuffle.shuffle d pk input in
   let tampered = Array.copy output in
   tampered.(0) <- Elgamal.encrypt d pk Elgamal.marker;
   Alcotest.(check bool) "tampered output rejected" false
@@ -452,10 +453,10 @@ let test_shuffle_tamper_detected () =
 (* --- one weight lane per folded system ---
 
    Each batch verifier draws one weight lane for folds it checks
-   separately (shuffle c1 / c2, bit proof g-side / pk-side). These
-   forge a proof that satisfies the first fold and breaks only the
-   second: the batch must still reject it, and the single-proof
-   fallback must name exactly that proof. *)
+   separately (a bit proof's g side and pk side). This forges a proof
+   that satisfies the first fold and breaks only the second: the batch
+   must still reject it, and the single-proof fallback must name
+   exactly that proof. *)
 
 let test_lane_bit_second_fold () =
   let d = Drbg.create "lane-bit" in
@@ -476,52 +477,11 @@ let test_lane_bit_second_fold () =
     | _ -> Alcotest.failf "forged proof %d not named alone" bad
   done
 
-(* The shuffle's Fiat–Shamir coins, recomputed from the proof's wire
-   form over a given output: bit j of the digest of pk, input, output
-   and the shadows. Also returns each round's opened side (1 = the
-   shadow->output link). *)
-let shuffle_coins pk ~input ~output proof =
-  let wire = Shuffle.proof_to_ints proof in
-  let pos = ref 1 and shadows = ref [] and tags = ref [] in
-  for _ = 1 to wire.(0) do
-    let n = wire.(!pos) in
-    shadows := Array.sub wire (!pos + 1) (2 * n) :: !shadows;
-    tags := wire.(!pos + 1 + (2 * n)) :: !tags;
-    pos := !pos + 2 + (4 * n)
-  done;
-  let digest =
-    Transcript.(create "" |> elt pk |> ciphertexts input |> ciphertexts output)
-    |> List.fold_right Transcript.ints !shadows
-    |> Transcript.digest
-  in
-  let coins = List.mapi (fun j _ -> (Char.code digest.[j / 8] lsr (j mod 8)) land 1) !tags in
-  (coins, List.rev !tags)
-
-let test_lane_shuffle_second_fold () =
-  let d = Drbg.create "lane-shuffle" in
-  let _, pk = Elgamal.keygen d in
-  let input = make_cts d pk 16 in
-  (* grind honest proofs until the coins over the tampered output still
-     match the opened sides and some round opens the output link: then
-     that link's c1 fold holds and only its c2 fold breaks *)
-  let rec forge tries =
-    if tries = 0 then Alcotest.fail "no proof with matching coins";
-    let output, proof = Shuffle.shuffle ~rounds:2 d pk input in
-    let bad = Array.copy output in
-    bad.(5) <- { (bad.(5)) with Elgamal.c2 = Group.mul bad.(5).Elgamal.c2 Group.g };
-    let coins, tags = shuffle_coins pk ~input ~output:bad proof in
-    if coins = tags && List.mem 1 tags then (output, bad, proof) else forge (tries - 1)
-  in
-  let output, bad, proof = forge 200 in
-  Alcotest.(check bool) "honest output verifies" true (Shuffle.verify pk ~input ~output proof);
-  Alcotest.(check bool) "c2-only forgery rejected" false
-    (Shuffle.verify pk ~input ~output:bad proof)
-
 let test_shuffle_wrong_input_rejected () =
   let d = drbg () in
   let _, pk = Elgamal.keygen d in
   let input = make_cts d pk 10 in
-  let output, proof = Shuffle.shuffle ~rounds:8 d pk input in
+  let output, proof = Shuffle.shuffle d pk input in
   let other = make_cts d pk 10 in
   Alcotest.(check bool) "different input rejected" false
     (Shuffle.verify pk ~input:other ~output proof)
@@ -530,7 +490,7 @@ let test_shuffle_singleton () =
   let d = drbg () in
   let sk, pk = Elgamal.keygen d in
   let input = [| Elgamal.encrypt d pk Elgamal.marker |] in
-  let output, proof = Shuffle.shuffle ~rounds:4 d pk input in
+  let output, proof = Shuffle.shuffle d pk input in
   Alcotest.(check bool) "verifies" true (Shuffle.verify pk ~input ~output proof);
   Alcotest.(check int) "plaintext kept" (Group.elt_to_int Elgamal.marker)
     (Group.elt_to_int (Elgamal.decrypt sk output.(0)))
@@ -960,6 +920,42 @@ let prop_transcript_matches_concat =
           = Sha256.digest (tag ^ body))
         (List.init 64 Fun.id))
 
+(* Every component of a shuffle proof is bound by some equation:
+   changing any one of them — each of the five n-vectors at a random
+   index, each of the nine constants — makes verify fail. Elements are
+   multiplied by g (still members), exponents incremented, so each
+   altered proof still decodes. Wire offsets: u, B, B' at 0, n, 2n;
+   A', C', D', F'.c1, F'.c2 at 3n..3n+4; k_A at 3n+5, k_B at 3n+6, k_C
+   and k_D at 4n+6, k_E at 4n+8, k_F at 5n+8. *)
+let prop_shuffle_proof_components_bound =
+  QCheck.Test.make ~name:"altering any one shuffle proof component fails verify" ~count:15
+    QCheck.(triple small_int (int_range 1 20) (list_of_size (Gen.return 5) small_nat))
+    (fun (seed, n, picks) ->
+      let d = Drbg.create (Printf.sprintf "components|%d" seed) in
+      let _, pk = Elgamal.keygen d in
+      let input = make_cts d pk n in
+      let output, proof = Shuffle.shuffle d pk input in
+      let wire = Shuffle.proof_to_ints proof in
+      let slot k = List.nth picks k mod n in
+      let offsets =
+        [ slot 0; n + slot 1; (2 * n) + slot 2; (3 * n) + 6 + slot 3; (4 * n) + 8 + slot 4 ]
+        @ List.init 5 (fun k -> (3 * n) + k)
+        @ [ (3 * n) + 5; (4 * n) + 6; (4 * n) + 7; (5 * n) + 8 ]
+      in
+      let altered off =
+        let a = Array.copy wire in
+        a.(off) <-
+          (if off < (3 * n) + 5 then
+             Group.elt_to_int (Group.mul (Group.elt_of_int a.(off)) Group.g)
+           else (a.(off) + 1) mod Group.q);
+        match Shuffle.proof_of_ints a with
+        | Some p -> Shuffle.verify pk ~input ~output p
+        | None -> true
+      in
+      Shuffle.verify pk ~input ~output proof
+      && List.length offsets = 14
+      && not (List.exists altered offsets))
+
 let prop_shuffle_preserves_plaintext_multiset =
   QCheck.Test.make ~name:"shuffle preserves plaintext multiset" ~count:20
     QCheck.(pair small_int (int_range 1 24))
@@ -1052,7 +1048,7 @@ let test_alloc_per_slot () =
         Sigma.dleq_prove_with ~public2 ~public1 ~k:ks.(i) ~secret ~base2 ~context:"alloc" ()
     done
   in
-  let output, proof = Shuffle.shuffle ~rounds:2 d pk input in
+  let output, proof = Shuffle.shuffle d pk input in
   let shuffle_verify () =
     if not (Shuffle.verify pk ~input ~output proof) then Alcotest.fail "honest shuffle rejected"
   in
@@ -1119,7 +1115,7 @@ let test_kat_shuffle () =
   let d = Drbg.create "kat-shuffle" in
   let _, pk = Elgamal.keygen d in
   let input = make_cts d pk 16 in
-  let _, proof = Shuffle.shuffle ~rounds:3 d pk input in
+  let _, proof = Shuffle.shuffle d pk input in
   let wire = Shuffle.proof_to_ints proof in
   Alcotest.(check string) "proof_to_ints sha256"
     "83dc37f2cddba1f5daa9cd83ea91d5ae9d817e46edcb9dbe3cb2ea2c35f5fe82"
@@ -1186,8 +1182,6 @@ let () =
         [ Alcotest.test_case "words per slot, prove and verify" `Quick test_alloc_per_slot ] );
       ( "batch_verify",
         [
-          Alcotest.test_case "shuffle: c2 fold alone caught" `Quick
-            test_lane_shuffle_second_fold;
           Alcotest.test_case "bit proof: pk side alone caught" `Quick test_lane_bit_second_fold;
         ] );
       ( "elgamal",
@@ -1243,6 +1237,7 @@ let () =
             prop_sha256_incremental; prop_hmac_keyed_matches; prop_sha256_pool_workers;
             prop_sha256_finalized_rejects; prop_transcript_matches_concat;
             prop_shuffle_preserves_plaintext_multiset;
+            prop_shuffle_proof_components_bound;
             prop_schnorr_sig_sound; prop_bit_proof_sound;
             prop_multi_exp_matches_naive; prop_bulk_draws_deterministic;
             prop_bit_batch_forgery_positions;

@@ -197,7 +197,7 @@ let test_phase_events_are_span_records () =
   with_obs (fun () ->
       let cfg =
         Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-          ~proof_rounds:(Some 4) ~verify:true ()
+          ~verify:true ()
       in
       let proto = Psc.Protocol.create cfg ~num_dcs:2 ~seed:11 in
       for i = 0 to 29 do
@@ -450,7 +450,7 @@ let test_tampered_psc_fails_audit () =
   with_obs (fun () ->
       let cfg =
         Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-          ~proof_rounds:(Some 4) ~verify:true
+          ~verify:true
           ~tamper:{ Psc.Protocol.tampered_cp = 1; action = `Shuffle_swap }
           ()
       in
@@ -483,7 +483,7 @@ let prop_ledger_jobs_invariant =
             Obs.with_enabled true (fun () ->
                 let cfg =
                   Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-                    ~proof_rounds:(Some 4) ~verify:true ~dp:Dp.Mechanism.paper_params ()
+                    ~verify:true ~dp:Dp.Mechanism.paper_params ()
                 in
                 let proto = Psc.Protocol.create cfg ~num_dcs:2 ~seed in
                 for i = 0 to n - 1 do
@@ -521,7 +521,7 @@ let test_instrumented_paths_silent_when_disabled () =
   Obs.reset ();
   let proto =
     Psc.Protocol.create
-      (Psc.Protocol.config ~table_size:256 ~num_cps:2 ~noise_flips_per_cp:8 ~proof_rounds:None
+      (Psc.Protocol.config ~table_size:256 ~num_cps:2 ~noise_flips_per_cp:8
          ~verify:false ())
       ~num_dcs:2 ~seed:3
   in

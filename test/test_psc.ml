@@ -1,7 +1,7 @@
 open Psc
 
-let config ?(table_size = 2_048) ?(flips = 32) ?(proof_rounds = Some 6) ?(verify = true) () =
-  Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:flips ~proof_rounds ~verify ()
+let config ?(table_size = 2_048) ?(flips = 32) ?(verify = true) () =
+  Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:flips ~verify ()
 
 (* --- item hashing --- *)
 
@@ -57,17 +57,6 @@ let test_config_validation () =
       ignore (Protocol.config ~noise_flips_per_cp:(-1) ~table_size:16 ()));
   Alcotest.check_raises "dcs" (Invalid_argument "Protocol.create: need at least one DC")
     (fun () -> ignore (Protocol.create (config ()) ~num_dcs:0 ~seed:1));
-  (* rounds past 256 would reuse the shuffle's challenge bits *)
-  List.iter
-    (fun r ->
-      Alcotest.check_raises
-        (Printf.sprintf "proof_rounds %d" r)
-        (Invalid_argument "Protocol.config: proof_rounds must be in 1..256")
-        (fun () -> ignore (Protocol.config ~proof_rounds:(Some r) ~table_size:16 ())))
-    [ -1; 0; 257; 4096 ];
-  List.iter
-    (fun r -> ignore (Protocol.config ~proof_rounds:(Some r) ~table_size:16 ()))
-    [ 1; 256 ];
   let proto = Protocol.create (config ()) ~num_dcs:1 ~seed:1 in
   Alcotest.check_raises "bad dc" (Invalid_argument "Protocol.insert: bad dc") (fun () ->
       Protocol.insert proto ~dc:5 "x")
@@ -162,7 +151,7 @@ let test_run_once () =
       Protocol.insert proto ~dc:0 "late")
 
 let test_no_proofs_fast_path () =
-  let cfg = config ~proof_rounds:None ~verify:false () in
+  let cfg = config ~verify:false () in
   let _, result = run_with_items ~cfg ~num_dcs:2 [ List.init 30 string_of_int; [] ] in
   Alcotest.(check bool)
     (Printf.sprintf "estimate near 30 (got %.1f)" result.Protocol.estimate)
@@ -181,7 +170,7 @@ let test_flips_for_params () =
 let test_byzantine_shuffle_detected () =
   let cfg =
     Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-      ~proof_rounds:(Some 8) ~verify:true
+      ~verify:true
       ~tamper:{ Protocol.tampered_cp = 1; action = `Shuffle_swap }
       ()
   in
@@ -194,7 +183,7 @@ let test_byzantine_shuffle_detected () =
 let test_byzantine_noise_detected () =
   let cfg =
     Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-      ~proof_rounds:(Some 4) ~verify:true
+      ~verify:true
       ~tamper:{ Protocol.tampered_cp = 2; action = `Noise_nonbit }
       ()
   in
@@ -214,7 +203,7 @@ let test_tamper_without_verification_goes_unnoticed () =
   (* the point of the proofs: with verification off, the same shuffle
      substitution distorts the result silently *)
   let cfg =
-    Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8 ~proof_rounds:None
+    Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
       ~verify:false
       ~tamper:{ Protocol.tampered_cp = 1; action = `Shuffle_swap }
       ()
@@ -242,41 +231,65 @@ let shuffle_proofs events =
       | _ -> None)
     events
 
-(* A CP asked for 2 shuffle-proof rounds that answers with a valid
-   1-round proof would get a swap through with probability 1/2 instead
-   of 1/4: the round count must match the configuration. *)
-let test_short_shuffle_proof_blamed () =
-  let cfg =
-    Protocol.config ~table_size:16 ~num_cps:2 ~noise_flips_per_cp:2 ~proof_rounds:(Some 2) ()
+(* A well-formed proof whose five n-vectors each lose their last entry
+   ([delta] = -1) or repeat it ([delta] = 1). Wire layout: u, B, B',
+   five elements, k_A, k_B, k_C and k_D, k_E, k_F. *)
+let resize_proof delta proof =
+  let a = Crypto.Shuffle.proof_to_ints proof in
+  let n = (Array.length a - 9) / 5 in
+  let vec off =
+    let v = Array.sub a off n in
+    if delta < 0 then Array.sub v 0 (n - 1) else Array.append v [| v.(n - 1) |]
   in
+  let part off len = Array.sub a off len in
+  match
+    Crypto.Shuffle.proof_of_ints
+      (Array.concat
+         [
+           vec 0; vec n; vec (2 * n); part (3 * n) 6; vec ((3 * n) + 6); part ((4 * n) + 6) 2;
+           vec ((4 * n) + 8); part ((5 * n) + 8) 1;
+         ])
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "a resized proof must still decode"
+
+(* A shuffle proof with vectors one slot short or one slot long, or the
+   proof of another CP's shuffle, fails and blames the CP that sent it;
+   the honest CP after it still passes. *)
+let test_malformed_shuffle_proof_blamed () =
+  let cfg = Protocol.config ~table_size:16 ~num_cps:2 ~noise_flips_per_cp:2 () in
   let cps = Array.init 2 (fun id -> Cp.create ~id ~seed:5) in
-  let v =
-    Protocol.verifier cfg (Array.map (fun cp -> (Cp.public_key cp, Cp.key_proof cp)) cps)
-  in
-  let joint = Protocol.joint v in
+  let keys = Array.map (fun cp -> (Cp.public_key cp, Cp.key_proof cp)) cps in
+  let joint = Protocol.joint (Protocol.verifier cfg keys) in
   let d = Crypto.Drbg.create "short-proof" in
   let input =
     Array.init 16 (fun i ->
         Crypto.Elgamal.encrypt d joint
           (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
   in
-  let short_out, short = Cp.shuffle cps.(0) ~joint ~rounds:(Some 1) input in
-  (match short with
-  | Some proof ->
-    Alcotest.(check bool) "a sound 1-round proof on its own" true
-      (Crypto.Shuffle.verify joint ~input ~output:short_out proof)
-  | None -> Alcotest.fail "rounds = Some 1 must produce a proof");
-  let full_out, full = Cp.shuffle cps.(1) ~joint ~rounds:(Some 2) short_out in
-  let (), events =
-    with_ledger (fun () ->
-        Protocol.check_shuffle v ~cp:0 ~input ~output:short_out short;
-        Protocol.check_shuffle v ~cp:1 ~input:short_out ~output:full_out full)
-  in
-  Alcotest.(check (list (pair int bool))) "short proof fails, full proof passes"
-    [ (0, false); (1, true) ] (shuffle_proofs events);
-  let result = Protocol.result_of v ~raw_nonzero:0 in
-  Alcotest.(check bool) "proofs fail" false result.Protocol.proofs_ok;
-  Alcotest.(check (list int)) "CP 0 blamed" [ 0 ] result.Protocol.culprits
+  let out0, proof0 = Cp.shuffle cps.(0) ~joint ~prove:true input in
+  let out1, proof1 = Cp.shuffle cps.(1) ~joint ~prove:true out0 in
+  let proof0 = match proof0 with Some p -> p | None -> Alcotest.fail "no proof" in
+  List.iter
+    (fun (name, sent, want) ->
+      let v = Protocol.verifier cfg keys in
+      let (), events =
+        with_ledger (fun () ->
+            Protocol.check_shuffle v ~cp:0 ~input ~output:out0 (Some sent);
+            Protocol.check_shuffle v ~cp:1 ~input:out0 ~output:out1 proof1)
+      in
+      Alcotest.(check (list (pair int bool))) (name ^ ": ledger")
+        [ (0, want); (1, true) ] (shuffle_proofs events);
+      let result = Protocol.result_of v ~raw_nonzero:0 in
+      Alcotest.(check (pair bool (list int))) (name ^ ": verdict and blame")
+        (want, if want then [] else [ 0 ])
+        (result.Protocol.proofs_ok, result.Protocol.culprits))
+    [
+      ("honest", proof0, true);
+      ("one short", resize_proof (-1) proof0, false);
+      ("one long", resize_proof 1 proof0, false);
+      ("CP 1's", Option.get proof1, false);
+    ]
 
 (* One verified 2-CP round through the bus parties, with CP 0's
    handler fronted by [front sched]: the front sees CP 0's mail first
@@ -287,7 +300,7 @@ let bus_round ~front =
   let cfg =
     {
       Node.round =
-        Protocol.config ~num_cps:2 ~noise_flips_per_cp:2 ~proof_rounds:(Some 2)
+        Protocol.config ~num_cps:2 ~noise_flips_per_cp:2
           ~table_size:16 ();
       num_dcs = 1;
       seed = 3;
@@ -328,22 +341,29 @@ let rewrite_first f sched =
         true)
     | _ -> false
 
-(* The same through the bus parties: CP 0 is asked for 1 shuffle-proof
-   round instead of 2, so the real CP code answers with a valid
-   1-round proof that the TS must reject. *)
-let test_short_shuffle_proof_blamed_on_bus () =
-  let r, events =
-    bus_round
-      ~front:
-        (rewrite_first (function
-          | Wire.Shuffle_request { vector; rounds = 2 } ->
-            [ Wire.Shuffle_request { vector; rounds = 1 } ]
-          | _ -> []))
-  in
-  Alcotest.(check (list (pair int bool))) "CP 0's short proof fails"
-    [ (0, false); (1, true) ] (shuffle_proofs events);
-  Alcotest.(check bool) "proofs fail" false r.Protocol.proofs_ok;
-  Alcotest.(check (list int)) "CP 0 blamed" [ 0 ] r.Protocol.culprits
+(* The same through the bus parties: CP 0 is asked to shuffle a vector
+   one slot short, one slot long or reversed, and the real CP code
+   answers with a valid proof over that vector, which the TS checks
+   against the vector it holds. *)
+let test_malformed_shuffle_proof_blamed_on_bus () =
+  List.iter
+    (fun (name, change) ->
+      let r, events =
+        bus_round
+          ~front:
+            (rewrite_first (function
+              | Wire.Shuffle_request vector -> [ Wire.Shuffle_request (change vector) ]
+              | _ -> []))
+      in
+      Alcotest.(check (list (pair int bool))) (name ^ ": CP 0's proof fails")
+        [ (0, false); (1, true) ] (shuffle_proofs events);
+      Alcotest.(check (pair bool (list int))) (name ^ ": CP 0 blamed") (false, [ 0 ])
+        (r.Protocol.proofs_ok, r.Protocol.culprits))
+    [
+      ("one short", fun v -> Array.sub v 0 (Array.length v - 1));
+      ("one long", fun v -> Array.append v [| v.(0) |]);
+      ("reversed", fun v -> Array.of_list (List.rev (Array.to_list v)));
+    ]
 
 (* --- decryption blame --- *)
 
@@ -358,7 +378,7 @@ let decrypt_proofs events =
    key (a marker in every third slot) and each CP's share vector. *)
 let decrypt_step ?(verify = true) ~seed n =
   let cfg =
-    Protocol.config ~table_size:16 ~num_cps:3 ~noise_flips_per_cp:2 ~proof_rounds:None ~verify ()
+    Protocol.config ~table_size:16 ~num_cps:3 ~noise_flips_per_cp:2 ~verify ()
   in
   let cps = Array.init 3 (fun id -> Cp.create ~id ~seed) in
   let v =
@@ -455,6 +475,31 @@ let test_decryption_proof_jobs_invariant () =
         Wire.encode (Wire.Decrypt_share { shares = s.Cp.shares; proof = s.Cp.proof }))
   in
   Alcotest.(check string) "psc.decrypt body at jobs 1 and 4" (body 1) (body 4)
+
+(* The shuffle proof is the same bytes at any pool size; the vector is
+   past multi_exp's 2^14-term chunk, so its folds run on the pool. *)
+let test_shuffle_proof_jobs_invariant () =
+  let d = Crypto.Drbg.create "shuffle-jobs-invariant" in
+  let joint = Cp.public_key (Cp.create ~id:1 ~seed:8) in
+  let vector =
+    Array.init ((1 lsl 14) + 37) (fun i ->
+        Crypto.Elgamal.encrypt d joint
+          (if i land 1 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
+  in
+  let body jobs =
+    let before = Parallel.jobs () in
+    Parallel.set_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_jobs before)
+      (fun () ->
+        let output, proof = Cp.shuffle (Cp.create ~id:1 ~seed:8) ~joint ~prove:true vector in
+        Alcotest.(check bool) (Printf.sprintf "verifies at jobs %d" jobs) true
+          (match proof with
+          | Some p -> Crypto.Shuffle.verify joint ~input:vector ~output p
+          | None -> false);
+        Wire.encode (Wire.Shuffled { output; proof }))
+  in
+  Alcotest.(check string) "psc.shuffled body at jobs 1 and 4" (body 1) (body 4)
 
 (* The bus: CP 0 is asked to decrypt a vector one slot short or one
    slot long, and answers it with a valid proof over that vector; or
@@ -606,7 +651,7 @@ let test_cp_vector_phases_match_reference () =
 
 let test_larger_union_estimates_monotone () =
   let estimate n =
-    let cfg = config ~table_size:4_096 ~flips:16 ~proof_rounds:None ~verify:false () in
+    let cfg = config ~table_size:4_096 ~flips:16 ~verify:false () in
     let _, r = run_with_items ~cfg ~num_dcs:1 [ List.init n (fun i -> string_of_int i) ] in
     r.Protocol.estimate
   in
@@ -639,7 +684,7 @@ let run_at ?tamper ~seed ~n jobs =
     (fun () ->
       let cfg =
         Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-          ~proof_rounds:(Some 4) ~verify:true ?tamper ()
+          ~verify:true ?tamper ()
       in
       let proto = Protocol.create cfg ~num_dcs:2 ~seed in
       for i = 0 to n - 1 do
@@ -712,7 +757,9 @@ let test_shuffle_outputs_pinned () =
             Crypto.Elgamal.encrypt d joint
               (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
       in
-      let output, _ = Cp.shuffle cp ~joint ~rounds:(Some 2) input in
+      let output, _ = Cp.shuffle cp ~joint ~prove:true input in
+      let unproven, _ = Cp.shuffle (Cp.create ~id ~seed) ~joint ~prove:false input in
+      Alcotest.(check bool) "the proof does not move the output" true (output = unproven);
       let ints =
         Array.to_list output
         |> List.concat_map (fun ct ->
@@ -732,7 +779,7 @@ let prop_estimate_tracks_truth =
   QCheck.Test.make ~name:"estimate within noise of true union" ~count:8
     QCheck.(pair (int_range 1 60) (int_range 0 300))
     (fun (seed, n) ->
-      let cfg = config ~table_size:2_048 ~flips:32 ~proof_rounds:None ~verify:false () in
+      let cfg = config ~table_size:2_048 ~flips:32 ~verify:false () in
       let proto = Protocol.create cfg ~num_dcs:2 ~seed in
       for i = 0 to n - 1 do
         Protocol.insert proto ~dc:(i mod 2) (Printf.sprintf "i%d" i)
@@ -795,15 +842,17 @@ let () =
           Alcotest.test_case "honest run" `Quick test_honest_run_no_culprits;
           Alcotest.test_case "unverified tamper silent" `Quick
             test_tamper_without_verification_goes_unnoticed;
-          Alcotest.test_case "short shuffle proof blamed" `Quick
-            test_short_shuffle_proof_blamed;
-          Alcotest.test_case "short shuffle proof blamed on the bus" `Quick
-            test_short_shuffle_proof_blamed_on_bus;
+          Alcotest.test_case "malformed shuffle proof blamed" `Quick
+            test_malformed_shuffle_proof_blamed;
+          Alcotest.test_case "malformed shuffle proof blamed on the bus" `Quick
+            test_malformed_shuffle_proof_blamed_on_bus;
           Alcotest.test_case "wrong share vectors blamed" `Quick test_wrong_share_vectors_blamed;
           Alcotest.test_case "wrong share vectors blamed on the bus" `Quick
             test_wrong_share_vectors_blamed_on_bus;
           Alcotest.test_case "decryption proof bytes at jobs 1 and 4" `Quick
             test_decryption_proof_jobs_invariant;
+          Alcotest.test_case "shuffle proof bytes at jobs 1 and 4" `Quick
+            test_shuffle_proof_jobs_invariant;
         ] );
       ( "components",
         [
