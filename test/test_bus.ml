@@ -610,12 +610,12 @@ let test_deploy_order_digest_pins () =
       ( "benign",
         2,
         [
-          "1723423c249d39c35a2f4f1004c83c9a79f3d3ece55769b8392fdc55ac7cd25d";
-          "a5da74f46cc4ac006a7dda48aa9961c389a7e70afff7cae76187c7b202b6c9da";
+          "98cbd2064bea2dcd5c928f16d0e25940ef37c6a841e3ae6dcbb09a558b98f2e8";
+          "c8d9cc325342af8eefb2a19905e609169169a996fc915a0d3e83ca0eb3d2fde2";
         ] );
       ( "malicious-cp",
         1,
-        [ "cf14a9c5fb065fb6e8faaafb875287408dd172b32c5bf2ba782f0bbd89efe49c" ] );
+        [ "6db019c548a771af626c50162d990e842a9bb2bcd52a08d8e3140299547e8898" ] );
     ]
 
 (* --- decoder fuzzing: per-protocol wire bodies and checkpoints ---

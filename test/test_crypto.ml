@@ -1118,7 +1118,7 @@ let test_kat_shuffle () =
   let _, proof = Shuffle.shuffle d pk input in
   let wire = Shuffle.proof_to_ints proof in
   Alcotest.(check string) "proof_to_ints sha256"
-    "83dc37f2cddba1f5daa9cd83ea91d5ae9d817e46edcb9dbe3cb2ea2c35f5fe82"
+    "8a74bb88dc9c41577c6335a911811a50283c333250fb340652fe015970e6d03f"
     (Sha256.hex (String.concat "," (Array.to_list (Array.map string_of_int wire))))
 
 let test_kat_schnorr_sig () =
