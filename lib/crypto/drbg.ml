@@ -22,8 +22,6 @@ let create ?(personalization = "") seed =
   update t (seed ^ personalization);
   t
 
-let reseed t entropy = update t entropy
-
 let generate t n =
   let out = Bytes.create n in
   let pos = ref 0 in

@@ -11,8 +11,6 @@ val create : ?personalization:string -> string -> t
 val generate : t -> int -> string
 (** [generate t n] produces [n] pseudorandom bytes and advances the state. *)
 
-val reseed : t -> string -> unit
-
 val uniform : t -> int -> int
 (** [uniform t n] draws an unbiased integer in [0, n). *)
 

@@ -21,11 +21,6 @@ let rerandomize ?tab drbg pk ct = mul ct (encrypt ?tab drbg pk Group.one)
 
 let pow ct k = { c1 = Group.pow ct.c1 k; c2 = Group.pow ct.c2 k }
 
-let partial_decrypt x ct = Group.pow ct.c1 x
-
-let combine_partial ct shares =
-  Group.div ct.c2 (List.fold_left Group.mul Group.one shares)
-
 let combine_partial_arr ct shares =
   Group.div ct.c2 (Array.fold_left Group.mul Group.one shares)
 

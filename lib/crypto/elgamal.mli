@@ -35,14 +35,11 @@ val pow : ciphertext -> Group.exp -> ciphertext
     "identity" to "identity" and anything else to a random non-identity
     element — PSC's bit re-randomization. *)
 
-val partial_decrypt : priv -> ciphertext -> Group.elt
-(** One party's decryption share c1^x. *)
-
-val combine_partial : ciphertext -> Group.elt list -> Group.elt
-(** Remove all parties' shares from c2, recovering the plaintext. *)
-
 val combine_partial_arr : ciphertext -> Group.elt array -> Group.elt
-(** Array form of {!combine_partial} (no intermediate list). *)
+(** [combine_partial_arr ct shares] removes every party's decryption
+    share [c1^x_p] from [c2], recovering the plaintext of one
+    ciphertext: the one-lane oracle that tests hold
+    {!combine_partial_all} to. *)
 
 val combine_partial_all :
   ciphertext array -> parties:int -> share:(int -> int -> Group.elt) -> Group.elt array

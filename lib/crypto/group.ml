@@ -233,8 +233,6 @@ let precomp b =
   done;
   { base = b; table }
 
-let precomp_base t = t.base
-
 let pow_precomp { table; _ } e =
   let m01 = reduce_p (table.(e land 0xff) * table.(0x100 lor ((e lsr 8) land 0xff))) in
   let m2 = table.(0x200 lor ((e lsr 16) land 0xff)) in

@@ -63,13 +63,9 @@ val precomp : elt -> precomp
     four windows w covering Z_q. Costs ~1020 multiplications; amortises
     after ~25 exponentiations of the same base. *)
 
-val precomp_base : precomp -> elt
-(** The base the table was built for, so callers taking an optional
-    table can check it matches before using it. *)
-
 val pow_precomp : precomp -> exp -> elt
-(** [pow_precomp t e] = (precomp_base t)^e in three modular
-    multiplications. Agrees with {!pow} on every exponent. *)
+(** [pow_precomp t e] = b^e for the base b [t] was built for, in three
+    modular multiplications. Agrees with {!pow} on every exponent. *)
 
 val pow_tab : ?tab:precomp -> elt -> exp -> elt
 (** [pow_tab ?tab b e] = b^e, via the table when one is given. Raises

@@ -20,9 +20,3 @@ let sign drbg ~priv msg =
 let verify ~pub msg { challenge; response } =
   let commitment = Group.mul (Group.pow_g response) (Group.pow pub challenge) in
   Group.exp_to_int (challenge_of ~pub ~commitment msg) = Group.exp_to_int challenge
-
-let exp_to_string e =
-  let v = Group.exp_to_int e in
-  String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xFF))
-
-let signature_to_string { challenge; response } = exp_to_string challenge ^ exp_to_string response

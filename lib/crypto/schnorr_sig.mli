@@ -12,6 +12,3 @@ val keygen : Drbg.t -> keypair
 val sign : Drbg.t -> priv:Group.exp -> string -> signature
 
 val verify : pub:Group.elt -> string -> signature -> bool
-
-val signature_to_string : signature -> string
-(** Canonical encoding, for transcripts and serialization. *)

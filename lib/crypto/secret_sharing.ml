@@ -1,13 +1,8 @@
 let modulus = 1 lsl 61
 
-let additive_shares drbg ~n = List.init n (fun _ -> Drbg.uniform drbg modulus)
-
 let blind v shares =
   let v = ((v mod modulus) + modulus) mod modulus in
   List.fold_left (fun acc s -> (acc + s) mod modulus) v shares
-
-let unblind v shares =
-  List.fold_left (fun acc s -> ((acc - s) mod modulus + modulus) mod modulus) v shares
 
 let to_signed v =
   let v = ((v mod modulus) + modulus) mod modulus in

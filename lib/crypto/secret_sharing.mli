@@ -9,15 +9,8 @@
 val modulus : int
 (** Additive-sharing modulus (2^61), comfortably above any counter. *)
 
-val additive_shares : Drbg.t -> n:int -> int list
-(** [additive_shares drbg ~n] draws [n] uniform blinding values in
-    [0, modulus). *)
-
 val blind : int -> int list -> int
 (** [blind v shares] = (v + sum shares) mod modulus. *)
-
-val unblind : int -> int list -> int
-(** Remove shares; inverse of {!blind}. *)
 
 val to_signed : int -> int
 (** Map a residue to the signed representative in

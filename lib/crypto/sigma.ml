@@ -34,10 +34,6 @@ let dleq_prove_with ?public2 ~public1 ~k ~secret ~base2 ~context () =
   let z = Group.exp_add k (Group.exp_mul c secret) in
   { a1; a2; z }
 
-let dleq_prove drbg ~secret ~base2 ~context =
-  dleq_prove_with ~public1:(Group.pow_g secret) ~k:(Group.random_exp drbg) ~secret ~base2
-    ~context ()
-
 let dleq_verify ~public1 ~base2 ~public2 ~context { a1; a2; z } =
   let c = dleq_challenge ~public1 ~base2 ~public2 ~a1 ~a2 ~context in
   Group.elt_to_int (Group.pow_g z)

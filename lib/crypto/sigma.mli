@@ -15,18 +15,15 @@ val schnorr_verify : public:Group.elt -> context:string -> schnorr_proof -> bool
 
 type dleq_proof = { a1 : Group.elt; a2 : Group.elt; z : Group.exp }
 
-val dleq_prove :
-  Drbg.t -> secret:Group.exp -> base2:Group.elt -> context:string -> dleq_proof
-(** Prove log_g(g^secret) = log_{base2}(base2^secret), i.e. that the
-    same exponent links (g, g^x) and (base2, base2^x). *)
-
 val dleq_prove_with :
   ?public2:Group.elt -> public1:Group.elt ->
   k:Group.exp -> secret:Group.exp -> base2:Group.elt -> context:string -> unit ->
   dleq_proof
-(** {!dleq_prove} with a pre-drawn commitment nonce [k]. [public1] is
-    [g^secret], the prover's public key, computed once per prover
-    rather than once per proof. [?public2] is [base2^secret] when the
+(** Prove log_g(g^secret) = log_{base2}(base2^secret), i.e. that the
+    same exponent links (g, g^x) and (base2, base2^x), with the
+    pre-drawn commitment nonce [k]. [public1] is [g^secret], the
+    prover's public key, computed once per prover rather than once per
+    proof. [?public2] is [base2^secret] when the
     caller already holds it (a PSC CP's folded decryption share),
     skipping one full exponentiation. *)
 

@@ -5,7 +5,7 @@
      REPRO_JOBS=4 dune exec test/scale/scale_smoke.exe
 
    psc-1M-run  one 2^20-slot PSC round with proofs on: noise bit
-               proofs, 2-round shuffle arguments and verifiable
+               proofs, Terelius–Wikström shuffle proofs and verifiable
                decryption. Batched verification and the streamed
                phases must hold up at this size; fails if any proof is
                rejected.

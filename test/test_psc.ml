@@ -570,8 +570,8 @@ let test_cp_bit_rerandomization () =
 
 (* Rerandomization and decryption shares run on the four-lane power
    kernel, and the decryption proof folds the vector with multi_exp.
-   They must equal the one-lane reference (Elgamal.pow,
-   partial_decrypt, and one dleq_prove_with over the plain product
+   They must equal the one-lane reference (Elgamal.pow, c1^x per
+   slot, and one dleq_prove_with over the plain product
    prod c1_i^w_i) on every length, odd tails and the empty vector
    included, at pool sizes 1 and 4. The reference replays the CP's
    DRBG stream: [Cp.create] draws the key, then each phase makes its
@@ -609,7 +609,7 @@ let test_cp_vector_phases_match_reference () =
           vector
       in
       let d, _, _ = replay () in
-      let shares = Array.map (Crypto.Elgamal.partial_decrypt x) vector in
+      let shares = Array.map (fun ct -> Crypto.Group.pow ct.Crypto.Elgamal.c1 x) vector in
       let proof =
         let c1s = Array.map (fun ct -> ct.Crypto.Elgamal.c1) vector in
         let digest =

@@ -404,7 +404,10 @@ let test_descriptor_known_answers () =
     [
       identity.Descriptor.v2_address;
       v3.Descriptor.address;
-      Crypto.Sha256.to_hex (Crypto.Schnorr_sig.signature_to_string v3.Descriptor.signature);
+      (let s = v3.Descriptor.signature in
+       Printf.sprintf "%08x%08x"
+         (Crypto.Group.exp_to_int s.Crypto.Schnorr_sig.challenge)
+         (Crypto.Group.exp_to_int s.Crypto.Schnorr_sig.response));
     ]
 
 let test_engine_publish_signed () =
