@@ -62,9 +62,8 @@ let generators n =
   let need = (n / gen_block) + 1 in
   if need <= have then cur
   else begin
-    let grown =
-      { cur with h = Array.concat (cur.h :: List.init (need - have) (fun k -> generator_block (have + k))) }
-    in
+    let blocks = List.init (need - have) (fun k -> generator_block (have + k)) in
+    let grown = { cur with h = Array.concat (cur.h :: blocks) } in
     Atomic.set cache grown;
     grown
   end
