@@ -483,6 +483,113 @@ let test_lane_bit_second_fold () =
     | _ -> Alcotest.failf "forged proof %d not named alone" bad
   done
 
+(* A reference Terelius–Wikström prover that draws the same DRBG stream
+   as [Shuffle.shuffle] but builds the commitment chain by its
+   recursion, B_i = g^{b_i} B_{i-1}^{e'_i}, where the library uses the
+   closed form. [alter] rewrites the output before anything is
+   committed to it: a proof over an output the witness does not explain
+   breaks only the equations that read the altered component.
+   Generators and wire layout as in DESIGN.md §3c. *)
+let tw_prove ?(alter = Fun.id) d pk input =
+  let n = Array.length input in
+  let h =
+    Array.concat
+      (List.init ((n / 1024) + 1) (fun k ->
+           let g = Drbg.create (Printf.sprintf "shuffle-generators|%d" k) in
+           Array.map
+             (fun x -> Group.elt_of_int ((x + 2) * (x + 2) mod Group.p))
+             (Drbg.uniform_array g (Group.p - 3) 1024)))
+  in
+  let pi = Array.init n Fun.id in
+  let js = Drbg.uniform_lanes d (fun k -> n - k) (n - 1) in
+  for k = 0 to n - 2 do
+    let i = n - 1 - k and j = js.(k) in
+    let t = pi.(i) in
+    pi.(i) <- pi.(j);
+    pi.(j) <- t
+  done;
+  let r = Group.random_exps d n in
+  let rand = Group.random_exps d ((4 * n) + 4) in
+  let nonce k i = rand.((k * n) + i) in
+  let y =
+    alter
+      (Array.init n (fun i ->
+           Elgamal.mul (Elgamal.encrypt_with ~r:r.(i) pk Elgamal.one) input.(pi.(i))))
+  in
+  let u = Array.make n Group.one in
+  Array.iteri (fun i j -> u.(j) <- Group.mul (Group.pow_g (nonce 0 j)) h.(i + 1)) pi;
+  let ed =
+    Transcript.(create "shuffle|" |> elt pk |> ciphertexts input |> ciphertexts y |> elts u |> digest)
+  in
+  let e = Batch_verify.weights ~context:"shuffle-e" ~digest:ed n in
+  let e' = Array.map (fun j -> e.(j)) pi in
+  let bs = Array.make n Group.one and bs' = Array.make n Group.one in
+  let prev = ref h.(0) and dn = ref Group.zero_exp in
+  for i = 0 to n - 1 do
+    bs'.(i) <- Group.mul (Group.pow_g (nonce 2 i)) (Group.pow !prev (nonce 3 i));
+    bs.(i) <- Group.mul (Group.pow_g (nonce 1 i)) (Group.pow !prev e'.(i));
+    dn := Group.exp_add (nonce 1 i) (Group.exp_mul e'.(i) !dn);
+    prev := bs.(i)
+  done;
+  let alpha = nonce 4 0 and gamma = nonce 4 1 and delta = nonce 4 2 and phi = nonce 4 3 in
+  let fold bases =
+    Array.fold_left Group.mul Group.one (Array.mapi (fun i b -> Group.pow b (nonce 3 i)) bases)
+  in
+  let a' = Group.mul (Group.pow_g alpha) (fold (Array.sub h 1 n)) in
+  let f1 =
+    Group.mul (Group.pow_g (Group.exp_neg phi)) (fold (Array.map (fun c -> c.Elgamal.c1) y))
+  in
+  let f2 = Group.mul (Group.pow pk (Group.exp_neg phi)) (fold (Array.map (fun c -> c.Elgamal.c2) y)) in
+  let c' = Group.pow_g gamma and d' = Group.pow_g delta in
+  let v =
+    Transcript.(
+      create ed |> elts bs |> elts bs' |> elt a' |> elt c' |> elt d' |> elt f1 |> elt f2 |> challenge)
+  in
+  let resp x nonce = Group.exp_add (Group.exp_mul v x) nonce in
+  let sum f = Array.fold_left Group.exp_add Group.zero_exp (Array.init n f) in
+  let elts a = Array.map Group.elt_to_int a and exps a = Array.map Group.exp_to_int a in
+  let wire =
+    Array.concat
+      [
+        elts u; elts bs; elts bs'; elts [| a'; c'; d'; f1; f2 |];
+        exps [| resp (sum (fun j -> Group.exp_mul (nonce 0 j) e.(j))) alpha |];
+        exps (Array.init n (fun i -> resp (nonce 1 i) (nonce 2 i)));
+        exps [| resp (sum (nonce 0)) gamma; resp !dn delta |];
+        exps (Array.init n (fun i -> resp e'.(i) (nonce 3 i)));
+        exps [| resp (sum (fun i -> Group.exp_mul r.(i) e'.(i))) phi |];
+      ]
+  in
+  match Shuffle.proof_of_ints wire with
+  | Some proof -> (y, proof)
+  | None -> Alcotest.fail "the reference proof must decode"
+
+(* The verifier checks the F equation's c1 and c2 components
+   separately: a proof over an output with one slot's c1 (or c2) off by
+   a factor g satisfies every other equation and must still fail. *)
+let test_lane_shuffle_second_fold () =
+  let _, pk = Elgamal.keygen (Drbg.create "lane-shuffle-key") in
+  let input = make_cts (Drbg.create "lane-shuffle-input") pk 16 in
+  let d () = Drbg.create "lane-shuffle" in
+  let lib_out, lib_proof = Shuffle.shuffle (d ()) pk input in
+  let out, proof = tw_prove (d ()) pk input in
+  Alcotest.(check bool) "reference output = library output" true (out = lib_out);
+  Alcotest.(check (array int)) "reference proof = library proof" (Shuffle.proof_to_ints lib_proof)
+    (Shuffle.proof_to_ints proof);
+  List.iter
+    (fun (name, alter) ->
+      let bad, forged = tw_prove ~alter (d ()) pk input in
+      Alcotest.(check bool) name false (Shuffle.verify pk ~input ~output:bad forged))
+    [
+      ( "c1 alone off",
+        fun y ->
+          y.(5) <- { (y.(5)) with Elgamal.c1 = Group.mul y.(5).Elgamal.c1 Group.g };
+          y );
+      ( "c2 alone off",
+        fun y ->
+          y.(5) <- { (y.(5)) with Elgamal.c2 = Group.mul y.(5).Elgamal.c2 Group.g };
+          y );
+    ]
+
 let test_shuffle_wrong_input_rejected () =
   let d = drbg () in
   let _, pk = Elgamal.keygen d in
@@ -1187,6 +1294,8 @@ let () =
       ( "batch_verify",
         [
           Alcotest.test_case "bit proof: pk side alone caught" `Quick test_lane_bit_second_fold;
+          Alcotest.test_case "shuffle: c2 fold alone caught" `Quick
+            test_lane_shuffle_second_fold;
         ] );
       ( "elgamal",
         [
