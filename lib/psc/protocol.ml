@@ -13,7 +13,6 @@ type config = {
          budget grant + draw in the run ledger when present *)
 }
 
-(* [?proof_rounds] is deprecated and ignored (protocol.mli) *)
 let config ?(num_cps = 3) ?(noise_flips_per_cp = 64) ?proof_rounds:_ ?(verify = true) ?tamper
     ?dp ~table_size () =
   if table_size <= 0 then invalid_arg "Protocol.config: table_size must be positive";
