@@ -253,10 +253,10 @@ let resize_proof delta proof =
   | Some p -> p
   | None -> Alcotest.fail "a resized proof must still decode"
 
-(* A shuffle proof with vectors one slot short or one slot long, or the
-   proof of another CP's shuffle, fails and blames the CP that sent it;
-   the honest CP after it still passes. *)
-let test_malformed_shuffle_proof_blamed () =
+(* CP 0's shuffle proof, rewritten by each case, is checked ahead of
+   CP 1's honest one: a bad proof fails and blames CP 0 alone; the
+   honest CP after it still passes. Cases: (name, rewrite, passes). *)
+let shuffle_proof_blamed cases () =
   let cfg = Protocol.config ~table_size:16 ~num_cps:2 ~noise_flips_per_cp:2 () in
   let cps = Array.init 2 (fun id -> Cp.create ~id ~seed:5) in
   let keys = Array.map (fun cp -> (Cp.public_key cp, Cp.key_proof cp)) cps in
@@ -284,11 +284,20 @@ let test_malformed_shuffle_proof_blamed () =
       Alcotest.(check (pair bool (list int))) (name ^ ": verdict and blame")
         (want, if want then [] else [ 0 ])
         (result.Protocol.proofs_ok, result.Protocol.culprits))
+    (List.map (fun (name, rewrite, want) -> (name, rewrite ~proof1 proof0, want)) cases)
+
+(* A proof whose vectors are one slot short *)
+let test_short_shuffle_proof_blamed =
+  shuffle_proof_blamed [ ("one short", (fun ~proof1:_ p -> resize_proof (-1) p), false) ]
+
+(* The honest proof passes; one with vectors one slot long, or the proof
+   of another CP's shuffle, fails *)
+let test_malformed_shuffle_proof_blamed =
+  shuffle_proof_blamed
     [
-      ("honest", proof0, true);
-      ("one short", resize_proof (-1) proof0, false);
-      ("one long", resize_proof 1 proof0, false);
-      ("CP 1's", Option.get proof1, false);
+      ("honest", (fun ~proof1:_ p -> p), true);
+      ("one long", (fun ~proof1:_ p -> resize_proof 1 p), false);
+      ("CP 1's", (fun ~proof1 _ -> Option.get proof1), false);
     ]
 
 (* One verified 2-CP round through the bus parties, with CP 0's
@@ -342,10 +351,10 @@ let rewrite_first f sched =
     | _ -> false
 
 (* The same through the bus parties: CP 0 is asked to shuffle a vector
-   one slot short, one slot long or reversed, and the real CP code
-   answers with a valid proof over that vector, which the TS checks
-   against the vector it holds. *)
-let test_malformed_shuffle_proof_blamed_on_bus () =
+   rewritten by each case, and the real CP code answers with a valid
+   proof over that vector, which the TS checks against the vector it
+   holds. *)
+let shuffle_proof_blamed_on_bus cases () =
   List.iter
     (fun (name, change) ->
       let r, events =
@@ -359,8 +368,14 @@ let test_malformed_shuffle_proof_blamed_on_bus () =
         [ (0, false); (1, true) ] (shuffle_proofs events);
       Alcotest.(check (pair bool (list int))) (name ^ ": CP 0 blamed") (false, [ 0 ])
         (r.Protocol.proofs_ok, r.Protocol.culprits))
+    cases
+
+let test_short_shuffle_proof_blamed_on_bus =
+  shuffle_proof_blamed_on_bus [ ("one short", fun v -> Array.sub v 0 (Array.length v - 1)) ]
+
+let test_malformed_shuffle_proof_blamed_on_bus =
+  shuffle_proof_blamed_on_bus
     [
-      ("one short", fun v -> Array.sub v 0 (Array.length v - 1));
       ("one long", fun v -> Array.append v [| v.(0) |]);
       ("reversed", fun v -> Array.of_list (List.rev (Array.to_list v)));
     ]
@@ -842,6 +857,10 @@ let () =
           Alcotest.test_case "honest run" `Quick test_honest_run_no_culprits;
           Alcotest.test_case "unverified tamper silent" `Quick
             test_tamper_without_verification_goes_unnoticed;
+          Alcotest.test_case "short shuffle proof blamed" `Quick
+            test_short_shuffle_proof_blamed;
+          Alcotest.test_case "short shuffle proof blamed on the bus" `Quick
+            test_short_shuffle_proof_blamed_on_bus;
           Alcotest.test_case "malformed shuffle proof blamed" `Quick
             test_malformed_shuffle_proof_blamed;
           Alcotest.test_case "malformed shuffle proof blamed on the bus" `Quick
