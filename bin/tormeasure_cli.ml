@@ -12,7 +12,7 @@ let seed_arg =
 
 let jobs_arg =
   let doc =
-    "Size of the domain pool for the parallel crypto kernels (default: \
+    "Size of the domain pool for the parallel crypto kernels, 1 to 128 (default: \
      $(b,REPRO_JOBS) or 1). Results are bit-identical at any value."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
@@ -20,8 +20,8 @@ let jobs_arg =
 let apply_jobs = function
   | None -> ()
   | Some n ->
-    if n < 1 then begin
-      Printf.eprintf "--jobs must be at least 1\n";
+    if n < 1 || n > Parallel.max_jobs then begin
+      Printf.eprintf "--jobs must be between 1 and %d\n" Parallel.max_jobs;
       exit 1
     end;
     Parallel.set_jobs n

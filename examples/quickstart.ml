@@ -28,12 +28,13 @@ let () =
       (Privcount.Deployment.config ~split_budget:false specs)
       ~num_dcs:(List.length observers) ~seed:7
   in
+  let streams = Privcount.Deployment.counter_id deployment "streams" in
   List.iteri
     (fun dc relay_id ->
       Torsim.Engine.add_sink engine relay_id
-        (Privcount.Deployment.handler deployment ~dc (function
-          | Torsim.Event.Exit_stream _ -> [ ("streams", 1) ]
-          | _ -> [])))
+        (Privcount.Deployment.sink_for deployment ~dc (fun emit -> function
+          | Torsim.Event.Exit_stream _ -> emit streams 1
+          | _ -> ())))
     observers;
 
   (* 4. one simulated day of web traffic *)

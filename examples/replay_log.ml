@@ -56,13 +56,13 @@ let () =
          [ Privcount.Counter.spec ~name:"initial_streams" ~sensitivity:1.0 ])
       ~num_dcs:1 ~seed:21
   in
-  let handler =
-    Privcount.Deployment.handler deployment ~dc:0 (function
-      | Torsim.Event.Exit_stream { kind = Torsim.Event.Initial; _ } ->
-        [ ("initial_streams", 1) ]
-      | _ -> [])
+  let initial_streams = Privcount.Deployment.counter_id deployment "initial_streams" in
+  let sink =
+    Privcount.Deployment.sink_for deployment ~dc:0 (fun emit -> function
+      | Torsim.Event.Exit_stream { kind = Torsim.Event.Initial; _ } -> emit initial_streams 1
+      | _ -> ())
   in
-  List.iter handler replayed;
+  List.iter sink replayed;
   let results = Privcount.Deployment.tally deployment in
   let r = Privcount.Ts.value_exn results "initial_streams" in
   Printf.printf "replayed %d events; noisy initial-stream count: %.0f (sigma %.1f)\n"

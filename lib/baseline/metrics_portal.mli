@@ -9,8 +9,6 @@ type config = {
   reporting_fraction : float;
 }
 
-val default : config
-
 type t
 
 val create : ?config:config -> unit -> t
@@ -19,5 +17,4 @@ val attach : t -> Torsim.Engine.t -> Prng.Rng.t -> unit
 (** Subscribe the estimator's statistics reporting at a random
     [reporting_fraction] of guard relays. *)
 
-val reporting_weight_fraction : t -> Torsim.Engine.t -> float
 val estimated_daily_users : t -> Torsim.Engine.t -> float

@@ -15,7 +15,6 @@ type t = {
   entries : entry list;
 }
 
-val version : int
 val encode : t -> string
 val decode : string -> (t, Codec.error) result
 

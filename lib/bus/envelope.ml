@@ -35,13 +35,6 @@ let decode s =
       let body = Codec.R.bytes r in
       { epoch; seq; src; dst; kind; body })
 
-let equal a b =
-  a.epoch = b.epoch && a.seq = b.seq
-  && Party.equal a.src b.src
-  && Party.equal a.dst b.dst
-  && String.equal a.kind b.kind
-  && String.equal a.body b.body
-
 let to_string t =
   Printf.sprintf "e%d#%d %s->%s %s (%dB)" t.epoch t.seq
     (Party.to_string t.src) (Party.to_string t.dst) t.kind

@@ -12,15 +12,12 @@ type t = {
   body : string;
 }
 
-val version : int
-(** Current wire format version (encoded in every envelope). *)
-
 val encode : t -> string
 
 val decode : string -> (t, Codec.error) result
-(** Typed failure on truncation, wrong magic, versions newer than
-    {!version}, or trailing bytes — decoding never raises. *)
+(** Typed failure on truncation, wrong magic, versions newer than the
+    current wire format version (1, encoded in every envelope), or
+    trailing bytes — decoding never raises. *)
 
-val equal : t -> t -> bool
 val to_string : t -> string
 (** One-line human rendering (body abbreviated to its length). *)

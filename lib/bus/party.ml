@@ -13,10 +13,6 @@ let equal a b =
 let rank = function Ts -> 0 | Dc _ -> 1 | Sk _ -> 2 | Cp _ -> 3
 let index = function Ts -> 0 | Dc i | Sk i | Cp i -> i
 
-let compare a b =
-  let c = Int.compare (rank a) (rank b) in
-  if c <> 0 then c else Int.compare (index a) (index b)
-
 let to_string = function
   | Ts -> "ts"
   | Dc i -> Printf.sprintf "dc%d" i

@@ -10,11 +10,7 @@ type t =
   | Cp of int
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
-
-val index : t -> int
-(** The party's numeric id ([Ts] is 0). *)
 
 val write : Codec.W.t -> t -> unit
 val read : Codec.R.t -> t

@@ -53,7 +53,6 @@ let catalogue =
   ]
 
 let find name = List.find_opt (fun s -> String.equal s.name name) catalogue
-let names () = List.map (fun s -> s.name) catalogue
 
 let crashed_dc t ~epoch =
   List.find_map

@@ -31,7 +31,6 @@ val catalogue : t list
     malicious-cp, restart. *)
 
 val find : string -> t option
-val names : unit -> string list
 
 (** {2 Fault queries used by the driver} *)
 

@@ -6,17 +6,11 @@ val collision_correction : ?seed:int -> unit -> Report.t
 (** A: PSC occupancy inversion on a ~73%-loaded table vs the raw
     occupied-slot count. *)
 
-val privacy_utility : unit -> Report.t
-(** B: ε sweep at the paper's δ — CI width against the measured count. *)
-
 val initial_vs_all_streams : ?seed:int -> ?visits:int -> unit -> Report.t
 (** C: the §4.1 initial-stream heuristic vs counting every stream. *)
 
 val guard_model_single_vs_dual : unit -> Report.t
 (** D: Table 3's dual disjoint relay sets vs a single measurement. *)
-
-val v3_unlinkability : ?services:int -> ?periods:int -> unit -> Report.t
-(** E: v3 key blinding defeats cross-period unique counting. *)
 
 val privex_vs_privcount : ?seed:int -> unit -> Report.t
 (** F: the predecessor system's Laplace/single-epoch design vs

@@ -24,9 +24,6 @@ type result = {
   truth : Torsim.Ground_truth.t;  (** merged exact truth, for cross-checking *)
 }
 
-val counter_names : string list
-(** The ingestion counter family, including hostname classifications. *)
-
 val run : ?config:config -> seed:int -> unit -> result
 (** Run one network day. Deterministic in [seed] and [config]; the
     shard structure and per-shard PRNG streams depend only on

@@ -62,8 +62,6 @@ let register t ~start_hour ~duration_hours ~system ~statistic ~params =
 
 let total_spend t = Budget.compose (List.map (fun r -> r.params) t.records)
 
-let records t = List.rev t.records
-
 (* Worst-case privacy cost over any 24-hour adjacency window: the sum of
    the publications whose measurement period intersects the window. With
    the schedule rules above this equals the single largest per-statistic

@@ -5,14 +5,6 @@
 
 type system = PrivCount | PSC
 
-type record = {
-  start_hour : int;
-  duration_hours : int;
-  system : system;
-  statistic : string;
-  params : Mechanism.params;
-}
-
 type t
 
 exception Schedule_violation of string
@@ -30,5 +22,3 @@ val total_spend : t -> Mechanism.params
 
 val window_spend : t -> window_start:int -> Mechanism.params
 (** Privacy cost intersecting one 24-hour adjacency window. *)
-
-val records : t -> record list

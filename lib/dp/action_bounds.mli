@@ -24,16 +24,8 @@ type activity = Web | Chat | Onionsite | Any
 
 val activity_name : activity -> string
 
-val actions_of_activity : activity -> (action * float) list
-(** Daily network actions produced by 24 reasonable hours of an
-    activity. [Any] lists actions common to every Tor use. *)
-
 val lookup : activity -> action -> float
 (** The activity's daily amount for one action (0 if it performs none). *)
-
-val bound : action -> activity * float
-(** The derived bound: the maximum over activities, with the activity
-    achieving it. *)
 
 val bound_value : action -> float
 val defining_activity : action -> activity

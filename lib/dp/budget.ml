@@ -27,19 +27,3 @@ let compose params_list =
         { epsilon = acc.epsilon +. p.epsilon; delta = acc.delta +. p.delta })
     Mechanism.{ epsilon = 0.0; delta = 0.0 }
     params_list
-
-(* Weighted split: counters with larger expected values can absorb more
-   noise, so they get less budget; weights are relative ε shares. *)
-let split_weighted params ~weights =
-  if weights = [] then invalid_arg "Budget.split_weighted: empty weights";
-  if List.exists (fun w -> w <= 0.0) weights then
-    invalid_arg "Budget.split_weighted: weights must be positive";
-  let total = List.fold_left ( +. ) 0.0 weights in
-  List.map
-    (fun w ->
-      Mechanism.
-        {
-          epsilon = params.epsilon *. w /. total;
-          delta = params.delta *. w /. total;
-        })
-    weights

@@ -8,6 +8,3 @@ val split : Mechanism.params -> counters:int -> allocation
 
 val compose : Mechanism.params list -> Mechanism.params
 (** Basic sequential composition: sum of the ε's and δ's. *)
-
-val split_weighted : Mechanism.params -> weights:float list -> Mechanism.params list
-(** Budget shares proportional to positive [weights]. *)

@@ -13,12 +13,6 @@ let gaussian_sigma params ~sensitivity =
 
 let gaussian_noise rng ~sigma = Prng.Dist.normal rng ~mu:0.0 ~sigma
 
-let gaussian_mechanism rng params ~sensitivity value =
-  let sigma = gaussian_sigma params ~sensitivity in
-  Obs.Metrics.inc "dp_calls_total{mechanism=\"gaussian\"}";
-  Obs.Metrics.inc_float "dp_epsilon_spent_total{mechanism=\"gaussian\"}" params.epsilon;
-  (value +. gaussian_noise rng ~sigma, sigma)
-
 let binomial_n_for params ~sensitivity =
   check params;
   let n =
@@ -37,7 +31,3 @@ let laplace_noise rng ~scale =
   let u = Prng.Rng.float rng -. 0.5 in
   let sign = if u < 0.0 then 1.0 else -1.0 in
   sign *. scale *. log (1.0 -. (2.0 *. Float.abs u))
-
-let epsilon_consumed ~sigma ~sensitivity ~delta =
-  if sigma <= 0.0 then invalid_arg "Mechanism.epsilon_consumed: sigma must be positive";
-  sensitivity *. sqrt (2.0 *. log (1.25 /. delta)) /. sigma

@@ -18,20 +18,11 @@ val gaussian_sigma : params -> sensitivity:float -> float
 val gaussian_noise : Prng.Rng.t -> sigma:float -> float
 (** A zero-mean Gaussian draw with the given σ. *)
 
-val gaussian_mechanism :
-  Prng.Rng.t -> params -> sensitivity:float -> float -> float * float
-(** [gaussian_mechanism rng params ~sensitivity value] returns
-    (noisy value, σ used). *)
-
 val binomial_n_for : params -> sensitivity:float -> int
 (** Number of coin flips per computation party needed so that the
     binomial mechanism is (ε,δ)-DP for the given sensitivity
     (Dwork et al. 2006 "Our Data, Ourselves" calibration:
     n ≥ 64 Δ² ln(2/δ) / ε²). *)
-
-val epsilon_consumed : sigma:float -> sensitivity:float -> delta:float -> float
-(** Inverse of {!gaussian_sigma}: the ε actually spent by publishing
-    with a given σ. *)
 
 val laplace_scale : epsilon:float -> sensitivity:float -> float
 (** b = Δ/ε for the pure-ε Laplace mechanism. *)

@@ -14,8 +14,6 @@ type t = {
   message : string;
 }
 
-val severity_to_string : severity -> string
-
 val family : t -> string
 (** The rule family, i.e. the part of [rule_id] before the ['/']. *)
 

@@ -135,9 +135,6 @@ let lint_sources ?(strict_allows = false) config sources =
   in
   List.sort_uniq Diagnostic.compare (kept @ stale)
 
-let lint_source ?strict_allows config ~path source =
-  lint_sources ?strict_allows config [ (path, source) ]
-
 let read_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | source -> Ok source
@@ -162,6 +159,9 @@ let strip_dot_slash p =
     String.sub p 2 (String.length p - 2)
   else p
 
+(* Every [.ml] file under [root/lib] and [root/bin] (or [root] itself
+   when it is a single directory of sources), in sorted order, skipping
+   [_build] and dot-directories. *)
 let walk root =
   let sub name = Filename.concat root name in
   let roots =

@@ -19,15 +19,6 @@ val lint_sources :
     not parse yields a single [parse/error] diagnostic and is excluded
     from the graph. Results are sorted by position. *)
 
-val lint_source :
-  ?strict_allows:bool -> Config.t -> path:string -> string -> Diagnostic.t list
-(** [lint_sources] with a single file. *)
-
-val walk : string -> string list
-(** [walk root] is every [.ml] file under [root/lib] and [root/bin]
-    (or [root] itself when it is a single directory of sources), in
-    sorted order, skipping [_build] and dot-directories. *)
-
 val lint_paths :
   ?strict_allows:bool -> Config.t -> string list -> Diagnostic.t list
 (** Lint files and/or directories (directories are walked) as one

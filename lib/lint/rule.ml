@@ -14,6 +14,8 @@ type t = {
 let emit ctx ~rule_id ~severity ~message loc =
   ctx.emit (Diagnostic.v ~path:ctx.path ~rule_id ~severity ~message loc)
 
+(* Total version of [Longident.flatten]: module applications keep only
+   the applied side. *)
 let rec flatten_longident = function
   | Longident.Lident s -> [ s ]
   | Longident.Ldot (l, s) -> flatten_longident l @ [ s ]
@@ -45,6 +47,7 @@ let has_suffix s ~suffix =
   let n = String.length s and m = String.length suffix in
   n >= m && String.sub s (n - m) m = suffix
 
+(* Canonical-order re-establishing functions ([List.sort] and friends). *)
 let sorters =
   [
     "List.sort"; "List.sort_uniq"; "List.stable_sort"; "List.fast_sort";

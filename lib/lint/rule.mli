@@ -19,10 +19,6 @@ val emit :
   ctx -> rule_id:string -> severity:Diagnostic.severity -> message:string ->
   Location.t -> unit
 
-val flatten_longident : Longident.t -> string list
-(** Total version of [Longident.flatten]: module applications keep only
-    the applied side. *)
-
 val longident_name : Longident.t -> string
 (** Dotted form, e.g. ["Hashtbl.fold"]. *)
 
@@ -39,10 +35,6 @@ val module_path : string -> string option
     [Some "Group"]). *)
 
 val has_suffix : string -> suffix:string -> bool
-
-val sorters : string list
-(** Canonical-order re-establishing functions ([List.sort] and
-    friends). *)
 
 val laundered_by_sort : ancestors:Parsetree.expression list -> bool
 (** Does some enclosing application (or one of its arguments) re-sort

@@ -37,31 +37,26 @@ type event =
 (* --- recording --- *)
 
 let main : event list ref = ref [] (* reverse order *)
-let main_count = ref 0
 
 (* running (eps, delta) per system, maintained by [draw] *)
 let running : (string, float * float) Hashtbl.t = Hashtbl.create 8
 
-type scope = { mutable sl_events : event list; mutable sl_count : int }
+type scope = { mutable sl_events : event list }
 
 let scope_key : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let scope_begin () = Domain.DLS.set scope_key (Some { sl_events = []; sl_count = 0 })
+let scope_begin () = Domain.DLS.set scope_key (Some { sl_events = [] })
 
 let scope_end () =
   match Domain.DLS.get scope_key with
   | Some s ->
     Domain.DLS.set scope_key None;
     s
-  | None -> { sl_events = []; sl_count = 0 }
+  | None -> { sl_events = [] }
 
 let append ev =
   match Domain.DLS.get scope_key with
-  | Some s ->
-    s.sl_events <- ev :: s.sl_events;
-    s.sl_count <- s.sl_count + 1
-  | None ->
-    main := ev :: !main;
-    incr main_count
+  | Some s -> s.sl_events <- ev :: s.sl_events
+  | None -> main := ev :: !main
 
 let scope_merge (s : scope) = List.iter append (List.rev s.sl_events)
 
@@ -97,11 +92,9 @@ let phase ?attrs name f =
           (Phase { name; wall_s = sp.Trace.duration_s; alloc_bytes = sp.Trace.alloc_bytes }))
 
 let events () = List.rev !main
-let size () = !main_count
 
 let reset () =
   main := [];
-  main_count := 0;
   Hashtbl.reset running
 
 (* --- JSONL export / import --- *)

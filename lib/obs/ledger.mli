@@ -30,9 +30,6 @@ type event =
 
 (** {2 Recording} *)
 
-val record : event -> unit
-(** Append a pre-built event (no-op while disabled). *)
-
 val grant : system:string -> epsilon:float -> delta:float -> unit
 
 val draw : system:string -> counter:string -> mechanism:string -> epsilon:float -> delta:float -> unit
@@ -54,7 +51,6 @@ val phase : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 val events : unit -> event list
 (** Recorded events, oldest first. *)
 
-val size : unit -> int
 val reset : unit -> unit
 
 (** {2 Export / import} *)

@@ -141,13 +141,8 @@ let snapshot () =
     registry []
   |> List.sort (fun a b -> compare a.name b.name)
 
-let size () = Hashtbl.length registry
-
 let counter_value name =
   match Hashtbl.find_opt registry name with Some (Counter c) -> Some !c | _ -> None
-
-let gauge_value name =
-  match Hashtbl.find_opt registry name with Some (Gauge g) -> Some !g | _ -> None
 
 (* --- scope merge --- *)
 

@@ -27,11 +27,7 @@ type sample = { name : string; value : reading }
 val snapshot : unit -> sample list
 (** Every registered metric, sorted by name (deterministic). *)
 
-val size : unit -> int
-(** Number of registered metrics (0 after [reset] or a disabled run). *)
-
 val counter_value : string -> float option
-val gauge_value : string -> float option
 
 val reset : unit -> unit
 

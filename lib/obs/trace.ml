@@ -127,7 +127,6 @@ let scope_merge (s : scope) =
   global.snext <- base + s.snext
 
 let spans () = List.rev global.sfinished
-let count () = global.scount
 let dropped () = !dropped_count
 let set_capacity n = if n < 0 then invalid_arg "Trace.set_capacity" else capacity := n
 

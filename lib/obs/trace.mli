@@ -32,14 +32,13 @@ val now : unit -> float
 val spans : unit -> span list
 (** Finished spans in completion order. *)
 
-val count : unit -> int
-
 val dropped : unit -> int
 (** Spans discarded because the buffer hit its capacity. *)
 
 val set_capacity : int -> unit
 (** Cap the span buffer (default 100_000); excess spans are counted in
-    [dropped] rather than kept. *)
+    [dropped] rather than kept. The tests' hook into the full-buffer
+    path. *)
 
 val reset : unit -> unit
 

@@ -12,12 +12,19 @@
    last one out broadcasts completion. The calling domain participates
    in every job, so a pool of size [jobs] holds [jobs - 1] domains. *)
 
+(* OCaml 5.1's runtime caps live domains at 128 on 64-bit (Max_domains
+   in caml/domain.h); past it [Domain.spawn] fails with workers already
+   started and blocked on the pool condition. *)
+let max_jobs = 128
+
+(* Pool size requested by the environment: [REPRO_JOBS] when set to an
+   integer in [1, max_jobs], else 1. *)
 let default_jobs () =
   match Sys.getenv_opt "REPRO_JOBS" with
   | None -> 1
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
+    | Some n when n >= 1 && n <= max_jobs -> n
     | Some _ | None -> 1)
 
 type pool = {
@@ -97,6 +104,8 @@ let () = at_exit shutdown
 
 let set_jobs n =
   if n < 1 then invalid_arg "Parallel.set_jobs: pool size must be positive";
+  if n > max_jobs then
+    invalid_arg (Printf.sprintf "Parallel.set_jobs: pool size above the runtime's %d domains" max_jobs);
   requested := Some n;
   (match !current with
   | Some pool when pool.size <> n - 1 -> shutdown ()

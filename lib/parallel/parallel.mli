@@ -23,17 +23,17 @@
     every combinator is exactly its sequential equivalent — no domains,
     no atomics, no barrier. *)
 
-val default_jobs : unit -> int
-(** Pool size requested by the environment: [REPRO_JOBS] when set to a
-    positive integer, else 1. *)
-
 val jobs : unit -> int
 (** Current pool size (workers + the calling domain). *)
 
+val max_jobs : int
+(** 128: the most domains OCaml 5.1's runtime runs at once. *)
+
 val set_jobs : int -> unit
-(** Set the pool size; raises [Invalid_argument] unless positive. An
-    already-running pool of a different size is shut down and restarted
-    lazily at the new size. *)
+(** Set the pool size; raises [Invalid_argument] outside
+    [[1, max_jobs]], before any domain starts. An already-running pool
+    of a different size is shut down and restarted lazily at the new
+    size. *)
 
 val parallel_for : ?min_chunk:int -> int -> (int -> unit) -> unit
 (** [parallel_for n f] runs [f i] for every [i] in [[0, n)], split into

@@ -18,6 +18,8 @@ type t = {
   mutable tallied : bool;
 }
 
+(* The (ε, δ) each counter actually spends: the round budget divided
+   across counters when [split_budget], the full budget otherwise. *)
 let per_counter_params cfg =
   if cfg.split_budget then (Dp.Budget.split cfg.params ~counters:(List.length cfg.specs)).Dp.Budget.per_counter
   else cfg.params
@@ -118,11 +120,10 @@ let create ?noise_weights cfg ~num_dcs ~seed =
      name order (see Dc.create) — so each worker task can create its own
      stream and draw it to exhaustion without any cross-task draw-order
      dependence. The tensor is bit-identical at any pool size. *)
-  let num_counters = Counter.Intern.size intern in
+  let counters = Counter.Intern.size intern in
   let shares_tensor =
     Parallel.parallel_init ~min_chunk:1 (num_dcs * cfg.num_sks) (fun idx ->
-        blinding_row ~seed ~dc:(idx / cfg.num_sks) ~sk:(idx mod cfg.num_sks)
-          ~counters:num_counters)
+        blinding_row ~seed ~dc:(idx / cfg.num_sks) ~sk:(idx mod cfg.num_sks) ~counters)
   in
   (* Absorption into the SKs (and telemetry) stays sequential, on the
      orchestrating domain, in the order the inline draws always ran:
@@ -150,9 +151,6 @@ let create ?noise_weights cfg ~num_dcs ~seed =
     done;
   { cfg; intern; dcs; sks; tallied = false }
 
-let num_dcs t = Array.length t.dcs
-let num_counters t = Counter.Intern.size t.intern
-
 let counter_id t name =
   match Counter.Intern.find t.intern name with
   | Some id -> id
@@ -177,11 +175,6 @@ let sink_for t ~dc fill =
     Dc.increment_id dcell ~id ~by
   in
   fun ev -> fill emit ev
-
-let handler t ~dc mapping =
-  fun ev -> List.iter (fun (name, by) -> increment t ~dc ~name ~by) (mapping ev)
-
-let sigma_for t spec = total_sigma t.cfg spec
 
 let tally ?(dropped_dcs = []) t =
   if t.tallied then invalid_arg "Deployment.tally: round already tallied";

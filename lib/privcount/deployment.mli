@@ -22,10 +22,6 @@ val total_sigma : config -> Counter.spec -> float
 (** Total noise stddev a counter will carry under [config] (before the
     per-DC variance split). *)
 
-val per_counter_params : config -> Dp.Mechanism.params
-(** The (ε, δ) each counter actually spends: the round budget divided
-    across counters when [split_budget], the full budget otherwise. *)
-
 (** {2 Per-party derivations}
 
     Written once and called by both {!create} and the bus-hosted
@@ -60,9 +56,6 @@ val create : ?noise_weights:float array -> config -> num_dcs:int -> seed:int -> 
     to each relay's observation weight (PrivCount's allocation); equal
     split by default. *)
 
-val num_dcs : t -> int
-val num_counters : t -> int
-
 val counter_id : t -> string -> int
 (** Resolve a counter name to its interned id, once, at wiring time.
     Raises [Invalid_argument] for names outside the round's config. *)
@@ -73,18 +66,9 @@ type emit = int -> int -> unit
 val sink_for : t -> dc:int -> (emit -> 'ev -> unit) -> 'ev -> unit
 (** Push-style event sink for DC [dc]: [fill emit ev] calls [emit] for
     each increment. With ids pre-resolved via {!counter_id}, the
-    per-event path allocates nothing. Preferred over {!handler} on hot
-    paths. *)
-
-val handler : t -> dc:int -> ('ev -> (string * int) list) -> 'ev -> unit
-(** Build the event sink for DC [dc]: maps an observation event to
-    counter increments by name (convenience path; allocates one list
-    per event). *)
+    per-event path allocates nothing. *)
 
 val increment : t -> dc:int -> name:string -> by:int -> unit
-
-val sigma_for : t -> Counter.spec -> float
-(** Total noise stddev that will be attached to this counter. *)
 
 val tally : ?dropped_dcs:int list -> t -> Ts.result list
 (** Close the round: every SK releases its share sums, the TS unblinds

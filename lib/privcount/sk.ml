@@ -41,5 +41,3 @@ let report ?(exclude_dcs = []) t =
     end
   done;
   Array.to_list (Array.mapi (fun c s -> (Counter.Intern.name t.intern c, s)) sums)
-
-let id t = t.id

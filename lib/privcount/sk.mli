@@ -14,5 +14,3 @@ val absorb : t -> dc:int -> counter:int -> int -> unit
 val report : ?exclude_dcs:int list -> t -> (string * int) list
 (** Per-counter share sums over the DCs that completed the round, in
     counter name order. *)
-
-val id : t -> int

@@ -49,6 +49,3 @@ let permutation t n =
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(below t (Array.length a))
-
-let bytes t n =
-  String.init n (fun _ -> Char.chr (below t 256))

@@ -16,9 +16,6 @@ val copy : t -> t
 val int64 : t -> int64
 (** Uniform over all 2^64 bitpatterns. *)
 
-val bits : t -> int
-(** 62 uniform random bits as a non-negative OCaml [int]. *)
-
 val below : t -> int -> int
 (** [below t n] is uniform on [0, n); [n] must be positive. Unbiased
     (rejection sampling). *)
@@ -45,6 +42,3 @@ val permutation : t -> int -> int array
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val bytes : t -> int -> string
-(** [bytes t n] is an [n]-byte uniformly random string. *)

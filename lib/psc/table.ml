@@ -25,8 +25,6 @@ let create ?tab ~table_size ~key ~joint ~drbg () =
   in
   { slots; key; joint; tab; drbg }
 
-let size t = Array.length t.slots
-
 let insert t item =
   let i = Item.slot ~key:t.key ~table_size:(Array.length t.slots) item in
   t.slots.(i) <- Crypto.Elgamal.encrypt ~tab:t.tab t.drbg t.joint Crypto.Elgamal.marker

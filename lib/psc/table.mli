@@ -14,7 +14,6 @@ val create :
     is a fixed-base table for [joint], shared across the DCs' tables by
     the caller; built locally when absent. *)
 
-val size : t -> int
 val insert : t -> string -> unit
 
 val slots : t -> Crypto.Elgamal.ciphertext array

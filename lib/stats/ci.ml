@@ -18,16 +18,10 @@ let scale { lo; hi } f =
   if f < 0.0 then invalid_arg "Ci.scale: negative factor";
   { lo = lo *. f; hi = hi *. f }
 
-let pp fmt { lo; hi } = Format.fprintf fmt "[%.6g; %.6g]" lo hi
-
 let normal ?(confidence = 0.95) ~value ~sigma () =
   if sigma < 0.0 then invalid_arg "Ci.normal: negative sigma";
   let z = Special.z_for_confidence confidence in
   { lo = value -. (z *. sigma); hi = value +. (z *. sigma) }
-
-let normal_nonneg ?confidence ~value ~sigma () =
-  let ci = normal ?confidence ~value ~sigma () in
-  { ci with lo = max 0.0 ci.lo }
 
 (* --- occupancy model for the PSC hash table --- *)
 

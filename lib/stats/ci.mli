@@ -13,16 +13,10 @@ val union : t -> t -> t
 val scale : t -> float -> t
 (** Multiply both endpoints (extrapolation by 1/p). *)
 
-val pp : Format.formatter -> t -> unit
-
 val normal : ?confidence:float -> value:float -> sigma:float -> unit -> t
 (** CI for an observation [value] = truth + N(0, sigma²): the standard
     ±z·σ interval (95% by default), clamped is NOT applied — counts can
     be legitimately negative after noising (paper §4.2). *)
-
-val normal_nonneg : ?confidence:float -> value:float -> sigma:float -> unit -> t
-(** Same, with the lower bound clamped at 0 — for quantities known to be
-    counts when reporting. *)
 
 val binomial_exact :
   ?confidence:float -> observed:int -> flips:int -> table_size:int -> unit -> t
@@ -35,7 +29,8 @@ val binomial_exact :
 
 val expected_occupied : table_size:int -> int -> float
 (** E[occupied cells] after k distinct balls into [table_size] bins:
-    m(1 - (1-1/m)^k). *)
+    m(1 - (1-1/m)^k). The forward model that tests check the live
+    {!invert_occupancy} against. *)
 
 val invert_occupancy : table_size:int -> float -> float
 (** Inverse of {!expected_occupied} in k (collision-bias correction). *)

@@ -25,8 +25,6 @@ let quantile xs q =
     let frac = pos -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
-let median xs = quantile xs 0.5
-
 (* Sample-based central CI: the empirical [alpha/2, 1-alpha/2] quantiles.
    Used by the Monte-Carlo extrapolations. *)
 let empirical_ci ?(confidence = 0.95) xs =

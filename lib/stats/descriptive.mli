@@ -9,7 +9,5 @@ val stddev : float array -> float
 val quantile : float array -> float -> float
 (** Linear interpolation between closest ranks; q in [0, 1]. *)
 
-val median : float array -> float
-
 val empirical_ci : ?confidence:float -> float array -> Ci.t
 (** Central empirical interval (95% by default). *)

@@ -10,7 +10,3 @@ val unique_range : fraction:float -> float -> Ci.t
     frequency model. *)
 
 val unique_range_ci : fraction:float -> Ci.t -> Ci.t
-
-val hsdir_visibility : observed_slots:int -> total_slots:int -> replicas:int -> float
-(** Probability that a descriptor replicated onto [replicas] uniform
-    ring slots lands on at least one observed relay. *)

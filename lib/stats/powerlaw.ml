@@ -25,25 +25,6 @@ let expected_distinct ~n ~s ~draws =
   done;
   !total
 
-(* Maximum-likelihood exponent for ranked frequency data f_k ~ k^-s:
-   least squares in log-log space over the provided ranks. A simple,
-   robust estimator adequate for choosing simulation exponents. *)
-let fit_exponent ranked_counts =
-  let points =
-    Array.to_list ranked_counts
-    |> List.mapi (fun i c -> (float_of_int (i + 1), c))
-    |> List.filter (fun (_, c) -> c > 0.0)
-  in
-  if List.length points < 2 then invalid_arg "Powerlaw.fit_exponent: need >= 2 positive counts";
-  let xs = List.map (fun (k, _) -> log k) points in
-  let ys = List.map (fun (_, c) -> log c) points in
-  let n = float_of_int (List.length points) in
-  let sx = List.fold_left ( +. ) 0.0 xs and sy = List.fold_left ( +. ) 0.0 ys in
-  let sxx = List.fold_left (fun a x -> a +. (x *. x)) 0.0 xs in
-  let sxy = List.fold_left2 (fun a x y -> a +. (x *. y)) 0.0 xs ys in
-  let slope = ((n *. sxy) -. (sx *. sy)) /. ((n *. sxx) -. (sx *. sx)) in
-  -.slope
-
 (* Simulate the number of distinct items seen in a sample of [draws]
    visits out of a universe of n Zipf(s)-popular items. One trial. *)
 let simulate_distinct rng ~n ~s ~draws =

@@ -8,10 +8,8 @@ val expected_distinct : n:int -> s:float -> draws:int -> float
     visits (exact, O(n)). *)
 
 val simulate_distinct : Prng.Rng.t -> n:int -> s:float -> draws:int -> int
-(** One Monte-Carlo trial of the same quantity. *)
-
-val fit_exponent : float array -> float
-(** Least-squares exponent of ranked frequency data in log-log space. *)
+(** One Monte-Carlo trial of the same quantity: the oracle that tests
+    check {!expected_distinct} against. *)
 
 type extrapolation = {
   network_distinct : Ci.t;

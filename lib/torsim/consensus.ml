@@ -53,7 +53,6 @@ let sample_middle t rng = Prng.Alias.sample t.middle_sampler rng
 let sample_exit t rng = Prng.Alias.sample t.exit_sampler rng
 let sample_rendezvous = sample_middle
 let guard_ids t = t.guard_ids
-let exit_ids t = t.exit_ids
 let hsdir_ids t = t.hsdir_ids
 
 let fraction_of total weight_of t ids =

@@ -11,13 +11,11 @@ val size : t -> int
 val relay : t -> Relay.id -> Relay.t
 
 val sample_guard : t -> Prng.Rng.t -> Relay.id
-val sample_middle : t -> Prng.Rng.t -> Relay.id
 val sample_exit : t -> Prng.Rng.t -> Relay.id
 val sample_rendezvous : t -> Prng.Rng.t -> Relay.id
 (** Rendezvous points are selected like middles. *)
 
 val guard_ids : t -> Relay.id array
-val exit_ids : t -> Relay.id array
 val hsdir_ids : t -> Relay.id array
 
 val guard_fraction : t -> Relay.id list -> float

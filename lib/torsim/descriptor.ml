@@ -29,6 +29,7 @@ let payload_of ~address ~intro_points ~period =
     (String.concat "," (List.map string_of_int intro_points))
     period
 
+(* The signed byte string (address, intro points, period). *)
 let payload t = payload_of ~address:t.address ~intro_points:t.intro_points ~period:t.period
 
 let create_v2 drbg identity ~intro_points ~period =
@@ -55,8 +56,6 @@ let blinded_keypair identity ~period =
   let priv' = Crypto.Group.exp_add identity.keypair.Crypto.Schnorr_sig.priv h in
   let pub' = Crypto.Group.mul pub (Crypto.Group.pow_g h) in
   (priv', pub')
-
-let v3_blinded_address identity ~period = v3_address (snd (blinded_keypair identity ~period))
 
 let create_v3 drbg identity ~intro_points ~period =
   let priv', pub' = blinded_keypair identity ~period in

@@ -33,9 +33,3 @@ val create_v3 :
 val verify : t -> bool
 (** What an HSDir checks before storing: the signature is valid under
     the descriptor's key and the address matches that key. *)
-
-val v3_blinded_address : identity -> period:int -> string
-(** The address the service would publish under in a given period. *)
-
-val payload : t -> string
-(** The signed byte string (address, intro points, period). *)

@@ -23,7 +23,6 @@ let create ?(seed = 1) consensus =
 
 let consensus t = t.consensus
 let truth t = t.truth
-let rng t = t.rng
 let hsdir_ring t = t.ring
 let onion_registry t = t.onions
 
@@ -32,10 +31,6 @@ let add_sink t relay_id sink =
     invalid_arg "Engine.add_sink: bad relay id";
   t.sinks.(relay_id) <- sink :: t.sinks.(relay_id);
   t.any_sinks <- true
-
-let clear_sinks t =
-  Array.fill t.sinks 0 (Array.length t.sinks) [];
-  t.any_sinks <- false
 
 (* Telemetry: per-kind event counters use literal names so the enabled
    path allocates nothing for labels. *)
@@ -180,20 +175,6 @@ let publish_descriptor t ~address ~first_publish =
   List.iter
     (fun relay_id -> emit t relay_id (Event.Descriptor_published { address; first_publish }))
     (Hsdir_ring.responsible t.ring address)
-
-(* Signed-descriptor publish path: every responsible HSDir verifies the
-   descriptor before storing it (rend-spec behaviour); an invalid
-   descriptor is rejected network-wide and no event is emitted. *)
-let publish_signed t descriptor ~first_publish =
-  if Descriptor.verify descriptor then begin
-    publish_descriptor t ~address:descriptor.Descriptor.address ~first_publish;
-    true
-  end
-  else begin
-    t.truth.Ground_truth.descriptor_publish_rejected <-
-      t.truth.Ground_truth.descriptor_publish_rejected + 1;
-    false
-  end
 
 let fetch_descriptor t ~address =
   let tr = t.truth in

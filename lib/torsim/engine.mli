@@ -10,15 +10,12 @@ val create : ?seed:int -> Consensus.t -> t
 
 val consensus : t -> Consensus.t
 val truth : t -> Ground_truth.t
-val rng : t -> Prng.Rng.t
 val hsdir_ring : t -> Hsdir_ring.t
 val onion_registry : t -> Onion.t
 
 val add_sink : t -> Relay.id -> (Event.t -> unit) -> unit
 (** Register a data collector at a relay; every event observed at that
     relay is passed to the sink. *)
-
-val clear_sinks : t -> unit
 
 (* --- client-side actions (observed at guards) --- *)
 
@@ -55,12 +52,6 @@ val exit_visit :
 
 val publish_descriptor : t -> address:string -> first_publish:bool -> unit
 (** Store a descriptor at all responsible HSDirs. *)
-
-val publish_signed : t -> Descriptor.t -> first_publish:bool -> bool
-(** Signed publish: every responsible HSDir verifies the descriptor's
-    signature and address derivation before storing (rend-spec
-    behaviour). Returns false — and stores nothing — for an invalid
-    descriptor. *)
 
 val fetch_descriptor : t -> address:string -> unit
 (** Client-side descriptor fetch at one responsible HSDir; succeeds iff

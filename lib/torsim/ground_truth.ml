@@ -17,7 +17,6 @@ type t = {
   mutable hostname_other_port : int;
   mutable exit_bytes : float;
   mutable descriptor_publishes : int;
-  mutable descriptor_publish_rejected : int;
   mutable descriptor_fetches : int;
   mutable descriptor_fetch_ok : int;
   mutable descriptor_fetch_failed : int;
@@ -51,7 +50,6 @@ let create () = {
   hostname_other_port = 0;
   exit_bytes = 0.0;
   descriptor_publishes = 0;
-  descriptor_publish_rejected = 0;
   descriptor_fetches = 0;
   descriptor_fetch_ok = 0;
   descriptor_fetch_failed = 0;
@@ -102,8 +100,6 @@ let merge_into ~dst src =
   dst.hostname_other_port <- dst.hostname_other_port + src.hostname_other_port;
   dst.exit_bytes <- dst.exit_bytes +. src.exit_bytes;
   dst.descriptor_publishes <- dst.descriptor_publishes + src.descriptor_publishes;
-  dst.descriptor_publish_rejected <-
-    dst.descriptor_publish_rejected + src.descriptor_publish_rejected;
   dst.descriptor_fetches <- dst.descriptor_fetches + src.descriptor_fetches;
   dst.descriptor_fetch_ok <- dst.descriptor_fetch_ok + src.descriptor_fetch_ok;
   dst.descriptor_fetch_failed <- dst.descriptor_fetch_failed + src.descriptor_fetch_failed;
@@ -143,11 +139,5 @@ let merge_into ~dst src =
   merge_counts dst.per_country_circuits src.per_country_circuits
 
 let unique_clients t = Hashtbl.length t.unique_client_ips
-let unique_countries t = Hashtbl.length t.unique_countries
-let unique_asns t = Hashtbl.length t.unique_asns
-let unique_domains t = Hashtbl.length t.unique_domains
 let unique_published_onions t = Hashtbl.length t.unique_published_onions
 let unique_fetched_onions t = Hashtbl.length t.unique_fetched_onions
-
-let country_connections t c =
-  match Hashtbl.find_opt t.per_country_connections c with Some r -> !r | None -> 0

@@ -17,7 +17,6 @@ type t = {
   mutable hostname_other_port : int;
   mutable exit_bytes : float;
   mutable descriptor_publishes : int;
-  mutable descriptor_publish_rejected : int;
   mutable descriptor_fetches : int;
   mutable descriptor_fetch_ok : int;
   mutable descriptor_fetch_failed : int;
@@ -49,10 +48,5 @@ val bump_float : ('a, float ref) Hashtbl.t -> 'a -> float -> unit
 val mark : ('a, unit) Hashtbl.t -> 'a -> unit
 
 val unique_clients : t -> int
-val unique_countries : t -> int
-val unique_asns : t -> int
-val unique_domains : t -> int
 val unique_published_onions : t -> int
 val unique_fetched_onions : t -> int
-
-val country_connections : t -> string -> int

@@ -13,9 +13,6 @@ let create ?(replicas = 2) ?(spread = 3) hsdirs =
   Array.sort compare ring;
   { ring; replicas; spread }
 
-let replicas t = t.replicas
-let spread t = t.spread
-let slots t = t.replicas * t.spread
 let size t = Array.length t.ring
 
 (* First ring index whose position is >= the target hash (wrapping). *)
@@ -43,11 +40,6 @@ let responsible t descriptor_id =
   done;
   List.rev !ids
 
-let position t id =
-  let n = Array.length t.ring in
-  let rec find i = if i >= n then None else if snd t.ring.(i) = id then Some i else find (i + 1) in
-  find 0
-
 (* Consistent hashing loads relays proportionally to their predecessor
    gaps, so a fixed observer set's true share of descriptor slots can
    differ noticeably from |observers|/ring. These estimators average
@@ -74,10 +66,3 @@ let publish_visibility ?(samples = 20_000) t observer_ids =
     if List.exists (Hashtbl.mem obs) (responsible t (sample_address i)) then incr hits
   done;
   float_of_int !hits /. float_of_int samples
-
-let expected_slot_fraction t observer_ids =
-  (* Each of the [slots] descriptor slots lands on a uniformly random
-     ring relay (uniform hash positions), so the expected fraction of
-     slots we hold is |observers ∩ ring| / ring size. *)
-  let on_ring = List.filter (fun id -> position t id <> None) observer_ids in
-  float_of_int (List.length on_ring) /. float_of_int (size t)

@@ -9,11 +9,6 @@ type t
 val create : ?replicas:int -> ?spread:int -> Relay.id array -> t
 (** Build the ring over the given HSDir relays. *)
 
-val replicas : t -> int
-val spread : t -> int
-val slots : t -> int
-(** replicas * spread: how many relays hold each descriptor. *)
-
 val size : t -> int
 (** Number of HSDirs on the ring. *)
 
@@ -21,9 +16,6 @@ val responsible : t -> string -> Relay.id list
 (** The distinct relays responsible for a descriptor id (onion
     address); at most [slots], fewer if the ring is small or the
     replica windows overlap. *)
-
-val position : t -> Relay.id -> int option
-(** Ring index of a relay, if it is an HSDir. *)
 
 val fetch_visibility : ?samples:int -> t -> Relay.id list -> float
 (** Probability that a descriptor fetch (one uniformly-chosen
@@ -34,8 +26,3 @@ val fetch_visibility : ?samples:int -> t -> Relay.id list -> float
 val publish_visibility : ?samples:int -> t -> Relay.id list -> float
 (** Probability that at least one of a descriptor's responsible relays
     is an observer (a published address is seen by PSC). *)
-
-val expected_slot_fraction : t -> Relay.id list -> float
-(** The fraction of (replica, spread) slots held by the given relays,
-    assuming uniform descriptor ids — the publish/fetch "weight" used to
-    extrapolate HSDir observations (paper §6.1). *)

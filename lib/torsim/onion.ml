@@ -33,7 +33,6 @@ let populate t ~count ~public_fraction rng =
 let find t address = Hashtbl.find_opt t.by_address address
 
 let services t = t.services
-let count t = Array.length t.services
 
 (* A syntactically-valid address that no service owns: what a scanner
    with an outdated list, or a botnet with a dead C&C address, asks

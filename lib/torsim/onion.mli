@@ -19,7 +19,6 @@ val populate : t -> count:int -> public_fraction:float -> Prng.Rng.t -> service 
 val find : t -> string -> service option
 
 val services : t -> service array
-val count : t -> int
 
 val address_of_index : int -> string
 (** The deterministic address of the i-th service. *)

@@ -36,9 +36,3 @@ let middle_weight r =
   else r.bandwidth
 
 let is_hsdir r = r.flags.hsdir
-
-let pp fmt r =
-  Format.fprintf fmt "%s(#%d bw=%.0f%s%s%s)" r.nickname r.id r.bandwidth
-    (if r.flags.guard then " G" else "")
-    (if r.flags.exit then " E" else "")
-    (if r.flags.hsdir then " H" else "")

@@ -30,4 +30,3 @@ val exit_weight : t -> float
     contribute their non-guard share (1 - wgg). *)
 val middle_weight : t -> float
 val is_hsdir : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -300,8 +300,6 @@ module Writer = struct
       | Rend_closed -> W.u8 t.w t_rend_closed
       | Rend_expired -> W.u8 t.w t_rend_expired)
 
-  let events t = t.count
-
   let finish t ~tallies =
     if t.finished then invalid_arg "Trace.Writer.finish: writer already finished";
     t.finished <- true;
@@ -355,6 +353,8 @@ module View = struct
       cells = 0;
     }
 
+  (* Materialize the boxed torsim event, for [iter_events]; the hot path
+     reads the view directly. *)
   let to_event ~countries ~hosts v =
     let dest () : Torsim.Event.dest =
       if v.host >= 0 then Hostname hosts.(v.host)

@@ -74,9 +74,6 @@ module Writer : sig
   (** Append one event record; strings (countries, hostnames, onion
       addresses) are interned on first sight. *)
 
-  val events : t -> int
-  (** Records appended so far. *)
-
   val finish : t -> tallies:(string * int) list -> string
   (** Seal the segment: header (with [tallies] as the shard's recorded
       counter values) followed by the record payload. The writer must
@@ -149,10 +146,6 @@ module View : sig
     mutable fetch : int;  (** 0 ok, 1 missing, 2 malformed *)
     mutable cells : int;  (** rendezvous cells; [-1] closed, [-2] expired *)
   }
-
-  val to_event : countries:string array -> hosts:string array -> t -> Torsim.Event.t
-  (** Materialize the boxed torsim event (tests, generic consumers; the
-      hot path reads the view directly). *)
 end
 
 val iter : Segment.t -> (View.t -> unit) -> (int, error) result
@@ -165,4 +158,5 @@ val iter : Segment.t -> (View.t -> unit) -> (int, error) result
     the only others. *)
 
 val iter_events : Segment.t -> (Torsim.Event.t -> unit) -> (int, error) result
-(** {!iter} through {!View.to_event} (allocates one event per record). *)
+(** {!iter}, materializing each view as a boxed torsim event (allocates
+    one event per record; the hot path reads the view directly). *)

@@ -22,5 +22,3 @@ let sample rng =
   else
     (* outside: uniform-ish over the active tail *)
     top_ranked + Prng.Rng.below rng (active - top_ranked) + 1
-
-let is_top1000 asn = asn >= 1 && asn <= top_ranked

@@ -2,12 +2,9 @@
     and AS-rank). Heavy-tailed: the top-1000 ASes hold just under half
     of the clients and no single AS dominates (§5.2). *)
 
-val top_ranked : int
 val top1000_share : float
 val active : int
 (** ASes that plausibly host Tor clients in the simulation. *)
 
 val sample : Prng.Rng.t -> int
 (** A client's AS number, in [1, active]. *)
-
-val is_top1000 : int -> bool

@@ -8,8 +8,4 @@ type profile = {
   bytes_mean : float;
 }
 
-val default : profile
-(** Means matching the live-network ratios of Table 4 (about 8.7
-    circuits and 3.7 MiB per connection). *)
-
 val run_population_day : ?profile:profile -> Torsim.Engine.t -> Population.t -> Prng.Rng.t -> unit

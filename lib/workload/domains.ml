@@ -153,8 +153,6 @@ let tail_name k =
   if k < 0 then invalid_arg "Domains.tail_name: negative index";
   Printf.sprintf "t%d.%s" k (pick_weighted tail_tld_weights (hash_unit 13 k))
 
-let is_tail_name name = String.length name > 1 && name.[0] = 't' && String.contains name '.'
-
 (* --- sibling families --- *)
 
 let all_family_members base =
@@ -195,19 +193,6 @@ let categories =
       in
       (cat, members))
     category_names
-
-let category_table : (string, string) Hashtbl.t Lazy.t =
-  lazy
-    (let tbl = Hashtbl.create 1024 in
-     List.iter
-       (fun (cat, members) ->
-         List.iter
-           (fun m -> if not (Hashtbl.mem tbl m) then Hashtbl.replace tbl m cat)
-           members)
-       categories;
-     tbl)
-
-let category_of_name name = Hashtbl.find_opt (Lazy.force category_table) name
 
 let measured_tlds =
   [ "com"; "org"; "net"; "br"; "cn"; "de"; "fr"; "in"; "ir"; "it"; "jp"; "pl"; "ru"; "uk" ]

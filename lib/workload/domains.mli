@@ -23,10 +23,6 @@ val in_alexa : string -> bool
 val tail_name : int -> string
 (** Name of the k-th non-Alexa (long-tail) site. *)
 
-val is_tail_name : string -> bool
-
-val tld_of_rank : int -> string
-
 val onionoo : string
 (** "onionoo.torproject.org" — the dominant observed domain (§4.3). *)
 
@@ -47,8 +43,6 @@ val family_of_name : string -> string option
 val categories : (string * string list) list
 (** Alexa-style category lists: (category, up to 50 member domains).
     amazon.com appears in "Shopping"; torproject.org is uncategorized. *)
-
-val category_of_name : string -> string option
 
 val measured_tlds : string list
 (** The 14 TLDs the paper measures in Fig. 3 (.com .org .net + 11

@@ -14,11 +14,6 @@ type config = {
 
 val default : config
 
-val third_party_host : Prng.Rng.t -> string
-(** A host from the concentrated CDN/ad universe. *)
-
-val run_visit : config -> Torsim.Engine.t -> Torsim.Client.t -> Prng.Rng.t -> unit
-
 val run :
   ?config:config -> Torsim.Engine.t -> Population.t -> Prng.Rng.t -> visits:int -> unit
 (** Drive [visits] website visits round-robin over the population. *)

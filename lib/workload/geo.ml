@@ -11,6 +11,7 @@ type country = {
   data_scale : float;          (* multiplier on bytes transferred per client *)
 }
 
+(* The countries large enough to rise above the DP noise in Fig. 4. *)
 let major =
   [
     { code = "US"; weight = 0.210; circuit_boost = 1.0; data_scale = 1.15 };

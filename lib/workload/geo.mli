@@ -10,9 +10,6 @@ type country = {
   data_scale : float;    (** multiplier on bytes transferred per client *)
 }
 
-val major : country list
-(** The countries large enough to rise above the DP noise in Fig. 4. *)
-
 val universe : country array
 (** [major] plus a ~210-country tail, so PSC's unique-country count can
     approach the paper's 203-of-250. *)

@@ -21,8 +21,6 @@ type config = {
 val default : config
 
 val setup_services : config -> Torsim.Engine.t -> Prng.Rng.t -> Torsim.Onion.service list
-val run_publishes : config -> Torsim.Engine.t -> Prng.Rng.t -> unit
-val run_fetches : config -> Torsim.Engine.t -> Prng.Rng.t -> unit
 
 val run_rendezvous : config -> Torsim.Engine.t -> Prng.Rng.t -> unit
 (** Successful rendezvous arrive as circuit pairs; the per-attempt

@@ -22,29 +22,22 @@ let one_label_suffixes =
 
 let labels host = String.split_on_char '.' (String.lowercase_ascii host)
 
-let public_suffix_ref host =
-  match List.rev (labels host) with
-  | [] | [ _ ] -> None
-  | last :: second :: _ ->
-    let two = second ^ "." ^ last in
-    if List.mem two two_label_suffixes then Some two
-    else if List.mem last one_label_suffixes then Some last
-    else None
-
 (* The registered domain (a.k.a. SLD in the paper's terminology): one
-   label more than the public suffix. None if the host has no known
-   suffix or is itself a bare suffix. *)
+   label more than the longest known public suffix. None if the host
+   has no known suffix or is itself a bare suffix. *)
 let registered_domain_ref host =
-  match public_suffix_ref host with
-  | None -> None
-  | Some suffix ->
-    let suffix_labels = List.length (String.split_on_char '.' suffix) in
-    let ls = labels host in
-    let n = List.length ls in
-    if n <= suffix_labels then None
-    else
-      let keep = suffix_labels + 1 in
-      Some (String.concat "." (List.filteri (fun i _ -> i >= n - keep) ls))
+  let ls = labels host in
+  let suffix_labels =
+    match List.rev ls with
+    | [] | [ _ ] -> 0
+    | last :: second :: _ ->
+      if List.mem (second ^ "." ^ last) two_label_suffixes then 2
+      else if List.mem last one_label_suffixes then 1
+      else 0
+  in
+  let n = List.length ls in
+  if suffix_labels = 0 || n <= suffix_labels then None
+  else Some (String.concat "." (List.filteri (fun i _ -> i >= n - suffix_labels - 1) ls))
 
 let top_level_domain_ref host =
   match List.rev (labels host) with
@@ -83,26 +76,15 @@ let canon host = if has_upper host then String.lowercase_ascii host else host
    reference builds by splitting and re-joining, without the lists. *)
 let dot_before h i = if i <= 0 then -1 else (match String.rindex_from_opt h (i - 1) '.' with Some d -> d | None -> -1)
 
-(* Returns the number of suffix labels (1 or 2) and the suffix string,
-   for a canonical (lowercased) host; 0 labels = no known suffix. [d1]
-   is the host's last dot, which the callers have already found. *)
-let suffix_of_canon h ~d1 =
+(* The number of suffix labels (1 or 2) of a canonical (lowercased)
+   host; 0 = no known suffix. [d1] is the host's last dot, which the
+   caller has already found. *)
+let suffix_labels_of_canon h ~d1 =
   let n = String.length h in
   let d2 = dot_before h d1 in
-  let two = String.sub h (d2 + 1) (n - d2 - 1) in
-  if Hashtbl.mem two_label_set two then (2, two)
-  else
-    let last = String.sub h (d1 + 1) (n - d1 - 1) in
-    if Hashtbl.mem one_label_set last then (1, last) else (0, "")
-
-let public_suffix host =
-  let h = canon host in
-  match String.rindex_opt h '.' with
-  | None -> None (* zero or one label: never a public suffix match *)
-  | Some d1 -> (
-    match suffix_of_canon h ~d1 with
-    | 0, _ -> None
-    | _, suffix -> Some suffix)
+  if Hashtbl.mem two_label_set (String.sub h (d2 + 1) (n - d2 - 1)) then 2
+  else if Hashtbl.mem one_label_set (String.sub h (d1 + 1) (n - d1 - 1)) then 1
+  else 0
 
 let registered_domain_uncached host =
   let h = canon host in
@@ -110,13 +92,13 @@ let registered_domain_uncached host =
   | None -> None
   | Some d1 -> (
     let n = String.length h in
-    match suffix_of_canon h ~d1 with
-    | 0, _ -> None
-    | 1, _ ->
+    match suffix_labels_of_canon h ~d1 with
+    | 0 -> None
+    | 1 ->
       (* keep two labels: everything after the dot before the last one *)
       let d2 = dot_before h d1 in
       Some (String.sub h (d2 + 1) (n - d2 - 1))
-    | _, _ ->
+    | _ ->
       (* two suffix labels: keep three, i.e. everything after the third
          dot from the end — and a bare two-label suffix has no
          registered domain *)

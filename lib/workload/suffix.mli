@@ -6,12 +6,10 @@
     variants are the original list-based versions, kept as the
     executable specification that the property tests compare against. *)
 
-val public_suffix : string -> string option
-(** The longest known public suffix of a hostname, or None. *)
-
 val registered_domain : string -> string option
 (** The registered domain ("SLD" in the paper's terms): one label more
-    than the public suffix. None for bare suffixes or unknown TLDs.
+    than the longest known public suffix. None for bare suffixes or
+    unknown TLDs.
     Memoized per domain (bounded). *)
 
 val top_level_domain : string -> string option
@@ -20,7 +18,6 @@ val top_level_domain : string -> string option
 (** {2 Reference implementations} — list-based originals; equal to the
     exported functions on every input (property-tested). For tests. *)
 
-val public_suffix_ref : string -> string option
 val registered_domain_ref : string -> string option
 val top_level_domain_ref : string -> string option
 

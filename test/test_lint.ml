@@ -5,7 +5,7 @@
 
 open Lint
 
-let lint ?(config = Config.default) ~path source = Engine.lint_source config ~path source
+let lint ?(config = Config.default) ~path source = Engine.lint_sources config [ (path, source) ]
 
 let rule_ids diags = List.map (fun d -> d.Diagnostic.rule_id) diags
 
@@ -392,7 +392,7 @@ let test_stale_allows () =
     Alcotest.(check bool) "warning by default" true
       (d.Diagnostic.severity = Diagnostic.Warning)
   | diags -> Alcotest.fail (Printf.sprintf "expected one stale-allow, got %d" (List.length diags)));
-  (match Engine.lint_source ~strict_allows:true Config.default ~path:"lib/core/stale_fix.ml" stale with
+  (match Engine.lint_sources ~strict_allows:true Config.default [ ("lib/core/stale_fix.ml", stale) ] with
   | [ d ] ->
     Alcotest.(check bool) "error under --strict-allows" true
       (d.Diagnostic.severity = Diagnostic.Error)

@@ -31,8 +31,10 @@ let test_gauge_semantics () =
   with_obs (fun () ->
       Obs.Metrics.set "g" 3.0;
       Obs.Metrics.set "g" (-2.5);
-      Alcotest.(check (option (float 1e-9))) "last write wins" (Some (-2.5))
-        (Obs.Metrics.gauge_value "g"))
+      match Obs.Metrics.snapshot () with
+      | [ { Obs.Metrics.name = "g"; value = Obs.Metrics.Gauge_sample v } ] ->
+        Alcotest.(check (float 1e-9)) "last write wins" (-2.5) v
+      | _ -> Alcotest.fail "expected the one gauge g")
 
 (* --- spans --- *)
 
@@ -62,7 +64,7 @@ let test_span_nesting_and_attrs () =
 let test_span_survives_exception () =
   with_obs (fun () ->
       (try Obs.Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
-      Alcotest.(check int) "span recorded" 1 (Obs.Trace.count ()))
+      Alcotest.(check int) "span recorded" 1 (List.length (Obs.Trace.spans ())))
 
 (* Regression: an exception unwinding through nested spans must restore
    the ambient nesting — the next span opens at the root, and only the
@@ -97,7 +99,7 @@ let test_span_capacity () =
           for i = 1 to 5 do
             Obs.Trace.with_span (Printf.sprintf "s%d" i) (fun () -> ())
           done;
-          Alcotest.(check int) "kept" 3 (Obs.Trace.count ());
+          Alcotest.(check int) "kept" 3 (List.length (Obs.Trace.spans ()));
           Alcotest.(check int) "dropped" 2 (Obs.Trace.dropped ())))
 
 (* --- exporters --- *)
@@ -186,7 +188,7 @@ let test_ledger_phase_event () =
       match Obs.Ledger.events () with
       | [ Obs.Ledger.Phase { name = "p"; wall_s; _ }; Obs.Ledger.Phase { name = "q"; _ } ] ->
         Alcotest.(check bool) "wall time non-negative" true (wall_s >= 0.0);
-        Alcotest.(check int) "one span per phase" 2 (Obs.Trace.count ())
+        Alcotest.(check int) "one span per phase" 2 (List.length (Obs.Trace.spans ()))
       | _ -> Alcotest.fail "expected two phase events")
 
 (* A Phase event is the closing record of its span: after a traced PSC
@@ -237,7 +239,7 @@ let test_phase_survives_dropped_span () =
           (match Obs.Ledger.events () with
           | [ Obs.Ledger.Phase { name = "p"; _ } ] -> ()
           | _ -> Alcotest.fail "expected one phase event");
-          Alcotest.(check int) "span not kept" 0 (Obs.Trace.count ());
+          Alcotest.(check int) "span not kept" 0 (List.length (Obs.Trace.spans ()));
           Alcotest.(check int) "span counted as dropped" 1 (Obs.Trace.dropped ())))
 
 let roundtrip_events =
@@ -508,11 +510,10 @@ let test_disabled_leaves_no_residue () =
   let p = Obs.Ledger.phase "p" (fun () -> 6 * 7) in
   Alcotest.(check int) "with_span is transparent" 42 v;
   Alcotest.(check int) "phase is transparent" 42 p;
-  Alcotest.(check int) "empty ledger" 0 (Obs.Ledger.size ());
-  Alcotest.(check int) "empty registry" 0 (Obs.Metrics.size ());
+  Alcotest.(check int) "empty ledger" 0 (List.length (Obs.Ledger.events ()));
   Alcotest.(check (list unit)) "no samples" []
     (List.map (fun _ -> ()) (Obs.Metrics.snapshot ()));
-  Alcotest.(check int) "no spans" 0 (Obs.Trace.count ());
+  Alcotest.(check int) "no spans" 0 (List.length (Obs.Trace.spans ()));
   Alcotest.(check (option (float 0.0))) "no counter" None (Obs.Metrics.counter_value "c_total")
 
 let test_instrumented_paths_silent_when_disabled () =
@@ -529,9 +530,9 @@ let test_instrumented_paths_silent_when_disabled () =
     Psc.Protocol.insert proto ~dc:(i land 1) (Printf.sprintf "x%d" i)
   done;
   ignore (Psc.Protocol.run proto);
-  Alcotest.(check int) "no metrics" 0 (Obs.Metrics.size ());
-  Alcotest.(check int) "no spans" 0 (Obs.Trace.count ());
-  Alcotest.(check int) "no ledger events" 0 (Obs.Ledger.size ())
+  Alcotest.(check int) "no metrics" 0 (List.length (Obs.Metrics.snapshot ()));
+  Alcotest.(check int) "no spans" 0 (List.length (Obs.Trace.spans ()));
+  Alcotest.(check int) "no ledger events" 0 (List.length (Obs.Ledger.events ()))
 
 let () =
   Alcotest.run "obs"

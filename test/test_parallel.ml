@@ -8,12 +8,18 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Parallel.set_jobs before) f
 
 let test_set_jobs_validation () =
+  let before = Parallel.jobs () in
   Alcotest.check_raises "zero rejected"
     (Invalid_argument "Parallel.set_jobs: pool size must be positive") (fun () ->
       Parallel.set_jobs 0);
   Alcotest.check_raises "negative rejected"
     (Invalid_argument "Parallel.set_jobs: pool size must be positive") (fun () ->
-      Parallel.set_jobs (-3))
+      Parallel.set_jobs (-3));
+  (* past the runtime's domain limit: raises before any pool starts *)
+  Alcotest.check_raises "above the domain limit rejected"
+    (Invalid_argument "Parallel.set_jobs: pool size above the runtime's 128 domains") (fun () ->
+      Parallel.set_jobs 129);
+  Alcotest.(check int) "setting unchanged" before (Parallel.jobs ())
 
 let test_parallel_for_covers_all_indices () =
   List.iter

@@ -7,8 +7,11 @@ let make ?(num_sks = 3) ?(split_budget = false) ?(num_dcs = 4) ?(seed = 11) name
     (Deployment.config ~num_sks ~split_budget (specs names))
     ~num_dcs ~seed
 
-(* The deployment's total noise sigma, for test tolerances. *)
-let sigma d = Deployment.sigma_for d (Counter.spec ~name:"x" ~sensitivity:1.0)
+(* A one-counter round's total noise sigma, for test tolerances. *)
+let sigma =
+  Deployment.total_sigma
+    (Deployment.config ~split_budget:false (specs [ "x" ]))
+    (Counter.spec ~name:"x" ~sensitivity:1.0)
 
 let test_config_validation () =
   Alcotest.check_raises "no counters" (Invalid_argument "Deployment.config: no counters")
@@ -45,9 +48,8 @@ let test_multiple_counters_independent () =
   Deployment.increment d ~dc:1 ~name:"b" ~by:9000;
   let results = Deployment.tally d in
   let a = Ts.value_exn results "a" and b = Ts.value_exn results "b" in
-  let s = sigma (make [ "x" ]) in
-  Alcotest.(check bool) "a near 500" true (Float.abs (a.Ts.value -. 500.0) < 6.0 *. s);
-  Alcotest.(check bool) "b near 9000" true (Float.abs (b.Ts.value -. 9000.0) < 6.0 *. s)
+  Alcotest.(check bool) "a near 500" true (Float.abs (a.Ts.value -. 500.0) < 6.0 *. sigma);
+  Alcotest.(check bool) "b near 9000" true (Float.abs (b.Ts.value -. 9000.0) < 6.0 *. sigma)
 
 let test_zero_count_can_be_negative () =
   (* with no increments the tallied value is pure noise: over several
@@ -62,19 +64,20 @@ let test_zero_count_can_be_negative () =
 
 let test_sigma_matches_config () =
   let cfg = Deployment.config ~split_budget:false (specs [ "c" ]) in
-  let d = Deployment.create cfg ~num_dcs:4 ~seed:3 in
   let expected =
     Dp.Mechanism.gaussian_sigma Dp.Mechanism.paper_params ~sensitivity:1.0
   in
   Alcotest.(check (float 1e-9)) "sigma" expected
-    (Deployment.sigma_for d (Counter.spec ~name:"c" ~sensitivity:1.0))
+    (Deployment.total_sigma cfg (Counter.spec ~name:"c" ~sensitivity:1.0))
 
 let test_split_budget_increases_sigma () =
-  let d1 = Deployment.create (Deployment.config ~split_budget:false (specs [ "a"; "b" ])) ~num_dcs:2 ~seed:3 in
-  let d2 = Deployment.create (Deployment.config ~split_budget:true (specs [ "a"; "b" ])) ~num_dcs:2 ~seed:3 in
-  let s = Counter.spec ~name:"a" ~sensitivity:1.0 in
+  let sigma_with split_budget =
+    Deployment.total_sigma
+      (Deployment.config ~split_budget (specs [ "a"; "b" ]))
+      (Counter.spec ~name:"a" ~sensitivity:1.0)
+  in
   Alcotest.(check bool) "splitting budget costs accuracy" true
-    (Deployment.sigma_for d2 s > Deployment.sigma_for d1 s)
+    (sigma_with true > sigma_with false)
 
 let test_noise_distribution () =
   (* across many fresh deployments with zero signal, the tallied noise
@@ -86,18 +89,17 @@ let test_noise_distribution () =
     values := r.Ts.value :: !values
   done;
   let arr = Array.of_list !values in
-  let declared = sigma (make [ "x" ]) in
   let sd = Stats.Descriptive.stddev arr in
   Alcotest.(check bool)
-    (Printf.sprintf "empirical sd %.1f vs declared %.1f" sd declared)
+    (Printf.sprintf "empirical sd %.1f vs declared %.1f" sd sigma)
     true
-    (sd > 0.5 *. declared && sd < 1.6 *. declared)
+    (sd > 0.5 *. sigma && sd < 1.6 *. sigma)
 
 let test_unknown_counter_ignored () =
   let d = make [ "c" ] in
   Deployment.increment d ~dc:0 ~name:"nonexistent" ~by:5;
   let r = Ts.value_exn (Deployment.tally d) "c" in
-  Alcotest.(check bool) "unaffected" true (Float.abs r.Ts.value < 6.0 *. sigma (make [ "x" ]))
+  Alcotest.(check bool) "unaffected" true (Float.abs r.Ts.value < 6.0 *. sigma)
 
 let test_tally_once () =
   let d = make [ "c" ] in
@@ -113,31 +115,17 @@ let test_increment_after_tally_rejected () =
     (Invalid_argument "Dc.increment: round already finalized") (fun () ->
       Deployment.increment d ~dc:0 ~name:"c" ~by:1)
 
-let test_handler_mapping () =
-  let d = make [ "evens"; "odds" ] in
-  let handler =
-    Deployment.handler d ~dc:0 (fun n ->
-        if n mod 2 = 0 then [ ("evens", 1) ] else [ ("odds", 1) ])
-  in
-  List.iter handler [ 1; 2; 3; 4; 5; 6; 7 ];
-  let results = Deployment.tally d in
-  let evens = (Ts.value_exn results "evens").Ts.value in
-  let odds = (Ts.value_exn results "odds").Ts.value in
-  let s = sigma (make [ "x" ]) in
-  Alcotest.(check bool) "evens ~3" true (Float.abs (evens -. 3.0) < 6.0 *. s);
-  Alcotest.(check bool) "odds ~4" true (Float.abs (odds -. 4.0) < 6.0 *. s)
-
-let test_sink_for_matches_handler () =
-  (* the push-style interned sink and the name-based handler must
-     produce byte-identical rounds for the same event stream *)
+let test_sink_for_matches_increment () =
+  (* the two ingestion paths, the push-style interned sink and
+     name-based increment, must produce byte-identical rounds for the
+     same event stream *)
   let events = [ 1; 2; 3; 4; 5; 6; 7; 10; 12 ] in
-  let via_handler =
+  let via_increment =
     let d = make [ "evens"; "odds" ] in
-    let handler =
-      Deployment.handler d ~dc:0 (fun n ->
-          if n mod 2 = 0 then [ ("evens", 1) ] else [ ("odds", 1) ])
-    in
-    List.iter handler events;
+    List.iter
+      (fun n ->
+        Deployment.increment d ~dc:0 ~name:(if n mod 2 = 0 then "evens" else "odds") ~by:1)
+      events;
     Deployment.tally d
   in
   let via_sink =
@@ -153,7 +141,7 @@ let test_sink_for_matches_handler () =
     (fun (a : Ts.result) (b : Ts.result) ->
       Alcotest.(check string) "name" a.Ts.name b.Ts.name;
       Alcotest.(check (float 0.0)) a.Ts.name a.Ts.value b.Ts.value)
-    via_handler via_sink
+    via_increment via_sink
 
 let test_counter_id_validation () =
   let d = make [ "b"; "a"; "c" ] in
@@ -162,7 +150,6 @@ let test_counter_id_validation () =
   Alcotest.(check int) "a" 0 (Deployment.counter_id d "a");
   Alcotest.(check int) "b" 1 (Deployment.counter_id d "b");
   Alcotest.(check int) "c" 2 (Deployment.counter_id d "c");
-  Alcotest.(check int) "num_counters" 3 (Deployment.num_counters d);
   Alcotest.check_raises "unknown name"
     (Invalid_argument "Deployment.counter_id: unknown counter \"zzz\"") (fun () ->
       ignore (Deployment.counter_id d "zzz"));
@@ -218,12 +205,11 @@ let test_noise_weights_variance_split () =
     let r = Ts.value_exn (Deployment.tally d) "c" in
     values := r.Ts.value :: !values
   done;
-  let declared = sigma (make [ "x" ]) in
   let sd = Stats.Descriptive.stddev (Array.of_list !values) in
   Alcotest.(check bool)
-    (Printf.sprintf "total sd preserved (%.1f vs %.1f)" sd declared)
+    (Printf.sprintf "total sd preserved (%.1f vs %.1f)" sd sigma)
     true
-    (sd > 0.5 *. declared && sd < 1.7 *. declared)
+    (sd > 0.5 *. sigma && sd < 1.7 *. sigma)
 
 (* --- failure injection: DC dropout recovery --- *)
 
@@ -275,12 +261,11 @@ let test_histogram_roundtrip () =
       done)
     bins;
   let results = Deployment.tally d in
-  let s = sigma (make [ "x" ]) in
   List.iteri
     (fun i bin ->
       let v = (Ts.value_exn results (Counter.bin_name ~name:"h" ~bin)).Ts.value in
       let expected = float_of_int ((i + 1) * 1000) in
-      Alcotest.(check bool) bin true (Float.abs (v -. expected) < 6.0 *. s))
+      Alcotest.(check bool) bin true (Float.abs (v -. expected) < 6.0 *. sigma))
     bins
 
 let test_missing_counter_error () =
@@ -346,8 +331,7 @@ let () =
           Alcotest.test_case "unknown counter" `Quick test_unknown_counter_ignored;
           Alcotest.test_case "tally once" `Quick test_tally_once;
           Alcotest.test_case "finalized dc" `Quick test_increment_after_tally_rejected;
-          Alcotest.test_case "handler" `Quick test_handler_mapping;
-          Alcotest.test_case "sink_for matches handler" `Quick test_sink_for_matches_handler;
+          Alcotest.test_case "sink_for matches increment" `Quick test_sink_for_matches_increment;
           Alcotest.test_case "counter ids" `Quick test_counter_id_validation;
           Alcotest.test_case "duplicate counters" `Quick test_duplicate_counter_rejected;
           Alcotest.test_case "blinding" `Quick test_blinded_residue_is_not_plaintext;

@@ -1,6 +1,7 @@
 open Stats
 
 let checkf = Alcotest.(check (float 1e-6))
+let pp_ci fmt (ci : Ci.t) = Format.fprintf fmt "[%.6g; %.6g]" ci.Ci.lo ci.Ci.hi
 
 (* --- special functions --- *)
 
@@ -73,9 +74,7 @@ let test_normal_ci_coverage () =
 
 let test_normal_ci_can_be_negative () =
   let ci = Ci.normal ~value:(-5.0) ~sigma:10.0 () in
-  Alcotest.(check bool) "lower negative" true (ci.Ci.lo < 0.0);
-  let nn = Ci.normal_nonneg ~value:(-5.0) ~sigma:10.0 () in
-  checkf "clamped" 0.0 nn.Ci.lo
+  Alcotest.(check bool) "lower negative" true (ci.Ci.lo < 0.0)
 
 (* --- occupancy model --- *)
 
@@ -138,11 +137,11 @@ let test_binomial_exact_ci_centered () =
   (* occ ~ 100 after removing the mean 500 heads *)
   let ci = Ci.binomial_exact ~observed ~flips ~table_size () in
   Alcotest.(check bool)
-    (Format.asprintf "lower bound sensible: %a" Ci.pp ci)
+    (Format.asprintf "lower bound sensible: %a" pp_ci ci)
     true
     (ci.Ci.lo > 40.0 && ci.Ci.lo < 101.0);
   Alcotest.(check bool)
-    (Format.asprintf "upper bound sensible: %a" Ci.pp ci)
+    (Format.asprintf "upper bound sensible: %a" pp_ci ci)
     true
     (ci.Ci.hi > 101.0 && ci.Ci.hi < 180.0)
 
@@ -151,7 +150,7 @@ let test_binomial_quantiles_symmetric () =
      CI must start at 0 and stay modest *)
   let ci = Ci.binomial_exact ~observed:5_000 ~flips:10_000 ~table_size:65_536 () in
   Alcotest.(check bool)
-    (Format.asprintf "covers zero and stays tight: %a" Ci.pp ci)
+    (Format.asprintf "covers zero and stays tight: %a" pp_ci ci)
     true
     (ci.Ci.lo = 0.0 && ci.Ci.hi < 250.0)
 
@@ -173,12 +172,6 @@ let test_extrapolate_unique_range () =
   let r = Extrapolate.unique_range ~fraction:0.1 50.0 in
   checkf "lower is x" 50.0 r.Ci.lo;
   checkf "upper is x/p" 500.0 r.Ci.hi
-
-let test_hsdir_visibility () =
-  (* one slot: visibility = fraction; many slots: approaches 1 *)
-  checkf "one replica" 0.1 (Extrapolate.hsdir_visibility ~observed_slots:10 ~total_slots:100 ~replicas:1);
-  let v6 = Extrapolate.hsdir_visibility ~observed_slots:10 ~total_slots:100 ~replicas:6 in
-  Alcotest.(check bool) "six replicas larger" true (v6 > 0.4 && v6 < 0.5)
 
 let test_extrapolate_invalid () =
   Alcotest.check_raises "zero fraction" (Invalid_argument "Extrapolate.count: bad fraction")
@@ -208,12 +201,6 @@ let test_expected_distinct_matches_simulation () =
     true
     (Float.abs (expected -. mean) /. expected < 0.05)
 
-let test_fit_exponent () =
-  let s_true = 1.3 in
-  let counts = Array.init 200 (fun i -> 1_000_000.0 *. (float_of_int (i + 1) ** -.s_true)) in
-  let s_fit = Powerlaw.fit_exponent counts in
-  Alcotest.(check bool) "recovers exponent" true (Float.abs (s_fit -. s_true) < 0.01)
-
 let test_extrapolate_unique_mc () =
   let rng = Prng.Rng.create 7 in
   (* ground truth: zipf(1.0) over 10k items; we observe 10% of draws *)
@@ -231,7 +218,7 @@ let test_extrapolate_unique_mc () =
   Alcotest.(check bool) "accepted some exponents" true (result.Powerlaw.accepted_exponents <> []);
   Alcotest.(check bool)
     (Printf.sprintf "network CI %s contains %.0f"
-       (Format.asprintf "%a" Ci.pp result.Powerlaw.network_distinct)
+       (Format.asprintf "%a" pp_ci result.Powerlaw.network_distinct)
        true_network)
     true
     (Ci.contains result.Powerlaw.network_distinct true_network
@@ -279,7 +266,7 @@ let test_guard_model_pure_rejected () =
 let test_descriptive () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   checkf "mean" 3.0 (Descriptive.mean xs);
-  checkf "median" 3.0 (Descriptive.median xs);
+  checkf "median" 3.0 (Descriptive.quantile xs 0.5);
   checkf "variance" 2.5 (Descriptive.variance xs);
   checkf "q0" 1.0 (Descriptive.quantile xs 0.0);
   checkf "q1" 5.0 (Descriptive.quantile xs 1.0)
@@ -339,14 +326,12 @@ let () =
         [
           Alcotest.test_case "count" `Quick test_extrapolate_count;
           Alcotest.test_case "unique range" `Quick test_extrapolate_unique_range;
-          Alcotest.test_case "hsdir visibility" `Quick test_hsdir_visibility;
           Alcotest.test_case "invalid input" `Quick test_extrapolate_invalid;
         ] );
       ( "powerlaw",
         [
           Alcotest.test_case "expected distinct bounds" `Quick test_expected_distinct_bounds;
           Alcotest.test_case "analytic vs simulation" `Quick test_expected_distinct_matches_simulation;
-          Alcotest.test_case "fit exponent" `Quick test_fit_exponent;
           Alcotest.test_case "MC extrapolation" `Quick test_extrapolate_unique_mc;
         ] );
       ( "guard_model",

@@ -93,15 +93,19 @@ let test_categories () =
     (fun (cat, members) ->
       Alcotest.(check bool) (cat ^ " size") true (List.length members <= 50))
     Domains.categories;
-  Alcotest.(check (option string)) "amazon in Shopping" (Some "Shopping")
-    (Domains.category_of_name "amazon.com");
-  Alcotest.(check (option string)) "torproject uncategorized" None
-    (Domains.category_of_name "torproject.org")
+  Alcotest.(check bool) "amazon in Shopping" true
+    (List.mem "amazon.com" (List.assoc "Shopping" Domains.categories));
+  Alcotest.(check bool) "torproject uncategorized" false
+    (List.exists (fun (_, members) -> List.mem "torproject.org" members) Domains.categories)
+
+(* Long-tail (non-Alexa) sites are named "t<k>.<tld>" by
+   [Domains.tail_name]. *)
+let looks_like_tail name = String.length name > 1 && name.[0] = 't' && String.contains name '.'
 
 let test_tail_names_have_known_tlds () =
   for k = 0 to 50 do
     let name = Domains.tail_name k in
-    Alcotest.(check bool) name true (Domains.is_tail_name name);
+    Alcotest.(check bool) name true (looks_like_tail name);
     match Suffix.registered_domain name with
     | Some _ -> ()
     | None -> Alcotest.fail (name ^ " has no registered domain")
@@ -139,7 +143,7 @@ let test_popularity_tail_share () =
   let n = 20_000 in
   let tbl = count_hosts n (Popularity.sample_host Popularity.paper_config) in
   let tail = ref 0 in
-  Hashtbl.iter (fun host c -> if Domains.is_tail_name host then tail := !tail + c) tbl;
+  Hashtbl.iter (fun host c -> if looks_like_tail host then tail := !tail + c) tbl;
   let share = float_of_int !tail /. float_of_int n in
   Alcotest.(check bool)
     (Printf.sprintf "tail ~0.21 (got %.3f)" share)
@@ -197,7 +201,7 @@ let test_asn_range_and_spread () =
   for _ = 1 to n do
     let asn = Asn.sample r in
     if asn < 1 || asn > Asn.active then Alcotest.fail "asn out of range";
-    if Asn.is_top1000 asn then incr top;
+    if asn <= 1_000 then incr top;
     Hashtbl.replace seen asn ()
   done;
   let top_share = float_of_int !top /. float_of_int n in
@@ -421,8 +425,7 @@ let prop_suffix_fast_matches_reference =
   QCheck.Test.make ~name:"fast suffix functions match the list-based reference" ~count:2_000
     (QCheck.make ~print:(fun s -> Printf.sprintf "%S" s) hostname_gen)
     (fun host ->
-      Suffix.public_suffix host = Suffix.public_suffix_ref host
-      && Suffix.registered_domain host = Suffix.registered_domain_ref host
+      Suffix.registered_domain host = Suffix.registered_domain_ref host
       && Suffix.top_level_domain host = Suffix.top_level_domain_ref host)
 
 (* Exceeding the memo bound must not change results: drive more unique
