@@ -4,7 +4,7 @@ type t = {
   middle_sampler : Prng.Alias.t;
   exit_sampler : Prng.Alias.t;
   guard_ids : Relay.id array;
-  exit_ids : Relay.id array;
+  exits : Relay.id array;
   hsdir_ids : Relay.id array;
   total_guard : float;
   total_exit : float;
@@ -34,7 +34,7 @@ let create relays =
     middle_sampler = Prng.Alias.create mw;
     exit_sampler = Prng.Alias.create ew;
     guard_ids = ids_with (fun r -> r.Relay.flags.Relay.guard) relays;
-    exit_ids = ids_with (fun r -> r.Relay.flags.Relay.exit) relays;
+    exits = ids_with (fun r -> r.Relay.flags.Relay.exit) relays;
     hsdir_ids = ids_with Relay.is_hsdir relays;
     total_guard = sum gw;
     total_exit = sum ew;
@@ -69,7 +69,7 @@ let pick_observers_by_weight t rng ~role ~target_fraction =
   let candidates, weight_of, total =
     match role with
     | `Guard -> (t.guard_ids, Relay.guard_weight, t.total_guard)
-    | `Exit -> (t.exit_ids, Relay.exit_weight, t.total_exit)
+    | `Exit -> (t.exits, Relay.exit_weight, t.total_exit)
     | `Middle -> (Array.map (fun r -> r.Relay.id) t.relays, Relay.middle_weight, t.total_middle)
   in
   let pool = Array.copy candidates in
