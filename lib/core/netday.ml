@@ -216,12 +216,9 @@ let run_day ~record ~config ~seed =
     in
     (acc, Torsim.Engine.truth engine, segment)
   in
-  (* Instrumented shards record through per-chunk Obs scopes that the
-     pool merges back in shard index order, so telemetry no longer
-     forces this path sequential: metrics, spans and the ledger are
-     identical at any --jobs, like the tallies themselves. The empty
-     population still short-circuits to plain Array.init — no pool
-     spin-up for no work. *)
+  (* Shard workers record no telemetry; the phases around the pool
+     call do. The empty population short-circuits to plain Array.init
+     — no pool spin-up for no work. *)
   let shard_results =
     Obs.Ledger.phase "netday.shards" (fun () ->
         if total_clients = 0 then Array.init config.shards run_shard

@@ -93,24 +93,16 @@ let all =
 let find id = List.find_opt (fun e -> e.id = id) all
 
 (* Instrumented entry point shared by the CLI and [run_all]: one phase
-   per experiment (its wall time) plus peak-heap / event-total
-   metrics. *)
+   per experiment (its wall time), a peak-heap gauge and a run counter. *)
 let run_experiment e ~seed =
   if not (Obs.enabled ()) then e.run ~seed
   else
     Obs.Ledger.phase ("experiment." ^ e.id) ~attrs:[ ("paper_id", e.paper_id) ]
     @@ fun () ->
-    let events0 =
-      Option.value ~default:0.0 (Obs.Metrics.counter_value "torsim_events_dispatched_total")
-    in
     let report = e.run ~seed in
-    let events1 =
-      Option.value ~default:0.0 (Obs.Metrics.counter_value "torsim_events_dispatched_total")
-    in
-    let labeled name = Obs.Metrics.labeled name [ ("id", e.id) ] in
-    Obs.Metrics.set (labeled "experiment_peak_heap_words")
+    Obs.Metrics.set
+      (Obs.Metrics.labeled "experiment_peak_heap_words" [ ("id", e.id) ])
       (float_of_int (Gc.quick_stat ()).Gc.top_heap_words);
-    Obs.Metrics.set (labeled "experiment_events_dispatched") (events1 -. events0);
     Obs.Metrics.inc "experiments_run_total";
     report
 

@@ -2,11 +2,12 @@
 
    Canonical naming is flat per compilation unit: the definition [f] at
    the top of [lib/privcount/dc.ml] is the node ["Dc.report" ->
-   "Dc.f"], and a nested [module Task = struct let go = ... end] in
-   [obs.ml] is ["Obs.Task.go"]. References written through a dune
-   library wrapper ("Privcount.Dc.report", "Tormeasure.Registry.all")
-   resolve by dropping leading path segments until a known definition
-   matches, so the graph needs no knowledge of dune's wrapping scheme.
+   "Dc.f"], and a nested [module Segment = struct let encode = ... end]
+   in [evtrace.ml] is ["Evtrace.Segment.encode"]. References written
+   through a dune library wrapper ("Privcount.Dc.report",
+   "Tormeasure.Registry.all") resolve by dropping leading path segments
+   until a known definition matches, so the graph needs no knowledge of
+   dune's wrapping scheme.
 
    The construction is deliberately conservative (over-approximating
    reachability): every identifier reference inside a definition's body
@@ -153,7 +154,7 @@ let is_write_head name =
       | None -> false)
 
 let parallel_primitives =
-  [ "parallel_for"; "parallel_init"; "parallel_map"; "range_for" ]
+  [ "parallel_for"; "parallel_init"; "range_for" ]
 
 let parallel_site_name name =
   List.find_opt

@@ -2,7 +2,8 @@
 
     Nodes are top-level definitions named by a flat per-unit canonical
     id: [f] at the top of [lib/privcount/dc.ml] is ["Dc.f"], a nested
-    [module Task] member in [obs.ml] is ["Obs.Task.go"], and each
+    [module Segment] member in [evtrace.ml] is
+    ["Evtrace.Segment.encode"], and each
     side-effecting [let () = ...] gets a synthetic ["Unit.__initN"]
     node. References written through dune library wrappers
     (["Privcount.Dc.report"]) resolve by dropping leading segments

@@ -38,10 +38,10 @@ let default =
         "Shuffle"; "Secret_sharing"; "Hmac"; "Sha256"; "Drbg";
       ];
     escapes = [ "_to_int"; "_to_string"; "_of_int"; "length" ];
-    (* lib/parallel IS the synchronization layer and lib/obs provides
-       the Obs.Task domain-local scopes that make worker-side telemetry
-       legal; both are exempt from the domain-safety worker rules. *)
-    worker_safe = [ "lib/obs"; "lib/parallel" ];
+    (* lib/parallel IS the synchronization layer, exempt from the
+       domain-safety worker rules. lib/obs is not: pool workers record
+       no telemetry. *)
+    worker_safe = [ "lib/parallel" ];
     (* lib/obs wall-clock reads are by design (span timings are zeroed
        in canonical ledgers); scoped code may reach it freely. *)
     det_exempt = [ "lib/obs" ];

@@ -19,8 +19,8 @@
     escape SUFFIX             # polycompare: function-name suffix that
                               # exempts an operand (e.g. _to_int)
     worker-safe PATH          # domain-safety: paths whose code is the
-                              # synchronization layer itself (pool,
-                              # Obs.Task scopes) and is exempt
+                              # synchronization layer itself (the
+                              # pool) and is exempt
     det-exempt PATH           # determinism v2: paths scoped code may
                               # transitively reach despite banned
                               # primitives inside them (lib/obs)

@@ -1,15 +1,15 @@
 (* Domain-safety rule (whole-program only): the parallel pipelines are
    correct because workers are pure per index — every chunk writes only
-   its own slice, telemetry goes through Obs.Task domain-local scopes,
-   and results merge deterministically at the join. A worker that
+   its own slice, and results merge deterministically at the join,
+   where the orchestrating domain alone records telemetry. A worker that
    mutates top-level state (a shared Hashtbl memo, a module-level ref)
    or forces a top-level [lazy] breaks that contract silently: the race
    only shows up as rare corruption at jobs > 1.
 
    The pass collects top-level mutable bindings from the call graph's
    inventory, computes the set of definitions reachable from closures
-   passed to [Parallel.parallel_for/parallel_init/parallel_map/
-   range_for], and errors on:
+   passed to [Parallel.parallel_for/parallel_init/range_for], and
+   errors on:
 
      domainsafety/shared-write   a write to top-level mutable state from
                                  worker-reachable code (or lexically
@@ -18,14 +18,15 @@
                                  top-level [lazy] (forcing races the
                                  initializer across domains)
 
-   [worker-safe] paths (lib/parallel itself and lib/obs) are exempt:
-   they *are* the synchronization layer. Intentional exceptions take a
+   [worker-safe] paths (by default lib/parallel itself) are exempt:
+   they *are* the synchronization layer. lib/obs is not: its registries
+   are unsynchronised, so a worker that records telemetry is flagged. Intentional exceptions take a
    justified [torlint: allow] at the write site. *)
 
 let write_fix =
   "workers must be pure per index: use per-shard accumulators merged at the \
-   join, Obs.Task scopes for telemetry, or Domain.DLS for per-domain memo \
-   tables"
+   join, record telemetry after the join on the orchestrating domain, or use \
+   Domain.DLS for per-domain memo tables"
 
 let lazy_fix =
   "lazy forcing races the initializer across domains: force it before the \

@@ -13,11 +13,10 @@
    never reach it.
 
    Recording is gated on the global telemetry flag and, like Metrics
-   and Trace, is store-based: a pool task bracketed by
-   [scope_begin]/[scope_end] buffers its events domain-locally and the
-   orchestrator replays the buffers in task index order, so the ledger
-   for a given run is identical at any --jobs setting (timing fields
-   aside — [to_jsonl ~timings:false] is the canonical form). *)
+   and Trace, happens only on the orchestrating domain, never in a pool
+   worker (DESIGN.md §3b), so the ledger for a given run is identical
+   at any --jobs setting (timing fields aside — [to_jsonl
+   ~timings:false] is the canonical form). *)
 
 type event =
   | Grant of { system : string; epsilon : float; delta : float }
@@ -41,31 +40,10 @@ let main : event list ref = ref [] (* reverse order *)
 (* running (eps, delta) per system, maintained by [draw] *)
 let running : (string, float * float) Hashtbl.t = Hashtbl.create 8
 
-type scope = { mutable sl_events : event list }
-
-let scope_key : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let scope_begin () = Domain.DLS.set scope_key (Some { sl_events = [] })
-
-let scope_end () =
-  match Domain.DLS.get scope_key with
-  | Some s ->
-    Domain.DLS.set scope_key None;
-    s
-  | None -> { sl_events = [] }
-
-let append ev =
-  match Domain.DLS.get scope_key with
-  | Some s -> s.sl_events <- ev :: s.sl_events
-  | None -> main := ev :: !main
-
-let scope_merge (s : scope) = List.iter append (List.rev s.sl_events)
-
+let append ev = main := ev :: !main
 let record ev = if !Control.on then append ev
 let grant ~system ~epsilon ~delta = record (Grant { system; epsilon; delta })
 
-(* Budget draws run orchestrator-side (schedule registration, protocol
-   setup), never inside pool workers: the cumulative spend is read from
-   one shared table at record time. *)
 let draw ~system ~counter ~mechanism ~epsilon ~delta =
   if !Control.on then begin
     let ce, cd =

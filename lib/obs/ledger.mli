@@ -1,10 +1,10 @@
 (** Append-only run ledger: typed audit events — privacy-budget grants
     and draws with running cumulative spend, proof verification
     outcomes, phase records closing their spans, and free-form
-    notes. Recording is a no-op while telemetry is disabled; an enabled
-    run's ledger is identical at any pool size (timing fields aside)
-    because pool workers buffer into domain-local scopes replayed in
-    task order (see {!Obs.Task}).
+    notes. Recording is a no-op while telemetry is disabled. Record
+    only from the orchestrating domain, never from a pool worker; an
+    enabled run's ledger is then identical at any pool size (timing
+    fields aside).
 
     Everything recorded here must already be publishable (mechanism
     parameters, proof verdicts, timings): torlint treats this module as
@@ -34,9 +34,7 @@ val grant : system:string -> epsilon:float -> delta:float -> unit
 
 val draw : system:string -> counter:string -> mechanism:string -> epsilon:float -> delta:float -> unit
 (** Record a budget draw; the cumulative fields are filled in from the
-    ledger's running per-system totals. Draws are orchestrator-side
-    operations (schedule registration, protocol setup) — do not record
-    them from inside pool workers. *)
+    ledger's running per-system totals. *)
 
 val proof : kind:string -> party:int -> ok:bool -> batch:int -> unit
 val note : key:string -> value:string -> unit
@@ -93,15 +91,3 @@ val audit : event list -> audit
     without a grant are reported but unbounded). Comparisons are
     relative to 1e-9, so float re-summation order cannot trip it while
     delta-magnitude (1e-11) discrepancies still do. *)
-
-(** {2 Domain-local scopes} *)
-
-type scope
-
-val scope_begin : unit -> unit
-val scope_end : unit -> scope
-
-val scope_merge : scope -> unit
-(** Replay a detached scope's events, in order, at the current ledger
-    position. Orchestrator-side only; used by [lib/parallel] via
-    [Obs.Task]. *)

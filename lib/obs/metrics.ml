@@ -5,49 +5,14 @@
    follow the Prometheus convention; [labeled] builds the `name{k="v"}`
    form.
 
-   While a pool task has a scope open (scope_begin/scope_end, used by
-   lib/parallel), writes land in a domain-local side table instead of
-   the shared registry; [scope_merge] folds them back in on the
-   orchestrating domain, so worker domains never touch the registry
-   concurrently and the merged state matches a sequential run. *)
+   The registry is shared and unsynchronised: only the orchestrating
+   domain records, never a pool worker (DESIGN.md §3b). *)
 
 type value = Counter of float ref | Gauge of float ref
 
 let registry : (string, value) Hashtbl.t = Hashtbl.create 64
 
 let reset () = Hashtbl.reset registry
-
-(* --- domain-local scopes --- *)
-
-type scope = {
-  sc_counters : (string, float ref) Hashtbl.t;
-  mutable sc_gauges : (string * float) list;  (* reverse write order *)
-}
-
-let scope_key : scope option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let scope_begin () =
-  Domain.DLS.set scope_key
-    (Some { sc_counters = Hashtbl.create 16; sc_gauges = [] })
-
-let scope_end () =
-  match Domain.DLS.get scope_key with
-  | Some s ->
-    Domain.DLS.set scope_key None;
-    s
-  | None ->
-    (* unbalanced end: merging the empty scope is a no-op *)
-    { sc_counters = Hashtbl.create 1; sc_gauges = [] }
-
-let active_scope () = Domain.DLS.get scope_key
-
-let scope_counter_ref s name =
-  match Hashtbl.find_opt s.sc_counters name with
-  | Some c -> c
-  | None ->
-    let c = ref 0.0 in
-    Hashtbl.replace s.sc_counters name c;
-    c
 
 (* --- label helper --- *)
 
@@ -95,18 +60,14 @@ let counter_ref name =
 let inc_float name by =
   if !Control.on then begin
     if by < 0.0 then invalid_arg (Printf.sprintf "Metrics.inc_float %s: counters are monotonic" name);
-    let c =
-      match active_scope () with Some s -> scope_counter_ref s name | None -> counter_ref name
-    in
+    let c = counter_ref name in
     c := !c +. by
   end
 
 let inc ?(by = 1) name =
   if !Control.on then begin
     if by < 0 then invalid_arg (Printf.sprintf "Metrics.inc %s: counters are monotonic" name);
-    let c =
-      match active_scope () with Some s -> scope_counter_ref s name | None -> counter_ref name
-    in
+    let c = counter_ref name in
     c := !c +. float_of_int by
   end
 
@@ -121,11 +82,7 @@ let gauge_ref name =
     Hashtbl.replace registry name (Gauge g);
     g
 
-let set name v =
-  if !Control.on then
-    match active_scope () with
-    | Some s -> s.sc_gauges <- (name, v) :: s.sc_gauges
-    | None -> gauge_ref name := v
+let set name v = if !Control.on then gauge_ref name := v
 
 (* --- read side --- *)
 
@@ -143,21 +100,3 @@ let snapshot () =
 
 let counter_value name =
   match Hashtbl.find_opt registry name with Some (Counter c) -> Some !c | _ -> None
-
-(* --- scope merge --- *)
-
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun ((a : string), _) (b, _) -> compare a b)
-
-(* Fold a detached scope into the shared registry: counters coalesce
-   (order-free up to float-counter rounding in the last ulps), gauge
-   writes replay in recording order. Called on the orchestrating domain
-   only, after the pool barrier. *)
-let scope_merge (s : scope) =
-  List.iter
-    (fun (name, c) ->
-      let g = counter_ref name in
-      g := !g +. !c)
-    (sorted_bindings s.sc_counters);
-  List.iter (fun (name, v) -> gauge_ref name := v) (List.rev s.sc_gauges)

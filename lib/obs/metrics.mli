@@ -1,7 +1,8 @@
 (** Process-wide metrics registry: monotonic counters and gauges. Wall
     time is not a metric; spans and ledger phases carry it. Every
     operation is a no-op while telemetry is disabled (see {!Control}),
-    and a disabled run leaves the registry empty. *)
+    and a disabled run leaves the registry empty. Record only from the
+    orchestrating domain, never from a pool worker. *)
 
 val labeled : string -> (string * string) list -> string
 (** [labeled "x_total" [("kind","data")]] is [{x_total{kind="data"}}],
@@ -30,19 +31,3 @@ val snapshot : unit -> sample list
 val counter_value : string -> float option
 
 val reset : unit -> unit
-
-(** {2 Domain-local scopes}
-
-    While a scope is open on a domain, [inc]/[set] write into a
-    domain-local side table instead of the shared registry; the
-    orchestrating domain folds detached scopes back in with
-    [scope_merge] (counters coalesce, gauge writes replay in order).
-    Used by [lib/parallel] via [Obs.Task]. *)
-
-type scope
-
-val scope_begin : unit -> unit
-val scope_end : unit -> scope
-
-val scope_merge : scope -> unit
-(** Orchestrator-side only. *)

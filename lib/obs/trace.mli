@@ -1,7 +1,8 @@
 (** Lightweight nested tracing spans: wall clock, Gc allocation delta,
     nesting, and user attributes, buffered in-process for end-of-run
     export. [with_span] reduces to a plain call while telemetry is
-    disabled. *)
+    disabled. Open spans only on the orchestrating domain, never in a
+    pool worker. *)
 
 type span = {
   id : int;
@@ -41,25 +42,3 @@ val set_capacity : int -> unit
     path. *)
 
 val reset : unit -> unit
-
-(** {2 Domain-local scopes}
-
-    Recording normally targets the process-global buffer. A pool task
-    brackets its work in [scope_begin]/[scope_end] so every span it
-    records lands in a buffer local to its domain; the orchestrating
-    domain later replays the buffers in task index order with
-    [scope_merge], which renumbers ids/parents/depths so the merged
-    stream is identical to a sequential run (timing fields aside).
-    Callers normally reach this via [Obs.Task], not directly. *)
-
-type scope
-
-val scope_begin : unit -> unit
-(** Start buffering this domain's spans into a fresh scope. *)
-
-val scope_end : unit -> scope
-(** Stop buffering and detach the scope for a later [scope_merge]. *)
-
-val scope_merge : scope -> unit
-(** Replay a scope into the global buffer at the current nesting point
-    (anchored under the innermost open span). Orchestrator-side only. *)

@@ -3,8 +3,7 @@
    (randomness is pre-drawn sequentially by callers), each index writes
    only its own result slot, and chunk hand-out order can therefore not
    affect any observable result — jobs=N is bit-identical to jobs=1.
-   Telemetry recorded inside workers goes through per-chunk Obs scopes
-   merged in index order, so it obeys the same contract.
+   Workers record no telemetry; the caller records around the call.
 
    Synchronisation is a single mutex + condition per pool: the caller
    publishes a job under the lock and bumps the epoch; workers pick it
@@ -165,37 +164,13 @@ let range_for ?(min_chunk = 32) lo n f =
       else begin
         let next = Atomic.make 0 in
         let error = Atomic.make None in
-        (* While telemetry is on, each chunk's Obs recordings buffer in
-           a domain-local scope, detached into the slot of the chunk's
-           first index. Merging the slots in index order after the
-           barrier replays every recording in chunk order — chunks are
-           contiguous and ascending, so the merged metrics, spans and
-           ledger match the jobs=1 run exactly (DESIGN.md §3b). *)
-        let instrument = Obs.enabled () in
-        let bufs = if instrument then Array.make n None else [||] in
-        let run_chunk start stop =
-          if instrument then begin
-            Obs.Task.scope_begin ();
-            Fun.protect
-              ~finally:(fun () -> bufs.(start) <- Some (Obs.Task.scope_end ()))
-              (fun () ->
-                for i = start to stop - 1 do
-                  f (lo + i)
-                done)
-          end
-          else
-            for i = start to stop - 1 do
-              f (lo + i)
-            done
-        in
         let job () =
           let continue = ref true in
           while !continue do
             let start = Atomic.fetch_and_add next chunk in
             if start >= n || Atomic.get error <> None then continue := false
             else
-              let stop = min n (start + chunk) in
-              try run_chunk start stop
+              try sequential_for (lo + start) (min chunk (n - start)) f
               with e ->
                 Atomic.set error (Some e);
                 continue := false
@@ -203,8 +178,6 @@ let range_for ?(min_chunk = 32) lo n f =
         in
         Atomic.set busy true;
         Fun.protect ~finally:(fun () -> Atomic.set busy false) (fun () -> run_job pool job);
-        if instrument then
-          Array.iter (function None -> () | Some b -> Obs.Task.merge b) bufs;
         match Atomic.get error with None -> () | Some e -> raise e
       end
   end
@@ -217,14 +190,5 @@ let parallel_init ?min_chunk n f =
   else begin
     let out = Array.make n (f 0) in
     range_for ?min_chunk 1 (n - 1) (fun i -> out.(i) <- f i);
-    out
-  end
-
-let parallel_map ?min_chunk f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (f arr.(0)) in
-    range_for ?min_chunk 1 (n - 1) (fun i -> out.(i) <- f arr.(i));
     out
   end

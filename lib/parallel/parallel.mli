@@ -11,11 +11,10 @@
     slot [i] of the result, so scheduling cannot reorder anything
     observable. See DESIGN.md §3c.
 
-    Telemetry is allowed inside workers: while [Obs.enabled ()], every
-    chunk records into a domain-local scope ([Obs.Task]) that the
-    calling domain merges back in index order after the barrier, so
-    metrics, spans and the run ledger are also identical at any pool
-    size (timing fields aside).
+    Workers record no telemetry: [Obs] is unsynchronised, so spans,
+    metrics and ledger events are recorded by the calling domain
+    before or after the call (DESIGN.md §3b). torlint's domain-safety
+    rule flags a worker that reaches [Obs].
 
     The pool holds [jobs () - 1] worker domains (the calling domain
     participates as the last worker) and is started lazily on the first
@@ -46,9 +45,6 @@ val parallel_init : ?min_chunk:int -> int -> (int -> 'a) -> 'a array
 (** Deterministic parallel [Array.init]: element [i] is [f i]
     regardless of pool size. [f 0] is evaluated first, on the calling
     domain. *)
-
-val parallel_map : ?min_chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Deterministic parallel [Array.map]. *)
 
 val shutdown : unit -> unit
 (** Join the worker domains (idempotent; the pool restarts lazily on

@@ -3,10 +3,8 @@ type t = {
   truth : Ground_truth.t;
   rng : Prng.Rng.t;
   sinks : (Event.t -> unit) list array;
-  mutable any_sinks : bool;
   ring : Hsdir_ring.t;
   onions : Onion.t;
-  mutable dispatched : int;  (* events delivered to sinks, for span sampling *)
 }
 
 let create ?(seed = 1) consensus =
@@ -15,10 +13,8 @@ let create ?(seed = 1) consensus =
     truth = Ground_truth.create ();
     rng = Prng.Rng.create seed;
     sinks = Array.make (Consensus.size consensus) [];
-    any_sinks = false;
     ring = Hsdir_ring.create (Consensus.hsdir_ids consensus);
     onions = Onion.create ();
-    dispatched = 0;
   }
 
 let consensus t = t.consensus
@@ -29,45 +25,9 @@ let onion_registry t = t.onions
 let add_sink t relay_id sink =
   if relay_id < 0 || relay_id >= Array.length t.sinks then
     invalid_arg "Engine.add_sink: bad relay id";
-  t.sinks.(relay_id) <- sink :: t.sinks.(relay_id);
-  t.any_sinks <- true
+  t.sinks.(relay_id) <- sink :: t.sinks.(relay_id)
 
-(* Telemetry: per-kind event counters use literal names so the enabled
-   path allocates nothing for labels. *)
-let event_metric = function
-  | Event.Client_connection _ -> "torsim_events_total{kind=\"client_connection\"}"
-  | Event.Client_circuit _ -> "torsim_events_total{kind=\"client_circuit\"}"
-  | Event.Entry_bytes _ -> "torsim_events_total{kind=\"entry_bytes\"}"
-  | Event.Directory_request _ -> "torsim_events_total{kind=\"directory_request\"}"
-  | Event.Exit_stream _ -> "torsim_events_total{kind=\"exit_stream\"}"
-  | Event.Exit_bytes _ -> "torsim_events_total{kind=\"exit_bytes\"}"
-  | Event.Descriptor_published _ -> "torsim_events_total{kind=\"descriptor_published\"}"
-  | Event.Descriptor_fetch _ -> "torsim_events_total{kind=\"descriptor_fetch\"}"
-  | Event.Rendezvous_circuit _ -> "torsim_events_total{kind=\"rendezvous_circuit\"}"
-
-(* One traced span per [dispatch_sample_every] dispatches keeps traces
-   bounded on event-heavy runs; the event counters still see every
-   dispatch. *)
-let dispatch_sample_every = 256
-
-let emit t relay_id event =
-  match t.sinks.(relay_id) with
-  | [] -> ()
-  | sinks ->
-    let dispatch () = List.iter (fun sink -> sink event) sinks in
-    if not (Obs.enabled ()) then dispatch ()
-    else begin
-      Obs.Metrics.inc (event_metric event);
-      Obs.Metrics.inc "torsim_events_dispatched_total";
-      t.dispatched <- t.dispatched + 1;
-      if t.dispatched mod dispatch_sample_every = 1 then
-        Obs.Trace.with_span "engine.dispatch"
-          ~attrs:
-            [ ("kind", Event.describe event);
-              ("sampled", "1/" ^ string_of_int dispatch_sample_every) ]
-          dispatch
-      else dispatch ()
-    end
+let emit t relay_id event = List.iter (fun sink -> sink event) t.sinks.(relay_id)
 
 (* --- client side --- *)
 
@@ -78,7 +38,6 @@ let observe_client t client =
   Ground_truth.mark tr.Ground_truth.unique_asns client.Client.asn
 
 let connect_via t client guard =
-  Obs.Metrics.inc "torsim_connections_total";
   let tr = t.truth in
   tr.Ground_truth.connections <- tr.Ground_truth.connections + 1;
   observe_client t client;
@@ -95,11 +54,8 @@ let connect_all_guards t client =
 let circuit_via t client guard kind =
   let tr = t.truth in
   (match kind with
-  | Event.Data_circuit ->
-    Obs.Metrics.inc "torsim_circuits_total{kind=\"data\"}";
-    tr.Ground_truth.data_circuits <- tr.Ground_truth.data_circuits + 1
+  | Event.Data_circuit -> tr.Ground_truth.data_circuits <- tr.Ground_truth.data_circuits + 1
   | Event.Directory_circuit ->
-    Obs.Metrics.inc "torsim_circuits_total{kind=\"directory\"}";
     tr.Ground_truth.directory_circuits <- tr.Ground_truth.directory_circuits + 1);
   Ground_truth.bump_int tr.Ground_truth.per_country_circuits client.Client.country;
   emit t guard
@@ -115,7 +71,6 @@ let directory_circuit t client =
   emit t guard (Event.Directory_request { client_ip = client.Client.ip })
 
 let entry_bytes t client bytes =
-  Obs.Metrics.inc_float "torsim_entry_bytes_total" bytes;
   let tr = t.truth in
   tr.Ground_truth.entry_bytes <- tr.Ground_truth.entry_bytes +. bytes;
   Ground_truth.bump_float tr.Ground_truth.per_country_bytes client.Client.country bytes;
@@ -130,9 +85,8 @@ let record_stream t ~kind ~dest ~port =
   let tr = t.truth in
   tr.Ground_truth.streams_total <- tr.Ground_truth.streams_total + 1;
   match kind with
-  | Event.Subsequent -> Obs.Metrics.inc "torsim_streams_total{kind=\"subsequent\"}"
+  | Event.Subsequent -> ()
   | Event.Initial ->
-    Obs.Metrics.inc "torsim_streams_total{kind=\"initial\"}";
     tr.Ground_truth.streams_initial <- tr.Ground_truth.streams_initial + 1;
     (match dest with
     | Event.Hostname h ->
@@ -158,7 +112,6 @@ let exit_visit t client ~dest ~port ~subsequent_streams ?subsequent_dest ~bytes 
     record_stream t ~kind:Event.Subsequent ~dest ~port;
     emit t exit (Event.Exit_stream { kind = Event.Subsequent; dest; port })
   done;
-  Obs.Metrics.inc_float "torsim_exit_bytes_total" bytes;
   t.truth.Ground_truth.exit_bytes <- t.truth.Ground_truth.exit_bytes +. bytes;
   emit t exit (Event.Exit_bytes { bytes });
   entry_bytes t client bytes
@@ -208,10 +161,8 @@ let fetch_malformed t =
 let rendezvous t ~outcome =
   let tr = t.truth in
   tr.Ground_truth.rend_circuits <- tr.Ground_truth.rend_circuits + 1;
-  Obs.Metrics.inc "torsim_rend_circuits_total";
   (match outcome with
   | Event.Rend_success { cells } ->
-    Obs.Metrics.inc ~by:cells "torsim_rend_cells_total";
     tr.Ground_truth.rend_success <- tr.Ground_truth.rend_success + 1;
     tr.Ground_truth.rend_cells <- tr.Ground_truth.rend_cells + cells
   | Event.Rend_closed -> tr.Ground_truth.rend_closed <- tr.Ground_truth.rend_closed + 1

@@ -378,9 +378,12 @@ let test_domainsafety () =
   check_flags "lazy forced from a worker races the initializer"
     ~rule:"domainsafety/lazy-init"
     (lint ~path:"lib/core/lazy_fix.ml" lazy_force);
-  (* worker-safe paths opt out: lib/obs's own synchronization is the
-     mechanism under audit, not a violation *)
-  check_clean "worker-safe path" (lint ~path:"lib/obs/state_fix.ml" racy)
+  (* worker-safe paths opt out: lib/parallel's own synchronization is
+     the mechanism under audit, not a violation *)
+  check_clean "worker-safe path" (lint ~path:"lib/parallel/state_fix.ml" racy);
+  (* lib/obs is not worker-safe: pool workers record no telemetry *)
+  check_flags "telemetry state written from a worker" ~rule:"domainsafety/shared-write"
+    (lint ~path:"lib/obs/state_fix.ml" racy)
 
 (* --- stale allow detection --- *)
 
@@ -502,7 +505,7 @@ let test_config_interprocedural_directives () =
   Alcotest.(check bool) "det-exempt appended" true
     (List.mem "lib/telemetry" cfg.Config.det_exempt);
   Alcotest.(check bool) "defaults kept" true
-    (List.mem "lib/obs" cfg.Config.worker_safe)
+    (List.mem "lib/parallel" cfg.Config.worker_safe)
 
 (* --- engine plumbing --- *)
 

@@ -466,9 +466,9 @@ let test_tampered_psc_fails_audit () =
       Alcotest.(check bool) "audit rejects the ledger" false a.Obs.Ledger.ok;
       Alcotest.(check bool) "failed proofs counted" true (a.Obs.Ledger.proofs_failed > 0))
 
-(* The tentpole invariant: a full verified PSC round writes the same
-   canonical ledger at any pool size — worker-side events are buffered
-   per chunk and replayed in task order. *)
+(* A full verified PSC round writes the same canonical ledger at any
+   pool size: workers record nothing, so every event comes from the
+   orchestrating domain in program order. *)
 let prop_ledger_jobs_invariant =
   QCheck.Test.make ~name:"ledger identical at jobs=1 and jobs=4" ~count:4
     QCheck.(pair (int_range 1 40) (int_range 0 80))

@@ -49,19 +49,6 @@ let test_parallel_init_matches_sequential () =
         (Parallel.parallel_init ~min_chunk:1 1999 f))
     [ 1; 2; 4 ]
 
-let test_parallel_map_matches_sequential () =
-  let input = Array.init 513 (fun i -> i - 200) in
-  let f x = (x * x) - x in
-  let want = Array.map f input in
-  List.iter
-    (fun jobs ->
-      with_jobs jobs @@ fun () ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "map identical (jobs=%d)" jobs)
-        want
-        (Parallel.parallel_map ~min_chunk:1 f input))
-    [ 1; 4 ]
-
 exception Boom
 
 let test_exception_propagates () =
@@ -110,7 +97,6 @@ let () =
           Alcotest.test_case "set_jobs validation" `Quick test_set_jobs_validation;
           Alcotest.test_case "for covers all indices" `Quick test_parallel_for_covers_all_indices;
           Alcotest.test_case "init matches sequential" `Quick test_parallel_init_matches_sequential;
-          Alcotest.test_case "map matches sequential" `Quick test_parallel_map_matches_sequential;
           Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
           Alcotest.test_case "nested calls fall back" `Quick test_nested_calls_fall_back;
           Alcotest.test_case "resize mid-session" `Quick test_resize_mid_session;
