@@ -20,8 +20,9 @@
 
    [worker-safe] paths (by default lib/parallel itself) are exempt:
    they *are* the synchronization layer. lib/obs is not: its registries
-   are unsynchronised, so a worker that records telemetry is flagged. Intentional exceptions take a
-   justified [torlint: allow] at the write site. *)
+   are unsynchronised, so a worker that records telemetry is flagged.
+   Intentional exceptions take a justified [torlint: allow] at the
+   write site. *)
 
 let write_fix =
   "workers must be pure per index: use per-shard accumulators merged at the \
