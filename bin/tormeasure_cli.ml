@@ -47,18 +47,11 @@ let csv_arg =
 
 (* --- telemetry plumbing --- *)
 
-let metrics_arg =
-  let doc = "Write a Prometheus-format metrics exposition to $(docv) (enables telemetry)." in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let trace_arg =
-  let doc = "Write the tracing spans as JSON lines to $(docv) (enables telemetry)." in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
 let ledger_arg =
   let doc =
-    "Write the run ledger (budget draws, proof outcomes, phase timings) as JSON lines to \
-     $(docv), for $(b,tormeasure audit) and $(b,trace-diff) (enables telemetry)."
+    "Write the run ledger (budget draws, proof outcomes, the phase tree with its timings) \
+     as JSON lines to $(docv), for $(b,tormeasure audit) and $(b,trace-diff) (enables \
+     telemetry)."
   in
   Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
 
@@ -78,37 +71,17 @@ let write_output path contents =
     Printf.eprintf "tormeasure: cannot write %s: %s\n" path reason;
     exit 1
 
-let obs_start ~metrics ~trace ~ledger =
-  if metrics <> None || trace <> None || ledger <> None then Obs.set_enabled true
+let obs_start ~ledger = if ledger <> None then Obs.set_enabled true
 
-(* Export what the run recorded and print the end-of-run summary. *)
-let obs_finish ~metrics ~trace ~ledger =
-  if Obs.enabled () then begin
-    let samples = Obs.Metrics.snapshot () in
-    let spans = Obs.Trace.spans () in
+(* Write the run ledger and print its end-of-run summary. *)
+let obs_finish ~ledger =
+  match ledger with
+  | None -> ()
+  | Some path ->
     let events = Obs.Ledger.events () in
-    (match metrics with
-    | None -> ()
-    | Some path ->
-      write_output path (Obs.Export.prometheus samples);
-      Printf.printf "wrote metrics to %s\n" path);
-    (match trace with
-    | None -> ()
-    | Some path ->
-      write_output path (Obs.Export.trace_jsonl spans);
-      Printf.printf "wrote %d trace spans to %s%s\n" (List.length spans) path
-        (match Obs.Trace.dropped () with
-        | 0 -> ""
-        | d -> Printf.sprintf " (%d dropped at capacity)" d));
-    (match ledger with
-    | None -> ()
-    | Some path ->
-      write_output path (Obs.Ledger.to_jsonl events);
-      Printf.printf "wrote %d ledger events to %s\n" (List.length events) path);
-    print_newline ();
-    print_string (Obs.Export.summary samples spans);
-    if events <> [] then print_string (Obs.Ledger.summary events)
-  end
+    write_output path (Obs.Ledger.to_jsonl events);
+    Printf.printf "wrote %d ledger events to %s\n\n" (List.length events) path;
+    print_string (Obs.Ledger.summary events)
 
 let write_csv path reports =
   match path with
@@ -122,7 +95,7 @@ let run_cmd =
     let doc = "Experiment id (see $(b,list))." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
-  let run id seed csv metrics trace ledger jobs =
+  let run id seed csv ledger jobs =
     (* torlint: allow privflow/transitive-leak — reports print
        truth-vs-measured rows by design; "raw" is simulator truth *)
     match Tormeasure.Registry.find id with
@@ -131,16 +104,15 @@ let run_cmd =
       exit 1
     | Some e ->
       apply_jobs jobs;
-      obs_start ~metrics ~trace ~ledger;
+      obs_start ~ledger;
       let report = Tormeasure.Registry.run_experiment e ~seed in
       Tormeasure.Report.print report;
       write_csv csv [ report ];
-      obs_finish ~metrics ~trace ~ledger;
+      obs_finish ~ledger;
       if not (Tormeasure.Report.all_ok report) then exit 2
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one experiment and print paper-vs-measured rows")
-    Term.(const run $ id_arg $ seed_arg $ csv_arg $ metrics_arg $ trace_arg $ ledger_arg
-          $ jobs_arg)
+    Term.(const run $ id_arg $ seed_arg $ csv_arg $ ledger_arg $ jobs_arg)
 
 let clients_arg =
   let doc = "Selective clients in the simulated population." in
@@ -158,17 +130,17 @@ let relays_arg =
        & info [ "relays" ] ~docv:"N" ~doc)
 
 let netday_cmd =
-  let run seed jobs clients shards relays metrics trace ledger =
+  let run seed jobs clients shards relays ledger =
     apply_jobs jobs;
-    obs_start ~metrics ~trace ~ledger;
+    obs_start ~ledger;
     let config =
       { Tormeasure.Netday.default with Tormeasure.Netday.clients; shards; relays }
     in
-    let t0 = Obs.Trace.now () in
+    let t0 = Unix.gettimeofday () in
     (* torlint: allow privflow/transitive-leak — netday prints exact
        tallies on purpose: it benchmarks ingestion, not the pipeline *)
     let r = Tormeasure.Netday.run ~config ~seed () in
-    let dt = Obs.Trace.now () -. t0 in
+    let dt = Unix.gettimeofday () -. t0 in
     Printf.printf "network day: %d events through ingestion in %.3fs (%.0f events/sec)\n"
       r.Tormeasure.Netday.events dt
       (float_of_int r.Tormeasure.Netday.events /. max 1e-9 dt);
@@ -176,15 +148,14 @@ let netday_cmd =
       (String.concat " "
          (Array.to_list (Array.map string_of_int r.Tormeasure.Netday.per_shard_events)));
     List.iter (fun (name, v) -> Printf.printf "  %-20s %d\n" name v) r.Tormeasure.Netday.tallies;
-    obs_finish ~metrics ~trace ~ledger
+    obs_finish ~ledger
   in
   Cmd.v
     (Cmd.info "netday"
        ~doc:
          "Run one sharded whole-network day through the event ingestion path and report \
           events/sec. Deterministic per seed at any $(b,--jobs).")
-    Term.(const run $ seed_arg $ jobs_arg $ clients_arg $ shards_arg $ relays_arg $ metrics_arg
-          $ trace_arg $ ledger_arg)
+    Term.(const run $ seed_arg $ jobs_arg $ clients_arg $ shards_arg $ relays_arg $ ledger_arg)
 
 (* --- binary event-trace record / replay --- *)
 
@@ -196,17 +167,17 @@ let record_cmd =
     let doc = "Recording prefix: one $(docv).segN file is written per shard." in
     Arg.(required & opt (some string) None & info [ "o"; "out" ] ~docv:"PREFIX" ~doc)
   in
-  let run seed jobs clients shards relays out metrics trace ledger =
+  let run seed jobs clients shards relays out ledger =
     apply_jobs jobs;
-    obs_start ~metrics ~trace ~ledger;
+    obs_start ~ledger;
     let config =
       { Tormeasure.Netday.default with Tormeasure.Netday.clients; shards; relays }
     in
-    let t0 = Obs.Trace.now () in
+    let t0 = Unix.gettimeofday () in
     (* torlint: allow privflow/transitive-leak — like netday, record
        captures exact ingestion tallies by design, not pipeline output *)
     let rec_ = Tormeasure.Netday.record ~config ~seed () in
-    let dt = Obs.Trace.now () -. t0 in
+    let dt = Unix.gettimeofday () -. t0 in
     let paths =
       List.mapi
         (fun shard seg ->
@@ -224,7 +195,7 @@ let record_cmd =
       (float_of_int bytes /. float_of_int (max 1 r.Tormeasure.Netday.events));
     List.iter (fun p -> Printf.printf "  wrote %s\n" p) paths;
     print_tallies r.Tormeasure.Netday.tallies;
-    obs_finish ~metrics ~trace ~ledger
+    obs_finish ~ledger
   in
   Cmd.v
     (Cmd.info "record"
@@ -232,7 +203,7 @@ let record_cmd =
          "Run one sharded network day and capture every ingested event into a binary \
           trace segment per shard, for $(b,tormeasure replay). Deterministic per seed.")
     Term.(const run $ seed_arg $ jobs_arg $ clients_arg $ shards_arg $ relays_arg $ out_arg
-          $ metrics_arg $ trace_arg $ ledger_arg)
+          $ ledger_arg)
 
 (* Exit codes: 0 ok, 1 unreadable/malformed/mixed segments (typed
    decode errors), 2 when --verify finds replayed counts or tallies
@@ -253,13 +224,13 @@ let replay_cmd =
     let doc = "Push every segment through ingestion $(docv) times (throughput runs)." in
     Arg.(value & opt int 1 & info [ "r"; "repeat" ] ~docv:"N" ~doc)
   in
-  let run prefix verify repeat jobs metrics trace ledger =
+  let run prefix verify repeat jobs ledger =
     if repeat < 1 then begin
       Printf.eprintf "--repeat must be at least 1\n";
       exit 1
     end;
     apply_jobs jobs;
-    obs_start ~metrics ~trace ~ledger;
+    obs_start ~ledger;
     let segments =
       try Tormeasure.Netday.load_recording ~prefix
       with Evtrace.Error e ->
@@ -271,7 +242,7 @@ let replay_cmd =
       meta.Evtrace.shards
       (String.concat " "
          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) meta.Evtrace.config));
-    let t0 = Obs.Trace.now () in
+    let t0 = Unix.gettimeofday () in
     match Tormeasure.Netday.replay ~repeat ~verify segments with
     | exception Evtrace.Mismatch m ->
       Printf.eprintf "replay MISMATCH: %s\n" (Evtrace.mismatch_to_string m);
@@ -280,7 +251,7 @@ let replay_cmd =
       Printf.eprintf "replay: %s\n" (Evtrace.error_to_string e);
       exit 1
     | r ->
-      let dt = Obs.Trace.now () -. t0 in
+      let dt = Unix.gettimeofday () -. t0 in
       let eps =
         float_of_int r.Tormeasure.Netday.replayed_events /. max 1e-9 dt
       in
@@ -294,7 +265,7 @@ let replay_cmd =
       print_tallies r.Tormeasure.Netday.replayed_tallies;
       if verify then
         Printf.printf "verify ok: replay matches the recorded headers exactly\n";
-      obs_finish ~metrics ~trace ~ledger
+      obs_finish ~ledger
   in
   Cmd.v
     (Cmd.info "replay"
@@ -303,8 +274,7 @@ let replay_cmd =
           workload sampling, no per-event allocation — on the parallel pool, merged in \
           shard order. Tallies are byte-identical to the live run at any $(b,--jobs). \
           Exits 2 when $(b,--verify) detects a mismatch against the recorded headers.")
-    Term.(const run $ prefix_arg $ verify_arg $ repeat_arg $ jobs_arg
-          $ metrics_arg $ trace_arg $ ledger_arg)
+    Term.(const run $ prefix_arg $ verify_arg $ repeat_arg $ jobs_arg $ ledger_arg)
 
 let ablations_cmd =
   let run () =
@@ -316,9 +286,9 @@ let ablations_cmd =
     Term.(const run $ const ())
 
 let run_all_cmd =
-  let run seed csv metrics trace ledger jobs =
+  let run seed csv ledger jobs =
     apply_jobs jobs;
-    obs_start ~metrics ~trace ~ledger;
+    obs_start ~ledger;
     (* torlint: allow privflow/transitive-leak — same as `run`: the
        report rows are truth-vs-measured comparisons by design *)
     let reports = Tormeasure.Registry.run_all ~seed () in
@@ -328,12 +298,12 @@ let run_all_cmd =
       (List.length reports - List.length failed)
       (List.length reports);
     List.iter (fun r -> Printf.printf "  shape deviations in %s\n" r.Tormeasure.Report.id) failed;
-    obs_finish ~metrics ~trace ~ledger;
+    obs_finish ~ledger;
     (* exit 2 on deviations, like `run` *)
     if failed <> [] then exit 2
   in
   Cmd.v (Cmd.info "run-all" ~doc:"Run every table and figure")
-    Term.(const run $ seed_arg $ csv_arg $ metrics_arg $ trace_arg $ ledger_arg $ jobs_arg)
+    Term.(const run $ seed_arg $ csv_arg $ ledger_arg $ jobs_arg)
 
 (* Run both pipelines on the deterministic message bus under a
    failure-injection scenario. Exit codes: 0 for a benign outcome, 2
@@ -356,7 +326,7 @@ let deploy_cmd =
     let doc = "Write the last post-collection checkpoint to $(docv) (binary)." in
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
-  let run scenario seed epochs checkpoint metrics trace ledger jobs =
+  let run scenario seed epochs checkpoint ledger jobs =
     match Bus.Scenario.find scenario with
     | None ->
       Printf.eprintf "unknown scenario %S; known scenarios:\n" scenario;
@@ -370,7 +340,7 @@ let deploy_cmd =
         exit 1
       end;
       apply_jobs jobs;
-      obs_start ~metrics ~trace ~ledger;
+      obs_start ~ledger;
       let cfg = Tormeasure.Deploy.default_config ~seed ~epochs () in
       (* torlint: allow privflow/transitive-leak — restore compares
          checkpointed SK share sums: blinded residues, not raw counts *)
@@ -432,7 +402,7 @@ let deploy_cmd =
             cp.Bus.Checkpoint.epoch
             (List.length cp.Bus.Checkpoint.entries)
             path));
-      obs_finish ~metrics ~trace ~ledger;
+      obs_finish ~ledger;
       if mismatch then exit 1;
       if o.Tormeasure.Deploy.detected then begin
         Printf.printf "misbehaviour detected; failing the run\n";
@@ -445,8 +415,8 @@ let deploy_cmd =
          "Run the PrivCount and PSC pipelines as message-passing parties on the \
           deterministic bus, under a failure-injection scenario. Exits 2 if honest \
           parties detect misbehaviour.")
-    Term.(const run $ scenario_arg $ seed_arg $ epochs_arg $ checkpoint_arg $ metrics_arg
-          $ trace_arg $ ledger_arg $ jobs_arg)
+    Term.(const run $ scenario_arg $ seed_arg $ epochs_arg $ checkpoint_arg $ ledger_arg
+          $ jobs_arg)
 
 (* Replay a ledger written by --ledger: recompute cumulative budget
    spend, re-check every proof outcome, and fail loudly (exit 2) on any

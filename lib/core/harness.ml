@@ -35,12 +35,8 @@ let observers setup ~role ~target_fraction =
     let role_label =
       match role with `Exit -> "exit" | `Guard -> "guard" | `Middle -> "middle"
     in
-    Obs.Metrics.set
-      (Obs.Metrics.labeled "harness_observers" [ ("role", role_label) ])
-      (float_of_int (List.length ids));
-    Obs.Metrics.set
-      (Obs.Metrics.labeled "harness_observer_weight_fraction" [ ("role", role_label) ])
-      fraction
+    Obs.Ledger.note ~key:("harness.observers." ^ role_label)
+      ~value:(Printf.sprintf "count=%d weight_fraction=%.9g" (List.length ids) fraction)
   end;
   (ids, fraction)
 

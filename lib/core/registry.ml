@@ -93,18 +93,10 @@ let all =
 let find id = List.find_opt (fun e -> e.id = id) all
 
 (* Instrumented entry point shared by the CLI and [run_all]: one phase
-   per experiment (its wall time), a peak-heap gauge and a run counter. *)
+   per experiment, carrying its wall time and its own allocation. *)
 let run_experiment e ~seed =
-  if not (Obs.enabled ()) then e.run ~seed
-  else
-    Obs.Ledger.phase ("experiment." ^ e.id) ~attrs:[ ("paper_id", e.paper_id) ]
-    @@ fun () ->
-    let report = e.run ~seed in
-    Obs.Metrics.set
-      (Obs.Metrics.labeled "experiment_peak_heap_words" [ ("id", e.id) ])
-      (float_of_int (Gc.quick_stat ()).Gc.top_heap_words);
-    Obs.Metrics.inc "experiments_run_total";
-    report
+  Obs.Ledger.phase ("experiment." ^ e.id) ~attrs:[ ("paper_id", e.paper_id) ] (fun () ->
+      e.run ~seed)
 
 let run_all ?(seed = 1) () =
   List.map

@@ -49,10 +49,6 @@ let register t ~start_hour ~duration_hours ~system ~statistic ~params =
       end)
     t.records;
   let system_label = match system with PrivCount -> "privcount" | PSC -> "psc" in
-  Obs.Metrics.inc (Obs.Metrics.labeled "dp_schedule_publications_total" [ ("system", system_label) ]);
-  Obs.Metrics.inc_float
-    (Obs.Metrics.labeled "dp_schedule_epsilon_total" [ ("system", system_label) ])
-    params.Mechanism.epsilon;
   (* Campaign-level draw in the run ledger; namespaced apart from the
      per-round systems so schedule spend and round spend audit
      independently. *)

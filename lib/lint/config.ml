@@ -42,7 +42,7 @@ let default =
        domain-safety worker rules. lib/obs is not: pool workers record
        no telemetry. *)
     worker_safe = [ "lib/parallel" ];
-    (* lib/obs wall-clock reads are by design (span timings are zeroed
+    (* lib/obs wall-clock reads are by design (phase timings are zeroed
        in canonical ledgers); scoped code may reach it freely. *)
     det_exempt = [ "lib/obs" ];
   }

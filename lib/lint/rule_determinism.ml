@@ -62,7 +62,7 @@ let rule : Rule.t =
    (without a justified allow at the use site) become taint seeds, the
    taint propagates to callers, and scoped code referencing a tainted
    out-of-scope def is flagged at the boundary edge with the chain.
-   [det-exempt] paths (lib/obs by default: span wall-clock timings are
+   [det-exempt] paths (lib/obs by default: phase wall-clock timings are
    by design and zeroed in canonical ledgers) neither seed nor
    propagate. *)
 

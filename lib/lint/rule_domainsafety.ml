@@ -19,8 +19,8 @@
                                  initializer across domains)
 
    [worker-safe] paths (by default lib/parallel itself) are exempt:
-   they *are* the synchronization layer. lib/obs is not: its registries
-   are unsynchronised, so a worker that records telemetry is flagged.
+   they *are* the synchronization layer. lib/obs is not: its ledger is
+   unsynchronised, so a worker that records telemetry is flagged.
    Intentional exceptions take a justified [torlint: allow] at the
    write site. *)
 

@@ -1,7 +1,7 @@
 (* Global on/off switch for the whole telemetry subsystem. Every
    recording entry point checks [on] first, so with telemetry disabled
    the instrumentation in the hot paths costs one load and one branch
-   and leaves no residue in any registry. *)
+   and leaves no residue in the ledger. *)
 
 let on = ref false
 let enabled () = !on

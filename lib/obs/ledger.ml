@@ -1,10 +1,10 @@
-(* Append-only run ledger: typed audit events proving what a
-   measurement run did — privacy-budget grants and draws with running
-   cumulative spend, zero-knowledge proof verification outcomes, and
-   phase boundaries with wall-clock and Gc-allocation deltas taken from
-   their spans. The ledger is the operator-facing evidence trail ("this
-   round consumed the (eps,delta) it was promised and every proof
-   verified"), distinct from the metrics registry: events are ordered,
+(* Append-only run ledger, the one telemetry record of a run: typed
+   audit events proving what a measurement run did — privacy-budget
+   grants and draws with running cumulative spend, zero-knowledge proof
+   verification outcomes, the tree of timed phases with their
+   wall-clock and Gc-allocation deltas, and notes. The ledger is the
+   operator-facing evidence trail ("this round consumed the (eps,delta)
+   it was promised and every proof verified"): events are ordered,
    typed, and replayable by [audit].
 
    Everything recorded here must already be publishable: mechanism
@@ -12,11 +12,11 @@
    treats this module as a sink, so pre-noise counter residues can
    never reach it.
 
-   Recording is gated on the global telemetry flag and, like Metrics
-   and Trace, happens only on the orchestrating domain, never in a pool
-   worker (DESIGN.md §3b), so the ledger for a given run is identical
-   at any --jobs setting (timing fields aside — [to_jsonl
-   ~timings:false] is the canonical form). *)
+   Recording is gated on the global telemetry flag and happens only on
+   the orchestrating domain, never in a pool worker (DESIGN.md §3b), so
+   the ledger for a given run is identical at any --jobs setting
+   (timings and the [jobs] attr aside — [to_jsonl ~timings:false] is
+   the canonical form). *)
 
 type event =
   | Grant of { system : string; epsilon : float; delta : float }
@@ -30,7 +30,14 @@ type event =
       cum_delta : float;
     }
   | Proof of { kind : string; party : int; ok : bool; batch : int }
-  | Phase of { name : string; wall_s : float; alloc_bytes : float }
+  | Phase of {
+      id : int;
+      parent : int option;
+      name : string;
+      attrs : (string * string) list;
+      wall_s : float;
+      alloc_bytes : float;
+    }
   | Note of { key : string; value : string }
 
 (* --- recording --- *)
@@ -57,23 +64,51 @@ let draw ~system ~counter ~mechanism ~epsilon ~delta =
 let proof ~kind ~party ~ok ~batch = record (Proof { kind; party; ok; batch })
 let note ~key ~value = record (Note { key; value })
 
-(* A Phase event is the closing record of its span: [with_span] hands
-   over the closed span (also when the thunk raises or the span buffer
-   is full) and the event copies its wall and allocation deltas.
-   Timings are the only jobs-dependent fields; [audit] and the
-   canonical form ignore them. *)
-let phase ?attrs name f =
+(* Phase ids are handed out at entry, so a parent's id is below its
+   children's even though its event is appended after theirs. [stack]
+   holds the ids of the open phases, innermost first. Both depend only
+   on the orchestrating code, never on the pool size. *)
+let next_id = ref 0
+let stack : int list ref = ref []
+
+(* The one place in the telemetry subsystem that reads the clock and
+   the allocation counter. Timings are the only jobs-dependent fields
+   besides the [jobs] attr; [audit] and the canonical form ignore
+   them. *)
+let phase ?(attrs = []) name f =
   if not !Control.on then f ()
-  else
-    Trace.with_span ?attrs name f ~on_close:(fun sp ->
-        append
-          (Phase { name; wall_s = sp.Trace.duration_s; alloc_bytes = sp.Trace.alloc_bytes }))
+  else begin
+    incr next_id;
+    let id = !next_id in
+    let parent = match !stack with [] -> None | p :: _ -> Some p in
+    let t0 = Unix.gettimeofday () and alloc0 = Gc.allocated_bytes () in
+    stack := id :: !stack;
+    let finish attrs =
+      let wall_s = Unix.gettimeofday () -. t0 in
+      let alloc_bytes = Gc.allocated_bytes () -. alloc0 in
+      (* Close this phase and any the thunk left open above it (an
+         exception unwound through them): those opened later, so their
+         ids are larger. *)
+      stack := List.filter (fun p -> p < id) !stack;
+      append (Phase { id; parent; name; attrs; wall_s; alloc_bytes })
+    in
+    match f () with
+    | v ->
+      finish attrs;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish (attrs @ [ ("error", Printexc.to_string e) ]);
+      Printexc.raise_with_backtrace e bt
+  end
 
 let events () = List.rev !main
 
 let reset () =
   main := [];
-  Hashtbl.reset running
+  Hashtbl.reset running;
+  next_id := 0;
+  stack := []
 
 (* --- JSONL export / import --- *)
 
@@ -99,9 +134,17 @@ let event_json ~timings ev =
         ("e", Str "proof"); ("kind", Str kind); ("party", int party); ("ok", Bool ok);
         ("batch", int batch);
       ]
-  | Phase { name; wall_s; alloc_bytes } ->
+  | Phase { id; parent; name; attrs; wall_s; alloc_bytes } ->
     let w, a = if timings then (wall_s, alloc_bytes) else (0.0, 0.0) in
-    Obj [ ("e", Str "phase"); ("name", Str name); ("wall_s", Num w); ("alloc_bytes", Num a) ]
+    let attrs = if timings then attrs else List.filter (fun (k, _) -> k <> "jobs") attrs in
+    Obj
+      [
+        ("e", Str "phase"); ("id", int id);
+        ("parent", match parent with None -> Null | Some p -> int p);
+        ("name", Str name);
+        ("attrs", Obj (List.map (fun (k, v) -> (k, Str v)) attrs));
+        ("wall_s", Num w); ("alloc_bytes", Num a);
+      ]
   | Note { key; value } -> Obj [ ("e", Str "note"); ("key", Str key); ("value", Str value) ]
 
 let to_jsonl ?(timings = true) evs =
@@ -123,6 +166,24 @@ let int_field obj k =
   let* v = num_field obj k in
   if Float.is_integer v && Float.abs v <= 1e9 then Ok (int_of_float v)
   else Error (Printf.sprintf "field %S is not an integer" k)
+
+let parent_field obj k =
+  match Json.member k obj with
+  | Some Json.Null -> Ok None
+  | Some (Json.Num _) -> Result.map Option.some (int_field obj k)
+  | _ -> Error (Printf.sprintf "field %S missing or not an integer or null" k)
+
+let attrs_field obj k =
+  let err = Error (Printf.sprintf "field %S missing or not an object of strings" k) in
+  match Json.member k obj with
+  | Some (Json.Obj kvs) ->
+    List.fold_right
+      (fun (k, v) acc ->
+        match (v, acc) with
+        | Json.Str v, Ok l -> Ok ((k, v) :: l)
+        | _ -> err)
+      kvs (Ok [])
+  | _ -> err
 
 let bool_field obj k =
   match Json.member k obj with
@@ -154,10 +215,13 @@ let event_of_json obj =
     let* batch = int_field obj "batch" in
     Ok (Proof { kind; party; ok; batch })
   | "phase" ->
+    let* id = int_field obj "id" in
+    let* parent = parent_field obj "parent" in
     let* name = str_field obj "name" in
+    let* attrs = attrs_field obj "attrs" in
     let* wall_s = num_field obj "wall_s" in
     let* alloc_bytes = num_field obj "alloc_bytes" in
-    Ok (Phase { name; wall_s; alloc_bytes })
+    Ok (Phase { id; parent; name; attrs; wall_s; alloc_bytes })
   | "note" ->
     let* key = str_field obj "key" in
     let* value = str_field obj "value" in
@@ -260,7 +324,7 @@ let phase_totals evs =
   let order = ref [] and totals = Hashtbl.create 16 in
   List.iter
     (function
-      | Phase { name; wall_s; alloc_bytes } -> (
+      | Phase { name; wall_s; alloc_bytes; _ } -> (
         match Hashtbl.find_opt totals name with
         | Some t ->
           Hashtbl.replace totals name

@@ -1,10 +1,10 @@
-(** Append-only run ledger: typed audit events — privacy-budget grants
-    and draws with running cumulative spend, proof verification
-    outcomes, phase records closing their spans, and free-form
-    notes. Recording is a no-op while telemetry is disabled. Record
-    only from the orchestrating domain, never from a pool worker; an
-    enabled run's ledger is then identical at any pool size (timing
-    fields aside).
+(** Append-only run ledger, the one telemetry record of a run: typed
+    audit events — privacy-budget grants and draws with running
+    cumulative spend, proof verification outcomes, the tree of timed
+    phases, and free-form notes. Recording is a no-op while telemetry
+    is disabled. Record only from the orchestrating domain, never from
+    a pool worker; an enabled run's ledger is then identical at any
+    pool size (timings and the [jobs] attr aside).
 
     Everything recorded here must already be publishable (mechanism
     parameters, proof verdicts, timings): torlint treats this module as
@@ -25,7 +25,17 @@ type event =
     }
   | Proof of { kind : string; party : int; ok : bool; batch : int }
       (** one verification outcome, e.g. a CP's shuffle proof over [batch] slots *)
-  | Phase of { name : string; wall_s : float; alloc_bytes : float }
+  | Phase of {
+      id : int;  (** assigned at entry, from 1 after {!reset} *)
+      parent : int option;  (** the enclosing phase, [None] at the root *)
+      name : string;
+      attrs : (string * string) list;
+          (** as given to {!phase}, plus ["error"] when the thunk raised *)
+      wall_s : float;
+      alloc_bytes : float;  (** Gc.allocated_bytes delta, children included *)
+    }
+      (** one closed phase; events come in completion order, so a
+          phase follows its children *)
   | Note of { key : string; value : string }
 
 (** {2 Recording} *)
@@ -40,11 +50,12 @@ val proof : kind:string -> party:int -> ok:bool -> batch:int -> unit
 val note : key:string -> value:string -> unit
 
 val phase : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a {!Trace.with_span} span; the [Phase] event
-    is the closing record of that span, carrying its [duration_s] and
-    [alloc_bytes] bit for bit. It is appended also when the thunk raises
-    and when the span buffer is full and the span itself is dropped.
-    Reduces to a plain call while disabled. *)
+(** Run the thunk as a phase nested in the innermost open one, and
+    append its [Phase] event when it closes. When the thunk raises, the
+    event is still appended, with an ["error"] attr carrying the
+    exception, phases the exception unwound through are closed, and the
+    exception is re-raised with its backtrace. Reduces to a plain call
+    while disabled. *)
 
 val events : unit -> event list
 (** Recorded events, oldest first. *)
@@ -55,13 +66,15 @@ val reset : unit -> unit
 
 val to_jsonl : ?timings:bool -> event list -> string
 (** One JSON object per line. [~timings:false] zeroes the [wall_s] and
-    [alloc_bytes] fields of [Phase] events — the canonical form used to
-    compare ledgers across pool sizes. Floats are printed shortest
+    [alloc_bytes] fields of [Phase] events and drops their ["jobs"]
+    attr, the only other field that depends on the pool size — the
+    canonical form used to compare ledgers across pool sizes. Floats are printed shortest
     round-trip, so {!of_jsonl} reconstructs every field exactly. *)
 
 val of_jsonl : string -> (event list, string) result
 (** Parse [to_jsonl] output (blank lines are skipped); the error
-    message names the first offending line. *)
+    message names the first offending line and field. A phase line
+    without [id], [parent] or [attrs] is an error. *)
 
 type phase_total = { count : int; wall_s : float; alloc_bytes : float }
 

@@ -97,15 +97,12 @@ let record_budget cfg intern =
 let create ?noise_weights cfg ~num_dcs ~seed =
   if num_dcs < 1 then invalid_arg "Deployment.create: need at least one DC";
   let jobs = Parallel.jobs () in
-  Obs.Metrics.set "privcount_parallel_jobs" (float_of_int jobs);
   Obs.Ledger.phase "privcount.setup"
     ~attrs:
       [ ("dcs", string_of_int num_dcs); ("sks", string_of_int cfg.num_sks);
         ("counters", string_of_int (List.length cfg.specs));
         ("jobs", string_of_int jobs) ]
   @@ fun () ->
-  Obs.Metrics.inc "privcount_rounds_total";
-  Obs.Metrics.inc_float "dp_epsilon_allocated_total{system=\"privcount\"}" cfg.params.Dp.Mechanism.epsilon;
   (* Counter names resolve to dense ids exactly once, here. Ids ascend
      in sorted name order, so id order IS the draw order the round
      always used. *)
@@ -133,7 +130,6 @@ let create ?noise_weights cfg ~num_dcs ~seed =
         let blinding ~counter:c =
           List.init cfg.num_sks (fun sk ->
               let share = shares_tensor.((id * cfg.num_sks) + sk).(c) in
-              Obs.Metrics.inc "privcount_blinding_shares_total";
               Sk.absorb sks.(sk) ~dc:id ~counter:c share;
               share)
         in
@@ -158,7 +154,6 @@ let counter_id t name =
 
 let increment t ~dc ~name ~by =
   if dc < 0 || dc >= Array.length t.dcs then invalid_arg "Deployment.increment: bad dc";
-  Obs.Metrics.inc "privcount_increments_total";
   Dc.increment t.dcs.(dc) ~name ~by
 
 type emit = int -> int -> unit
@@ -170,10 +165,7 @@ type emit = int -> int -> unit
 let sink_for t ~dc fill =
   if dc < 0 || dc >= Array.length t.dcs then invalid_arg "Deployment.sink_for: bad dc";
   let dcell = t.dcs.(dc) in
-  let emit id by =
-    Obs.Metrics.inc "privcount_increments_total";
-    Dc.increment_id dcell ~id ~by
-  in
+  let emit id by = Dc.increment_id dcell ~id ~by in
   fun ev -> fill emit ev
 
 let tally ?(dropped_dcs = []) t =

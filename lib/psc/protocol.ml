@@ -189,8 +189,6 @@ let result_of v ~raw_nonzero =
     Obs.Ledger.phase "psc.estimate" @@ fun () ->
     estimate_of ~table_size:cfg.table_size ~raw_nonzero ~total_flips
   in
-  Obs.Metrics.set "psc_raw_nonzero_slots" (float_of_int raw_nonzero);
-  Obs.Metrics.set "psc_noise_flips" (float_of_int total_flips);
   {
     raw_nonzero;
     total_flips;
@@ -232,7 +230,6 @@ let create cfg ~num_dcs ~seed =
 let insert t ~dc item =
   if t.finished then invalid_arg "Protocol.insert: round already run";
   if dc < 0 || dc >= Array.length t.tables then invalid_arg "Protocol.insert: bad dc";
-  Obs.Metrics.inc "psc_inserts_total";
   Table.insert t.tables.(dc) item;
   if not (Hashtbl.mem t.inserted.(dc) item) then Hashtbl.replace t.inserted.(dc) item ()
 
@@ -246,48 +243,26 @@ let true_union_size t =
     t.inserted;
   Hashtbl.length all
 
-(* Distinct occupied slots across the given ground-truth tables —
-   shared by the per-DC diagnostic and the round-close telemetry. *)
-let occupied_slot_count t tables =
+(* Distinct occupied slots among the items DC [dc] inserted
+   (simulator ground truth, for diagnostics). *)
+let inserted_slots t ~dc =
   let slots = Hashtbl.create 256 in
-  Array.iter
-    (fun inserted ->
-      (* torlint: allow determinism/hashtbl-order — set image into
-         [slots], only its cardinality is read *)
-      Hashtbl.iter
-        (fun item () ->
-          Hashtbl.replace slots (Item.slot ~key:t.round_key ~table_size:t.cfg.table_size item) ())
-        inserted)
-    tables;
+  (* torlint: allow determinism/hashtbl-order — set image into
+     [slots], only its cardinality is read *)
+  Hashtbl.iter
+    (fun item () ->
+      Hashtbl.replace slots (Item.slot ~key:t.round_key ~table_size:t.cfg.table_size item) ())
+    t.inserted.(dc);
   Hashtbl.length slots
-
-let inserted_slots t ~dc = occupied_slot_count t [| t.inserted.(dc) |]
-
-(* Telemetry on the table state at round close: occupancy and the hash
-   collision rate the estimator has to invert (computed from simulator
-   ground truth, only when telemetry is on). *)
-let record_table_metrics t =
-  if Obs.enabled () then begin
-    let distinct = true_union_size t in
-    let occupied = occupied_slot_count t t.inserted in
-    Obs.Metrics.set "psc_table_slots" (float_of_int t.cfg.table_size);
-    Obs.Metrics.set "psc_table_occupied_slots" (float_of_int occupied);
-    Obs.Metrics.set "psc_distinct_items" (float_of_int distinct);
-    Obs.Metrics.set "psc_collision_rate"
-      (if distinct = 0 then 0.0
-       else float_of_int (distinct - occupied) /. float_of_int distinct)
-  end
 
 let run t =
   if t.finished then invalid_arg "Protocol.run: round already run";
-  record_table_metrics t;
   (* Worker count for this round; all parallel phases below run on the
-     same pool. Worker-side Obs calls buffer into per-chunk scopes and
-     merge back in index order, so the ledger and spans are the same at
+     same pool. Workers record nothing: every phase and proof event is
+     appended on the orchestrating domain, so the ledger is the same at
      any pool size. *)
   let jobs = Parallel.jobs () in
   let jobs_attr = ("jobs", string_of_int jobs) in
-  Obs.Metrics.set "psc_parallel_jobs" (float_of_int jobs);
   Obs.Ledger.phase "psc.run"
     ~attrs:
       [ ("table_size", string_of_int t.cfg.table_size);

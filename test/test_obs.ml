@@ -1,6 +1,6 @@
-(* Tests for the telemetry subsystem: metric semantics, span nesting,
-   phase events as the closing records of their spans, exporter output,
-   and the zero-residue contract of disabled mode. *)
+(* Tests for the telemetry subsystem: the run ledger's phase tree,
+   budget and proof events, its JSONL form and audit, the JSON codec
+   under it, and the zero-residue contract of disabled mode. *)
 
 let with_obs f =
   Obs.reset ();
@@ -11,152 +11,57 @@ let is_infix ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
-(* --- metrics --- *)
+(* --- the phase tree --- *)
 
-let test_counter_semantics () =
-  with_obs (fun () ->
-      Obs.Metrics.inc "c_total";
-      Obs.Metrics.inc ~by:4 "c_total";
-      Obs.Metrics.inc_float "c_total" 0.5;
-      Alcotest.(check (option (float 1e-9))) "accumulates" (Some 5.5)
-        (Obs.Metrics.counter_value "c_total");
-      Alcotest.check_raises "monotonic"
-        (Invalid_argument "Metrics.inc c_total: counters are monotonic") (fun () ->
-          Obs.Metrics.inc ~by:(-1) "c_total");
-      Alcotest.check_raises "type clash"
-        (Invalid_argument "Metrics: c_total is not a gauge") (fun () ->
-          Obs.Metrics.set "c_total" 1.0))
-
-let test_gauge_semantics () =
-  with_obs (fun () ->
-      Obs.Metrics.set "g" 3.0;
-      Obs.Metrics.set "g" (-2.5);
-      match Obs.Metrics.snapshot () with
-      | [ { Obs.Metrics.name = "g"; value = Obs.Metrics.Gauge_sample v } ] ->
-        Alcotest.(check (float 1e-9)) "last write wins" (-2.5) v
-      | _ -> Alcotest.fail "expected the one gauge g")
-
-(* --- spans --- *)
-
-let test_span_nesting_and_attrs () =
+let test_phase_nesting_and_attrs () =
   with_obs (fun () ->
       let v =
-        Obs.Trace.with_span "outer" ~attrs:[ ("k", "v"); ("n", "2") ] (fun () ->
-            Obs.Trace.with_span "inner" (fun () -> 17) + 1)
+        Obs.Ledger.phase "outer" ~attrs:[ ("k", "v"); ("n", "2") ] (fun () ->
+            Obs.Ledger.phase "inner" (fun () -> 17) + 1)
       in
-      Alcotest.(check int) "value through spans" 18 v;
-      match Obs.Trace.spans () with
-      | [ inner; outer ] ->
+      Alcotest.(check int) "value through phases" 18 v;
+      match Obs.Ledger.events () with
+      | [ Obs.Ledger.Phase inner; Obs.Ledger.Phase outer ] ->
         (* completion order: inner closes first *)
-        Alcotest.(check string) "inner name" "inner" inner.Obs.Trace.name;
-        Alcotest.(check string) "outer name" "outer" outer.Obs.Trace.name;
-        Alcotest.(check int) "inner depth" 1 inner.Obs.Trace.depth;
-        Alcotest.(check int) "outer depth" 0 outer.Obs.Trace.depth;
-        Alcotest.(check (option int)) "inner parent" (Some outer.Obs.Trace.id)
-          inner.Obs.Trace.parent;
-        Alcotest.(check (option int)) "outer is root" None outer.Obs.Trace.parent;
+        Alcotest.(check string) "inner name" "inner" inner.name;
+        Alcotest.(check string) "outer name" "outer" outer.name;
+        Alcotest.(check (option int)) "inner parent" (Some outer.id) inner.parent;
+        Alcotest.(check (option int)) "outer is root" None outer.parent;
         Alcotest.(check (list (pair string string))) "attrs in given order"
-          [ ("k", "v"); ("n", "2") ] outer.Obs.Trace.attrs;
-        Alcotest.(check bool) "durations nest" true
-          (outer.Obs.Trace.duration_s >= inner.Obs.Trace.duration_s)
-      | spans -> Alcotest.fail (Printf.sprintf "expected 2 spans, got %d" (List.length spans)))
+          [ ("k", "v"); ("n", "2") ] outer.attrs;
+        Alcotest.(check (list (pair string string))) "no attrs given" [] inner.attrs;
+        Alcotest.(check bool) "durations nest" true (outer.wall_s >= inner.wall_s)
+      | evs -> Alcotest.fail (Printf.sprintf "expected 2 phases, got %d events" (List.length evs)))
 
-let test_span_survives_exception () =
+let test_phase_survives_exception () =
   with_obs (fun () ->
-      (try Obs.Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
-      Alcotest.(check int) "span recorded" 1 (List.length (Obs.Trace.spans ())))
+      (try Obs.Ledger.phase "boom" (fun () -> failwith "x") with Failure _ -> ());
+      match Obs.Ledger.events () with
+      | [ Obs.Ledger.Phase { name = "boom"; attrs = [ ("error", e) ]; _ } ] ->
+        Alcotest.(check string) "error attr carries the exception" "Failure(\"x\")" e
+      | _ -> Alcotest.fail "expected one phase carrying an error attr")
 
-(* Regression: an exception unwinding through nested spans must restore
-   the ambient nesting — the next span opens at the root, and only the
-   spans the exception actually crossed carry the "error" attribute. *)
-let test_span_exception_restores_nesting () =
+(* Regression: an exception unwinding through nested phases must restore
+   the ambient nesting — the next phase opens at the root, and only the
+   phases the exception actually crossed carry the "error" attribute. *)
+let test_phase_exception_restores_nesting () =
   with_obs (fun () ->
       (try
-         Obs.Trace.with_span "outer" (fun () ->
-             Obs.Trace.with_span "inner" (fun () -> failwith "boom"))
+         Obs.Ledger.phase "outer" (fun () ->
+             Obs.Ledger.phase "inner" (fun () -> failwith "boom"))
        with Failure _ -> ());
-      Obs.Trace.with_span "after" (fun () -> ());
-      match Obs.Trace.spans () with
-      | [ inner; outer; after ] ->
-        Alcotest.(check string) "inner closes first" "inner" inner.Obs.Trace.name;
-        Alcotest.(check string) "outer closes second" "outer" outer.Obs.Trace.name;
-        Alcotest.(check string) "clean span last" "after" after.Obs.Trace.name;
-        Alcotest.(check int) "next span reopens at root" 0 after.Obs.Trace.depth;
-        Alcotest.(check (option int)) "next span has no parent" None after.Obs.Trace.parent;
-        Alcotest.(check bool) "raising spans carry error attr" true
-          (List.mem_assoc "error" inner.Obs.Trace.attrs
-          && List.mem_assoc "error" outer.Obs.Trace.attrs);
-        Alcotest.(check bool) "clean span has no error attr" true
-          (not (List.mem_assoc "error" after.Obs.Trace.attrs))
-      | spans -> Alcotest.fail (Printf.sprintf "expected 3 spans, got %d" (List.length spans)))
-
-let test_span_capacity () =
-  with_obs (fun () ->
-      Obs.Trace.set_capacity 3;
-      Fun.protect
-        ~finally:(fun () -> Obs.Trace.set_capacity 100_000)
-        (fun () ->
-          for i = 1 to 5 do
-            Obs.Trace.with_span (Printf.sprintf "s%d" i) (fun () -> ())
-          done;
-          Alcotest.(check int) "kept" 3 (List.length (Obs.Trace.spans ()));
-          Alcotest.(check int) "dropped" 2 (Obs.Trace.dropped ())))
-
-(* --- exporters --- *)
-
-let test_prometheus_deterministic_and_parseable () =
-  with_obs (fun () ->
-      Obs.Metrics.inc ~by:3 (Obs.Metrics.labeled "events_total" [ ("kind", "a b") ]);
-      Obs.Metrics.set "queue_depth" 7.0;
-      let one = Obs.Export.prometheus (Obs.Metrics.snapshot ()) in
-      let two = Obs.Export.prometheus (Obs.Metrics.snapshot ()) in
-      Alcotest.(check string) "deterministic" one two;
-      let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' one) in
-      Alcotest.(check bool) "nonempty" true (lines <> []);
-      List.iter
-        (fun line ->
-          if String.length line > 0 && line.[0] <> '#' then begin
-            (* every sample line is "name[{labels}] number" *)
-            match String.rindex_opt line ' ' with
-            | None -> Alcotest.fail ("unparseable line: " ^ line)
-            | Some i -> (
-              let v = String.sub line (i + 1) (String.length line - i - 1) in
-              match float_of_string_opt v with
-              | Some _ -> ()
-              | None -> Alcotest.fail ("bad value in: " ^ line))
-          end)
-        lines;
-      Alcotest.(check bool) "TYPE lines present" true
-        (List.exists (fun l -> l = "# TYPE events_total counter") lines
-        && List.exists (fun l -> l = "# TYPE queue_depth gauge") lines))
-
-let test_trace_jsonl_parseable () =
-  with_obs (fun () ->
-      Obs.Trace.with_span "a" ~attrs:[ ("quote", "say \"hi\"") ] (fun () ->
-          Obs.Trace.with_span "b" (fun () -> ()));
-      let out = Obs.Export.trace_jsonl (Obs.Trace.spans ()) in
-      let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' out) in
-      Alcotest.(check int) "one line per span" 2 (List.length lines);
-      List.iter
-        (fun line ->
-          match Json.parse line with
-          | Error e -> Alcotest.fail ("span line does not parse: " ^ e)
-          | Ok v ->
-            List.iter
-              (fun field ->
-                Alcotest.(check bool) (field ^ " present") true (Json.member field v <> None))
-              [ "id"; "parent"; "depth"; "name"; "start_s"; "duration_s"; "alloc_bytes"; "attrs" ])
-        lines;
-      Alcotest.(check bool) "escaped quotes" true
-        (is_infix ~affix:{|\"hi\"|} out))
-
-let test_summary_nonempty () =
-  with_obs (fun () ->
-      Obs.Metrics.inc "c_total";
-      Obs.Trace.with_span "s" (fun () -> ());
-      let s = Obs.Export.summary (Obs.Metrics.snapshot ()) (Obs.Trace.spans ()) in
-      Alcotest.(check bool) "mentions span" true (is_infix ~affix:"s" s);
-      Alcotest.(check bool) "mentions metric" true (is_infix ~affix:"c_total" s))
+      Obs.Ledger.phase "after" (fun () -> ());
+      match Obs.Ledger.events () with
+      | [ Obs.Ledger.Phase inner; Obs.Ledger.Phase outer; Obs.Ledger.Phase after ] ->
+        Alcotest.(check string) "inner closes first" "inner" inner.name;
+        Alcotest.(check string) "outer closes second" "outer" outer.name;
+        Alcotest.(check string) "clean phase last" "after" after.name;
+        Alcotest.(check (option int)) "next phase has no parent" None after.parent;
+        Alcotest.(check bool) "raising phases carry error attr" true
+          (List.mem_assoc "error" inner.attrs && List.mem_assoc "error" outer.attrs);
+        Alcotest.(check bool) "clean phase has no error attr" true
+          (not (List.mem_assoc "error" after.attrs))
+      | evs -> Alcotest.fail (Printf.sprintf "expected 3 phases, got %d events" (List.length evs)))
 
 (* --- run ledger --- *)
 
@@ -186,61 +91,35 @@ let test_ledger_phase_event () =
       Alcotest.(check int) "transparent" 7 v;
       (try Obs.Ledger.phase "q" (fun () -> failwith "x") with Failure _ -> ());
       match Obs.Ledger.events () with
-      | [ Obs.Ledger.Phase { name = "p"; wall_s; _ }; Obs.Ledger.Phase { name = "q"; _ } ] ->
+      | [ Obs.Ledger.Phase { name = "p"; id = 1; wall_s; _ };
+          Obs.Ledger.Phase { name = "q"; id = 2; attrs; _ } ] ->
         Alcotest.(check bool) "wall time non-negative" true (wall_s >= 0.0);
-        Alcotest.(check int) "one span per phase" 2 (List.length (Obs.Trace.spans ()))
+        Alcotest.(check bool) "raised phase carries error" true (List.mem_assoc "error" attrs)
       | _ -> Alcotest.fail "expected two phase events")
 
-(* A Phase event is the closing record of its span: after a traced PSC
-   round, the k-th Phase event of a name carries bit for bit the wall
-   and allocation deltas of the k-th span of that name (completion
-   order). *)
-let test_phase_events_are_span_records () =
+(* a { b; c (raises) }: events in completion order b, c, a; b and c are
+   children of a, a is a root, and c carries the error (as does a, which
+   the exception unwound through) while b does not. *)
+let test_phase_tree () =
   with_obs (fun () ->
-      let cfg =
-        Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-          ~verify:true ()
-      in
-      let proto = Psc.Protocol.create cfg ~num_dcs:2 ~seed:11 in
-      for i = 0 to 29 do
-        Psc.Protocol.insert proto ~dc:(i land 1) (Printf.sprintf "p%d" i)
-      done;
-      ignore (Psc.Protocol.run proto);
-      let phases =
-        List.filter_map
-          (function
-            | Obs.Ledger.Phase { name; wall_s; alloc_bytes } -> Some (name, (wall_s, alloc_bytes))
-            | _ -> None)
-          (Obs.Ledger.events ())
-      in
-      Alcotest.(check bool) "the round records phases" true (phases <> []);
-      let same (w, a) (d, b) = Float.equal w d && Float.equal a b in
-      List.iter
-        (fun name ->
-          let of_phases = List.filter_map (fun (n, t) -> if n = name then Some t else None) phases in
-          let of_spans =
-            List.filter_map
-              (fun (sp : Obs.Trace.span) ->
-                if sp.name = name then Some (sp.duration_s, sp.alloc_bytes) else None)
-              (Obs.Trace.spans ())
-          in
-          Alcotest.(check bool) (name ^ ": phase timings = span timings") true
-            (List.equal same of_phases of_spans))
-        (List.sort_uniq compare (List.map fst phases)))
-
-(* A full span buffer drops the span but still appends its Phase. *)
-let test_phase_survives_dropped_span () =
-  with_obs (fun () ->
-      Obs.Trace.set_capacity 0;
-      Fun.protect
-        ~finally:(fun () -> Obs.Trace.set_capacity 100_000)
-        (fun () ->
-          Alcotest.(check int) "transparent" 3 (Obs.Ledger.phase "p" (fun () -> 3));
-          (match Obs.Ledger.events () with
-          | [ Obs.Ledger.Phase { name = "p"; _ } ] -> ()
-          | _ -> Alcotest.fail "expected one phase event");
-          Alcotest.(check int) "span not kept" 0 (List.length (Obs.Trace.spans ()));
-          Alcotest.(check int) "span counted as dropped" 1 (Obs.Trace.dropped ())))
+      (try
+         Obs.Ledger.phase "a" (fun () ->
+             Obs.Ledger.phase "b" (fun () -> ());
+             Obs.Ledger.phase "c" (fun () -> failwith "c"))
+       with Failure _ -> ());
+      match Obs.Ledger.events () with
+      | [ Obs.Ledger.Phase b; Obs.Ledger.Phase c; Obs.Ledger.Phase a ] ->
+        Alcotest.(check (list string)) "completion order" [ "b"; "c"; "a" ]
+          [ b.name; c.name; a.name ];
+        Alcotest.(check (option int)) "a is a root" None a.parent;
+        Alcotest.(check (option int)) "b under a" (Some a.id) b.parent;
+        Alcotest.(check (option int)) "c under a" (Some a.id) c.parent;
+        Alcotest.(check bool) "ids distinct" true (a.id <> b.id && b.id <> c.id && a.id <> c.id);
+        Alcotest.(check bool) "b has no error" false (List.mem_assoc "error" b.attrs);
+        Alcotest.(check bool) "c carries the error" true (List.mem_assoc "error" c.attrs);
+        Alcotest.(check bool) "a, unwound through, carries it too" true
+          (List.mem_assoc "error" a.attrs)
+      | evs -> Alcotest.fail (Printf.sprintf "expected 3 phases, got %d events" (List.length evs)))
 
 let roundtrip_events =
   [
@@ -249,7 +128,11 @@ let roundtrip_events =
       { system = "s \"q\" \\ \n"; counter = "c\twith\ttabs"; mechanism = "gaussian";
         epsilon = 0.1; delta = 0.0; cum_epsilon = 0.1; cum_delta = 0.0 };
     Obs.Ledger.Proof { kind = "shuffle"; party = 2; ok = false; batch = 256 };
-    Obs.Ledger.Phase { name = "phase/one"; wall_s = 0.03125; alloc_bytes = 1234567.0 };
+    Obs.Ledger.Phase
+      { id = 2; parent = Some 1; name = "phase/one"; attrs = [ ("jobs", "4"); ("k", "v \"q\"") ];
+        wall_s = 0.03125; alloc_bytes = 1234567.0 };
+    Obs.Ledger.Phase
+      { id = 1; parent = None; name = "root"; attrs = []; wall_s = 0.5; alloc_bytes = 0.0 };
     Obs.Ledger.Note { key = "k"; value = "v\x01control \xc3\xa9" };
   ]
 
@@ -257,17 +140,48 @@ let test_ledger_jsonl_roundtrip () =
   (match Obs.Ledger.of_jsonl (Obs.Ledger.to_jsonl roundtrip_events) with
   | Error e -> Alcotest.fail e
   | Ok back -> Alcotest.(check bool) "field for field" true (back = roundtrip_events));
-  (* canonical form: Phase timings zeroed, everything else untouched *)
+  (* canonical form: Phase timings zeroed and the jobs attr dropped,
+     everything else untouched *)
   (match Obs.Ledger.of_jsonl (Obs.Ledger.to_jsonl ~timings:false roundtrip_events) with
   | Error e -> Alcotest.fail e
   | Ok canon ->
-    Alcotest.(check bool) "timings zeroed" true
+    Alcotest.(check bool) "timings zeroed, jobs dropped" true
+      (List.for_all
+         (function
+           | Obs.Ledger.Phase { wall_s; alloc_bytes; attrs; _ } ->
+             wall_s = 0.0 && alloc_bytes = 0.0 && not (List.mem_assoc "jobs" attrs)
+           | _ -> true)
+         canon);
+    Alcotest.(check bool) "other attrs kept" true
       (List.exists
-         (function Obs.Ledger.Phase { wall_s = 0.0; alloc_bytes = 0.0; _ } -> true | _ -> false)
+         (function Obs.Ledger.Phase { attrs = [ ("k", _) ]; _ } -> true | _ -> false)
          canon));
   (match Obs.Ledger.of_jsonl "{\"e\":\"nope\"}" with
   | Ok _ -> Alcotest.fail "accepted unknown event tag"
   | Error msg -> Alcotest.(check bool) "error names the line" true (is_infix ~affix:"line 1" msg))
+
+(* A phase line in the format before phases carried their tree is
+   refused, naming the line and the first missing field; there is no
+   second reader for it. *)
+let test_ledger_old_phase_line_rejected () =
+  let old = "{\"e\":\"phase\",\"name\":\"psc.run\",\"wall_s\":0.5,\"alloc_bytes\":0}\n" in
+  (match Obs.Ledger.of_jsonl ({|{"e":"note","key":"k","value":"v"}|} ^ "\n" ^ old) with
+  | Ok _ -> Alcotest.fail "accepted a phase line without id, parent and attrs"
+  | Error msg ->
+    Alcotest.(check bool) ("names the line: " ^ msg) true (is_infix ~affix:"line 2" msg);
+    Alcotest.(check bool) ("names the field: " ^ msg) true (is_infix ~affix:"\"id\"" msg));
+  List.iter
+    (fun (field, line) ->
+      match Obs.Ledger.of_jsonl line with
+      | Ok _ -> Alcotest.fail ("accepted a phase line without " ^ field)
+      | Error msg ->
+        Alcotest.(check bool) ("names " ^ field ^ ": " ^ msg) true
+          (is_infix ~affix:(Printf.sprintf "%S" field) msg))
+    [
+      ("parent", {|{"e":"phase","id":1,"name":"p","attrs":{},"wall_s":0,"alloc_bytes":0}|});
+      ("attrs", {|{"e":"phase","id":1,"parent":null,"name":"p","wall_s":0,"alloc_bytes":0}|});
+      ("attrs", {|{"e":"phase","id":1,"parent":null,"name":"p","attrs":{"k":1},"wall_s":0,"alloc_bytes":0}|});
+    ]
 
 (* Byte pins for the ledger's JSONL, with and without timings:
    ledgers on disk are read back by `audit`, so a change to how JSON is
@@ -278,17 +192,21 @@ let test_ledger_jsonl_bytes_pinned () =
     {\"e\":\"draw\",\"system\":\"s \\\"q\\\" \\\\ \\n\",\"counter\":\"c\\twith\\ttabs\",\
     \"mechanism\":\"gaussian\",\"epsilon\":0.1,\"delta\":0,\"cum_epsilon\":0.1,\
     \"cum_delta\":0}\n{\"e\":\"proof\",\"kind\":\"shuffle\",\"party\":2,\
-    \"ok\":false,\"batch\":256}\n{\"e\":\"phase\",\"name\":\"phase/one\",\
-    \"wall_s\":0.03125,\"alloc_bytes\":1234567}\n{\"e\":\"note\",\
-    \"key\":\"k\",\"value\":\"v\\u0001control \195\169\"}\n"
+    \"ok\":false,\"batch\":256}\n{\"e\":\"phase\",\"id\":2,\"parent\":1,\
+    \"name\":\"phase/one\",\"attrs\":{\"jobs\":\"4\",\"k\":\"v \\\"q\\\"\"},\
+    \"wall_s\":0.03125,\"alloc_bytes\":1234567}\n{\"e\":\"phase\",\"id\":1,\
+    \"parent\":null,\"name\":\"root\",\"attrs\":{},\"wall_s\":0.5,\"alloc_bytes\":0}\n\
+    {\"e\":\"note\",\"key\":\"k\",\"value\":\"v\\u0001control \195\169\"}\n"
     (Obs.Ledger.to_jsonl roundtrip_events);
   Alcotest.(check string) "canonical"
     "{\"e\":\"grant\",\"system\":\"privcount\",\"epsilon\":0.3,\"delta\":1e-11}\n\
     {\"e\":\"draw\",\"system\":\"s \\\"q\\\" \\\\ \\n\",\"counter\":\"c\\twith\\ttabs\",\
     \"mechanism\":\"gaussian\",\"epsilon\":0.1,\"delta\":0,\"cum_epsilon\":0.1,\
     \"cum_delta\":0}\n{\"e\":\"proof\",\"kind\":\"shuffle\",\"party\":2,\
-    \"ok\":false,\"batch\":256}\n{\"e\":\"phase\",\"name\":\"phase/one\",\
-    \"wall_s\":0,\"alloc_bytes\":0}\n{\"e\":\"note\",\"key\":\"k\",\
+    \"ok\":false,\"batch\":256}\n{\"e\":\"phase\",\"id\":2,\"parent\":1,\
+    \"name\":\"phase/one\",\"attrs\":{\"k\":\"v \\\"q\\\"\"},\"wall_s\":0,\
+    \"alloc_bytes\":0}\n{\"e\":\"phase\",\"id\":1,\"parent\":null,\"name\":\"root\",\
+    \"attrs\":{},\"wall_s\":0,\"alloc_bytes\":0}\n{\"e\":\"note\",\"key\":\"k\",\
     \"value\":\"v\\u0001control \195\169\"}\n"
     (Obs.Ledger.to_jsonl ~timings:false roundtrip_events)
 
@@ -316,8 +234,18 @@ let gen_event =
         (triple str str str) (pair gen_float gen_float) (pair gen_float gen_float);
       map3 (fun k p (ok, b) -> Obs.Ledger.Proof { kind = k; party = p; ok; batch = b })
         str small_nat (pair bool small_nat);
-      map3 (fun n w a -> Obs.Ledger.Phase { name = n; wall_s = w; alloc_bytes = a })
-        str gen_float gen_float;
+      map3
+        (fun (id, parent, n) attrs (w, a) ->
+          (* JSON objects have distinct keys: keep the first of each *)
+          let attrs =
+            List.fold_left
+              (fun acc (k, v) -> if List.mem_assoc k acc then acc else acc @ [ (k, v) ])
+              [] attrs
+          in
+          Obs.Ledger.Phase { id; parent; name = n; attrs; wall_s = w; alloc_bytes = a })
+        (triple small_nat (opt small_nat) str)
+        (list_size (int_range 0 3) (pair str str))
+        (pair gen_float gen_float);
       map2 (fun k v -> Obs.Ledger.Note { key = k; value = v }) str str;
     ]
 
@@ -466,9 +394,9 @@ let test_tampered_psc_fails_audit () =
       Alcotest.(check bool) "audit rejects the ledger" false a.Obs.Ledger.ok;
       Alcotest.(check bool) "failed proofs counted" true (a.Obs.Ledger.proofs_failed > 0))
 
-(* A full verified PSC round writes the same canonical ledger at any
-   pool size: workers record nothing, so every event comes from the
-   orchestrating domain in program order. *)
+(* A full verified PSC round writes the same canonical ledger, phase
+   tree included, at any pool size: workers record nothing, so every
+   event comes from the orchestrating domain in program order. *)
 let prop_ledger_jobs_invariant =
   QCheck.Test.make ~name:"ledger identical at jobs=1 and jobs=4" ~count:4
     QCheck.(pair (int_range 1 40) (int_range 0 80))
@@ -495,30 +423,28 @@ let prop_ledger_jobs_invariant =
                 Obs.Ledger.to_jsonl ~timings:false (Obs.Ledger.events ())))
       in
       let a = ledger_at 1 and b = ledger_at 4 in
-      a <> "" && String.equal a b)
+      is_infix ~affix:"\"parent\":" a && String.equal a b)
 
 (* --- disabled mode --- *)
 
 let test_disabled_leaves_no_residue () =
   Obs.reset ();
   Alcotest.(check bool) "disabled by default" false (Obs.enabled ());
-  Obs.Metrics.inc "c_total";
-  Obs.Metrics.set "g" 1.0;
-  let v = Obs.Trace.with_span "s" (fun () -> 41 + 1) in
   Obs.Ledger.note ~key:"k" ~value:"v";
   Obs.Ledger.draw ~system:"s" ~counter:"c" ~mechanism:"m" ~epsilon:1.0 ~delta:0.0;
-  let p = Obs.Ledger.phase "p" (fun () -> 6 * 7) in
-  Alcotest.(check int) "with_span is transparent" 42 v;
+  let p = Obs.Ledger.phase "p" (fun () -> Obs.Ledger.phase "q" (fun () -> 6 * 7)) in
   Alcotest.(check int) "phase is transparent" 42 p;
   Alcotest.(check int) "empty ledger" 0 (List.length (Obs.Ledger.events ()));
-  Alcotest.(check (list unit)) "no samples" []
-    (List.map (fun _ -> ()) (Obs.Metrics.snapshot ()));
-  Alcotest.(check int) "no spans" 0 (List.length (Obs.Trace.spans ()));
-  Alcotest.(check (option (float 0.0))) "no counter" None (Obs.Metrics.counter_value "c_total")
+  (* disabled phases take no ids and leave no open nesting behind *)
+  Obs.with_enabled true (fun () -> Obs.Ledger.phase "r" ignore);
+  (match Obs.Ledger.events () with
+  | [ Obs.Ledger.Phase { name = "r"; id = 1; parent = None; _ } ] -> ()
+  | _ -> Alcotest.fail "expected the first enabled phase at id 1, as a root");
+  Obs.reset ()
 
 let test_instrumented_paths_silent_when_disabled () =
   (* run an instrumented subsystem end to end with telemetry off: the
-     registry and span buffer must stay empty *)
+     ledger must stay empty *)
   Obs.reset ();
   let proto =
     Psc.Protocol.create
@@ -530,31 +456,17 @@ let test_instrumented_paths_silent_when_disabled () =
     Psc.Protocol.insert proto ~dc:(i land 1) (Printf.sprintf "x%d" i)
   done;
   ignore (Psc.Protocol.run proto);
-  Alcotest.(check int) "no metrics" 0 (List.length (Obs.Metrics.snapshot ()));
-  Alcotest.(check int) "no spans" 0 (List.length (Obs.Trace.spans ()));
   Alcotest.(check int) "no ledger events" 0 (List.length (Obs.Ledger.events ()))
 
 let () =
   Alcotest.run "obs"
     [
-      ( "metrics",
-        [
-          Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
-          Alcotest.test_case "gauge semantics" `Quick test_gauge_semantics;
-        ] );
       ( "trace",
         [
-          Alcotest.test_case "nesting and attrs" `Quick test_span_nesting_and_attrs;
-          Alcotest.test_case "exception safety" `Quick test_span_survives_exception;
+          Alcotest.test_case "nesting and attrs" `Quick test_phase_nesting_and_attrs;
+          Alcotest.test_case "exception safety" `Quick test_phase_survives_exception;
           Alcotest.test_case "exception restores nesting" `Quick
-            test_span_exception_restores_nesting;
-          Alcotest.test_case "capacity cap" `Quick test_span_capacity;
-        ] );
-      ( "export",
-        [
-          Alcotest.test_case "prometheus" `Quick test_prometheus_deterministic_and_parseable;
-          Alcotest.test_case "trace jsonl" `Quick test_trace_jsonl_parseable;
-          Alcotest.test_case "summary" `Quick test_summary_nonempty;
+            test_phase_exception_restores_nesting;
         ] );
       ( "json",
         [
@@ -567,11 +479,9 @@ let () =
         [
           Alcotest.test_case "draw accumulates" `Quick test_ledger_draw_accumulates;
           Alcotest.test_case "phase events" `Quick test_ledger_phase_event;
-          Alcotest.test_case "phase events are span records" `Quick
-            test_phase_events_are_span_records;
-          Alcotest.test_case "phase survives a dropped span" `Quick
-            test_phase_survives_dropped_span;
+          Alcotest.test_case "phase tree" `Quick test_phase_tree;
           Alcotest.test_case "jsonl round-trip" `Quick test_ledger_jsonl_roundtrip;
+          Alcotest.test_case "old phase line rejected" `Quick test_ledger_old_phase_line_rejected;
           Alcotest.test_case "jsonl bytes pinned" `Quick test_ledger_jsonl_bytes_pinned;
           QCheck_alcotest.to_alcotest prop_ledger_roundtrip;
           QCheck_alcotest.to_alcotest prop_ledger_prefix_error;
