@@ -4,14 +4,13 @@
      torlint --root DIR           # ... under DIR
      torlint lib/privcount bin    # lint specific files/directories
      torlint --rules              # list the rule families
-     torlint --format sarif       # machine-readable output (json|sarif)
-     torlint --write-baseline F   # snapshot current findings
-     torlint --baseline F         # report only findings not in F
+     torlint --format sarif       # SARIF 2.1.0 output
 
-   Exit codes: 0 clean, 1 findings, 2 config/usage error — suitable as
-   a failing CI check. Findings are waived per site with a
-   "torlint: allow RULE — why" comment or repo-wide in torlint.config;
-   --strict-allows turns stale allow comments into errors. *)
+   Exit codes: 0 clean, 1 findings, 2 config error, 124 command-line
+   usage error (cmdliner's) — suitable as a failing CI check. Findings
+   are waived per site with a "torlint: allow RULE — why" comment or
+   repo-wide in torlint.config; an allow comment that waives nothing is
+   itself a finding. *)
 
 open Cmdliner
 
@@ -33,22 +32,9 @@ let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
 let format_arg =
-  let doc = "Output format: $(b,text) (default), $(b,json), or $(b,sarif)." in
-  let fmt = Arg.enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ] in
+  let doc = "Output format: $(b,text) (default) or $(b,sarif)." in
+  let fmt = Arg.enum [ ("text", `Text); ("sarif", `Sarif) ] in
   Arg.(value & opt fmt `Text & info [ "format" ] ~docv:"FMT" ~doc)
-
-let baseline_arg =
-  let doc = "Suppress findings whose fingerprint appears in $(docv) \
-             (written by $(b,--write-baseline))." in
-  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-
-let write_baseline_arg =
-  let doc = "Write the fingerprints of the current findings to $(docv) and exit 0." in
-  Arg.(value & opt (some string) None & info [ "write-baseline" ] ~docv:"FILE" ~doc)
-
-let strict_allows_arg =
-  let doc = "Treat allow comments that match no diagnostic as errors instead of warnings." in
-  Arg.(value & flag & info [ "strict-allows" ] ~doc)
 
 let paths_arg =
   let doc = "Files or directories to lint instead of ROOT's lib/ and bin/." in
@@ -59,7 +45,7 @@ let list_rules () =
   List.iter
     (fun (r : Lint.Rule.t) -> Printf.printf "  %-14s %s\n" r.Lint.Rule.id r.Lint.Rule.doc)
     Lint.Rules.all;
-  Printf.printf "interprocedural rules (whole-repo call graph):\n";
+  Printf.printf "call-graph rules (whole program):\n";
   List.iter
     (fun (g : Lint.Global.t) -> Printf.printf "  %-14s %s\n" g.Lint.Global.id g.Lint.Global.doc)
     Lint.Rules.globals
@@ -71,12 +57,7 @@ let load_config ~root ~config =
     let path = Filename.concat root "torlint.config" in
     if Sys.file_exists path then Lint.Config.load path else Ok Lint.Config.default
 
-let read_baseline path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> Ok (Lint.Sarif.baseline_of_string text)
-  | exception Sys_error msg -> Error msg
-
-let run root config rules quiet format baseline write_baseline strict_allows paths =
+let run root config rules quiet format paths =
   if rules then begin
     list_rules ();
     0
@@ -88,53 +69,22 @@ let run root config rules quiet format baseline write_baseline strict_allows pat
       2
     | Ok cfg ->
       let targets = if paths = [] then [ root ] else paths in
-      let diags = Lint.Engine.lint_paths ~strict_allows cfg targets in
-      let pairs = Lint.Sarif.with_fingerprints diags in
-      (match write_baseline with
-      | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Lint.Sarif.baseline_to_string pairs));
+      let diags = Lint.Engine.lint_paths cfg targets in
+      (match format with
+      | `Text ->
+        List.iter (fun d -> print_endline (Lint.Diagnostic.to_string d)) diags;
         if not quiet then
-          Printf.printf "torlint: wrote %d fingerprint%s to %s\n" (List.length pairs)
-            (if List.length pairs = 1 then "" else "s")
-            path;
-        0
-      | None -> (
-        match
-          match baseline with
-          | None -> Ok pairs
-          | Some path ->
-            Result.map
-              (fun known ->
-                List.filter (fun (_, fp) -> not (List.mem fp known)) pairs)
-              (read_baseline path)
-        with
-        | Error msg ->
-          Printf.eprintf "torlint: %s\n" msg;
-          2
-        | Ok pairs ->
-          (match format with
-          | `Text ->
-            List.iter (fun (d, _) -> print_endline (Lint.Diagnostic.to_string d)) pairs;
-            if not quiet then
-              Printf.printf "torlint: %d finding%s\n" (List.length pairs)
-                (if List.length pairs = 1 then "" else "s")
-          | `Json -> print_endline (Lint.Sarif.json pairs)
-          | `Sarif ->
-            let rules =
-              (* per-file and interprocedural families share ids
-                 (determinism, privflow); keep one entry per id *)
-              List.map (fun (r : Lint.Rule.t) -> (r.Lint.Rule.id, r.Lint.Rule.doc)) Lint.Rules.all
-              @ List.map
-                  (fun (g : Lint.Global.t) -> (g.Lint.Global.id, g.Lint.Global.doc))
-                  Lint.Rules.globals
-              |> List.fold_left
-                   (fun acc (id, doc) -> if List.mem_assoc id acc then acc else (id, doc) :: acc)
-                   []
-              |> List.rev
-            in
-            print_endline (Lint.Sarif.sarif ~rules pairs));
-          if pairs = [] then 0 else 1))
+          Printf.printf "torlint: %d finding%s\n" (List.length diags)
+            (if List.length diags = 1 then "" else "s")
+      | `Sarif ->
+        let rules =
+          List.map (fun (r : Lint.Rule.t) -> (r.Lint.Rule.id, r.Lint.Rule.doc)) Lint.Rules.all
+          @ List.map
+              (fun (g : Lint.Global.t) -> (g.Lint.Global.id, g.Lint.Global.doc))
+              Lint.Rules.globals
+        in
+        print_endline (Lint.Sarif.sarif ~rules (Lint.Sarif.with_fingerprints diags)));
+      if diags = [] then 0 else 1
 
 let cmd =
   let info =
@@ -143,6 +93,6 @@ let cmd =
   in
   Cmd.v info
     Term.(const run $ root_arg $ config_arg $ rules_arg $ quiet_arg $ format_arg
-          $ baseline_arg $ write_baseline_arg $ strict_allows_arg $ paths_arg)
+          $ paths_arg)
 
 let () = exit (Cmd.eval' cmd)

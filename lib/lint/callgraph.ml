@@ -164,6 +164,33 @@ let parallel_site_name name =
     parallel_primitives
   |> Option.map (fun p -> "Parallel." ^ p)
 
+(* Canonical-order re-establishing functions ([List.sort] and friends). *)
+let sorters =
+  [
+    "List.sort"; "List.sort_uniq"; "List.stable_sort"; "List.fast_sort";
+    "Array.sort"; "Array.stable_sort";
+  ]
+
+(* [Hashtbl.fold ... |> List.sort cmp] and [List.sort cmp (Hashtbl.fold ...)]
+   are both fine: some enclosing application re-establishes a canonical
+   order. We look for a sorter at the head of any ancestor application or
+   of any of its arguments (the pipeline operators put the sorter in
+   argument position). *)
+let laundered_by_sort ~ancestors =
+  List.exists
+    (fun (e : Parsetree.expression) ->
+      match e.Parsetree.pexp_desc with
+      | Parsetree.Pexp_apply (fn, args) ->
+        let heads = fn :: List.map snd args in
+        List.exists
+          (fun h ->
+            match Rule.head_ident h with
+            | Some name -> List.mem name sorters
+            | None -> false)
+          heads
+      | _ -> false)
+    ancestors
+
 (* ---------- build environment ---------- *)
 
 type local_info = { mutable l_uses : use list; mutable l_writes : use list }
@@ -260,6 +287,10 @@ let rec modexpr_head (me : Parsetree.module_expr) =
   | Pmod_constraint (me, _) -> modexpr_head me
   | _ -> None
 
+(* [module _ = ...] is walked like a module named [_]. *)
+let module_name (mb : Parsetree.module_binding) =
+  Option.value ~default:"_" mb.pmb_name.txt
+
 let value_binding_defs ~prefix ~counter vb =
   let vars = pattern_vars vb.Parsetree.pvb_pat in
   match vars with
@@ -288,16 +319,15 @@ let rec collect_items env ~path ~prefix ~prefixes ~in_functor ~counter items =
       | Pstr_module mb -> collect_module env ~path ~prefix ~prefixes ~in_functor mb
       | Pstr_recmodule mbs ->
         List.iter (collect_module env ~path ~prefix ~prefixes ~in_functor) mbs
+      | Pstr_include { pincl_mod = { pmod_desc = Pmod_structure items; _ }; _ } ->
+        collect_items env ~path ~prefix ~prefixes ~in_functor ~counter items
       | _ -> ())
     items
 
 and collect_module env ~path ~prefix ~prefixes ~in_functor mb =
-  match mb.Parsetree.pmb_name.txt with
-  | None -> ()
-  | Some name ->
-    let self = prefix ^ "." ^ name in
-    Hashtbl.replace env.module_prefixes self ();
-    collect_modexpr env ~path ~self ~prefixes ~in_functor mb.pmb_expr
+  let self = prefix ^ "." ^ module_name mb in
+  Hashtbl.replace env.module_prefixes self ();
+  collect_modexpr env ~path ~self ~prefixes ~in_functor mb.pmb_expr
 
 and collect_modexpr env ~path ~self ~prefixes ~in_functor (me : Parsetree.module_expr) =
   match me.pmod_desc with
@@ -310,10 +340,13 @@ and collect_modexpr env ~path ~self ~prefixes ~in_functor (me : Parsetree.module
   | Pmod_constraint (me, _) -> collect_modexpr env ~path ~self ~prefixes ~in_functor me
   | Pmod_ident { txt; _ } ->
     env.raw_aliases <- (self, Rule.longident_name txt, prefixes) :: env.raw_aliases
-  | Pmod_apply (f, _) -> (
+  | Pmod_apply (f, arg) -> (
     (* [module App = F (M)]: App shares F's definitions by prefix
-       rewriting. The argument side is not tracked (taint does not flow
-       from actuals into the instantiation — documented approximation). *)
+       rewriting. Taint does not flow from actuals into the
+       instantiation (documented approximation); an argument written
+       as a structure is collected as the module [App__arg], outside
+       App's alias. *)
+    collect_modexpr env ~path ~self:(self ^ "__arg") ~prefixes ~in_functor arg;
     match modexpr_head f with
     | Some raw -> env.raw_aliases <- (self, raw, prefixes) :: env.raw_aliases
     | None -> ())
@@ -361,7 +394,7 @@ let walk_binding env ~path ~prefixes ~opens ~defs body =
           {
             extern_name = name;
             extern_loc = loc;
-            extern_sorted = Rule.laundered_by_sort ~ancestors:!ancestors;
+            extern_sorted = laundered_by_sort ~ancestors:!ancestors;
           }
         in
         List.iter (fun d -> d.externs <- e :: d.externs) defs
@@ -536,14 +569,14 @@ let rec walk_items env ~path ~prefix ~prefixes ~opens ~counter items =
       | Pstr_module mb -> walk_module env ~path ~prefix ~prefixes ~opens mb
       | Pstr_recmodule mbs ->
         List.iter (walk_module env ~path ~prefix ~prefixes ~opens) mbs
+      | Pstr_include { pincl_mod = { pmod_desc = Pmod_structure items; _ }; _ } ->
+        walk_items env ~path ~prefix ~prefixes ~opens ~counter items
       | _ -> ())
     items
 
 and walk_module env ~path ~prefix ~prefixes ~opens mb =
-  match mb.Parsetree.pmb_name.txt with
-  | None -> ()
-  | Some name ->
-    walk_modexpr env ~path ~self:(prefix ^ "." ^ name) ~prefixes ~opens mb.pmb_expr
+  walk_modexpr env ~path ~self:(prefix ^ "." ^ module_name mb) ~prefixes ~opens
+    mb.pmb_expr
 
 and walk_modexpr env ~path ~self ~prefixes ~opens (me : Parsetree.module_expr) =
   match me.pmod_desc with
@@ -552,6 +585,8 @@ and walk_modexpr env ~path ~self ~prefixes ~opens (me : Parsetree.module_expr) =
     walk_items env ~path ~prefix:self ~prefixes:(self :: prefixes) ~opens ~counter items
   | Pmod_functor (_, body) -> walk_modexpr env ~path ~self ~prefixes ~opens body
   | Pmod_constraint (me, _) -> walk_modexpr env ~path ~self ~prefixes ~opens me
+  | Pmod_apply (_, arg) ->
+    walk_modexpr env ~path ~self:(self ^ "__arg") ~prefixes ~opens arg
   | _ -> ()
 
 (* ---------- build ---------- *)

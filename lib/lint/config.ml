@@ -28,7 +28,6 @@ let default =
         "Sk.report";
         (* PSC simulator-side ground truth: exact pre-noise cardinalities *)
         "Protocol.true_union_size";
-        "Protocol.inserted_slots";
       ];
     sinks = [ "lib/obs"; "lib/core/report"; "bin/" ];
     launder = [ "lib/dp" ];
@@ -82,6 +81,10 @@ let add_scope t family path =
 
 (* --- directive parsing --- *)
 
+(* The families that read [scope_of]; a scope for any other family
+   would be accepted and silently ignored. *)
+let scoped_families = [ "determinism"; "polycompare"; "hygiene" ]
+
 let split_words line =
   String.split_on_char ' ' line
   |> List.concat_map (String.split_on_char '\t')
@@ -100,7 +103,11 @@ let parse_line t ~source ~lineno line =
   | [] -> Ok t
   | [ "disable"; rule ] -> Ok { t with disabled = t.disabled @ [ rule ] }
   | [ "allow"; rule; path ] -> Ok { t with allows = t.allows @ [ (rule, path) ] }
-  | [ "scope"; family; path ] -> Ok (add_scope t family path)
+  | [ "scope"; family; path ] ->
+    if List.mem family scoped_families then Ok (add_scope t family path)
+    else
+      err "scope %S: only %s take a scope" family
+        (String.concat ", " scoped_families)
   | [ "sensitive"; ident ] -> Ok { t with sensitive = t.sensitive @ [ ident ] }
   | [ "sink"; path ] -> Ok { t with sinks = t.sinks @ [ path ] }
   | [ "launder"; path ] -> Ok { t with launder = t.launder @ [ path ] }

@@ -10,6 +10,8 @@
     allow RULE PATH           # allow-list RULE (id or family) in paths
                               # containing PATH as a substring
     scope FAMILY PATH         # add PATH to FAMILY's scoped directories
+                              # (determinism, polycompare or hygiene;
+                              # any other family is an error)
     sensitive IDENT           # privacy-flow: a raw-counter accessor,
                               # matched as a dotted suffix (Dc.report
                               # matches Privcount.Dc.report)
@@ -21,7 +23,7 @@
     worker-safe PATH          # domain-safety: paths whose code is the
                               # synchronization layer itself (the
                               # pool) and is exempt
-    det-exempt PATH           # determinism v2: paths scoped code may
+    det-exempt PATH           # determinism: paths scoped code may
                               # transitively reach despite banned
                               # primitives inside them (lib/obs)
     v}
@@ -40,7 +42,7 @@ type t = {
   crypto_modules : string list;
   escapes : string list;
   worker_safe : string list;  (* domain-safety: exempt paths *)
-  det_exempt : string list;  (* determinism v2: reachable-but-fine paths *)
+  det_exempt : string list;  (* determinism: reachable-but-fine paths *)
 }
 
 val default : t

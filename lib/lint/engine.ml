@@ -1,15 +1,16 @@
-(* The torlint engine, two-phase since the interprocedural rework:
+(* The torlint engine, two-phase:
 
    1. parse every source (one [parse/error] diagnostic per broken
-      file), run the per-file rules on each structure;
+      file), run the per-file rules (polycompare, hygiene) on each
+      structure;
    2. build the whole-program call graph from all parsed structures at
-      once and run the global rules (privflow v2, determinism v2,
+      once and run the global rules (determinism, privflow,
       domain-safety) over it.
 
    Findings then pass through the waiver filter (in-source allow
    comments first — so they are credited as used — then config
    allowlist and disables), and allow comments that waived nothing
-   become [suppress/stale-allow] diagnostics. Stale-allow findings
+   become [suppress/stale-allow] errors. Stale-allow findings
    deliberately bypass in-source suppression: a bare allow must not
    waive its own staleness. *)
 
@@ -54,7 +55,7 @@ type loaded = {
   l_ast : Parsetree.structure option;
 }
 
-let lint_sources ?(strict_allows = false) config sources =
+let lint_sources config sources =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let loaded =
@@ -122,8 +123,7 @@ let lint_sources ?(strict_allows = false) config sources =
                  line = e.Suppress.line;
                  col = 0;
                  rule_id = "suppress/stale-allow";
-                 severity =
-                   (if strict_allows then Diagnostic.Error else Diagnostic.Warning);
+                 severity = Diagnostic.Error;
                  message =
                    Printf.sprintf
                      "allow comment for %s matched no diagnostic this run; \
@@ -170,7 +170,7 @@ let walk root =
   let roots = if roots = [] then [ root ] else roots in
   List.concat_map files_under roots |> List.map strip_dot_slash |> List.sort String.compare
 
-let lint_paths ?strict_allows config paths =
+let lint_paths config paths =
   let files =
     paths
     |> List.concat_map (fun p -> if is_dir p then walk p else [ strip_dot_slash p ])
@@ -197,4 +197,4 @@ let lint_paths ?strict_allows config paths =
       files
   in
   List.sort_uniq Diagnostic.compare
-    (!unreadable @ lint_sources ?strict_allows config sources)
+    (!unreadable @ lint_sources config sources)

@@ -1,8 +1,8 @@
 (* The whole-program rule framework: a global rule sees the call graph
    of every parsed source at once, instead of one structure at a time.
-   Per-file rules stay in [Rule]; the transitive passes (privflow v2,
-   determinism v2, domain-safety) are [Global.t]s run by the engine
-   after graph construction. *)
+   Per-file rules stay in [Rule]; the call-graph families (determinism,
+   privflow, domain-safety) are [Global.t]s run by the engine after
+   graph construction. *)
 
 type ctx = {
   config : Config.t;
@@ -23,5 +23,7 @@ type t = {
 
 let emit ctx ~path ~rule_id ~severity ~message loc =
   ctx.emit (Diagnostic.v ~path ~rule_id ~severity ~message loc)
+
+let file_of (loc : Location.t) = loc.loc_start.pos_fname
 
 let pp_chain chain = String.concat " -> " chain

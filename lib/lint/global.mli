@@ -20,5 +20,9 @@ val emit :
   ctx -> path:string -> rule_id:string -> severity:Diagnostic.severity ->
   message:string -> Location.t -> unit
 
+val file_of : Location.t -> string
+(** The source path a location points into (the engine parses each
+    file with its path as the position file name). *)
+
 val pp_chain : string list -> string
 (** Render a witness chain as ["a -> b -> c"]. *)

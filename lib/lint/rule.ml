@@ -47,33 +47,6 @@ let has_suffix s ~suffix =
   let n = String.length s and m = String.length suffix in
   n >= m && String.sub s (n - m) m = suffix
 
-(* Canonical-order re-establishing functions ([List.sort] and friends). *)
-let sorters =
-  [
-    "List.sort"; "List.sort_uniq"; "List.stable_sort"; "List.fast_sort";
-    "Array.sort"; "Array.stable_sort";
-  ]
-
-(* [Hashtbl.fold ... |> List.sort cmp] and [List.sort cmp (Hashtbl.fold ...)]
-   are both fine: some enclosing application re-establishes a canonical
-   order. We look for a sorter at the head of any ancestor application or
-   of any of its arguments (the pipeline operators put the sorter in
-   argument position). *)
-let laundered_by_sort ~ancestors =
-  List.exists
-    (fun (e : Parsetree.expression) ->
-      match e.Parsetree.pexp_desc with
-      | Parsetree.Pexp_apply (fn, args) ->
-        let heads = fn :: List.map snd args in
-        List.exists
-          (fun h ->
-            match head_ident h with
-            | Some name -> List.mem name sorters
-            | None -> false)
-          heads
-      | _ -> false)
-    ancestors
-
 let iter_expressions structure ~f =
   let stack = ref [] in
   let default = Ast_iterator.default_iterator in

@@ -36,11 +36,6 @@ val module_path : string -> string option
 
 val has_suffix : string -> suffix:string -> bool
 
-val laundered_by_sort : ancestors:Parsetree.expression list -> bool
-(** Does some enclosing application (or one of its arguments) re-sort
-    the result? Shared by the per-file determinism rule and the call
-    graph's extern classification. *)
-
 val iter_expressions :
   Parsetree.structure ->
   f:(ancestors:Parsetree.expression list -> Parsetree.expression -> unit) ->

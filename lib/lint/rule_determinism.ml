@@ -8,87 +8,66 @@
      determinism/wall-clock     Sys.time, Unix.* (pass time in explicitly)
      determinism/unseeded-hash  Hashtbl.hash and friends (process-varying)
      determinism/hashtbl-order  Hashtbl.iter/fold whose result is not
-                                re-sorted before it escapes *)
+                                re-sorted before it escapes
+     determinism/transitive     scoped code reaching one of the above
+                                through a helper outside the scope
+
+   One pass over the call graph. Every unresolved dotted reference the
+   graph records (its externs) goes through [classify]; a hit inside
+   the determinism scope is a direct finding at the reference.
+
+   Helpers defined outside the scope would hide the primitive from
+   scoped callers ([let stamp () = Unix.gettimeofday ()] in some util
+   module), so out-of-scope defs with an unwaived hit become taint
+   seeds, the taint propagates to callers, and scoped code referencing
+   a tainted out-of-scope def is flagged at the boundary edge with the
+   chain. [det-exempt] paths (lib/obs by default: phase wall-clock
+   timings are by design and zeroed in canonical ledgers) neither seed
+   nor propagate; they never hide a direct finding. *)
 
 let hash_fns =
   [ "Hashtbl.hash"; "Hashtbl.seeded_hash"; "Hashtbl.hash_param"; "Hashtbl.randomize" ]
 
-let laundered_by_sort = Rule.laundered_by_sort
-
-let check (ctx : Rule.ctx) structure =
-  Rule.iter_expressions structure ~f:(fun ~ancestors e ->
-      match Rule.ident_name e with
-      | None -> ()
-      | Some name ->
-        let loc = e.Parsetree.pexp_loc in
-        let flag rule_id message =
-          Rule.emit ctx ~rule_id ~severity:Diagnostic.Error ~message loc
-        in
-        if String.length name > 7 && String.sub name 0 7 = "Random." then
-          flag "determinism/ambient-rng"
-            (Printf.sprintf
-               "%s uses the ambient self-seeding RNG; draw from a seeded Prng.Rng or Crypto.Drbg instead"
-               name)
-        else if name = "Sys.time" || (String.length name > 5 && String.sub name 0 5 = "Unix.") then
-          flag "determinism/wall-clock"
-            (Printf.sprintf "%s reads the wall clock; pass time in explicitly" name)
-        else if List.mem name hash_fns then
-          flag "determinism/unseeded-hash"
-            (Printf.sprintf
-               "%s may vary across processes; use a keyed hash (Psc.Item.slot / Crypto.Sha256)"
-               name)
-        else if name = "Hashtbl.iter" || name = "Hashtbl.fold" then
-          if not (laundered_by_sort ~ancestors) then
-            flag "determinism/hashtbl-order"
-              (Printf.sprintf
-                 "%s visits bindings in unspecified order; sort the result (List.sort) or waive with a justified `torlint: allow` if the accumulation commutes"
-                 name))
-
-let rule : Rule.t =
-  {
-    Rule.id = "determinism";
-    doc =
-      "bans ambient RNGs, wall clocks, unseeded hashing and unordered Hashtbl \
-       iteration in the aggregation libraries";
-    applies =
-      (fun config ~path -> Config.in_paths path (Config.scope_of config "determinism"));
-    check;
-  }
-
-(* v2, interprocedural: the per-file pass only sees files inside the
-   determinism scope, so a helper defined outside it ([let stamp () =
-   Unix.gettimeofday ()] in some util module) hides the primitive from
-   scoped callers. Here, out-of-scope defs using a banned primitive
-   (without a justified allow at the use site) become taint seeds, the
-   taint propagates to callers, and scoped code referencing a tainted
-   out-of-scope def is flagged at the boundary edge with the chain.
-   [det-exempt] paths (lib/obs by default: phase wall-clock timings are
-   by design and zeroed in canonical ledgers) neither seed nor
-   propagate. *)
-
-let classify_extern name ~sorted =
-  let name =
-    let p = "Stdlib." in
-    let lp = String.length p in
-    if String.length name > lp && String.sub name 0 lp = p then
-      String.sub name lp (String.length name - lp)
+(* [Some (rule_id, message)] when the dotted reference [name] is a
+   banned primitive; [sorted] says whether an enclosing application
+   re-sorts its result. *)
+let classify name ~sorted =
+  let base =
+    if String.starts_with ~prefix:"Stdlib." name then
+      String.sub name 7 (String.length name - 7)
     else name
   in
-  if String.length name > 7 && String.sub name 0 7 = "Random." then
-    Some "determinism/ambient-rng"
-  else if name = "Sys.time" || (String.length name > 5 && String.sub name 0 5 = "Unix.")
-  then Some "determinism/wall-clock"
-  else if List.mem name hash_fns then Some "determinism/unseeded-hash"
-  else if (name = "Hashtbl.iter" || name = "Hashtbl.fold") && not sorted then
-    Some "determinism/hashtbl-order"
+  if String.starts_with ~prefix:"Random." base then
+    Some
+      ( "determinism/ambient-rng",
+        Printf.sprintf
+          "%s uses the ambient self-seeding RNG; draw from a seeded Prng.Rng or Crypto.Drbg instead"
+          name )
+  else if base = "Sys.time" || String.starts_with ~prefix:"Unix." base then
+    Some
+      ( "determinism/wall-clock",
+        Printf.sprintf "%s reads the wall clock; pass time in explicitly" name )
+  else if List.mem base hash_fns then
+    Some
+      ( "determinism/unseeded-hash",
+        Printf.sprintf
+          "%s may vary across processes; use a keyed hash (Psc.Item.slot / Crypto.Sha256)"
+          name )
+  else if (base = "Hashtbl.iter" || base = "Hashtbl.fold") && not sorted then
+    Some
+      ( "determinism/hashtbl-order",
+        Printf.sprintf
+          "%s visits bindings in unspecified order; sort the result (List.sort) or waive with a justified `torlint: allow` if the accumulation commutes"
+          name )
   else None
 
 let global : Global.t =
   {
     Global.id = "determinism";
     doc =
-      "flags scoped code transitively reaching banned primitives through \
-       helpers defined outside the scoped directories";
+      "bans ambient RNGs, wall clocks, unseeded hashing and unordered Hashtbl \
+       iteration in the aggregation libraries, directly or through helpers \
+       defined outside them";
     check =
       (fun ctx ->
         let config = ctx.Global.config in
@@ -96,26 +75,44 @@ let global : Global.t =
         let scope = Config.scope_of config "determinism" in
         let in_scope path = Config.in_paths path scope in
         let exempt path = Config.in_paths path config.Config.det_exempt in
+        let hits (d : Callgraph.def) =
+          List.filter_map
+            (fun (e : Callgraph.extern) ->
+              Option.map
+                (fun (rule_id, message) -> (e, rule_id, message))
+                (classify e.extern_name ~sorted:e.extern_sorted))
+            d.externs
+        in
+        let defs = Callgraph.defs_in_order g in
+        (* direct: every hit inside the scope, reported where it is
+           written *)
+        List.iter
+          (fun d ->
+            List.iter
+              (fun ((e : Callgraph.extern), rule_id, message) ->
+                let path = Global.file_of e.extern_loc in
+                if in_scope path then
+                  Global.emit ctx ~path ~rule_id ~severity:Diagnostic.Error ~message
+                    e.extern_loc)
+              (hits d))
+          defs;
+        (* transitive: out-of-scope helpers with an unwaived hit seed
+           taint that flows to their callers *)
         let seeds =
           List.filter_map
             (fun (d : Callgraph.def) ->
               if in_scope d.def_path || exempt d.def_path then None
               else
                 List.find_map
-                  (fun (e : Callgraph.extern) ->
-                    match
-                      classify_extern e.extern_name ~sorted:e.extern_sorted
-                    with
-                    | Some rule_id ->
-                      let at_site =
-                        Diagnostic.v ~path:d.def_path ~rule_id
-                          ~severity:Diagnostic.Error ~message:"" e.extern_loc
-                      in
-                      if ctx.Global.waived at_site then None
-                      else Some (d.id, e.extern_name)
-                    | None -> None)
-                  d.externs)
-            (Callgraph.defs_in_order g)
+                  (fun ((e : Callgraph.extern), rule_id, _) ->
+                    let at_site =
+                      Diagnostic.v ~path:d.def_path ~rule_id
+                        ~severity:Diagnostic.Error ~message:"" e.extern_loc
+                    in
+                    if ctx.Global.waived at_site then None
+                    else Some (d.id, e.extern_name))
+                  (hits d))
+            defs
         in
         let blocked id =
           match Callgraph.find g id with
@@ -155,5 +152,5 @@ let global : Global.t =
                       u.use_loc
                   | _ -> ())
                 d.uses)
-          (Callgraph.defs_in_order g))
+          defs)
   }

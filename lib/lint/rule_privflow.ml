@@ -4,66 +4,41 @@
    the executables; the only module allowed to touch raw aggregates is
    lib/dp, which launders them through a DP mechanism.
 
-   The check is syntactic: any identifier in a sink file whose dotted
-   name ends with a configured sensitive accessor is flagged. The
-   sensitive list is seeded with the PrivCount DC/SK raw report sums
-   and the PSC ground-truth cardinality accessors, and is extended per
-   repo via `sensitive` directives in torlint.config. *)
+   Sub-rules:
+     privflow/raw-counter-leak  sink code naming a sensitive accessor
+     privflow/transitive-leak   sink code reaching one through helpers
+
+   The sensitive list is seeded with the PrivCount DC/SK raw report
+   sums and the PSC ground-truth cardinality, and is extended per repo
+   via `sensitive` directives in torlint.config.
+
+   One pass over the call graph. A reference in a sink (outside the
+   [launder] paths) whose resolved target, or whose unresolved dotted
+   name, matches a sensitive entry is a direct leak; module aliases and
+   opens are resolved by the graph, so [module D = Privcount.Dc] ...
+   [D.report] is caught like the spelled-out name.
+
+   A one-line wrapper outside the sink ([let grab () = Dc.report dc] in
+   some helper module) would launder raw data past the direct check, so
+   every definition that transitively reaches a sensitive accessor is
+   tainted — through any number of helpers, value bindings, or stored
+   closures — and a sink-side reference to a tainted definition outside
+   the sink is flagged with the witness chain. [launder] paths block
+   propagation: lib/dp remains the one legitimate route from raw
+   aggregates to an output. *)
 
 let matches_sensitive ~sensitive name =
   List.exists
     (fun entry -> name = entry || Rule.has_suffix name ~suffix:("." ^ entry))
     sensitive
 
-let check (ctx : Rule.ctx) structure =
-  let config = ctx.Rule.config in
-  Rule.iter_expressions structure ~f:(fun ~ancestors:_ e ->
-      match Rule.ident_name e with
-      | Some name when matches_sensitive ~sensitive:config.Config.sensitive name ->
-        Rule.emit ctx ~rule_id:"privflow/raw-counter-leak"
-          ~severity:Diagnostic.Error
-          ~message:
-            (Printf.sprintf
-               "%s is a raw pre-noise accessor referenced from an output sink; \
-                route the value through lib/dp (or add a `launder` path) before \
-                it is published"
-               name)
-          e.Parsetree.pexp_loc
-      | _ -> ())
-
-let rule : Rule.t =
-  {
-    Rule.id = "privflow";
-    doc =
-      "bans raw pre-noise counter accessors in output sinks (lib/obs, report \
-       layer, bin/) outside DP laundering points";
-    applies =
-      (fun config ~path ->
-        Config.in_paths path config.Config.sinks
-        && not (Config.in_paths path config.Config.launder));
-    check;
-  }
-
-(* v2, interprocedural: a one-line wrapper outside the sink ([let grab
-   () = Dc.report dc] in some helper module) launders raw data past the
-   syntactic check above. Here every definition that transitively
-   reaches a sensitive accessor is tainted — through any number of
-   helpers, value bindings, or stored closures — and a sink-side
-   reference to a tainted definition is flagged with the witness chain.
-   [launder] paths block propagation: lib/dp remains the one legitimate
-   route from raw aggregates to an output.
-
-   Direct sensitive references inside sink files stay the per-file
-   rule's business (they are syntactically visible there), so this pass
-   only reports sink uses of tainted defs that live *outside* the sink:
-   that is exactly the laundering pattern the per-file rule misses. *)
-
 let global : Global.t =
   {
     Global.id = "privflow";
     doc =
-      "taints defs transitively reaching raw pre-noise accessors and flags \
-       sink-side calls to them, with the call chain";
+      "bans raw pre-noise counter accessors in output sinks (lib/obs, report \
+       layer, bin/) outside DP laundering points, directly or through any \
+       chain of helpers";
     check =
       (fun ctx ->
         let config = ctx.Global.config in
@@ -71,6 +46,30 @@ let global : Global.t =
         let sens name = matches_sensitive ~sensitive:config.Config.sensitive name in
         let in_launder path = Config.in_paths path config.Config.launder in
         let in_sink path = Config.in_paths path config.Config.sinks in
+        let sink_site path = in_sink path && not (in_launder path) in
+        let defs = Callgraph.defs_in_order g in
+        (* direct: sensitive references written in a sink *)
+        let leak name loc =
+          let path = Global.file_of loc in
+          if sens name && sink_site path then
+            Global.emit ctx ~path ~rule_id:"privflow/raw-counter-leak"
+              ~severity:Diagnostic.Error
+              ~message:
+                (Printf.sprintf
+                   "%s is a raw pre-noise accessor referenced from an output \
+                    sink; route the value through lib/dp (or add a `launder` \
+                    path) before it is published"
+                   name)
+              loc
+        in
+        List.iter
+          (fun (d : Callgraph.def) ->
+            List.iter (fun (u : Callgraph.use) -> leak u.target u.use_loc) d.uses;
+            List.iter
+              (fun (e : Callgraph.extern) -> leak e.extern_name e.extern_loc)
+              d.externs)
+          defs;
+        (* transitive: sink references to tainted defs outside the sink *)
         let blocked id =
           match Callgraph.find g id with
           | Some d -> in_launder d.Callgraph.def_path
@@ -88,14 +87,14 @@ let global : Global.t =
                 with
                 | Some e -> [ (d.id, e.extern_name) ]
                 | None -> [])
-            (Callgraph.defs_in_order g)
+            defs
         in
         let rev = Callgraph.callers g in
         let adj n = Option.value ~default:[] (Hashtbl.find_opt rev n) in
         let taint = Reach.run ~adj ~seeds ~blocked in
         List.iter
           (fun (d : Callgraph.def) ->
-            if in_sink d.def_path && not (in_launder d.def_path) then
+            if sink_site d.def_path then
               List.iter
                 (fun (u : Callgraph.use) ->
                   match Callgraph.find g u.target with
@@ -123,5 +122,5 @@ let global : Global.t =
                       u.use_loc
                   | _ -> ())
                 d.uses)
-          (Callgraph.defs_in_order g))
+          defs)
   }

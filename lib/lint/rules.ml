@@ -1,16 +1,10 @@
 (* The rule registry. Adding a per-file rule family = adding a module
    exposing a [Rule.t] and listing it in [all]; whole-program passes
-   expose a [Global.t] and go in [globals]. The engine, executable,
-   suppression comments, and config directives all pick them up from
-   these lists. *)
+   expose a [Global.t] and go in [globals]. Each family lives in
+   exactly one list. The engine, executable, suppression comments, and
+   config directives all pick them up from these lists. *)
 
-let all : Rule.t list =
-  [
-    Rule_determinism.rule;
-    Rule_polycompare.rule;
-    Rule_privflow.rule;
-    Rule_hygiene.rule;
-  ]
+let all : Rule.t list = [ Rule_polycompare.rule; Rule_hygiene.rule ]
 
 let globals : Global.t list =
   [

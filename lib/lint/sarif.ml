@@ -1,7 +1,6 @@
-(* Machine-readable torlint output: a plain JSON findings document, a
-   minimal SARIF 2.1.0 log, and a committed-baseline mode over stable
-   fingerprints, so CI can gate on *new* findings while legacy ones
-   burn down.
+(* Machine-readable torlint output: a minimal SARIF 2.1.0 log whose
+   results carry stable fingerprints ([partialFingerprints]), so a
+   code-scanning viewer tracks a finding across unrelated edits.
 
    Fingerprints hash (path, rule id, message, occurrence index) — not
    line/column — so findings survive unrelated edits that shift code
@@ -31,23 +30,11 @@ let with_fingerprints diags =
       (d, fingerprint ~occurrence d))
     diags
 
-(* ---------- JSON and SARIF documents ---------- *)
+(* ---------- the SARIF document ---------- *)
 
 let severity_level = function
   | Diagnostic.Error -> "error"
   | Diagnostic.Warning -> "warning"
-
-let json pairs =
-  let open Json in
-  let finding ((d : Diagnostic.t), fp) =
-    Obj
-      [
-        ("path", Str d.Diagnostic.path); ("line", int d.line); ("col", int d.col);
-        ("rule", Str d.rule_id); ("severity", Str (severity_level d.severity));
-        ("message", Str d.message); ("fingerprint", Str fp);
-      ]
-  in
-  to_string (Obj [ ("tool", Str "torlint"); ("findings", Arr (List.map finding pairs)) ]) ^ "\n"
 
 let sarif ~rules pairs =
   let open Json in
@@ -87,27 +74,3 @@ let sarif ~rules pairs =
          ("runs", Arr [ run ]);
        ])
   ^ "\n"
-
-(* ---------- baseline files ---------- *)
-
-let baseline_to_string pairs =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "# torlint baseline: one fingerprint per accepted finding.\n\
-     # Regenerate with: torlint --write-baseline <this file>\n";
-  List.iter
-    (fun ((d : Diagnostic.t), fp) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s  # %s %s\n" fp d.Diagnostic.rule_id d.path))
-    pairs;
-  Buffer.contents b
-
-let baseline_of_string text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         let line =
-           match String.index_opt line '#' with
-           | Some i -> String.sub line 0 i
-           | None -> line
-         in
-         match String.trim line with "" -> None | fp -> Some fp)

@@ -243,18 +243,6 @@ let true_union_size t =
     t.inserted;
   Hashtbl.length all
 
-(* Distinct occupied slots among the items DC [dc] inserted
-   (simulator ground truth, for diagnostics). *)
-let inserted_slots t ~dc =
-  let slots = Hashtbl.create 256 in
-  (* torlint: allow determinism/hashtbl-order — set image into
-     [slots], only its cardinality is read *)
-  Hashtbl.iter
-    (fun item () ->
-      Hashtbl.replace slots (Item.slot ~key:t.round_key ~table_size:t.cfg.table_size item) ())
-    t.inserted.(dc);
-  Hashtbl.length slots
-
 let run t =
   if t.finished then invalid_arg "Protocol.run: round already run";
   (* Worker count for this round; all parallel phases below run on the

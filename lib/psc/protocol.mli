@@ -48,11 +48,6 @@ val true_union_size : t -> int
 (** Simulator ground truth: the exact cardinality of the union of all
     DCs' item sets (not available to any real protocol party). *)
 
-val inserted_slots : t -> dc:int -> int
-(** Diagnostic: occupied-slot count a DC would have if decrypted alone
-    (computed from plaintext knowledge in the simulator; not part of
-    the protocol). *)
-
 type result = {
   raw_nonzero : int;       (** decrypted non-identity slots *)
   total_flips : int;

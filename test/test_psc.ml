@@ -117,11 +117,13 @@ let test_collision_correction () =
   let n = 1_024 in
   let items = List.init n (fun i -> Printf.sprintf "x%d" i) in
   let cfg = config ~table_size:2_048 ~flips:16 () in
-  let proto, result = run_with_items ~cfg ~num_dcs:1 [ items ] in
-  let occupied = Protocol.inserted_slots proto ~dc:0 in
-  Alcotest.(check bool) "collisions happened" true (occupied < n);
+  let _, result = run_with_items ~cfg ~num_dcs:1 [ items ] in
+  (* ~806 of 2,048 slots are occupied; the 3 x 16 noise flips add at
+     most 48 heads, so raw < n only if items collided *)
+  let raw = result.Protocol.raw_nonzero in
+  Alcotest.(check bool) "collisions happened" true (raw < n);
   Alcotest.(check bool)
-    (Printf.sprintf "corrected estimate near %d (got %.1f, raw %d)" n result.Protocol.estimate occupied)
+    (Printf.sprintf "corrected estimate near %d (got %.1f, raw %d)" n result.Protocol.estimate raw)
     true
     (Float.abs (result.Protocol.estimate -. float_of_int n) < 0.1 *. float_of_int n)
 
