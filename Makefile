@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-sarif check audit deploy-demo record-replay trace-diff clean
+.PHONY: all build test lint lint-sarif check audit deploy-demo record-replay trace-diff perf-pairs clean
 
 all: build
 
@@ -47,6 +47,16 @@ trace-diff:
 	@test -n "$(BASE)" && test -n "$(NEW)" \
 		|| { echo "usage: make trace-diff BASE=<a>.jsonl NEW=<b>.jsonl"; exit 1; }
 	dune exec bin/trace_diff.exe -- $(BASE) $(NEW)
+
+# alternating parent/change perfbench pairs on fresh seeds, every run
+# printed and summarised (tools/perf_pairs.py); exits 1 if any run
+# fails or reports correct=false or failed>0, e.g.
+#   make perf-pairs PARENT=../parent PAIRS=10 SEED0=501 WORKLOADS=psc-unique-ips
+perf-pairs:
+	@test -n "$(PARENT)" \
+		|| { echo "usage: make perf-pairs PARENT=<checkout> [PAIRS=10] [SEED0=1] [WORKLOADS=a,b]"; exit 1; }
+	python3 tools/perf_pairs.py --parent $(PARENT) --change . --pairs $(or $(PAIRS),10) \
+		--seed0 $(or $(SEED0),1) $(if $(WORKLOADS),--workloads $(WORKLOADS))
 
 clean:
 	dune clean

@@ -1,66 +1,136 @@
-(* HMAC-DRBG (NIST SP 800-90A) over HMAC-SHA256. The key is held as a
-   precomputed [Hmac.keyed] midstate: each key serves several HMAC calls
-   before the next rekey, so caching the ipad/opad block compressions
-   drops a DRBG draw from 12 SHA-256 compressions to 8. Output is
-   byte-identical to the naive formulation (locked by the RFC 4231 and
-   determinism test vectors). *)
+(* HMAC-DRBG (NIST SP 800-90A) over HMAC-SHA256, held in words. The key
+   K is kept as the two SHA-256 midstates after its ipad and opad
+   blocks, and V as 8 words, so every HMAC after instantiation is two
+   compressions over one laid-out block each: no context copy, digest
+   string or blit per block. Costs, in compressions:
 
-type t = { mutable key : Hmac.keyed; mutable v : string }
+   - a generate block (32 bytes): 2, V = HMAC(K, V);
+   - the post-generate update: 6, K = HMAC(K, V || 0x00) (2), the
+     rekey to K's two midstates (2), V = HMAC(K, V) (2).
 
-let rekey t material = t.key <- Hmac.keyed (Hmac.sha256_keyed t.key material)
+   So a [uniform] call spends 8 compressions on 8 bytes, and a bulk
+   draw of [count] 4-byte lanes spends 2 * ceil(count / 8) + 6.
+   Output is byte-identical to the byte formulation over [Hmac] (locked
+   by the SP 800-90A known answer and a reference-DRBG property in the
+   crypto tests). *)
 
-let update t provided =
-  rekey t (t.v ^ "\x00" ^ provided);
-  t.v <- Hmac.sha256_keyed t.key t.v;
-  if provided <> "" then begin
-    rekey t (t.v ^ "\x01" ^ provided);
-    t.v <- Hmac.sha256_keyed t.key t.v
+type t = {
+  ki : int array; (* midstate after the block K xor ipad *)
+  ko : int array; (* midstate after the block K xor opad *)
+  v : int array; (* V, 8 words *)
+  k : int array; (* scratch: the next K during an update *)
+  h : int array; (* scratch: an inner digest *)
+  m : int array; (* scratch: one 16-word block *)
+}
+
+(* [out] <- HMAC(K, V), or HMAC(K, V || 0x00) when [sep]. Either
+   message fits the one block after the key block: V in words 0-7, the
+   separator byte and the 0x80 marker in word 8, zeros, and in word 15
+   the bit length of key block plus message (768 or 776). The outer
+   hash lays out the inner digest the same way. [out] may be [t.v]. *)
+let mac t ~sep out =
+  let m = t.m and h = t.h in
+  Array.blit t.v 0 m 0 8;
+  Array.fill m 9 6 0;
+  if sep then begin
+    m.(8) <- 0x00800000;
+    m.(15) <- 776
   end
+  else begin
+    m.(8) <- 0x80000000;
+    m.(15) <- 768
+  end;
+  Array.blit t.ki 0 h 0 8;
+  Sha256.compress_words h m;
+  Array.blit h 0 m 0 8;
+  m.(8) <- 0x80000000;
+  m.(15) <- 768;
+  Array.blit t.ko 0 out 0 8;
+  Sha256.compress_words out m
 
+let pad_key t key fill dst =
+  let m = t.m in
+  for i = 0 to 7 do
+    m.(i) <- key.(i) lxor fill
+  done;
+  Array.fill m 8 8 fill;
+  Sha256.set_iv dst;
+  Sha256.compress_words dst m
+
+let rekey t key =
+  pad_key t key 0x36363636 t.ki;
+  pad_key t key 0x5c5c5c5c t.ko
+
+(* The update with no provided data, run after every generate. *)
+let refresh t =
+  mac t ~sep:true t.k;
+  rekey t t.k;
+  mac t ~sep:false t.v
+
+(* Instantiation is the one update with provided data (seed and
+   personalization of any length), so it runs once over [Hmac]'s byte
+   path; the words take over from there. *)
 let create ?(personalization = "") seed =
-  let t = { key = Hmac.keyed (String.make 32 '\x00'); v = String.make 32 '\x01' } in
-  update t (seed ^ personalization);
+  let provided = seed ^ personalization in
+  let mac key msg = Hmac.sha256_keyed (Hmac.keyed key) msg in
+  let step (key, v) sep =
+    let key = mac key (v ^ sep ^ provided) in
+    (key, mac key v)
+  in
+  let kv = step (String.make 32 '\x00', String.make 32 '\x01') "\x00" in
+  let key, v = if provided = "" then kv else step kv "\x01" in
+  let z () = Array.make 8 0 in
+  let t = { ki = z (); ko = z (); v = z (); k = z (); h = z (); m = Array.make 16 0 } in
+  Sha256.load_words v t.v 0;
+  Sha256.load_words key t.k 0;
+  rekey t t.k;
   t
 
 let generate t n =
   let out = Bytes.create n in
   let pos = ref 0 in
   while !pos < n do
-    t.v <- Hmac.sha256_keyed t.key t.v;
-    let take = min (String.length t.v) (n - !pos) in
-    Bytes.blit_string t.v 0 out !pos take;
-    pos := !pos + take
+    mac t ~sep:false t.v;
+    for i = 0 to 7 do
+      let p = !pos + (4 * i) and w = t.v.(i) in
+      if p + 4 <= n then Bytes.set_int32_be out p (Int32.of_int w)
+      else
+        for j = 0 to n - p - 1 do
+          Bytes.set out (p + j) (Char.unsafe_chr ((w lsr (24 - (8 * j))) land 0xff))
+        done
+    done;
+    pos := !pos + 32
   done;
-  update t "";
+  refresh t;
   Bytes.unsafe_to_string out
 
-(* Top 62 bits of the 8-byte big-endian lane at [off], as a
-   non-negative int, without Int64 boxing. *)
-let lane62 s off =
-  let byte i = Char.code (String.unsafe_get s (off + i)) in
-  let hi = ref 0 in
-  for i = 0 to 6 do
-    hi := (!hi lsl 8) lor byte i
-  done;
-  (!hi lsl 6) lor (byte 7 lsr 2)
+(* Lanes read straight from V's words: a 4-byte lane is one word, an
+   8-byte lane the top 62 bits of two, as a non-negative int. *)
+let lane62 v i = (v.(i) lsl 30) lor (v.(i + 1) lsr 2)
+
+let two30 = 1 lsl 30
+let two32 = 1 lsl 32
+
+(* Rejection limits: the largest accepted draw below 2^62 (wide) or
+   2^32 (narrow) that keeps [v mod n] unbiased; the space size 2^62
+   itself is not representable. *)
+let wide_limit n = max_int - (((max_int mod n) + 1) mod n)
+let narrow_limit n = two32 - 1 - (two32 mod n)
 
 let uniform t n =
   if n <= 0 then invalid_arg "Drbg.uniform: n must be positive";
-  (* Rejection sampling on 62-bit draws ([0, max_int]) to avoid modulo
-     bias; the space size 2^62 itself is not representable. *)
-  let rem = ((max_int mod n) + 1) mod n in
-  let limit = max_int - rem in
+  let limit = wide_limit n in
   let rec draw () =
-    let v = lane62 (generate t 8) 0 in
+    mac t ~sep:false t.v;
+    let v = lane62 t.v 0 in
+    refresh t;
     if v <= limit then v mod n else draw ()
   in
   draw ()
 
-(* Bulk draws. One [generate] call per HMAC output block yields 16
-   bytes of stream per SHA-256 compression; a [uniform] call spends
-   ~8 compressions for the same 8 bytes because every call pays the
-   post-generate state update. Batching [count] draws into a single
-   [generate] therefore costs ~1/16th the hashing of [count] singles.
+(* Bulk draws. One generate of [count] lanes pays the post-generate
+   update once, so 4-byte lanes cost 1/4 compression each against 8
+   for a [uniform] call (1/32nd), and 8-byte lanes 1/2 (1/16th).
 
    Lanes are 4 bytes when every bound fits 30 bits (all protocol
    bounds: q < 2^30, permutation indices, coin flips) and 8 bytes
@@ -72,12 +142,20 @@ let uniform t n =
    it (the determinism contract is about program order, not byte
    equivalence; see DESIGN.md §3c). *)
 
-let lane32 s off =
-  let byte i = Char.code (String.unsafe_get s (off + i)) in
-  (((((byte 0 lsl 8) lor byte 1) lsl 8) lor byte 2) lsl 8) lor byte 3
-
-let two30 = 1 lsl 30
-let two32 = 1 lsl 32
+(* [count] >= 1 raw lanes from one generate, in stream order. *)
+let raw_lanes t ~wide count =
+  let out = Array.make count 0 in
+  let per_block = if wide then 4 else 8 in
+  let i = ref 0 in
+  while !i < count do
+    mac t ~sep:false t.v;
+    for j = 0 to min per_block (count - !i) - 1 do
+      out.(!i + j) <- (if wide then lane62 t.v (2 * j) else t.v.(j))
+    done;
+    i := !i + per_block
+  done;
+  refresh t;
+  out
 
 let uniform_lanes t bound count =
   if count < 0 then invalid_arg "Drbg.uniform_lanes: negative count";
@@ -89,15 +167,12 @@ let uniform_lanes t bound count =
       if n <= 0 then invalid_arg "Drbg.uniform_lanes: bound must be positive";
       if n > two30 then wide := true
     done;
-    let lane_bytes = if !wide then 8 else 4 in
-    let s = generate t (lane_bytes * count) in
-    let out = Array.make count 0 in
+    let wide = !wide in
+    let out = raw_lanes t ~wide count in
     for i = 0 to count - 1 do
       let n = bound i in
-      let v, limit =
-        if !wide then (lane62 s (8 * i), max_int - (((max_int mod n) + 1) mod n))
-        else (lane32 s (4 * i), two32 - 1 - (two32 mod n))
-      in
+      let limit = if wide then wide_limit n else narrow_limit n in
+      let v = out.(i) in
       out.(i) <- (if v <= limit then v mod n else uniform t n)
     done;
     out
@@ -108,16 +183,11 @@ let uniform_array t n count =
   if count < 0 then invalid_arg "Drbg.uniform_array: negative count";
   if count = 0 then [||]
   else begin
-    let narrow = n <= two30 in
-    let lane_bytes = if narrow then 4 else 8 in
-    let s = generate t (lane_bytes * count) in
-    let limit =
-      if narrow then two32 - 1 - (two32 mod n)
-      else max_int - (((max_int mod n) + 1) mod n)
-    in
-    let out = Array.make count 0 in
+    let wide = n > two30 in
+    let out = raw_lanes t ~wide count in
+    let limit = if wide then wide_limit n else narrow_limit n in
     for i = 0 to count - 1 do
-      let v = if narrow then lane32 s (4 * i) else lane62 s (8 * i) in
+      let v = out.(i) in
       out.(i) <- (if v <= limit then v mod n else uniform t n)
     done;
     out

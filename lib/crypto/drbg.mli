@@ -16,11 +16,13 @@ val uniform : t -> int -> int
 
 val uniform_array : t -> int -> int -> int array
 (** [uniform_array t n count] draws [count] independent unbiased
-    integers in [0, n) from a single bulk [generate] call — roughly
-    1/16th the hashing of [count] separate {!uniform} calls, the
-    dominant cost of large protocol phases. The stream consumption
-    differs from repeated {!uniform}: a draw site uses one pattern and
-    keeps it (determinism is about program order; DESIGN.md §3c). *)
+    integers in [0, n) from a single bulk [generate] call. A
+    {!uniform} call costs 8 SHA-256 compressions; a bulk lane costs
+    1/4 of one when [n <= 2^30] (4-byte lanes) and 1/2 otherwise, since
+    the 6-compression post-generate update is paid once per call. The
+    stream consumption differs from repeated {!uniform}: a draw site
+    uses one pattern and keeps it (determinism is about program order;
+    DESIGN.md §3c). *)
 
 val uniform_lanes : t -> (int -> int) -> int -> int array
 (** [uniform_lanes t bound count]: like {!uniform_array} but lane [i]

@@ -22,8 +22,10 @@ type ctx = {
   mutable finished : bool;
 }
 
+let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 let init () = {
-  h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+  h = Array.copy iv;
   buf = Bytes.create 64;
   buf_len = 0;
   total = 0;
@@ -48,12 +50,9 @@ let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
    doubled word and leaves garbage above bit 31; that is harmless
    because every sigma feeds a sum whose low 32 bits depend only on the
    low 32 bits of its terms, and each sum is masked before it is stored
-   or doubled again. *)
-let compress h block off =
-  let w = Domain.DLS.get schedule in
-  for t = 0 to 15 do
-    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask)
-  done;
+   or doubled again. The one kernel: [w.(0..15)] holds the block's
+   words on entry. *)
+let compress_schedule h w =
   for t = 16 to 63 do
     let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
     let dx = x lor (x lsl 32) and dy = y lor (y lsl 32) in
@@ -85,6 +84,25 @@ let compress h block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
+let compress h block off =
+  let w = Domain.DLS.get schedule in
+  for t = 0 to 15 do
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask)
+  done;
+  compress_schedule h w
+
+let compress_words h m =
+  let w = Domain.DLS.get schedule in
+  Array.blit m 0 w 0 16;
+  compress_schedule h w
+
+let set_iv h = Array.blit iv 0 h 0 8
+
+let load_words s dst at =
+  for i = 0 to 7 do
+    dst.(at + i) <- Int32.to_int (String.get_int32_be s (4 * i)) land mask
+  done
+
 let update ctx s =
   if ctx.finished then invalid_arg "Sha256.update: context already finalized";
   let len = String.length s in
@@ -112,19 +130,29 @@ let update ctx s =
     ctx.buf_len <- len - !pos
   end
 
-(* Four big-endian bytes straight into the block buffer, compressing
-   mid-field when the field straddles a block boundary. *)
+(* Four big-endian bytes straight into the block buffer: one store when
+   the word fits, byte by byte (compressing mid-field) when it
+   straddles a block boundary. *)
 let update_int32_be ctx v =
   if ctx.finished then invalid_arg "Sha256.update: context already finalized";
   ctx.total <- ctx.total + 4;
-  for i = 0 to 3 do
-    Bytes.unsafe_set ctx.buf ctx.buf_len (Char.unsafe_chr ((v lsr (24 - (8 * i))) land 0xff));
-    ctx.buf_len <- ctx.buf_len + 1;
+  if ctx.buf_len <= 60 then begin
+    Bytes.set_int32_be ctx.buf ctx.buf_len (Int32.of_int v);
+    ctx.buf_len <- ctx.buf_len + 4;
     if ctx.buf_len = 64 then begin
       compress ctx.h ctx.buf 0;
       ctx.buf_len <- 0
     end
-  done
+  end
+  else
+    for i = 0 to 3 do
+      Bytes.unsafe_set ctx.buf ctx.buf_len (Char.unsafe_chr ((v lsr (24 - (8 * i))) land 0xff));
+      ctx.buf_len <- ctx.buf_len + 1;
+      if ctx.buf_len = 64 then begin
+        compress ctx.h ctx.buf 0;
+        ctx.buf_len <- 0
+      end
+    done
 
 (* Pads in place in the block buffer: the 0x80 marker, zeros, and the
    64-bit big-endian bit length in the last eight bytes — spilling into

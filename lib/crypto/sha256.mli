@@ -1,8 +1,9 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch: the project takes
     no OCaml crypto dependency. Under every Fiat–Shamir challenge,
     shuffle round digest and batch-verification weight seed (all
-    streamed through {!Transcript}), HMAC (PSC item slots, HMAC-DRBG),
-    Evtrace segment checksums, [Bus.Sched.order_digest], the deploy
+    streamed through {!Transcript}), the batch weights themselves
+    (counter mode), HMAC (PSC item slots, HMAC-DRBG), Evtrace segment
+    checksums, [Bus.Sched.order_digest], the deploy
     digest and the simulated onion/HSDir addresses. Compressions and
     {!update_int32_be} allocate nothing, and are safe to run
     concurrently from pool workers (DESIGN.md §3c). *)
@@ -20,6 +21,24 @@ val update : ctx -> string -> unit
 val update_int32_be : ctx -> int -> unit
 (** Absorb the low 32 bits of an int as four big-endian bytes, without
     building a string. *)
+
+(** {2 Word-level compressions}
+
+    For callers that lay out whole blocks themselves (the HMAC-DRBG
+    generate and update steps, batch weights): hash words and block
+    words are ints holding 32-bit values, big-endian as in FIPS 180-4.
+    The byte path above runs the same compression kernel. *)
+
+val set_iv : int array -> unit
+(** [set_iv h] sets the 8 words of [h] to the SHA-256 initial value. *)
+
+val load_words : string -> int array -> int -> unit
+(** [load_words s dst at] stores the 8 big-endian words of the first 32
+    bytes of [s] (a digest) in [dst.(at)] .. [dst.(at + 7)]. *)
+
+val compress_words : int array -> int array -> unit
+(** [compress_words h m] absorbs the 16-word block [m] into the 8 hash
+    words [h], in place; padding is the caller's. Allocates nothing. *)
 
 val finalize : ctx -> string
 (** 32-byte raw digest. The context must not be reused afterwards. *)

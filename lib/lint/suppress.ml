@@ -25,41 +25,82 @@ let is_rule_token tok =
          | _ -> false)
        tok
 
-let index_of_sub s sub =
+let find_from s from sub =
   let n = String.length s and m = String.length sub in
   let rec go i = if i > n - m then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go 0
+  go from
 
-let rules_of_line line =
-  match index_of_sub line marker with
-  | None -> None
-  | Some i ->
-    let i = i + String.length marker in
-    let rest = String.sub line i (String.length line - i) in
-    (* cut at the comment terminator if it is on the same line *)
-    let rest =
-      match index_of_sub rest "*)" with
-      | Some j -> String.sub rest 0 j
-      | None -> rest
-    in
-    let words =
-      String.split_on_char ' ' rest
-      |> List.concat_map (String.split_on_char ',')
-      |> List.filter (fun w -> w <> "")
-    in
-    let rec take = function
-      | tok :: rest when is_rule_token tok -> tok :: take rest
-      | _ -> []
-    in
-    Some (take words)
+(* The rule tokens after the marker, up to the comment terminator or
+   the end of the line. *)
+let rules_after rest =
+  let rest = match find_from rest 0 "*)" with Some j -> String.sub rest 0 j | None -> rest in
+  let words =
+    String.split_on_char ' ' rest
+    |> List.concat_map (String.split_on_char ',')
+    |> List.filter (fun w -> w <> "")
+  in
+  let rec take = function
+    | tok :: rest when is_rule_token tok -> tok :: take rest
+    | _ -> []
+  in
+  take words
 
+(* A lexical walk: string literals ("..." with escapes, {id|...|id})
+   and character literals are stepped over whole, in code and in
+   comments alike (as the OCaml lexer does), so a marker inside a
+   string never counts. *)
 let scan source =
-  String.split_on_char '\n' source
-  |> List.mapi (fun i line -> (i + 1, rules_of_line line))
-  |> List.filter_map (fun (lineno, rules) ->
-         match rules with
-         | None -> None
-         | Some rs -> Some { line = lineno; rules = rs; used = false })
+  let n = String.length source in
+  let entries = ref [] and line = ref 1 and counted = ref 0 in
+  let line_at pos =
+    for k = !counted to pos - 1 do
+      if source.[k] = '\n' then incr line
+    done;
+    counted := pos;
+    !line
+  in
+  (* index after the literal opening at [i], or [i + 1] when none does *)
+  let skip i =
+    match source.[i] with
+    | '"' ->
+      let j = ref (i + 1) in
+      while !j < n && source.[!j] <> '"' do
+        if source.[!j] = '\\' then incr j;
+        incr j
+      done;
+      !j + 1
+    | '{' -> (
+      let j = ref (i + 1) in
+      while !j < n && (match source.[!j] with 'a' .. 'z' | '_' -> true | _ -> false) do
+        incr j
+      done;
+      if !j >= n || source.[!j] <> '|' then i + 1
+      else
+        let close = "|" ^ String.sub source (i + 1) (!j - i - 1) ^ "}" in
+        match find_from source (!j + 1) close with
+        | Some k -> k + String.length close
+        | None -> n)
+    | '\'' when i + 2 < n && source.[i + 1] <> '\\' && source.[i + 2] = '\'' -> i + 3
+    | '\'' when i + 1 < n && source.[i + 1] = '\\' -> (
+      match String.index_from_opt source (min n (i + 3)) '\'' with
+      | Some k -> k + 1
+      | None -> n)
+    | _ -> i + 1
+  in
+  let i = ref 0 in
+  while !i < n do
+    let from = !i + String.length marker in
+    if source.[!i] = '(' && from <= n && String.sub source !i (String.length marker) = marker
+    then begin
+      let eol = match String.index_from_opt source from '\n' with Some e -> e | None -> n in
+      entries :=
+        { line = line_at !i; rules = rules_after (String.sub source from (eol - from)); used = false }
+        :: !entries;
+      i := from
+    end
+    else i := skip !i
+  done;
+  List.rev !entries
 
 let allows t ~line ~rule_id ~family =
   (* Check every entry (no early exit) so that overlapping allows are

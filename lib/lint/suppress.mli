@@ -11,8 +11,8 @@
     it can sit directly above the flagged expression.
 
     The marker is only recognized when the phrase directly follows a
-    comment opener; prose or string literals that merely mention
-    "torlint: allow" are ignored.
+    comment opener outside any string literal; prose or string
+    literals that merely mention "torlint: allow" are ignored.
 
     Each entry tracks whether it actually waived a diagnostic during a
     run; [stale] returns the ones that never matched, which the engine
@@ -27,8 +27,11 @@ type entry = {
 type t = entry list
 
 val scan : string -> t
-(** Collect the allow comments of one source file. The scan is purely
-    line-based: it does not require the file to parse. *)
+(** Collect the allow comments of one source file. The scan is
+    lexical and does not require the file to parse: it steps over
+    string literals (["..."] with escapes, [{id|...|id}]) and character
+    literals, in code and in comments, and reads an allow's rule names
+    from the rest of the marker's line. *)
 
 val allows : t -> line:int -> rule_id:string -> family:string -> bool
 (** Is a diagnostic at [line] waived by some allow comment? Marks every

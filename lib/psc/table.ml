@@ -11,7 +11,14 @@ type t = {
   joint : Crypto.Elgamal.pub;
   tab : Crypto.Group.precomp; (* fixed-base table for [joint] *)
   drbg : Crypto.Drbg.t;
+  mutable rs : Crypto.Group.exp array; (* insert randomness not yet used *)
+  mutable next : int; (* index of the next unused exponent in [rs] *)
 }
+
+(* Insert randomness is read in bulk: one [random_exps] of this many
+   exponents costs 22 SHA-256 compressions, against 8 for each
+   single draw it replaces. *)
+let insert_batch = 64
 
 let create ?tab ~table_size ~key ~joint ~drbg () =
   let tab = match tab with Some t -> t | None -> Crypto.Group.precomp joint in
@@ -23,11 +30,19 @@ let create ?tab ~table_size ~key ~joint ~drbg () =
     Parallel.parallel_init table_size (fun i ->
         Crypto.Elgamal.encrypt_with ~tab ~r:rs.(i) joint Crypto.Elgamal.one)
   in
-  { slots; key; joint; tab; drbg }
+  { slots; key; joint; tab; drbg; rs = [||]; next = 0 }
 
+(* Each exponent is used once, so every insert is still a fresh,
+   independent encryption. *)
 let insert t item =
   let i = Item.slot ~key:t.key ~table_size:(Array.length t.slots) item in
-  t.slots.(i) <- Crypto.Elgamal.encrypt ~tab:t.tab t.drbg t.joint Crypto.Elgamal.marker
+  if t.next = Array.length t.rs then begin
+    t.rs <- Crypto.Group.random_exps t.drbg insert_batch;
+    t.next <- 0
+  end;
+  let r = t.rs.(t.next) in
+  t.next <- t.next + 1;
+  t.slots.(i) <- Crypto.Elgamal.encrypt_with ~tab:t.tab ~r t.joint Crypto.Elgamal.marker
 
 let slots t = Array.copy t.slots
 

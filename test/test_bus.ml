@@ -610,12 +610,12 @@ let test_deploy_order_digest_pins () =
       ( "benign",
         2,
         [
-          "98cbd2064bea2dcd5c928f16d0e25940ef37c6a841e3ae6dcbb09a558b98f2e8";
-          "c8d9cc325342af8eefb2a19905e609169169a996fc915a0d3e83ca0eb3d2fde2";
+          "da469940880a6f2c705129587891105da739632e280e28374b9dd4b2387f85f9";
+          "17caa6d585797d72165b24db694d83a567623a1b460bef5c17185993e04bf503";
         ] );
       ( "malicious-cp",
         1,
-        [ "6db019c548a771af626c50162d990e842a9bb2bcd52a08d8e3140299547e8898" ] );
+        [ "3a3bb50795f8e85af91470f2852e5afc5df3486dc6643a98d80d9cf90b227ddf" ] );
     ]
 
 (* --- decoder fuzzing: per-protocol wire bodies and checkpoints ---

@@ -453,6 +453,26 @@ let test_stale_allows () =
   in
   check_clean "used allow" (lint ~path:"lib/privcount/used_fix.ml" used)
 
+(* An allow marker inside a string literal is text, not a comment: only
+   the real comment on line 5 is scanned (and is stale). *)
+let test_allow_in_string_literal () =
+  let src =
+    {|let doc = "(* torlint: allow hygiene — in a string *)"
+let quoted = {x|(* torlint: allow determinism *)|x}
+let escaped = "\"(* torlint: allow all *)" and quote = '"'
+let multi = "line one \
+  (* torlint: allow hygiene *)"
+(* torlint: allow hygiene — a real comment after the literals *)
+let ok = 1|}
+  in
+  match lint ~path:"lib/core/string_fix.ml" src with
+  | [ d ] ->
+    Alcotest.(check string) "stale rule id" "suppress/stale-allow" d.Diagnostic.rule_id;
+    Alcotest.(check int) "only the real comment" 6 d.Diagnostic.line
+  | diags ->
+    Alcotest.failf "expected one stale-allow, got %d: %s" (List.length diags)
+      (String.concat "; " (List.map Diagnostic.to_string diags))
+
 (* --- machine-readable output --- *)
 
 let test_sarif_json_roundtrip () =
@@ -607,6 +627,8 @@ let () =
           Alcotest.test_case "determinism transitive" `Quick test_determinism_transitive;
           Alcotest.test_case "domain safety" `Quick test_domainsafety;
           Alcotest.test_case "stale allows" `Quick test_stale_allows;
+          Alcotest.test_case "allow marker in a string literal" `Quick
+            test_allow_in_string_literal;
         ] );
       ( "output",
         [
