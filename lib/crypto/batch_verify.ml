@@ -43,10 +43,9 @@ let weights ~context ~digest n =
   let mid = Array.make 8 0 in
   Sha256.set_iv mid;
   Sha256.compress_words mid m;
-  (* the counter block: be32(i), the 0x80 marker, the 68-byte length *)
-  Array.fill m 0 16 0;
-  m.(1) <- 0x80000000;
-  m.(15) <- 68 * 8;
+  (* the counter block: be32(i) after the 64-byte first block *)
+  m.(0) <- 0;
+  Sha256.pad_words m ~len:4 ~total:68;
   let q1 = Group.q - 1 in
   let limit = (1 lsl 32) - 1 - ((1 lsl 32) mod q1) in
   let out = Array.make n Group.one_exp and h = Array.make 8 0 in

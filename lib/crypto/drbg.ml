@@ -24,27 +24,19 @@ type t = {
 }
 
 (* [out] <- HMAC(K, V), or HMAC(K, V || 0x00) when [sep]. Either
-   message fits the one block after the key block: V in words 0-7, the
-   separator byte and the 0x80 marker in word 8, zeros, and in word 15
-   the bit length of key block plus message (768 or 776). The outer
-   hash lays out the inner digest the same way. [out] may be [t.v]. *)
+   message fits the one block after the 64-byte key block: V in words
+   0-7, then the separator byte in the top of word 8. The outer hash
+   lays out the inner digest the same way. [out] may be [t.v]. *)
 let mac t ~sep out =
   let m = t.m and h = t.h in
   Array.blit t.v 0 m 0 8;
-  Array.fill m 9 6 0;
-  if sep then begin
-    m.(8) <- 0x00800000;
-    m.(15) <- 776
-  end
-  else begin
-    m.(8) <- 0x80000000;
-    m.(15) <- 768
-  end;
+  m.(8) <- 0;
+  let len = if sep then 33 else 32 in
+  Sha256.pad_words m ~len ~total:(64 + len);
   Array.blit t.ki 0 h 0 8;
   Sha256.compress_words h m;
   Array.blit h 0 m 0 8;
-  m.(8) <- 0x80000000;
-  m.(15) <- 768;
+  Sha256.pad_words m ~len:32 ~total:96;
   Array.blit t.ko 0 out 0 8;
   Sha256.compress_words out m
 

@@ -98,6 +98,22 @@ let compress_words h m =
 
 let set_iv h = Array.blit iv 0 h 0 8
 
+(* Word-level form of [finalize]'s padding, for a last block that has
+   room for it: the 0x80 marker right after the [len] message bytes
+   (keeping the bytes of a partly filled word), zeros, and the 64-bit
+   bit length of all [total] bytes in words 14 and 15. *)
+let pad_words m ~len ~total =
+  if len < 0 || len > 55 then invalid_arg "Sha256.pad_words: len must be in [0, 55]";
+  let i = len / 4 and r = len mod 4 in
+  let kept = if r = 0 then 0 else m.(i) land (mask lxor ((1 lsl (32 - (8 * r))) - 1)) in
+  m.(i) <- kept lor (0x80 lsl (24 - (8 * r)));
+  for j = i + 1 to 13 do
+    m.(j) <- 0
+  done;
+  let bits = total * 8 in
+  m.(14) <- (bits lsr 32) land mask;
+  m.(15) <- bits land mask
+
 let load_words s dst at =
   for i = 0 to 7 do
     dst.(at + i) <- Int32.to_int (String.get_int32_be s (4 * i)) land mask

@@ -24,10 +24,11 @@ val update_int32_be : ctx -> int -> unit
 
 (** {2 Word-level compressions}
 
-    For callers that lay out whole blocks themselves (the HMAC-DRBG
-    generate and update steps, batch weights): hash words and block
-    words are ints holding 32-bit values, big-endian as in FIPS 180-4.
-    The byte path above runs the same compression kernel. *)
+    For callers that lay out a block's message words themselves (the
+    HMAC-DRBG generate and update steps, batch weights) and leave the
+    padding to {!pad_words}: hash words and block words are ints
+    holding 32-bit values, big-endian as in FIPS 180-4. The byte path
+    above runs the same compression kernel. *)
 
 val set_iv : int array -> unit
 (** [set_iv h] sets the 8 words of [h] to the SHA-256 initial value. *)
@@ -38,7 +39,14 @@ val load_words : string -> int array -> int -> unit
 
 val compress_words : int array -> int array -> unit
 (** [compress_words h m] absorbs the 16-word block [m] into the 8 hash
-    words [h], in place; padding is the caller's. Allocates nothing. *)
+    words [h], in place. Allocates nothing. *)
+
+val pad_words : int array -> len:int -> total:int -> unit
+(** [pad_words m ~len ~total] pads the last 16-word block [m] of a
+    message, whose first [len] bytes (0 <= [len] <= 55) the caller has
+    laid out in [m]'s leading words: the 0x80 marker after them, zeros,
+    and the bit length of the whole message, [total] bytes counting
+    every block compressed before this one. Allocates nothing. *)
 
 val finalize : ctx -> string
 (** 32-byte raw digest. The context must not be reused afterwards. *)

@@ -74,6 +74,33 @@ let test_sha256_padding_edges () =
       (1000, "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179");
     ]
 
+(* The word-level path (whole blocks through [compress_words], the last
+   one padded by [pad_words]) gives [digest]'s hash for every length
+   that fits one padded block, after zero or one whole block. Bytes past
+   the message in the last block start as 0xff, so the padding must
+   clear them. *)
+let test_sha256_pad_words () =
+  let msg n = String.init n (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  List.iter
+    (fun pre ->
+      for len = 0 to 55 do
+        let s = msg (pre + len) in
+        let byte j = if j < pre + len then Char.code s.[j] else 0xff in
+        let words base = Array.init 16 (fun w ->
+          List.fold_left (fun acc b -> (acc lsl 8) lor byte (base + (4 * w) + b)) 0 [ 0; 1; 2; 3 ])
+        in
+        let h = Array.make 8 0 in
+        Sha256.set_iv h;
+        if pre = 64 then Sha256.compress_words h (words 0);
+        let m = words pre in
+        Sha256.pad_words m ~len ~total:(pre + len);
+        Sha256.compress_words h m;
+        let want = Array.make 8 0 in
+        Sha256.load_words (Sha256.digest s) want 0;
+        Alcotest.(check (array int)) (Printf.sprintf "%d + %d bytes" pre len) want h
+      done)
+    [ 0; 64 ]
+
 (* --- HMAC (RFC 4231 vectors) --- *)
 
 let hmac_hex key msg = Sha256.to_hex (Hmac.sha256_keyed (Hmac.keyed key) msg)
@@ -1402,6 +1429,7 @@ let () =
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           Alcotest.test_case "reuse rejected" `Quick test_sha256_reuse_rejected;
           Alcotest.test_case "padding-edge known answers" `Quick test_sha256_padding_edges;
+          Alcotest.test_case "word-level padding = byte path" `Quick test_sha256_pad_words;
         ] );
       ("hmac", [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_vectors ]);
       ( "drbg",

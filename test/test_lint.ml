@@ -454,7 +454,7 @@ let test_stale_allows () =
   check_clean "used allow" (lint ~path:"lib/privcount/used_fix.ml" used)
 
 (* An allow marker inside a string literal is text, not a comment: only
-   the real comment on line 5 is scanned (and is stale). *)
+   the real comment on line 6 is scanned (and is stale). *)
 let test_allow_in_string_literal () =
   let src =
     {|let doc = "(* torlint: allow hygiene — in a string *)"

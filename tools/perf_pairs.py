@@ -9,10 +9,11 @@ printed as it finishes, as "workload seed side result-json"; the
 summary follows in the format of the committed PERF_PAIRS_*.txt files:
 
     python3 tools/perf_pairs.py --parent ../parent --change . \\
-        --pairs 10 --seed0 501 --seconds 35
+        --pairs 10 --seed0 501
 
-Quartiles are by linear interpolation; a change "wins" a pair when its
-value is better in the direction BENCHMARK.json gives. Exits 1 if any
+Every run lasts BENCHMARK.json's run_seconds. Quartiles are by linear
+interpolation; a change "wins" a pair when its value is better in the
+direction BENCHMARK.json gives. Exits 1 if any
 run fails, prints no result line, reports "correct": false or
 "failed" > 0; 2 on a usage error. Standard library only.
 """
@@ -75,8 +76,6 @@ def main():
                     help="comma-separated workloads (default: all in BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = ap.parse_args()
     if args.pairs < 1:
@@ -89,7 +88,7 @@ def main():
     for w in workloads:
         if w not in known:
             ap.error(f"workload {w!r} is not in BENCHMARK.json")
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = bench["per_layer" if args.trace else "end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
 
