@@ -32,18 +32,10 @@ let simulate_with ?pk_tab ~e ~z ~pk ~ct ~bit () =
   let a2 = Group.div (Group.pow_tab ?tab:pk_tab pk z) (Group.pow y e) in
   { a1; a2; e; z }
 
-(* All randomness a proven bit encryption consumes, in draw order.
-   [draw_rand] is the sequential prepass used before handing the pure
-   arithmetic to the domain pool; the order matches what
-   [encrypt_bit_proven] has always drawn inline. *)
+(* All randomness a proven bit encryption consumes, drawn by the caller
+   in a sequential prepass before the pure arithmetic goes to the
+   domain pool. *)
 type rand = { r : Group.exp; fake_e : Group.exp; fake_z : Group.exp; k : Group.exp }
-
-let draw_rand drbg =
-  let r = Group.random_exp drbg in
-  let fake_e = Group.random_exp drbg in
-  let fake_z = Group.random_exp drbg in
-  let k = Group.random_exp drbg in
-  { r; fake_e; fake_z; k }
 
 let prove_with ?pk_tab ~pk ~r ~bit ~fake_e ~fake_z ~k ct =
   let fake = simulate_with ?pk_tab ~e:fake_e ~z:fake_z ~pk ~ct ~bit:(not bit) () in
@@ -169,10 +161,6 @@ let verify_batch ?pk_tab ~pk pairs =
 let encrypt_bit_proven_with ?pk_tab ~pk { r; fake_e; fake_z; k } bit =
   let ct = Elgamal.encrypt_with ?tab:pk_tab ~r pk (message_of bit) in
   (ct, prove_with ?pk_tab ~pk ~r ~bit ~fake_e ~fake_z ~k ct)
-
-let encrypt_bit_proven drbg ~pk bit =
-  let rand = draw_rand drbg in
-  encrypt_bit_proven_with ~pk rand bit
 
 (* Bus wire form: a flat int array so the serialization layer stays
    ignorant of group internals while membership is still re-checked on

@@ -17,7 +17,8 @@ val prove :
 val verify :
   ?pk_tab:Group.precomp -> pk:Elgamal.pub -> Elgamal.ciphertext -> t -> bool
 (** [?pk_tab] is a fixed-base table for [pk]; raises [Invalid_argument]
-    on a base mismatch. *)
+    on a base mismatch. {!verify_batch} falls back to it to name the
+    forged proofs, and tests hold the batch to it (its oracle). *)
 
 val verify_batch :
   ?pk_tab:Group.precomp -> pk:Elgamal.pub ->
@@ -32,25 +33,15 @@ val verify_batch :
     verifies individually, up to the ~1/q batch soundness error
     (DESIGN.md §3c). *)
 
-val encrypt_bit_proven :
-  Drbg.t -> pk:Elgamal.pub -> bool -> Elgamal.ciphertext * t
-(** Fresh encryption of a bit together with its validity proof. *)
-
 type rand = { r : Group.exp; fake_e : Group.exp; fake_z : Group.exp; k : Group.exp }
-(** The four exponents a proven bit encryption consumes, in the order
-    {!encrypt_bit_proven} draws them. Splitting the draw from the
-    arithmetic lets callers run a sequential DRBG prepass and do the
-    group operations on the domain pool (see [Parallel]). *)
-
-val draw_rand : Drbg.t -> rand
-(** Draw the randomness for one proven bit encryption. Consumes exactly
-    the DRBG values [encrypt_bit_proven] would, in the same order. *)
+(** The four exponents a proven bit encryption consumes. Taking them
+    drawn lets callers run a sequential DRBG prepass and do the group
+    operations on the domain pool (see [Parallel]). *)
 
 val encrypt_bit_proven_with :
   ?pk_tab:Group.precomp -> pk:Elgamal.pub -> rand -> bool -> Elgamal.ciphertext * t
-(** Pure arithmetic of {!encrypt_bit_proven} given pre-drawn
-    randomness: [encrypt_bit_proven drbg ~pk bit] is exactly
-    [encrypt_bit_proven_with ~pk (draw_rand drbg) bit]. *)
+(** Fresh encryption of a bit under the pre-drawn randomness, together
+    with its validity proof. *)
 
 val to_ints : t -> int array
 (** Wire encoding for the message bus: both branches' (a1, a2, e, z),

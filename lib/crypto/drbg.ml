@@ -1,97 +1,60 @@
-(* HMAC-DRBG (NIST SP 800-90A) over HMAC-SHA256, held in words. The key
-   K is kept as the two SHA-256 midstates after its ipad and opad
-   blocks, and V as 8 words, so every HMAC after instantiation is two
-   compressions over one laid-out block each: no context copy, digest
-   string or blit per block. Costs, in compressions:
+(* HMAC-DRBG (NIST SP 800-90A) over HMAC-SHA256. K is an [Hmac.keyed],
+   rekeyed in place, and V is 8 words, so every HMAC after
+   instantiation is a one-block [Hmac.mac_words]: two compressions, no
+   context, digest string or blit. Costs, in compressions:
 
+   - instantiation: 2 for the all-zero K, then per update step the
+     byte-path MAC of V || sep || seed || personalization (2 while seed
+     and personalization fit the block with V || sep, 22 bytes), the
+     rekey to the new K (2) and V = HMAC(K, V) (2): 14 over two steps,
+     8 when seed and personalization are both empty (one step);
    - a generate block (32 bytes): 2, V = HMAC(K, V);
    - the post-generate update: 6, K = HMAC(K, V || 0x00) (2), the
-     rekey to K's two midstates (2), V = HMAC(K, V) (2).
+     rekey (2), V = HMAC(K, V) (2).
 
    So a [uniform] call spends 8 compressions on 8 bytes, and a bulk
    draw of [count] 4-byte lanes spends 2 * ceil(count / 8) + 6.
-   Output is byte-identical to the byte formulation over [Hmac] (locked
-   by the SP 800-90A known answer and a reference-DRBG property in the
-   crypto tests). *)
+   Output equals the byte formulation of SP 800-90A (locked by the
+   SP 800-90A known answer and a reference-DRBG property in the crypto
+   tests). *)
 
 type t = {
-  ki : int array; (* midstate after the block K xor ipad *)
-  ko : int array; (* midstate after the block K xor opad *)
-  v : int array; (* V, 8 words *)
+  key : Hmac.keyed; (* K *)
+  v : int array; (* V in words 0-7; word 8 stays 0, so V || 0x00 is its first 33 bytes *)
   k : int array; (* scratch: the next K during an update *)
-  h : int array; (* scratch: an inner digest *)
-  m : int array; (* scratch: one 16-word block *)
 }
 
-(* [out] <- HMAC(K, V), or HMAC(K, V || 0x00) when [sep]. Either
-   message fits the one block after the 64-byte key block: V in words
-   0-7, then the separator byte in the top of word 8. The outer hash
-   lays out the inner digest the same way. [out] may be [t.v]. *)
-let mac t ~sep out =
-  let m = t.m and h = t.h in
-  Array.blit t.v 0 m 0 8;
-  m.(8) <- 0;
-  let len = if sep then 33 else 32 in
-  Sha256.pad_words m ~len ~total:(64 + len);
-  Array.blit t.ki 0 h 0 8;
-  Sha256.compress_words h m;
-  Array.blit h 0 m 0 8;
-  Sha256.pad_words m ~len:32 ~total:96;
-  Array.blit t.ko 0 out 0 8;
-  Sha256.compress_words out m
-
-let pad_key t key fill dst =
-  let m = t.m in
-  for i = 0 to 7 do
-    m.(i) <- key.(i) lxor fill
-  done;
-  Array.fill m 8 8 fill;
-  Sha256.set_iv dst;
-  Sha256.compress_words dst m
-
-let rekey t key =
-  pad_key t key 0x36363636 t.ki;
-  pad_key t key 0x5c5c5c5c t.ko
+(* Byte [i] of the big-endian words [w]. *)
+let byte w i = (w.(i / 4) lsr (24 - (8 * (i land 3)))) land 0xff
 
 (* The update with no provided data, run after every generate. *)
 let refresh t =
-  mac t ~sep:true t.k;
-  rekey t t.k;
-  mac t ~sep:false t.v
+  Hmac.mac_words t.key t.v ~len:33 t.k;
+  Hmac.rekey t.key t.k;
+  Hmac.mac_words t.key t.v ~len:32 t.v
 
-(* Instantiation is the one update with provided data (seed and
-   personalization of any length), so it runs once over [Hmac]'s byte
-   path; the words take over from there. *)
+(* Instantiation: the update with provided data (seed and
+   personalization, of any length), over the byte path. Each step ends
+   with K's midstates in [t.key], which generation goes on from. *)
 let create ?(personalization = "") seed =
   let provided = seed ^ personalization in
-  let mac key msg = Hmac.sha256_keyed (Hmac.keyed key) msg in
-  let step (key, v) sep =
-    let key = mac key (v ^ sep ^ provided) in
-    (key, mac key v)
+  let t = { key = Hmac.keyed (String.make 32 '\x00'); v = Array.make 9 0; k = Array.make 8 0 } in
+  Array.fill t.v 0 8 0x01010101;
+  let step sep =
+    let v = String.init 32 (fun i -> Char.unsafe_chr (byte t.v i)) in
+    Hmac.mac t.key (v ^ sep ^ provided) t.k;
+    Hmac.rekey t.key t.k;
+    Hmac.mac_words t.key t.v ~len:32 t.v
   in
-  let kv = step (String.make 32 '\x00', String.make 32 '\x01') "\x00" in
-  let key, v = if provided = "" then kv else step kv "\x01" in
-  let z () = Array.make 8 0 in
-  let t = { ki = z (); ko = z (); v = z (); k = z (); h = z (); m = Array.make 16 0 } in
-  Sha256.load_words v t.v 0;
-  Sha256.load_words key t.k 0;
-  rekey t t.k;
+  step "\x00";
+  if provided <> "" then step "\x01";
   t
 
 let generate t n =
   let out = Bytes.create n in
-  let pos = ref 0 in
-  while !pos < n do
-    mac t ~sep:false t.v;
-    for i = 0 to 7 do
-      let p = !pos + (4 * i) and w = t.v.(i) in
-      if p + 4 <= n then Bytes.set_int32_be out p (Int32.of_int w)
-      else
-        for j = 0 to n - p - 1 do
-          Bytes.set out (p + j) (Char.unsafe_chr ((w lsr (24 - (8 * j))) land 0xff))
-        done
-    done;
-    pos := !pos + 32
+  for j = 0 to n - 1 do
+    if j mod 32 = 0 then Hmac.mac_words t.key t.v ~len:32 t.v;
+    Bytes.set out j (Char.unsafe_chr (byte t.v (j mod 32)))
   done;
   refresh t;
   Bytes.unsafe_to_string out
@@ -113,7 +76,7 @@ let uniform t n =
   if n <= 0 then invalid_arg "Drbg.uniform: n must be positive";
   let limit = wide_limit n in
   let rec draw () =
-    mac t ~sep:false t.v;
+    Hmac.mac_words t.key t.v ~len:32 t.v;
     let v = lane62 t.v 0 in
     refresh t;
     if v <= limit then v mod n else draw ()
@@ -140,7 +103,7 @@ let raw_lanes t ~wide count =
   let per_block = if wide then 4 else 8 in
   let i = ref 0 in
   while !i < count do
-    mac t ~sep:false t.v;
+    Hmac.mac_words t.key t.v ~len:32 t.v;
     for j = 0 to min per_block (count - !i) - 1 do
       out.(!i + j) <- (if wide then lane62 t.v (2 * j) else t.v.(j))
     done;

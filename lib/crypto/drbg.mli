@@ -9,7 +9,10 @@ val create : ?personalization:string -> string -> t
 (** [create seed] instantiates the DRBG from entropy-input [seed]. *)
 
 val generate : t -> int -> string
-(** [generate t n] produces [n] pseudorandom bytes and advances the state. *)
+(** [generate t n] produces [n] pseudorandom bytes and advances the
+    state. The byte form of SP 800-90A's generate: the known-answer and
+    reference tests pin the stream through it (its oracle), while the
+    library reads lanes with the calls below. *)
 
 val uniform : t -> int -> int
 (** [uniform t n] draws an unbiased integer in [0, n). *)

@@ -13,13 +13,7 @@ let encrypt_with ?tab ~r pk m =
 
 let encrypt ?tab drbg pk m = encrypt_with ?tab ~r:(Group.random_exp drbg) pk m
 
-let decrypt x { c1; c2 } = Group.div c2 (Group.pow c1 x)
-
 let mul a b = { c1 = Group.mul a.c1 b.c1; c2 = Group.mul a.c2 b.c2 }
-
-let rerandomize ?tab drbg pk ct = mul ct (encrypt ?tab drbg pk Group.one)
-
-let pow ct k = { c1 = Group.pow ct.c1 k; c2 = Group.pow ct.c2 k }
 
 let combine_partial_arr ct shares =
   Group.div ct.c2 (Array.fold_left Group.mul Group.one shares)

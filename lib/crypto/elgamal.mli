@@ -22,18 +22,8 @@ val encrypt : ?tab:Group.precomp -> Drbg.t -> pub -> Group.elt -> ciphertext
 val encrypt_with : ?tab:Group.precomp -> r:Group.exp -> pub -> Group.elt -> ciphertext
 (** Encryption with explicit randomness (used by proofs and tests). *)
 
-val decrypt : priv -> ciphertext -> Group.elt
-
-val rerandomize : ?tab:Group.precomp -> Drbg.t -> pub -> ciphertext -> ciphertext
-(** Fresh randomness; plaintext unchanged, ciphertext unlinkable. *)
-
 val mul : ciphertext -> ciphertext -> ciphertext
 (** Homomorphic: Enc(m1) * Enc(m2) = Enc(m1 * m2). *)
-
-val pow : ciphertext -> Group.exp -> ciphertext
-(** Enc(m)^k = Enc(m^k). Raising to a random nonzero exponent maps
-    "identity" to "identity" and anything else to a random non-identity
-    element — PSC's bit re-randomization. *)
 
 val combine_partial_arr : ciphertext -> Group.elt array -> Group.elt
 (** [combine_partial_arr ct shares] removes every party's decryption

@@ -89,15 +89,6 @@ let pow_int b e =
   done;
   !acc
 
-let pow_q_int b e =
-  let b = ref b and e = ref e and acc = ref 1 in
-  while !e > 0 do
-    if !e land 1 = 1 then acc := reduce_q (!acc * !b);
-    b := reduce_q (!b * !b);
-    e := !e lsr 1
-  done;
-  !acc
-
 (* Four-lane kernels. A modular squaring waits on the one before it, so
    one exponentiation leaves the multiplier idle most of the time;
    four independent chains written out side by side overlap in the
@@ -279,9 +270,6 @@ let exp_sub a b =
 
 let exp_mul a b = reduce_q (a * b)
 let exp_neg a = if a = 0 then 0 else q - a
-let exp_inv a =
-  if a = 0 then invalid_arg "Group.exp_inv: zero exponent";
-  pow_q_int a (q - 2)
 
 let random_exp drbg = Drbg.uniform drbg q
 let random_exps drbg count = Drbg.uniform_array drbg q count
@@ -295,10 +283,8 @@ let exp_of_digest d =
   done;
   reduce_q (!v land ((1 lsl 60) - 1))
 
-let hash_to_exp s = exp_of_digest (Sha256.digest s)
-
 let hash_to_elt s =
-  let e = hash_to_exp ("elt|" ^ s) in
+  let e = exp_of_digest (Sha256.digest ("elt|" ^ s)) in
   (* g^e is uniform in the subgroup as e ranges over Z_q. *)
   pow_g (if e = 0 then 1 else e)
 

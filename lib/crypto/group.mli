@@ -19,9 +19,6 @@ val p : int
 val q : int
 (** Subgroup order (p - 1) / 2, prime. *)
 
-val g : elt
-(** Fixed generator of the order-q subgroup. *)
-
 val one : elt
 val zero_exp : exp
 val one_exp : exp
@@ -47,10 +44,14 @@ val exp_to_int : exp -> int
 
 val mul : elt -> elt -> elt
 val inv : elt -> elt
+(** Kept as the one-element oracle that tests hold {!batch_inv} to;
+    the library divides with {!div}. *)
+
 val div : elt -> elt -> elt
 val pow : elt -> exp -> elt
 val pow_g : exp -> elt
-(** [pow_g x] = g^x, via the fixed-base table for g. *)
+(** [pow_g x] = g^x for the group's fixed generator g (so [pow_g
+    one_exp] is g), via the fixed-base table for g. *)
 
 type precomp
 (** Fixed-base exponentiation table (radix 2^8, 1024 group elements).
@@ -94,15 +95,14 @@ val exp_add : exp -> exp -> exp
 val exp_sub : exp -> exp -> exp
 val exp_mul : exp -> exp -> exp
 val exp_neg : exp -> exp
-val exp_inv : exp -> exp
-(** Multiplicative inverse mod q (q is prime). *)
 
 val is_member : int -> bool
 (** Membership test for the order-q subgroup: [1 <= x < p] and
     [x^q = 1] (Euler's criterion), any int accepted. One element at a
     time by square-and-multiply; vectors go through {!elts_of_ints},
-    whose four-lane addition chain the startup self-check holds to
-    this test. *)
+    whose four-lane addition chain the startup self-check and the
+    tests hold to this one (its oracle; the library itself reads it
+    only through {!elt_of_int}). *)
 
 type lanes = { l0 : elt; l1 : elt; l2 : elt; l3 : elt }
 
@@ -130,8 +130,6 @@ val exp_of_digest : string -> exp
 (** Fiat–Shamir: map a SHA-256 digest (at least 8 bytes) to a challenge
     exponent. {!Transcript.challenge} is this over a streamed digest. *)
 
-val hash_to_exp : string -> exp
-(** [exp_of_digest (Sha256.digest s)]. *)
-
 val hash_to_elt : string -> elt
-(** Hash to a subgroup element (square of a hash-derived residue). *)
+(** Hash to a subgroup element: g^e for the exponent {!exp_of_digest}
+    makes of the SHA-256 digest of ["elt|" ^ s] (never the identity). *)

@@ -24,23 +24,21 @@ type ctx = {
 
 let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
-let init () = {
-  h = Array.copy iv;
-  buf = Bytes.create 64;
-  buf_len = 0;
-  total = 0;
-  finished = false;
-}
+let resume h ~total =
+  if total < 0 || total mod 64 <> 0 then
+    invalid_arg "Sha256.resume: total must be a multiple of 64";
+  { h = Array.copy h; buf = Bytes.create 64; buf_len = 0; total; finished = false }
 
-(* Independent snapshot of a context. Lets HMAC absorb a key block once
-   and restart from the midstate per message instead of re-absorbing the
-   padded key on every call. *)
+let init () = resume iv ~total:0
+
+(* Independent snapshot of a context: a running hash whose digest is
+   read without ending it. *)
 let copy ctx = { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf }
 
 (* Message-schedule scratch, one array per domain: a compression runs to
    completion on the domain that started it and never yields, so pool
    workers hashing concurrently each fill their own schedule. Keeping it
-   out of [ctx] saves 66 words per context (and per HMAC [copy]). *)
+   out of [ctx] saves 66 words per context (one per byte-path HMAC). *)
 let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
 
 (* Rotations from a doubled word: for a 32-bit [x], the 63-bit int

@@ -2,19 +2,30 @@
     no OCaml crypto dependency. Under every Fiat–Shamir challenge,
     shuffle round digest and batch-verification weight seed (all
     streamed through {!Transcript}), the batch weights themselves
-    (counter mode), HMAC (PSC item slots, HMAC-DRBG), Evtrace segment
-    checksums, [Bus.Sched.order_digest], the deploy
-    digest and the simulated onion/HSDir addresses. Compressions and
-    {!update_int32_be} allocate nothing, and are safe to run
-    concurrently from pool workers (DESIGN.md §3c). *)
+    (counter mode), {!Hmac} (PSC item slots, HMAC-DRBG), Evtrace
+    segment checksums, [Bus.Sched.order_digest], the deploy digest and
+    the simulated onion/HSDir addresses. This module owns the
+    compression kernel and SHA-256's padding; {!Hmac} owns the HMAC key
+    blocks and block layout on top of {!compress_words}, {!pad_words}
+    and {!resume}. Compressions and {!update_int32_be} allocate
+    nothing, and are safe to run concurrently from pool workers
+    (DESIGN.md §3c). *)
 
 type ctx
 
 val init : unit -> ctx
 
+val resume : int array -> total:int -> ctx
+(** [resume h ~total] continues a hash whose first [total] bytes (a
+    whole number of 64-byte blocks) left the 8 hash words [h], e.g. a
+    midstate from {!compress_words}; [h] is copied. {!init} is
+    [resume] from the initial value at [total = 0]. HMAC's byte path
+    starts each message from its key's inner midstate this way. *)
+
 val copy : ctx -> ctx
 (** Independent snapshot: updating or finalizing the copy leaves the
-    original untouched. Used by HMAC to cache per-key midstates. *)
+    original untouched ([Bus.Sched.order_digest] reads a running
+    digest this way). *)
 
 val update : ctx -> string -> unit
 
@@ -24,11 +35,11 @@ val update_int32_be : ctx -> int -> unit
 
 (** {2 Word-level compressions}
 
-    For callers that lay out a block's message words themselves (the
-    HMAC-DRBG generate and update steps, batch weights) and leave the
-    padding to {!pad_words}: hash words and block words are ints
-    holding 32-bit values, big-endian as in FIPS 180-4. The byte path
-    above runs the same compression kernel. *)
+    For callers that lay out a block's message words themselves
+    ({!Hmac}'s key blocks and one-block messages, batch weights) and
+    leave the padding to {!pad_words}: hash words and block words are
+    ints holding 32-bit values, big-endian as in FIPS 180-4. The byte
+    path above runs the same compression kernel. *)
 
 val set_iv : int array -> unit
 (** [set_iv h] sets the 8 words of [h] to the SHA-256 initial value. *)

@@ -14,10 +14,6 @@ let int v t =
 let elt x t = int (Group.elt_to_int x) t
 let exp e t = int (Group.exp_to_int e) t
 
-let ints a t =
-  Array.iter (Sha256.update_int32_be t) a;
-  t
-
 let elts a t =
   Array.iter (fun e -> Sha256.update_int32_be t (Group.elt_to_int e)) a;
   t

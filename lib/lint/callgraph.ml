@@ -1,12 +1,17 @@
 (* Cross-module call graph over parsed sources.
 
-   Canonical naming is flat per compilation unit: the definition [f] at
-   the top of [lib/privcount/dc.ml] is the node ["Dc.report" ->
-   "Dc.f"], and a nested [module Segment = struct let encode = ... end]
-   in [evtrace.ml] is ["Evtrace.Segment.encode"]. References written
-   through a dune library wrapper ("Privcount.Dc.report",
-   "Tormeasure.Registry.all") resolve by dropping leading path segments
-   until a known definition matches, so the graph needs no knowledge of
+   Canonical names are qualified by library directory: the definition
+   [f] at the top of [lib/privcount/dc.ml] is the node
+   ["Privcount.Dc.f"], and a nested [module Segment = struct let encode
+   = ... end] in [lib/trace/evtrace.ml] is
+   ["Trace.Evtrace.Segment.encode"], so same-named units in two
+   libraries ([lib/psc/node.ml], [lib/privcount/node.ml]) stay two
+   nodes. A reference resolves against its own library after its
+   enclosing modules and opens ([Dc.report] inside lib/privcount), or
+   as written ("Privcount.Dc.report"). A reference through a wrapper
+   named unlike its directory ("Tormeasure.Registry.all" for
+   lib/core) drops leading path segments until it names exactly one
+   definition up to the qualifier, so the graph needs no knowledge of
    dune's wrapping scheme.
 
    The construction is deliberately conservative (over-approximating
@@ -67,8 +72,16 @@ let defs_in_order t = List.filter_map (Hashtbl.find_opt t.defs) t.order
 
 (* ---------- small helpers ---------- *)
 
-let unit_name_of_path path =
-  String.capitalize_ascii Filename.(remove_extension (basename path))
+(* The library qualifier of a source, from its directory:
+   ["lib/psc/node.ml"] -> ["Psc"]; [""] for a path with no directory. *)
+let library_of_path path =
+  match Filename.(basename (dirname path)) with
+  | "." | "/" | "" -> ""
+  | dir -> String.capitalize_ascii dir
+
+let unit_id_of_path path =
+  let unit = String.capitalize_ascii Filename.(remove_extension (basename path)) in
+  match library_of_path path with "" -> unit | lib -> lib ^ "." ^ unit
 
 let contains_dot s = String.contains s '.'
 
@@ -199,6 +212,10 @@ type env = {
   config : Config.t;
   defs : (string, def) Hashtbl.t;
   module_prefixes : (string, unit) Hashtbl.t;
+  libraries : (string, unit) Hashtbl.t;  (* the library qualifiers *)
+  mutable def_names : (string, string list) Hashtbl.t;
+  mutable module_names : (string, string list) Hashtbl.t;
+    (* def / module ids keyed by the id without its qualifier *)
   aliases : (string, string) Hashtbl.t;  (* canonical prefix -> expansion *)
   mutable raw_aliases : (string * string * string list) list;
     (* (alias id, raw target, enclosing prefixes innermost-first) *)
@@ -234,17 +251,39 @@ let alias_expand env name =
   in
   go name 8
 
+(* Ids keyed by the id without its library qualifier, for references
+   that leave the qualifier out: ["Dc.report"] -> ["Privcount.Dc.report"]. *)
+let index_by_name env ids =
+  let index = Hashtbl.create 256 in
+  List.iter
+    (fun id ->
+      match String.index_opt id '.' with
+      | Some i when Hashtbl.mem env.libraries (String.sub id 0 i) ->
+        let name = String.sub id (i + 1) (String.length id - i - 1) in
+        Hashtbl.replace index name
+          (id :: Option.value ~default:[] (Hashtbl.find_opt index name))
+      | _ -> ())
+    ids;
+  index
+
+(* The id [name] denotes in [table]: itself, else the one id it names
+   up to a library qualifier (none when two libraries define it). *)
+let find_id table index name =
+  if Hashtbl.mem table name then Some name
+  else match Hashtbl.find_opt index name with Some [ id ] -> Some id | _ -> None
+
 (* Resolve a dotted name against the definition table: expand aliases,
    then drop leading segments (library wrappers, parent dirs) until a
    known definition matches. Bare (dot-free) names never match here —
    they only resolve through an explicit prefix or open. *)
 let rec lookup env name =
   let name = alias_expand env name in
-  if Hashtbl.mem env.defs name then Some name
-  else
+  match find_id env.defs env.def_names name with
+  | Some id -> Some id
+  | None -> (
     match drop_first_segment name with
     | Some rest when contains_dot rest -> lookup env rest
-    | _ -> None
+    | _ -> None)
 
 let resolve env ~prefixes ~opens name =
   let candidates =
@@ -258,11 +297,12 @@ let resolve env ~prefixes ~opens name =
    modules and alias targets. *)
 let rec lookup_module env name =
   let name = alias_expand env name in
-  if Hashtbl.mem env.module_prefixes name then Some name
-  else
+  match find_id env.module_prefixes env.module_names name with
+  | Some id -> Some id
+  | None -> (
     match drop_first_segment name with
     | Some rest -> lookup_module env rest
-    | None -> None
+    | None -> None)
 
 (* ---------- pass A: definitions, aliases, opens ---------- *)
 
@@ -597,6 +637,9 @@ let build config sources =
       config;
       defs = Hashtbl.create 512;
       module_prefixes = Hashtbl.create 64;
+      libraries = Hashtbl.create 16;
+      def_names = Hashtbl.create 1;
+      module_names = Hashtbl.create 1;
       aliases = Hashtbl.create 16;
       raw_aliases = [];
       all_sites = [];
@@ -605,16 +648,29 @@ let build config sources =
   let sources =
     List.sort (fun (a, _) (b, _) -> compare a b) sources
     |> List.map (fun (path, structure) ->
-           (path, unit_name_of_path path, structure, collect_opens structure))
+           (path, unit_id_of_path path, structure, collect_opens structure))
+  in
+  (* the scopes a unit resolves names in, innermost first: itself, then
+     its library *)
+  let scopes path unit =
+    match library_of_path path with "" -> [ unit ] | lib -> [ unit; lib ]
   in
   (* pass A: definitions, module prefixes, raw aliases *)
   List.iter
     (fun (path, unit, structure, _) ->
+      let lib = library_of_path path in
+      if lib <> "" then begin
+        Hashtbl.replace env.libraries lib ();
+        Hashtbl.replace env.module_prefixes lib ()
+      end;
       Hashtbl.replace env.module_prefixes unit ();
       let counter = ref 0 in
-      collect_items env ~path ~prefix:unit ~prefixes:[ unit ] ~in_functor:false
+      collect_items env ~path ~prefix:unit ~prefixes:(scopes path unit) ~in_functor:false
         ~counter structure)
     sources;
+  let ids table = Hashtbl.fold (fun id _ acc -> id :: acc) table [] |> List.sort compare in
+  env.def_names <- index_by_name env (ids env.defs);
+  env.module_names <- index_by_name env (ids env.module_prefixes);
   (* resolve aliases; two rounds so aliases of aliases settle *)
   let raw = List.rev env.raw_aliases in
   for _round = 1 to 2 do
@@ -629,12 +685,15 @@ let build config sources =
         | _ -> ())
       raw
   done;
-  (* pass B: resolve opens per unit, then walk bodies *)
+  (* pass B: resolve opens per unit, then walk bodies; a unit's own
+     library comes after its explicit opens, which shadow it *)
   List.iter
     (fun (path, unit, structure, raw_opens) ->
       let opens = List.filter_map (lookup_module env) raw_opens in
+      let lib = match library_of_path path with "" -> [] | lib -> [ lib ] in
       let counter = ref 0 in
-      walk_items env ~path ~prefix:unit ~prefixes:[ unit ] ~opens ~counter structure)
+      walk_items env ~path ~prefix:unit ~prefixes:[ unit ] ~opens:(opens @ lib) ~counter
+        structure)
     sources;
   (* finalize: restore source order, dedup roots, expand empty root sets
      to the enclosing definition's references (closure came in as an

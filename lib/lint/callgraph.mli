@@ -1,14 +1,17 @@
 (** Cross-module call graph over parsed sources.
 
-    Nodes are top-level definitions named by a flat per-unit canonical
-    id: [f] at the top of [lib/privcount/dc.ml] is ["Dc.f"], a nested
-    [module Segment] member in [evtrace.ml] is
-    ["Evtrace.Segment.encode"], and each
-    side-effecting [let () = ...] gets a synthetic ["Unit.__initN"]
-    node. References written through dune library wrappers
-    (["Privcount.Dc.report"]) resolve by dropping leading segments
-    until a known definition matches. [module A = B] aliases and
-    functor applications are expanded by prefix rewriting.
+    Nodes are top-level definitions named by a canonical id qualified
+    by library directory: [f] at the top of [lib/privcount/dc.ml] is
+    ["Privcount.Dc.f"], a nested [module Segment] member in
+    [lib/trace/evtrace.ml] is ["Trace.Evtrace.Segment.encode"], and
+    each side-effecting [let () = ...] gets a synthetic
+    ["Lib.Unit.__initN"] node; same-named units in two libraries are
+    two nodes. A reference resolves in its enclosing modules, its opens,
+    then its own library, then as written; one written through a dune
+    wrapper named unlike its directory (["Tormeasure.Registry.all"])
+    drops leading segments until it names exactly one definition up to
+    the qualifier. [module A = B] aliases and functor applications are
+    expanded by prefix rewriting.
 
     Every identifier reference inside a body is an edge — called,
     partially applied, stored, or passed along — so reachability over

@@ -32,37 +32,6 @@ let poisson rng ~lambda =
     let x = normal rng ~mu:lambda ~sigma:(sqrt lambda) in
     max 0 (int_of_float (Float.round x))
 
-let binomial rng ~n ~p =
-  if n < 0 then invalid_arg "Dist.binomial: negative n";
-  if p < 0.0 || p > 1.0 then invalid_arg "Dist.binomial: p outside [0,1]";
-  if n = 0 || p = 0.0 then 0
-  else if p = 1.0 then n
-  else if n <= 64 then begin
-    let count = ref 0 in
-    for _ = 1 to n do
-      if Rng.bernoulli rng p then incr count
-    done;
-    !count
-  end
-  else
-    let mean = float_of_int n *. p in
-    let var = mean *. (1.0 -. p) in
-    if var < 25.0 then begin
-      (* Moderate n with extreme p: exact via geometric skipping. *)
-      let q = if p <= 0.5 then p else 1.0 -. p in
-      let log1q = log (1.0 -. q) in
-      let count = ref 0 and i = ref 0 in
-      while !i < n do
-        let skip = int_of_float (log (Rng.float_pos rng) /. log1q) in
-        i := !i + skip + 1;
-        if !i <= n then incr count
-      done;
-      if p <= 0.5 then !count else n - !count
-    end
-    else
-      let x = normal rng ~mu:mean ~sigma:(sqrt var) in
-      min n (max 0 (int_of_float (Float.round x)))
-
 let geometric rng ~p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Dist.geometric: p outside (0,1]";
   if p = 1.0 then 0

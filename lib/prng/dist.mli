@@ -1,5 +1,5 @@
 (** Random variate generation for the distributions used by the noise
-    mechanisms (normal, binomial) and the synthetic workloads (zipf,
+    mechanisms (normal) and the synthetic workloads (zipf,
     poisson, exponential, geometric). *)
 
 val normal : Rng.t -> mu:float -> sigma:float -> float
@@ -11,10 +11,6 @@ val exponential : Rng.t -> rate:float -> float
 val poisson : Rng.t -> lambda:float -> int
 (** Poisson variate; exact (Knuth) for small lambda, normal
     approximation with continuity correction for large lambda. *)
-
-val binomial : Rng.t -> n:int -> p:float -> int
-(** Binomial(n, p) variate; exact for small n, normal approximation
-    (clamped to [0, n]) for large n. *)
 
 val geometric : Rng.t -> p:float -> int
 (** Number of failures before the first success, support {0,1,...}. *)

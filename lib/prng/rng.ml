@@ -1,9 +1,6 @@
 type t = Xoshiro.t
 
 let create seed = Xoshiro.of_seed (Int64.of_int seed)
-let split = Xoshiro.split
-let copy = Xoshiro.copy
-let int64 = Xoshiro.next
 
 let bits t = Int64.to_int (Int64.shift_right_logical (Xoshiro.next t) 2)
 
@@ -19,10 +16,6 @@ let below t n =
     if v <= limit then v mod n else draw ()
   in
   draw ()
-
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + below t (hi - lo + 1)
 
 let float t =
   (* 53 uniform bits into [0,1). *)
@@ -45,7 +38,3 @@ let permutation t n =
   let a = Array.init n (fun i -> i) in
   shuffle t a;
   a
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(below t (Array.length a))

@@ -20,31 +20,3 @@ let next t =
   t.s2 <- Int64.logxor t.s2 u;
   t.s3 <- rotl t.s3 45;
   result
-
-(* Long-jump polynomial: advances the stream by 2^192 steps, used to derive
-   independent substreams for parallel components of the simulation. *)
-let long_jump_poly = [| 0x76e15d3efefdcbbfL; 0xc5004e441c522fb3L; 0x77710069854ee241L; 0x39109bb02acbe635L |]
-
-let long_jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
-  Array.iter
-    (fun jump ->
-      for b = 0 to 63 do
-        if Int64.logand jump (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 t.s0;
-          s1 := Int64.logxor !s1 t.s1;
-          s2 := Int64.logxor !s2 t.s2;
-          s3 := Int64.logxor !s3 t.s3
-        end;
-        ignore (next t)
-      done)
-    long_jump_poly;
-  t.s0 <- !s0; t.s1 <- !s1; t.s2 <- !s2; t.s3 <- !s3
-
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
-(* A fresh generator whose stream is independent of [t]'s future output. *)
-let split t =
-  let child = copy t in
-  long_jump t;
-  child

@@ -48,7 +48,7 @@ let noise_slots ?tab t ~joint ~flips =
    malicious CP could inject non-bit plaintexts as "noise" and distort
    the cardinality while hiding behind noise deniability. Five lanes
    per flip: the coin, then the four proof exponents in
-   [Bit_proof.draw_rand] order. *)
+   [Bit_proof.rand]'s field order. *)
 let noise_slots_proven ?tab t ~joint ~flips =
   let q = Crypto.Group.q in
   let raw =

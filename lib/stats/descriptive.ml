@@ -1,16 +1,3 @@
-let mean xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Descriptive.mean: empty";
-  Array.fold_left ( +. ) 0.0 xs /. float_of_int n
-
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then invalid_arg "Descriptive.variance: need >= 2 samples";
-  let m = mean xs in
-  Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs /. float_of_int (n - 1)
-
-let stddev xs = sqrt (variance xs)
-
 let quantile xs q =
   if q < 0.0 || q > 1.0 then invalid_arg "Descriptive.quantile: q outside [0,1]";
   let n = Array.length xs in

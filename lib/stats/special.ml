@@ -1,5 +1,5 @@
-(* erfc via the Numerical-Recipes Chebyshev fit (erfccheb), then erf from
-   it; absolute error ~1e-13 on the real line. *)
+(* erfc via the Numerical-Recipes Chebyshev fit (erfccheb); absolute
+   error ~1e-13 on the real line. *)
 
 let erfc_cheb x =
   (* valid for x >= 0 *)
@@ -22,7 +22,6 @@ let erfc_cheb x =
   t *. exp ((-.x *. x) +. (0.5 *. (cof.(0) +. (ty *. !d))) -. !dd)
 
 let erfc x = if x >= 0.0 then erfc_cheb x else 2.0 -. erfc_cheb (-.x)
-let erf x = 1.0 -. erfc x
 
 let sqrt2 = sqrt 2.0
 
@@ -74,25 +73,3 @@ let normal_ppf p =
 let z_for_confidence conf =
   if conf <= 0.0 || conf >= 1.0 then invalid_arg "Special.z_for_confidence";
   normal_ppf (1.0 -. ((1.0 -. conf) /. 2.0))
-
-(* Lanczos g = 7, n = 9. *)
-let rec log_gamma x =
-  if x <= 0.0 then invalid_arg "Special.log_gamma: requires x > 0";
-  let coef =
-    [| 0.99999999999980993; 676.5203681218851; -1259.1392167224028; 771.32342877765313;
-       -176.61502916214059; 12.507343278686905; -0.13857109526572012; 9.9843695780195716e-6;
-       1.5056327351493116e-7 |]
-  in
-  if x < 0.5 then
-    (* reflection *)
-    log (Float.pi /. sin (Float.pi *. x)) -. log_gamma_pos (1.0 -. x) coef
-  else log_gamma_pos x coef
-
-and log_gamma_pos x coef =
-  let x = x -. 1.0 in
-  let a = ref coef.(0) in
-  let t = x +. 7.5 in
-  for i = 1 to 8 do
-    a := !a +. (coef.(i) /. (x +. float_of_int i))
-  done;
-  (0.5 *. log (2.0 *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !a

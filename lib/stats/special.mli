@@ -1,10 +1,8 @@
 (** Special functions needed by the confidence-interval machinery. *)
 
-val erf : float -> float
-(** Error function; Abramowitz–Stegun 7.1.26-style rational
-    approximation refined with one Newton step, |err| < 1e-12. *)
-
 val erfc : float -> float
+(** Complementary error function, 1 - erf x; absolute error ~1e-13
+    (Chebyshev fit). *)
 
 val normal_cdf : ?mu:float -> ?sigma:float -> float -> float
 (** Φ((x-mu)/sigma). *)
@@ -15,6 +13,3 @@ val normal_ppf : float -> float
 
 val z_for_confidence : float -> float
 (** [z_for_confidence 0.95] = 1.959963... *)
-
-val log_gamma : float -> float
-(** Lanczos approximation of ln Γ(x), x > 0. *)

@@ -31,14 +31,3 @@ type t =
   | Rendezvous_circuit of { outcome : rend_outcome }
 
 let is_web_port port = port = 80 || port = 443
-
-let describe = function
-  | Client_connection _ -> "client-connection"
-  | Client_circuit _ -> "client-circuit"
-  | Entry_bytes _ -> "entry-bytes"
-  | Directory_request _ -> "directory-request"
-  | Exit_stream _ -> "exit-stream"
-  | Exit_bytes _ -> "exit-bytes"
-  | Descriptor_published _ -> "descriptor-published"
-  | Descriptor_fetch _ -> "descriptor-fetch"
-  | Rendezvous_circuit _ -> "rendezvous-circuit"

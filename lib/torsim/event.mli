@@ -32,5 +32,3 @@ type t =
 
 val is_web_port : int -> bool
 (** 80 or 443 (paper §4.1). *)
-
-val describe : t -> string

@@ -97,9 +97,10 @@ module Segment : sig
       the payload checksum. *)
 
   val encode : t -> string
-  (** Re-seal a segment (recomputes the checksum over [payload]). Used
-      by tests to construct tampered segments; [Writer.finish] is the
-      normal producer. *)
+  (** Re-seal a segment (recomputes the checksum over [payload]) with
+      the encoder [Writer.finish] uses. Kept for tests: it is the
+      inverse oracle of {!decode} (re-sealing a decoded segment gives
+      the writer's bytes back), and it builds tampered segments. *)
 
   val read_file : string -> (t, error) result
   (** Read the whole file into a single buffer and {!decode} it. A

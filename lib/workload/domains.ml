@@ -173,26 +173,5 @@ let family_of_name name =
   in
   List.find_opt (fun (base, _) -> contains_sub name base) family_sizes |> Option.map fst
 
-(* --- categories --- *)
-
-let category_names =
-  [ "Shopping"; "News"; "Science"; "Sports"; "Arts"; "Business"; "Computers"; "Games";
-    "Health"; "Home"; "Kids"; "Recreation"; "Reference"; "Regional"; "Society"; "Adult";
-    "Search"; "Social"; "Streaming"; "Finance" ]
-
-let categories =
-  (* 50 sites per category; Shopping anchors amazon.com; torproject.org
-     is deliberately in no category (paper: 90.6% uncategorized). *)
-  List.mapi
-    (fun i cat ->
-      let members =
-        if cat = "Shopping" then
-          "amazon.com"
-          :: List.init 49 (fun k -> name_of_rank (2_000 + (i * 60) + k))
-        else List.init 50 (fun k -> name_of_rank (2_000 + (i * 60) + k))
-      in
-      (cat, members))
-    category_names
-
 let measured_tlds =
   [ "com"; "org"; "net"; "br"; "cn"; "de"; "fr"; "in"; "ir"; "it"; "jp"; "pl"; "ru"; "uk" ]

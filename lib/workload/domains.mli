@@ -2,7 +2,8 @@
 
     The paper matches observed hostnames against the Alexa top 1 million
     sites list, its category lists, sibling sets of the top-10 sites,
-    TLD subsets and second-level domains. We reproduce that structure
+    TLD subsets and second-level domains. We reproduce that structure,
+    less the category lists (no experiment here measures categories),
     with a deterministic synthetic list: every rank maps to a stable
     domain name, special ranks carry the real-world anchors the paper
     discusses (google.com at 1, amazon.com at 10, duckduckgo.com at 342,
@@ -39,10 +40,6 @@ val sibling_family : string -> string list
 
 val family_of_name : string -> string option
 (** Which top-10/duckduckgo/torproject family a hostname belongs to. *)
-
-val categories : (string * string list) list
-(** Alexa-style category lists: (category, up to 50 member domains).
-    amazon.com appears in "Shopping"; torproject.org is uncategorized. *)
 
 val measured_tlds : string list
 (** The 14 TLDs the paper measures in Fig. 3 (.com .org .net + 11

@@ -307,7 +307,7 @@ let test_callgraph_aliases () =
       ]
   in
   Alcotest.(check (list string)) "alias resolves to the target unit"
-    [ "Helper.go" ] (uses_of g "User.call");
+    [ "Core.Helper.go" ] (uses_of g "Core.User.call");
   (* dune wrapper prefixes are dropped until a known def matches *)
   let g2 =
     graph
@@ -317,7 +317,7 @@ let test_callgraph_aliases () =
       ]
   in
   Alcotest.(check (list string)) "wrapped reference resolves"
-    [ "Dc.report" ] (uses_of g2 "Wrap.show")
+    [ "Privcount.Dc.report" ] (uses_of g2 "Core.Wrap.show")
 
 let test_callgraph_functors () =
   let g =
@@ -330,11 +330,11 @@ let test_callgraph_functors () =
            let use () = M.go ()" );
       ]
   in
-  (match Callgraph.find g "Fct.F.go" with
+  (match Callgraph.find g "Core.Fct.F.go" with
   | None -> Alcotest.fail "functor body not collected"
   | Some d -> Alcotest.(check bool) "marked in_functor" true d.Callgraph.in_functor);
   Alcotest.(check (list string)) "application aliases to the functor body"
-    [ "Fct.F.go" ] (uses_of g "Fct.use")
+    [ "Core.Fct.F.go" ] (uses_of g "Core.Fct.use")
 
 let test_callgraph_shadowing () =
   let g =
@@ -345,9 +345,9 @@ let test_callgraph_shadowing () =
       ]
   in
   Alcotest.(check (list string)) "parameter shadows the top-level def" []
-    (uses_of g "Shade.f");
+    (uses_of g "Core.Shade.f");
   Alcotest.(check (list string)) "unshadowed reference is an edge"
-    [ "Shade.target" ] (uses_of g "Shade.h")
+    [ "Core.Shade.target" ] (uses_of g "Core.Shade.h")
 
 let test_callgraph_mutual_recursion () =
   let g =
@@ -357,8 +357,37 @@ let test_callgraph_mutual_recursion () =
           "let rec ping n = if n = 0 then 0 else pong (n - 1)\nand pong n = ping (n / 2)" );
       ]
   in
-  Alcotest.(check (list string)) "ping -> pong" [ "Mutual.pong" ] (uses_of g "Mutual.ping");
-  Alcotest.(check (list string)) "pong -> ping" [ "Mutual.ping" ] (uses_of g "Mutual.pong")
+  Alcotest.(check (list string)) "ping -> pong" [ "Core.Mutual.pong" ] (uses_of g "Core.Mutual.ping");
+  Alcotest.(check (list string)) "pong -> ping" [ "Core.Mutual.ping" ] (uses_of g "Core.Mutual.pong")
+
+(* Two units named [Node] in different libraries: lib/psc's inside the
+   determinism scope, lib/torsim's outside it and drawing from
+   [Random]. Named per basename, both shared one node that kept
+   lib/psc's path, so a scoped caller's chain into [Torsim.Node] looked
+   in-scope and went unreported. *)
+let test_callgraph_same_basename () =
+  let scoped = ("lib/psc/node.ml", "let jitter () = 0") in
+  let helper = ("lib/torsim/node.ml", "let jitter () = Random.int 10") in
+  let sibling = ("lib/psc/caller.ml", "let calm () = Node.jitter ()") in
+  let user = ("lib/privcount/user_fix.ml", "let go () = Torsim.Node.jitter ()") in
+  let sources = [ scoped; helper; sibling; user ] in
+  let g = graph sources in
+  let path id = Option.map (fun d -> d.Callgraph.def_path) (Callgraph.find g id) in
+  Alcotest.(check (option string)) "psc's unit keeps its path" (Some "lib/psc/node.ml")
+    (path "Psc.Node.jitter");
+  Alcotest.(check (option string)) "torsim's unit keeps its path" (Some "lib/torsim/node.ml")
+    (path "Torsim.Node.jitter");
+  Alcotest.(check (list string)) "an unqualified reference stays in its library"
+    [ "Psc.Node.jitter" ] (uses_of g "Psc.Caller.calm");
+  Alcotest.(check (list string)) "a qualified reference picks the named library"
+    [ "Torsim.Node.jitter" ] (uses_of g "Privcount.User_fix.go");
+  let diags = Engine.lint_sources Config.default sources in
+  Alcotest.(check (list string)) "only the caller of torsim's unit is flagged"
+    [ "lib/privcount/user_fix.ml" ]
+    (List.filter_map
+       (fun d ->
+         if d.Diagnostic.rule_id = "determinism/transitive" then Some d.Diagnostic.path else None)
+       diags)
 
 let test_reach_chain () =
   let adj = function
@@ -619,6 +648,7 @@ let () =
           Alcotest.test_case "functors" `Quick test_callgraph_functors;
           Alcotest.test_case "shadowing" `Quick test_callgraph_shadowing;
           Alcotest.test_case "mutual recursion" `Quick test_callgraph_mutual_recursion;
+          Alcotest.test_case "same-basename units" `Quick test_callgraph_same_basename;
           Alcotest.test_case "reach chains" `Quick test_reach_chain;
         ] );
       ( "interprocedural",

@@ -89,7 +89,7 @@ let test_noise_distribution () =
     values := r.Ts.value :: !values
   done;
   let arr = Array.of_list !values in
-  let sd = Stats.Descriptive.stddev arr in
+  let sd = Testkit.stddev arr in
   Alcotest.(check bool)
     (Printf.sprintf "empirical sd %.1f vs declared %.1f" sd sigma)
     true
@@ -205,7 +205,7 @@ let test_noise_weights_variance_split () =
     let r = Ts.value_exn (Deployment.tally d) "c" in
     values := r.Ts.value :: !values
   done;
-  let sd = Stats.Descriptive.stddev (Array.of_list !values) in
+  let sd = Testkit.stddev (Array.of_list !values) in
   Alcotest.(check bool)
     (Printf.sprintf "total sd preserved (%.1f vs %.1f)" sd sigma)
     true

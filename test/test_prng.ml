@@ -5,29 +5,16 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_determinism () =
   let a = Prng.Rng.create 42 and b = Prng.Rng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Prng.Rng.int64 a) (Prng.Rng.int64 b)
+    Alcotest.(check (float 0.0)) "same stream" (Prng.Rng.float a) (Prng.Rng.float b)
   done
 
 let test_seed_sensitivity () =
   let a = Prng.Rng.create 1 and b = Prng.Rng.create 2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Prng.Rng.int64 a = Prng.Rng.int64 b then incr same
+    if Prng.Rng.float a = Prng.Rng.float b then incr same
   done;
   Alcotest.(check bool) "different seeds diverge" true (!same < 4)
-
-let test_split_independent () =
-  let a = Prng.Rng.create 7 in
-  let child = Prng.Rng.split a in
-  let xs = Array.init 32 (fun _ -> Prng.Rng.int64 a) in
-  let ys = Array.init 32 (fun _ -> Prng.Rng.int64 child) in
-  Alcotest.(check bool) "split streams differ" true (xs <> ys)
-
-let test_copy () =
-  let a = Prng.Rng.create 7 in
-  ignore (Prng.Rng.int64 a);
-  let b = Prng.Rng.copy a in
-  Alcotest.(check int64) "copy resumes identically" (Prng.Rng.int64 a) (Prng.Rng.int64 b)
 
 (* --- uniformity --- *)
 
@@ -59,17 +46,6 @@ let test_float_bounds () =
     let f = Prng.Rng.float rng in
     if f < 0.0 || f >= 1.0 then Alcotest.fail "float outside [0,1)"
   done
-
-let test_int_in () =
-  let rng = Prng.Rng.create 5 in
-  let seen_lo = ref false and seen_hi = ref false in
-  for _ = 1 to 10_000 do
-    let v = Prng.Rng.int_in rng (-3) 3 in
-    if v < -3 || v > 3 then Alcotest.fail "int_in out of range";
-    if v = -3 then seen_lo := true;
-    if v = 3 then seen_hi := true
-  done;
-  Alcotest.(check bool) "endpoints reachable" true (!seen_lo && !seen_hi)
 
 let test_permutation () =
   let rng = Prng.Rng.create 21 in
@@ -118,24 +94,24 @@ let test_poisson_mean_large () =
 
 let test_binomial_exact_small () =
   let rng = Prng.Rng.create 47 in
-  let mean = mean_of (fun r -> float_of_int (Prng.Dist.binomial r ~n:20 ~p:0.3)) 100_000 rng in
+  let mean = mean_of (fun r -> float_of_int (Testkit.binomial r ~n:20 ~p:0.3)) 100_000 rng in
   Alcotest.(check bool) "mean near 6" true (abs_float (mean -. 6.0) < 0.05)
 
 let test_binomial_large () =
   let rng = Prng.Rng.create 53 in
-  let mean = mean_of (fun r -> float_of_int (Prng.Dist.binomial r ~n:10_000 ~p:0.5)) 5_000 rng in
+  let mean = mean_of (fun r -> float_of_int (Testkit.binomial r ~n:10_000 ~p:0.5)) 5_000 rng in
   Alcotest.(check bool) "mean near 5000" true (abs_float (mean -. 5000.0) < 10.0)
 
 let test_binomial_extreme_p () =
   let rng = Prng.Rng.create 59 in
-  let mean = mean_of (fun r -> float_of_int (Prng.Dist.binomial r ~n:1_000 ~p:0.001)) 50_000 rng in
+  let mean = mean_of (fun r -> float_of_int (Testkit.binomial r ~n:1_000 ~p:0.001)) 50_000 rng in
   Alcotest.(check bool) "mean near 1" true (abs_float (mean -. 1.0) < 0.05)
 
 let test_binomial_edges () =
   let rng = Prng.Rng.create 61 in
-  Alcotest.(check int) "n=0" 0 (Prng.Dist.binomial rng ~n:0 ~p:0.5);
-  Alcotest.(check int) "p=0" 0 (Prng.Dist.binomial rng ~n:100 ~p:0.0);
-  Alcotest.(check int) "p=1" 100 (Prng.Dist.binomial rng ~n:100 ~p:1.0)
+  Alcotest.(check int) "n=0" 0 (Testkit.binomial rng ~n:0 ~p:0.5);
+  Alcotest.(check int) "p=0" 0 (Testkit.binomial rng ~n:100 ~p:0.0);
+  Alcotest.(check int) "p=1" 100 (Testkit.binomial rng ~n:100 ~p:1.0)
 
 let test_geometric_mean () =
   let rng = Prng.Rng.create 67 in
@@ -190,18 +166,14 @@ let test_invalid_arguments () =
       ignore (Prng.Rng.below rng 0));
   Alcotest.check_raises "below negative" (Invalid_argument "Rng.below: n must be positive")
     (fun () -> ignore (Prng.Rng.below rng (-3)));
-  Alcotest.check_raises "int_in inverted" (Invalid_argument "Rng.int_in: empty range")
-    (fun () -> ignore (Prng.Rng.int_in rng 5 4));
-  Alcotest.check_raises "choose empty" (Invalid_argument "Rng.choose: empty array") (fun () ->
-      ignore (Prng.Rng.choose rng [||]));
   Alcotest.check_raises "exponential rate" (Invalid_argument "Dist.exponential: rate must be positive")
     (fun () -> ignore (Prng.Dist.exponential rng ~rate:0.0));
   Alcotest.check_raises "poisson negative" (Invalid_argument "Dist.poisson: negative lambda")
     (fun () -> ignore (Prng.Dist.poisson rng ~lambda:(-1.0)));
-  Alcotest.check_raises "binomial negative n" (Invalid_argument "Dist.binomial: negative n")
-    (fun () -> ignore (Prng.Dist.binomial rng ~n:(-1) ~p:0.5));
-  Alcotest.check_raises "binomial bad p" (Invalid_argument "Dist.binomial: p outside [0,1]")
-    (fun () -> ignore (Prng.Dist.binomial rng ~n:10 ~p:1.5));
+  Alcotest.check_raises "binomial negative n" (Invalid_argument "Testkit.binomial: negative n")
+    (fun () -> ignore (Testkit.binomial rng ~n:(-1) ~p:0.5));
+  Alcotest.check_raises "binomial bad p" (Invalid_argument "Testkit.binomial: p outside [0,1]")
+    (fun () -> ignore (Testkit.binomial rng ~n:10 ~p:1.5));
   Alcotest.check_raises "geometric bad p" (Invalid_argument "Dist.geometric: p outside (0,1]")
     (fun () -> ignore (Prng.Dist.geometric rng ~p:0.0));
   Alcotest.check_raises "zipf bad n" (Invalid_argument "Dist.zipf: n must be >= 1") (fun () ->
@@ -290,7 +262,7 @@ let prop_binomial_in_range =
     QCheck.(triple small_int (int_range 0 5000) (float_range 0.0 1.0))
     (fun (seed, n, p) ->
       let rng = Prng.Rng.create seed in
-      let v = Prng.Dist.binomial rng ~n ~p in
+      let v = Testkit.binomial rng ~n ~p in
       v >= 0 && v <= n)
 
 let () =
@@ -300,12 +272,9 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
-          Alcotest.test_case "split independence" `Quick test_split_independent;
-          Alcotest.test_case "copy" `Quick test_copy;
           Alcotest.test_case "below range" `Quick test_below_range;
           Alcotest.test_case "below uniform" `Quick test_below_uniform;
           Alcotest.test_case "float bounds" `Quick test_float_bounds;
-          Alcotest.test_case "int_in" `Quick test_int_in;
           Alcotest.test_case "permutation" `Quick test_permutation;
         ] );
       ( "dist",

@@ -1,5 +1,8 @@
 open Psc
 
+(* Decryption under one secret key: the plaintext oracle. *)
+let decrypt x { Crypto.Elgamal.c1; c2 } = Crypto.Group.(div c2 (pow c1 x))
+
 let config ?(table_size = 2_048) ?(flips = 32) ?(verify = true) () =
   Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:flips ~verify ()
 
@@ -438,7 +441,7 @@ let test_wrong_share_vectors_blamed () =
     [
       ("short", fun s -> { (s.(1)) with Cp.shares = Array.sub s.(1).Cp.shares 0 (n - 1) });
       ( "long",
-        fun s -> { (s.(1)) with Cp.shares = Array.append s.(1).Cp.shares [| Crypto.Group.g |] } );
+        fun s -> { (s.(1)) with Cp.shares = Array.append s.(1).Cp.shares [| Crypto.Group.pow_g Crypto.Group.one_exp |] } );
       ("CP 0's", fun s -> s.(0));
       ("no proof", fun s -> { (s.(1)) with Cp.proof = None });
     ];
@@ -576,19 +579,19 @@ let test_cp_bit_rerandomization () =
   let one = Crypto.Elgamal.encrypt drbg own_pk Crypto.Elgamal.marker in
   let out = Cp.rerandomize_bits cp [| zero; one |] in
   Alcotest.(check bool) "zero stays zero" true
-    (Crypto.Elgamal.is_identity_plaintext (Crypto.Elgamal.decrypt sk out.(0)));
+    (Crypto.Elgamal.is_identity_plaintext (decrypt sk out.(0)));
   Alcotest.(check bool) "one stays nonzero" false
-    (Crypto.Elgamal.is_identity_plaintext (Crypto.Elgamal.decrypt sk out.(1)));
+    (Crypto.Elgamal.is_identity_plaintext (decrypt sk out.(1)));
   (* and the nonzero plaintext is no longer the canonical marker *)
   Alcotest.(check bool) "marker destroyed" true
-    (Crypto.Group.elt_to_int (Crypto.Elgamal.decrypt sk out.(1))
+    (Crypto.Group.elt_to_int (decrypt sk out.(1))
      <> Crypto.Group.elt_to_int Crypto.Elgamal.marker
     || true (* with tiny probability k=1 keeps it; tolerated *))
 
 (* Rerandomization and decryption shares run on the four-lane power
    kernel, and the decryption proof folds the vector with multi_exp.
-   They must equal the one-lane reference (Elgamal.pow, c1^x per
-   slot, and one dleq_prove_with over the plain product
+   They must equal the one-lane reference (Group.pow on both
+   components, c1^x per slot, and one dleq_prove_with over the plain product
    prod c1_i^w_i) on every length, odd tails and the empty vector
    included, at pool sizes 1 and 4. The reference replays the CP's
    DRBG stream: [Cp.create] draws the key, then each phase makes its
@@ -622,7 +625,9 @@ let test_cp_vector_phases_match_reference () =
       let raw = Crypto.Drbg.uniform_array d (Crypto.Group.q - 1) n in
       let rerandomized =
         Array.mapi
-          (fun i ct -> Crypto.Elgamal.pow ct (Crypto.Group.exp_of_int (1 + raw.(i))))
+          (fun i { Crypto.Elgamal.c1; c2 } ->
+            let k = Crypto.Group.exp_of_int (1 + raw.(i)) in
+            { Crypto.Elgamal.c1 = Crypto.Group.pow c1 k; c2 = Crypto.Group.pow c2 k })
           vector
       in
       let d, _, _ = replay () in

@@ -118,9 +118,21 @@ let event_gen =
                ]) );
       ])
 
+(* The event's constructor, for counterexample printing. *)
+let describe = function
+  | Torsim.Event.Client_connection _ -> "client-connection"
+  | Client_circuit _ -> "client-circuit"
+  | Entry_bytes _ -> "entry-bytes"
+  | Directory_request _ -> "directory-request"
+  | Exit_stream _ -> "exit-stream"
+  | Exit_bytes _ -> "exit-bytes"
+  | Descriptor_published _ -> "descriptor-published"
+  | Descriptor_fetch _ -> "descriptor-fetch"
+  | Rendezvous_circuit _ -> "rendezvous-circuit"
+
 let arb_events =
   QCheck.make
-    ~print:(fun evs -> String.concat "," (List.map Torsim.Event.describe evs))
+    ~print:(fun evs -> String.concat "," (List.map describe evs))
     QCheck.Gen.(list_size (int_bound 200) event_gen)
 
 (* --- round-trip properties --- *)
@@ -163,6 +175,8 @@ let test_decode_errors () =
       [ Torsim.Event.Client_connection { client_ip = 9; country = "US"; asn = 701 } ]
       ~tallies:[ ("connections", 1) ]
   in
+  (* re-sealing the decoded segment gives the writer's bytes back *)
+  Alcotest.(check string) "encode inverts decode" s (Evtrace.Segment.encode (decode_exn s));
   (* wrong magic *)
   let bad_magic = Bytes.of_string s in
   Bytes.set bad_magic 0 'X';

@@ -88,16 +88,6 @@ let test_sibling_ranks_in_list () =
         (Domains.sibling_family base))
     Domains.top10_basenames
 
-let test_categories () =
-  List.iter
-    (fun (cat, members) ->
-      Alcotest.(check bool) (cat ^ " size") true (List.length members <= 50))
-    Domains.categories;
-  Alcotest.(check bool) "amazon in Shopping" true
-    (List.mem "amazon.com" (List.assoc "Shopping" Domains.categories));
-  Alcotest.(check bool) "torproject uncategorized" false
-    (List.exists (fun (_, members) -> List.mem "torproject.org" members) Domains.categories)
-
 (* Long-tail (non-Alexa) sites are named "t<k>.<tld>" by
    [Domains.tail_name]. *)
 let looks_like_tail name = String.length name > 1 && name.[0] = 't' && String.contains name '.'
@@ -460,7 +450,6 @@ let () =
           Alcotest.test_case "sibling families" `Quick test_sibling_families;
           Alcotest.test_case "family_of_name" `Quick test_family_of_name;
           Alcotest.test_case "sibling ranks valid" `Quick test_sibling_ranks_in_list;
-          Alcotest.test_case "categories" `Quick test_categories;
           Alcotest.test_case "tail TLDs" `Quick test_tail_names_have_known_tlds;
         ] );
       ( "popularity",
