@@ -5,9 +5,7 @@ let drbg () = Drbg.create "test-seed"
 (* The group's generator. *)
 let g = Group.pow_g Group.one_exp
 
-(* Decryption under one secret key: the plaintext oracle for the
-   protocols, which only ever decrypt jointly. *)
-let decrypt x { Elgamal.c1; c2 } = Group.div c2 (Group.pow c1 x)
+let decrypt = Testkit.decrypt
 
 (* A fresh proven bit encryption, its four exponents drawn one at a time. *)
 let encrypt_bit_proven d ~pk bit =

@@ -1,6 +1,11 @@
 (* Helpers shared by the test executables and read by no library code:
-   sample moments for judging noise mechanisms, and a binomial sampler
-   that simulates PSC's coin-flip noise where a test needs many draws. *)
+   sample moments for judging noise mechanisms, a binomial sampler that
+   simulates PSC's coin-flip noise where a test needs many draws, and
+   single-key ElGamal decryption. *)
+
+(* Decryption under one secret key: the plaintext oracle for the
+   protocols, which only ever decrypt jointly. *)
+let decrypt x { Crypto.Elgamal.c1; c2 } = Crypto.Group.(div c2 (pow c1 x))
 
 let mean xs =
   let n = Array.length xs in
