@@ -1,7 +1,9 @@
-(** HMAC-DRBG (NIST SP 800-90A) over SHA-256: the deterministic random
-    bit generator used wherever protocol parties need randomness that is
-    reproducible from a seed but cryptographically expanded (blinding
-    shares, ElGamal randomness, shuffle permutations). *)
+(** HMAC-DRBG (NIST SP 800-90A) with HMAC-SHA256: the deterministic
+    random bit generator used wherever protocol parties need randomness
+    that is reproducible from a seed but cryptographically expanded
+    (blinding shares, ElGamal randomness, shuffle permutations). K is an
+    {!Hmac.keyed} rekeyed in place and V is held in words; every HMAC
+    goes through {!Hmac}, which owns the key padding and block layout. *)
 
 type t
 
