@@ -15,14 +15,14 @@ let () =
   in
   let fraction = Torsim.Consensus.guard_fraction consensus observers in
 
-  (* PSC with verifiable shuffles and decryption proofs ON *)
+  (* PSC with its noise, shuffle and decryption proofs *)
   let flips =
     Psc.Protocol.flips_for_params Dp.Mechanism.paper_params ~sensitivity:1.0 ~num_cps:3
   in
   let proto =
     Psc.Protocol.create
       (Psc.Protocol.config ~table_size:16_384 ~num_cps:3 ~noise_flips_per_cp:flips
-         ~verify:true ~dp:Dp.Mechanism.paper_params ())
+         ~dp:Dp.Mechanism.paper_params ())
       ~num_dcs:(List.length observers) ~seed:3
   in
   List.iteri

@@ -5,9 +5,7 @@
    the raw occupied-slot count against the occupancy-inverted estimate. *)
 let collision_correction ?(seed = 61) () =
   let n_items = 3_000 and table_size = 4_096 in
-  let cfg =
-    Psc.Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:32 ~verify:false ()
-  in
+  let cfg = Psc.Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:32 () in
   let proto = Psc.Protocol.create cfg ~num_dcs:1 ~seed in
   for i = 0 to n_items - 1 do
     Psc.Protocol.insert proto ~dc:0 (Printf.sprintf "item%d" i)

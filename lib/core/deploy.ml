@@ -114,8 +114,7 @@ let psc_round cfg scenario =
       (fun cp -> { Psc.Protocol.tampered_cp = cp; action = `Shuffle_swap })
       (Bus.Scenario.malicious_cp scenario)
   in
-  Psc.Protocol.config ~num_cps:cfg.num_cps ~noise_flips_per_cp:cfg.noise_flips_per_cp
-    ~verify:true ?tamper
+  Psc.Protocol.config ~num_cps:cfg.num_cps ~noise_flips_per_cp:cfg.noise_flips_per_cp ?tamper
     ~table_size:cfg.table_size ()
 
 (* ------------------------------------------------------------------ *)

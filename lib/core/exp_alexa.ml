@@ -90,7 +90,7 @@ let measure ?(psc_unique = false) ~seed ~visits ~bins ~classify () =
           ~num_cps:3
           ~noise_flips_per_cp:
             (Psc.Protocol.flips_for_params Dp.Mechanism.paper_params ~sensitivity:1.0 ~num_cps:3)
-          ~verify:false ~dp:Dp.Mechanism.paper_params ()
+          ~dp:Dp.Mechanism.paper_params ()
       in
       let proto = Psc.Protocol.create cfg ~num_dcs:(List.length observer_ids) ~seed in
       Harness.attach_psc setup proto ~observer_ids ~items:(fun event ->

@@ -50,7 +50,7 @@ let run ?(seed = 48) ?(clients = 600_000) ?(promiscuous = 1_800) () =
         ~num_cps:3
         ~noise_flips_per_cp:
           (Psc.Protocol.flips_for_params Dp.Mechanism.paper_params ~sensitivity:1.0 ~num_cps:3)
-        ~verify:false ~dp:Dp.Mechanism.paper_params ()
+        ~dp:Dp.Mechanism.paper_params ()
     in
     let proto = Psc.Protocol.create cfg ~num_dcs:(List.length set) ~seed in
     Harness.attach_psc setup proto ~observer_ids:set ~items:(fun event ->

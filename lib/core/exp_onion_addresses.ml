@@ -33,8 +33,7 @@ let run ?(seed = 50) ?(services = 4_000) () =
     let cfg =
       Psc.Protocol.config
         ~table_size:(Harness.psc_table_size ~expected_items:services)
-        ~num_cps:3 ~noise_flips_per_cp:flips ~verify:false
-        ~dp:Dp.Mechanism.paper_params ()
+        ~num_cps:3 ~noise_flips_per_cp:flips ~dp:Dp.Mechanism.paper_params ()
     in
     Psc.Protocol.create cfg ~num_dcs:(List.length observers) ~seed
   in

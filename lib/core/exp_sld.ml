@@ -27,7 +27,7 @@ let run ?(seed = 45) ?(visits = 900_000) ?(mc_trials = 40) () =
         ~num_cps:3
         ~noise_flips_per_cp:
           (Psc.Protocol.flips_for_params Dp.Mechanism.paper_params ~sensitivity:1.0 ~num_cps:3)
-        ~verify:false ~dp:Dp.Mechanism.paper_params ()
+        ~dp:Dp.Mechanism.paper_params ()
     in
     Psc.Protocol.create cfg ~num_dcs ~seed
   in
@@ -109,8 +109,7 @@ let run ?(seed = 45) ?(visits = 900_000) ?(mc_trials = 40) () =
         Report.id = "Table 2";
         title = "Unique second-level domains (PSC) and power-law extrapolation";
         scale_note =
-          Printf.sprintf "%d visits; exit weight %.2f%%; PSC proofs off for throughput" visits
-            (100.0 *. fraction);
+          Printf.sprintf "%d visits; exit weight %.2f%%" visits (100.0 *. fraction);
         rows;
       };
     slds_estimate = all_result.Psc.Protocol.estimate;

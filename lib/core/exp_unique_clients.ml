@@ -18,8 +18,7 @@ let make_protocol ~expected_items ~num_dcs ~seed =
   let cfg =
     Psc.Protocol.config
       ~table_size:(Harness.psc_table_size ~expected_items)
-      ~num_cps:3 ~noise_flips_per_cp:flips ~verify:false
-      ~dp:Dp.Mechanism.paper_params ()
+      ~num_cps:3 ~noise_flips_per_cp:flips ~dp:Dp.Mechanism.paper_params ()
   in
   Psc.Protocol.create cfg ~num_dcs ~seed
 
@@ -156,7 +155,7 @@ let run ?(seed = 47) ?(clients = 60_000) () =
         Report.id = "Table 5";
         title = "Locally observed unique client statistics (PSC)";
         scale_note =
-          Printf.sprintf "%d simulated clients; guard weight %.2f%%; PSC proofs off" clients
+          Printf.sprintf "%d simulated clients; guard weight %.2f%%" clients
             (100.0 *. fraction);
         rows;
       };

@@ -25,8 +25,7 @@ let run ?(seed = 53) ?(clients = 80_000) () =
     Psc.Protocol.create
       (Psc.Protocol.config
          ~table_size:(Harness.psc_table_size ~expected_items:expected)
-         ~num_cps:3 ~noise_flips_per_cp:flips ~verify:false
-         ~dp:Dp.Mechanism.paper_params ())
+         ~num_cps:3 ~noise_flips_per_cp:flips ~dp:Dp.Mechanism.paper_params ())
       ~num_dcs:(List.length observer_ids) ~seed
   in
   Harness.attach_psc setup proto ~observer_ids ~items:(fun event ->

@@ -186,14 +186,6 @@ let shuffle ?tab drbg pk input =
   in
   (output, proof)
 
-let shuffle_unproven ?tab drbg pk input =
-  let n = Array.length input in
-  let tab = match tab with Some t -> t | None -> Group.precomp pk in
-  let pi = random_perm drbg n in
-  let r = Group.random_exps drbg n in
-  Parallel.parallel_init n (fun i ->
-      Elgamal.mul (Elgamal.encrypt_with ~tab ~r:r.(i) pk Elgamal.one) input.(pi.(i)))
-
 (* The five equations, each checked as one group equation:
      A:  prod u_j^{v e_j} * prod h_i^{-k_E,i} * A' = g^{k_A}
      F:  prod x_j^{v e_j} * prod y_i^{-k_E,i} * F' = E(1; -k_F)  (c1 and c2)

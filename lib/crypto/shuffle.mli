@@ -20,16 +20,10 @@ val shuffle :
     proof of correctness. [?tab] is a fixed-base table for [pk]; one is
     built on the spot when absent. The permutation and the
     rerandomization exponents are the first two bulk reads from
-    [drbg], so the output vector equals {!shuffle_unproven}'s at the
-    same stream position; the proof's randomness is drawn after them.
-    The output and the permutation commitment are computed in one
-    pooled pass. *)
-
-val shuffle_unproven :
-  ?tab:Group.precomp -> Drbg.t -> Elgamal.pub -> Elgamal.ciphertext array ->
-  Elgamal.ciphertext array
-(** Permute and rerandomize without producing a proof — the fast path
-    for large throughput runs where verification is disabled. *)
+    [drbg], and the proof's randomness is drawn after them, so the
+    output vector depends on those two reads alone: the per-seed
+    shuffle-output pins rely on this order. The output and the
+    permutation commitment are computed in one pooled pass. *)
 
 val verify :
   ?tab:Group.precomp -> Elgamal.pub -> input:Elgamal.ciphertext array ->

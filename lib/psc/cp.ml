@@ -27,29 +27,16 @@ let key_proof t =
 let verify_key_proof ~id ~pub proof =
   Crypto.Sigma.schnorr_verify ~public:pub ~context:(Printf.sprintf "psc-key|%d" id) proof
 
-(* Binomial noise: [flips] fair coins, each encrypted as its own slot.
-   The count of heads adds to the measured cardinality; its mean is
-   publicly subtracted by the estimator. Randomness comes from one bulk
-   DRBG read — alternating (bit, exponent) lanes per flip — and the
-   encryptions run on the domain pool. *)
+(* Binomial noise: [flips] fair coins, each encrypted as its own slot
+   with a disjunctive bit-validity proof. The count of heads adds to the
+   measured cardinality; its mean is publicly subtracted by the
+   estimator. Without the proofs a malicious CP could inject non-bit
+   plaintexts as "noise" and distort the cardinality while hiding
+   behind noise deniability. Randomness comes from one bulk DRBG read,
+   five lanes per flip: the coin, then the four proof exponents in
+   [Bit_proof.rand]'s field order; the encryptions run on the domain
+   pool. *)
 let noise_slots ?tab t ~joint ~flips =
-  let raw =
-    Crypto.Drbg.uniform_lanes t.drbg
-      (fun k -> if k land 1 = 0 then 2 else Crypto.Group.q)
-      (2 * flips)
-  in
-  Parallel.parallel_init flips (fun i ->
-      let bit = raw.(2 * i) = 1 in
-      let r = Crypto.Group.exp_of_int raw.((2 * i) + 1) in
-      Crypto.Elgamal.encrypt_with ?tab ~r joint
-        (if bit then Crypto.Elgamal.marker else Crypto.Elgamal.one))
-
-(* Same, with a disjunctive bit-validity proof per slot: without these a
-   malicious CP could inject non-bit plaintexts as "noise" and distort
-   the cardinality while hiding behind noise deniability. Five lanes
-   per flip: the coin, then the four proof exponents in
-   [Bit_proof.rand]'s field order. *)
-let noise_slots_proven ?tab t ~joint ~flips =
   let q = Crypto.Group.q in
   let raw =
     Crypto.Drbg.uniform_lanes t.drbg (fun k -> if k mod 5 = 0 then 2 else q) (5 * flips)
@@ -63,14 +50,7 @@ let noise_slots_proven ?tab t ~joint ~flips =
       in
       Crypto.Bit_proof.encrypt_bit_proven_with ?pk_tab:tab ~pk:joint br bit)
 
-let shuffle ?tab t ~joint ~prove vector =
-  if prove then
-    let output, proof = Crypto.Shuffle.shuffle ?tab t.drbg joint vector in
-    (output, Some proof)
-  else
-    (* proof-less fast path for large simulation runs, and for the
-       tests that switch proofs off *)
-    (Crypto.Shuffle.shuffle_unproven ?tab t.drbg joint vector, None)
+let shuffle ?tab t ~joint vector = Crypto.Shuffle.shuffle ?tab t.drbg joint vector
 
 (* Rerandomization runs on Group.pow_lanes: two ciphertexts per
    four-lane call, one pair per pool index, so every pool chunk is a
@@ -124,7 +104,7 @@ let fold ~pub vector shares =
   let w = Crypto.Batch_verify.weights ~context:"psc-decrypt" ~digest (Array.length vector) in
   (w, Crypto.Group.multi_exp ~bases:c1s ~exps:w)
 
-let decrypt_shares t ?(prove = true) vector =
+let decrypt_shares t vector =
   let n = Array.length vector in
   let x = t.priv in
   let shares = Array.make n Crypto.Group.one in
@@ -138,16 +118,12 @@ let decrypt_shares t ?(prove = true) vector =
       shares.(at 1) <- l.Crypto.Group.l1;
       shares.(at 2) <- l.Crypto.Group.l2;
       shares.(at 3) <- l.Crypto.Group.l3);
+  let _, base2 = fold ~pub:t.pub vector shares in
   let proof =
-    if not prove then None
-    else begin
-      let _, base2 = fold ~pub:t.pub vector shares in
-      Some
-        (Crypto.Sigma.dleq_prove_with ~public2:(Crypto.Group.pow base2 x) ~public1:t.pub
-           ~k:(Crypto.Group.random_exp t.drbg) ~secret:x ~base2 ~context:"psc-decrypt" ())
-    end
+    Crypto.Sigma.dleq_prove_with ~public2:(Crypto.Group.pow base2 x) ~public1:t.pub
+      ~k:(Crypto.Group.random_exp t.drbg) ~secret:x ~base2 ~context:"psc-decrypt" ()
   in
-  { cp_id = t.id; shares; proof }
+  { cp_id = t.id; shares; proof = Some proof }
 
 let verify_decryption ~pub ~vector { shares; proof; _ } =
   match proof with

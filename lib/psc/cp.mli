@@ -14,23 +14,18 @@ val verify_key_proof : id:int -> pub:Crypto.Elgamal.pub -> Crypto.Sigma.schnorr_
 
 val noise_slots :
   ?tab:Crypto.Group.precomp ->
-  t -> joint:Crypto.Elgamal.pub -> flips:int -> Crypto.Elgamal.ciphertext array
-(** [flips] fair coins, each encrypted as its own slot. [?tab] is a
-    fixed-base table for [joint]. *)
-
-val noise_slots_proven :
-  ?tab:Crypto.Group.precomp ->
   t -> joint:Crypto.Elgamal.pub -> flips:int ->
   (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array
-(** Noise slots with per-slot disjunctive bit-validity proofs. *)
+(** [flips] fair coins, each encrypted as its own slot with a
+    disjunctive bit-validity proof. [?tab] is a fixed-base table for
+    [joint]. *)
 
 val shuffle :
   ?tab:Crypto.Group.precomp ->
-  t -> joint:Crypto.Elgamal.pub -> prove:bool -> Crypto.Elgamal.ciphertext array ->
-  Crypto.Elgamal.ciphertext array * Crypto.Shuffle.proof option
-(** [prove = false] is the proof-less fast path for throughput runs; the
-    output vector is the same either way. [?tab] is a fixed-base table
-    for [joint], reused across phases. *)
+  t -> joint:Crypto.Elgamal.pub -> Crypto.Elgamal.ciphertext array ->
+  Crypto.Elgamal.ciphertext array * Crypto.Shuffle.proof
+(** {!Crypto.Shuffle.shuffle} from the CP's DRBG stream. [?tab] is a
+    fixed-base table for [joint], reused across phases. *)
 
 val rerandomize_bits : t -> Crypto.Elgamal.ciphertext array -> Crypto.Elgamal.ciphertext array
 (** x -> x^k for secret nonzero k per slot: bit 0 stays bit 0, anything
@@ -40,16 +35,16 @@ type decryption_share = {
   cp_id : int;
   shares : Crypto.Group.elt array;  (** [c1_i^x] per slot *)
   proof : Crypto.Sigma.dleq_proof option;
-      (** one Chaum–Pedersen proof for the whole vector *)
+      (** one Chaum–Pedersen proof for the whole vector; [None] only
+          when a share arrives over the wire without one *)
 }
 
-val decrypt_shares : t -> ?prove:bool -> Crypto.Elgamal.ciphertext array -> decryption_share
-(** Partial decryptions of every slot and, with [prove] (the default),
-    one folded Chaum–Pedersen proof: weights drawn from a transcript
-    over the CP's key, every [c1_i] and every share fold the vector
-    into one statement [(C, C^x)] with [C = prod c1_i^w_i], proven
-    equal-log to [(g, pk)] with a single nonce from the CP's DRBG
-    (DESIGN.md §3c). *)
+val decrypt_shares : t -> Crypto.Elgamal.ciphertext array -> decryption_share
+(** Partial decryptions of every slot and one folded Chaum–Pedersen
+    proof: weights drawn from a transcript over the CP's key, every
+    [c1_i] and every share fold the vector into one statement
+    [(C, C^x)] with [C = prod c1_i^w_i], proven equal-log to
+    [(g, pk)] with a single nonce from the CP's DRBG (DESIGN.md §3c). *)
 
 val verify_decryption :
   pub:Crypto.Elgamal.pub -> vector:Crypto.Elgamal.ciphertext array -> decryption_share -> bool

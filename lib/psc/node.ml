@@ -37,13 +37,13 @@ let spawn_cp sched ~epoch cfg ~id =
       | Ok (Wire.Shuffle_request vector) ->
           let j, tab = joint_exn () in
           let output, proof = Protocol.cp_shuffle cfg.round ~tab cp ~joint:j vector in
-          reply (Wire.Shuffled { output; proof });
+          reply (Wire.Shuffled { output; proof = Some proof });
           true
       | Ok (Wire.Rerand_request vector) ->
           reply (Wire.Rerandomized (Cp.rerandomize_bits cp vector));
           true
       | Ok (Wire.Decrypt_request vector) ->
-          let share = Cp.decrypt_shares cp ~prove:true vector in
+          let share = Cp.decrypt_shares cp vector in
           reply (Wire.Decrypt_share { shares = share.Cp.shares; proof = share.Cp.proof });
           true
       | Ok _ | Error _ -> false)
@@ -130,8 +130,6 @@ let verifier_exn t =
 let post t ~epoch dst msg = Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst msg
 
 let spawn_ts sched cfg =
-  if not cfg.round.Protocol.verify then
-    invalid_arg "Node.spawn_ts: bus rounds are always verified";
   let num_cps = cfg.round.Protocol.num_cps in
   let t =
     {

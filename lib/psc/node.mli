@@ -14,8 +14,8 @@
 
 type cfg = {
   round : Protocol.config;
-      (** the round's parameters, [tamper] included; the bus always
-          proves, so [verify] must be on *)
+      (** the round's parameters, [tamper] included; every round is
+          proven, as in-process *)
   num_dcs : int;  (** the epoch's full deployment size *)
   seed : int;
 }
@@ -51,7 +51,6 @@ val dc_load : dc -> string -> (unit, Bus.Codec.error) result
 type ts
 
 val spawn_ts : Bus.Sched.t -> cfg -> ts
-(** Raises [Invalid_argument] unless [round] verifies with proofs. *)
 
 val ts_request_tables : ts -> epoch:int -> dcs:int list -> unit
 (** Ask each listed DC for its table (crashed DCs never answer). Run

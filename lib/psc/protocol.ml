@@ -4,7 +4,6 @@ type config = {
   table_size : int;
   num_cps : int;
   noise_flips_per_cp : int;
-  verify : bool;
   tamper : tamper option;
       (* fault injection for tests: make one CP misbehave and check the
          proofs identify it *)
@@ -15,10 +14,11 @@ type config = {
 
 let config ?(num_cps = 3) ?(noise_flips_per_cp = 64) ?proof_rounds:_ ?(verify = true) ?tamper
     ?dp ~table_size () =
+  if not verify then invalid_arg "Protocol.config: every PSC round is proven";
   if table_size <= 0 then invalid_arg "Protocol.config: table_size must be positive";
   if num_cps < 1 then invalid_arg "Protocol.config: need at least one CP";
   if noise_flips_per_cp < 0 then invalid_arg "Protocol.config: negative flips";
-  { table_size; num_cps; noise_flips_per_cp; verify; tamper; dp }
+  { table_size; num_cps; noise_flips_per_cp; tamper; dp }
 
 let flips_for_params params ~sensitivity ~num_cps =
   let total = Dp.Mechanism.binomial_n_for params ~sensitivity in
@@ -56,7 +56,7 @@ let tampers cfg cp action =
 let tamper_drbg () = Crypto.Drbg.create "psc-tamper"
 
 let proven_noise cfg ?tab cp ~joint ~flips =
-  let proven = Cp.noise_slots_proven ?tab cp ~joint ~flips in
+  let proven = Cp.noise_slots ?tab cp ~joint ~flips in
   if tampers cfg cp `Noise_nonbit && Array.length proven > 0 then begin
     (* a Byzantine CP injects Enc(marker^2) as "noise" with a forged
        bit proof *)
@@ -71,7 +71,7 @@ let proven_noise cfg ?tab cp ~joint ~flips =
   proven
 
 let cp_shuffle cfg ?tab cp ~joint vector =
-  let output, proof = Cp.shuffle ?tab cp ~joint ~prove:cfg.verify vector in
+  let output, proof = Cp.shuffle ?tab cp ~joint vector in
   if tampers cfg cp `Shuffle_swap && Array.length output > 0 then begin
     (* a Byzantine CP substitutes a slot after shuffling and keeps the
        honest proof *)
@@ -143,14 +143,8 @@ let decrypt_count v vector (shares : Cp.decryption_share array) =
   let n = Array.length vector in
   Array.iteri
     (fun cp share ->
-      let ok =
-        if v.vcfg.verify then begin
-          let ok = Cp.verify_decryption ~pub:v.pubs.(cp) ~vector share in
-          Obs.Ledger.proof ~kind:"psc-decrypt" ~party:cp ~ok ~batch:n;
-          ok
-        end
-        else Array.length share.Cp.shares = n
-      in
+      let ok = Cp.verify_decryption ~pub:v.pubs.(cp) ~vector share in
+      Obs.Ledger.proof ~kind:"psc-decrypt" ~party:cp ~ok ~batch:n;
       if not ok then blame v cp)
     shares;
   (* a share vector of the wrong length is blamed above and left out
@@ -271,8 +265,8 @@ let run t =
     Obs.Ledger.phase "psc.combine" ~attrs:[ jobs_attr ] (fun () ->
         Table.combine (Array.to_list t.tables))
   in
-  (* 2. every CP appends its encrypted noise bits; with verification on,
-     each slot carries a disjunctive bit-validity proof checked here *)
+  (* 2. every CP appends its encrypted noise bits, each slot with a
+     disjunctive bit-validity proof checked here *)
   let with_noise =
     Obs.Ledger.phase "psc.noise"
       ~attrs:[ ("flips_per_cp", string_of_int flips); jobs_attr ]
@@ -280,10 +274,8 @@ let run t =
     let per_cp =
       Array.map
         (fun cp ->
-          if t.cfg.verify then
-            check_noise v ~cp:(Cp.id cp)
-              (proven_noise t.cfg ~tab:v.joint_tab cp ~joint:v.joint ~flips)
-          else Cp.noise_slots ~tab:v.joint_tab cp ~joint:v.joint ~flips)
+          check_noise v ~cp:(Cp.id cp)
+            (proven_noise t.cfg ~tab:v.joint_tab cp ~joint:v.joint ~flips))
         t.cps
     in
     (* single allocation + blits; the old fold re-copied the whole
@@ -298,8 +290,7 @@ let run t =
         let output =
           Obs.Ledger.phase "psc.shuffle" ~attrs:cp_attr (fun () ->
               let output, proof = cp_shuffle t.cfg ~tab:v.joint_tab cp ~joint:v.joint vector in
-              if t.cfg.verify then
-                check_shuffle v ~cp:(Cp.id cp) ~input:vector ~output proof;
+              check_shuffle v ~cp:(Cp.id cp) ~input:vector ~output (Some proof);
               output)
         in
         Obs.Ledger.phase "psc.rerandomize" ~attrs:cp_attr (fun () ->
@@ -310,7 +301,7 @@ let run t =
   let raw_nonzero =
     Obs.Ledger.phase "psc.decrypt" ~attrs:[ jobs_attr ] (fun () ->
         decrypt_count v shuffled
-          (Array.map (fun cp -> Cp.decrypt_shares cp ~prove:t.cfg.verify shuffled) t.cps))
+          (Array.map (fun cp -> Cp.decrypt_shares cp shuffled) t.cps))
   in
   (* 5. estimate: subtract the noise mean, invert the occupancy bias *)
   result_of v ~raw_nonzero

@@ -16,9 +16,6 @@ type config = {
   table_size : int;
   num_cps : int;
   noise_flips_per_cp : int;
-  verify : bool;
-      (** prove and verify noise, shuffle and decryption proofs; [false]
-          is the proof-less path for large throughput runs *)
   tamper : tamper option;
   dp : Dp.Mechanism.params option;
       (** the (ε,δ) the configured noise was calibrated for; recorded
@@ -29,10 +26,12 @@ val config :
   ?num_cps:int -> ?noise_flips_per_cp:int -> ?proof_rounds:int option ->
   ?verify:bool -> ?tamper:tamper -> ?dp:Dp.Mechanism.params ->
   table_size:int -> unit -> config
-(** Raises [Invalid_argument] on a non-positive table size, no CPs or
-    negative flips. [?proof_rounds] is deprecated and ignored: the
-    shuffle proof has no round count, and shuffles are proven iff
-    [verify]. It is accepted only for callers that still pass it. *)
+(** Every round proves and verifies its noise, shuffle and decryption
+    proofs. Raises [Invalid_argument] on a non-positive table size, no
+    CPs, negative flips or [~verify:false]. [?proof_rounds] is ignored
+    and [?verify] accepts only [true]: both remain only because
+    [perfbench/netbench.ml] still passes [~proof_rounds:(Some 2)
+    ~verify:true]. No other caller passes them. *)
 
 val flips_for_params : Dp.Mechanism.params -> sensitivity:float -> num_cps:int -> int
 (** Per-CP flips so the total binomial noise gives (ε,δ)-DP. *)
@@ -82,9 +81,9 @@ val proven_noise :
 val cp_shuffle :
   config -> ?tab:Crypto.Group.precomp -> Cp.t -> joint:Crypto.Elgamal.pub ->
   Crypto.Elgamal.ciphertext array ->
-  Crypto.Elgamal.ciphertext array * Crypto.Shuffle.proof option
-(** A CP's shuffle, proven iff [verify], with the configured
-    [`Shuffle_swap] fault applied when this CP is the tampering one. *)
+  Crypto.Elgamal.ciphertext array * Crypto.Shuffle.proof
+(** A CP's proven shuffle, with the configured [`Shuffle_swap] fault
+    applied when this CP is the tampering one. *)
 
 type verifier
 (** The tally server's side of a round: the CPs' verified keys and the
@@ -107,18 +106,18 @@ val check_shuffle :
   verifier -> cp:int -> input:Crypto.Elgamal.ciphertext array ->
   output:Crypto.Elgamal.ciphertext array -> Crypto.Shuffle.proof option -> unit
 (** Check one CP's shuffle of [input] ([psc-shuffle]) inside a
-    [psc.verify_shuffle] ledger phase. A CP that returns no proof, or a
-    proof whose vectors do not match the input's length, fails
-    outright. Called only when [verify] is on. *)
+    [psc.verify_shuffle] ledger phase. A CP that returns no proof (a
+    remote CP can send none over the wire), or a proof whose vectors do
+    not match the input's length, fails outright. *)
 
 val decrypt_count :
   verifier -> Crypto.Elgamal.ciphertext array -> Cp.decryption_share array -> int
-(** Verify every CP's folded decryption proof when [verify] is on
-    ([psc-decrypt]; index = CP id), combine the shares and count the
-    non-identity plaintexts. A share vector whose length differs from
-    the vector's blames its CP, with or without [verify], and is left
-    out of the combination. Raises [Invalid_argument] unless there is
-    one share vector per CP. *)
+(** Verify every CP's folded decryption proof ([psc-decrypt]; index =
+    CP id), combine the shares and count the non-identity plaintexts.
+    A missing proof, a forged share or a share vector whose length
+    differs from the vector's blames its CP; a vector of the wrong
+    length is also left out of the combination. Raises
+    [Invalid_argument] unless there is one share vector per CP. *)
 
 val result_of : verifier -> raw_nonzero:int -> result
 (** The published estimate: noise-mean subtraction, occupancy-bias

@@ -19,8 +19,7 @@
 let psc_1m () =
   let proto =
     Psc.Protocol.create
-      (Psc.Protocol.config ~table_size:1_048_576 ~num_cps:3 ~noise_flips_per_cp:64
-         ~verify:true ())
+      (Psc.Protocol.config ~table_size:1_048_576 ~num_cps:3 ~noise_flips_per_cp:64 ())
       ~num_dcs:2 ~seed:13
   in
   for i = 0 to 2_047 do

@@ -189,7 +189,7 @@ let test_psc_wire_proofs () =
     Crypto.Elgamal.joint_pub [ Psc.Cp.public_key cp0; Psc.Cp.public_key cp1 ]
   in
   let tab = Crypto.Group.precomp joint in
-  let slots = Psc.Cp.noise_slots_proven ~tab cp0 ~joint ~flips:6 in
+  let slots = Psc.Cp.noise_slots ~tab cp0 ~joint ~flips:6 in
   (match
      Psc.Wire.decode ~kind:"psc.noise" (Psc.Wire.encode (Psc.Wire.Noise_slots slots))
    with
@@ -206,8 +206,7 @@ let test_psc_wire_proofs () =
   let input =
     Array.init 8 (fun _ -> Crypto.Elgamal.encrypt drbg joint Crypto.Elgamal.marker)
   in
-  let output, proof = Psc.Cp.shuffle cp1 ~joint ~prove:true input in
-  let proof = match proof with Some p -> p | None -> Alcotest.fail "no proof" in
+  let output, proof = Psc.Cp.shuffle cp1 ~joint input in
   (match
      Psc.Wire.decode ~kind:"psc.shuffled"
        (Psc.Wire.encode (Psc.Wire.Shuffled { output; proof = Some proof }))
@@ -692,8 +691,8 @@ let psc_samples =
            Crypto.Elgamal.encrypt drbg joint
              (if i = 1 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
      in
-     let output, proof = Psc.Cp.shuffle cp0 ~joint ~prove:true cts in
-     let share = Psc.Cp.decrypt_shares cp1 ~prove:true output in
+     let output, proof = Psc.Cp.shuffle cp0 ~joint cts in
+     let share = Psc.Cp.decrypt_shares cp1 output in
      Psc.Wire.
        [
          Cp_key { pub = Psc.Cp.public_key cp0; proof = Psc.Cp.key_proof cp0 };
@@ -701,9 +700,9 @@ let psc_samples =
          Table_request;
          Table_submit cts;
          Noise_request { flips = 5 };
-         Noise_slots (Psc.Cp.noise_slots_proven cp0 ~joint ~flips:2);
+         Noise_slots (Psc.Cp.noise_slots cp0 ~joint ~flips:2);
          Shuffle_request cts;
-         Shuffled { output; proof };
+         Shuffled { output; proof = Some proof };
          Shuffled { output; proof = None };
          Rerand_request output;
          Rerandomized (Psc.Cp.rerandomize_bits cp1 output);

@@ -143,6 +143,36 @@ let test_onion_addresses_experiment () =
     true
     (Report.within ~tolerance:0.4 ~expected:1_000.0 outcome.Exp_onion_addresses.published_network)
 
+(* Every experiment runs the proven PSC protocol: each round's ledger
+   holds a passing noise-bit, shuffle and decryption proof per CP. A
+   round's proofs precede its [psc.run] phase, which closes after them. *)
+let test_psc_rounds_proven () =
+  let events =
+    Obs.reset ();
+    Fun.protect ~finally:Obs.reset @@ fun () ->
+    Obs.with_enabled true @@ fun () ->
+    ignore (Exp_onion_addresses.run ~seed:7 ~services:200 ());
+    Obs.Ledger.events ()
+  in
+  let rounds, _ =
+    List.fold_left
+      (fun (rounds, proofs) -> function
+        | Obs.Ledger.Proof { kind; party; ok; _ } -> (rounds, (kind, (party, ok)) :: proofs)
+        | Obs.Ledger.Phase { name = "psc.run"; _ } -> (List.rev proofs :: rounds, [])
+        | _ -> (rounds, proofs))
+      ([], []) events
+  in
+  Alcotest.(check int) "two PSC rounds" 2 (List.length rounds);
+  List.iter
+    (fun proofs ->
+      List.iter
+        (fun kind ->
+          Alcotest.(check (list (pair int bool))) (kind ^ ": one passing proof per CP")
+            [ (0, true); (1, true); (2, true) ]
+            (List.filter_map (fun (k, p) -> if k = kind then Some p else None) proofs))
+        [ "psc-noise-bit"; "psc-shuffle"; "psc-decrypt" ])
+    rounds
+
 let test_determinism () =
   let a = Exp_exit_streams.run ~seed:9 ~visits:10_000 () in
   let b = Exp_exit_streams.run ~seed:9 ~visits:10_000 () in
@@ -343,6 +373,7 @@ let () =
           Alcotest.test_case "table7 shape" `Slow test_descriptors_experiment;
           Alcotest.test_case "table8 shape" `Slow test_rendezvous_experiment;
           Alcotest.test_case "table6 shape" `Slow test_onion_addresses_experiment;
+          Alcotest.test_case "psc rounds proven" `Quick test_psc_rounds_proven;
           Alcotest.test_case "determinism" `Slow test_determinism;
         ] );
       ( "ablations",

@@ -1267,7 +1267,7 @@ let prop_shuffle_preserves_plaintext_multiset =
         Array.init n (fun i ->
             Elgamal.encrypt d pk (if i mod 3 = 0 then Elgamal.marker else Elgamal.one))
       in
-      let output = Shuffle.shuffle_unproven d pk input in
+      let output, _ = Shuffle.shuffle d pk input in
       let plain cts =
         Array.to_list cts
         |> List.map (fun ct -> Group.elt_to_int (decrypt sk ct))

@@ -380,7 +380,6 @@ let test_tampered_psc_fails_audit () =
   with_obs (fun () ->
       let cfg =
         Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-          ~verify:true
           ~tamper:{ Psc.Protocol.tampered_cp = 1; action = `Shuffle_swap }
           ()
       in
@@ -413,7 +412,7 @@ let prop_ledger_jobs_invariant =
             Obs.with_enabled true (fun () ->
                 let cfg =
                   Psc.Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-                    ~verify:true ~dp:Dp.Mechanism.paper_params ()
+                    ~dp:Dp.Mechanism.paper_params ()
                 in
                 let proto = Psc.Protocol.create cfg ~num_dcs:2 ~seed in
                 for i = 0 to n - 1 do
@@ -448,8 +447,7 @@ let test_instrumented_paths_silent_when_disabled () =
   Obs.reset ();
   let proto =
     Psc.Protocol.create
-      (Psc.Protocol.config ~table_size:256 ~num_cps:2 ~noise_flips_per_cp:8
-         ~verify:false ())
+      (Psc.Protocol.config ~table_size:256 ~num_cps:2 ~noise_flips_per_cp:8 ())
       ~num_dcs:2 ~seed:3
   in
   for i = 0 to 49 do

@@ -1,7 +1,7 @@
 open Psc
 
-let config ?(table_size = 2_048) ?(flips = 32) ?(verify = true) () =
-  Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:flips ~verify ()
+let config ?(table_size = 2_048) ?(flips = 32) () =
+  Protocol.config ~table_size ~num_cps:3 ~noise_flips_per_cp:flips ()
 
 (* --- item hashing --- *)
 
@@ -152,14 +152,6 @@ let test_run_once () =
     (Invalid_argument "Protocol.insert: round already run") (fun () ->
       Protocol.insert proto ~dc:0 "late")
 
-let test_no_proofs_fast_path () =
-  let cfg = config ~verify:false () in
-  let _, result = run_with_items ~cfg ~num_dcs:2 [ List.init 30 string_of_int; [] ] in
-  Alcotest.(check bool)
-    (Printf.sprintf "estimate near 30 (got %.1f)" result.Protocol.estimate)
-    true
-    (Float.abs (result.Protocol.estimate -. 30.0) < 40.0)
-
 let test_flips_for_params () =
   let flips =
     Protocol.flips_for_params Dp.Mechanism.paper_params ~sensitivity:1.0 ~num_cps:3
@@ -172,7 +164,6 @@ let test_flips_for_params () =
 let test_byzantine_shuffle_detected () =
   let cfg =
     Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-      ~verify:true
       ~tamper:{ Protocol.tampered_cp = 1; action = `Shuffle_swap }
       ()
   in
@@ -185,7 +176,6 @@ let test_byzantine_shuffle_detected () =
 let test_byzantine_noise_detected () =
   let cfg =
     Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-      ~verify:true
       ~tamper:{ Protocol.tampered_cp = 2; action = `Noise_nonbit }
       ()
   in
@@ -200,20 +190,6 @@ let test_honest_run_no_culprits () =
   let result = Protocol.run proto in
   Alcotest.(check (list int)) "no culprits" [] result.Protocol.culprits;
   Alcotest.(check bool) "proofs ok" true result.Protocol.proofs_ok
-
-let test_tamper_without_verification_goes_unnoticed () =
-  (* the point of the proofs: with verification off, the same shuffle
-     substitution distorts the result silently *)
-  let cfg =
-    Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-      ~verify:false
-      ~tamper:{ Protocol.tampered_cp = 1; action = `Shuffle_swap }
-      ()
-  in
-  let proto = Protocol.create cfg ~num_dcs:1 ~seed:5 in
-  let result = Protocol.run proto in
-  Alcotest.(check bool) "nothing flagged" true result.Protocol.proofs_ok;
-  Alcotest.(check (list int)) "no culprits" [] result.Protocol.culprits
 
 let with_ledger f =
   Obs.reset ();
@@ -269,16 +245,15 @@ let shuffle_proof_blamed cases () =
         Crypto.Elgamal.encrypt d joint
           (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
   in
-  let out0, proof0 = Cp.shuffle cps.(0) ~joint ~prove:true input in
-  let out1, proof1 = Cp.shuffle cps.(1) ~joint ~prove:true out0 in
-  let proof0 = match proof0 with Some p -> p | None -> Alcotest.fail "no proof" in
+  let out0, proof0 = Cp.shuffle cps.(0) ~joint input in
+  let out1, proof1 = Cp.shuffle cps.(1) ~joint out0 in
   List.iter
     (fun (name, sent, want) ->
       let v = Protocol.verifier cfg keys in
       let (), events =
         with_ledger (fun () ->
             Protocol.check_shuffle v ~cp:0 ~input ~output:out0 (Some sent);
-            Protocol.check_shuffle v ~cp:1 ~input:out0 ~output:out1 proof1)
+            Protocol.check_shuffle v ~cp:1 ~input:out0 ~output:out1 (Some proof1))
       in
       Alcotest.(check (list (pair int bool))) (name ^ ": ledger")
         [ (0, want); (1, true) ] (shuffle_proofs events);
@@ -299,7 +274,7 @@ let test_malformed_shuffle_proof_blamed =
     [
       ("honest", (fun ~proof1:_ p -> p), true);
       ("one long", (fun ~proof1:_ p -> resize_proof 1 p), false);
-      ("CP 1's", (fun ~proof1 _ -> Option.get proof1), false);
+      ("CP 1's", (fun ~proof1 _ -> proof1), false);
     ]
 
 (* One verified 2-CP round through the bus parties, with CP 0's
@@ -393,10 +368,8 @@ let decrypt_proofs events =
 
 (* A 3-CP decrypt step: the verifier, an n-slot vector under the joint
    key (a marker in every third slot) and each CP's share vector. *)
-let decrypt_step ?(verify = true) ~seed n =
-  let cfg =
-    Protocol.config ~table_size:16 ~num_cps:3 ~noise_flips_per_cp:2 ~verify ()
-  in
+let decrypt_step ~seed n =
+  let cfg = Protocol.config ~table_size:16 ~num_cps:3 ~noise_flips_per_cp:2 () in
   let cps = Array.init 3 (fun id -> Cp.create ~id ~seed) in
   let v =
     Protocol.verifier cfg (Array.map (fun cp -> (Cp.public_key cp, Cp.key_proof cp)) cps)
@@ -407,7 +380,7 @@ let decrypt_step ?(verify = true) ~seed n =
         Crypto.Elgamal.encrypt d (Protocol.joint v)
           (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
   in
-  (v, vector, Array.map (fun cp -> Cp.decrypt_shares cp ~prove:verify vector) cps)
+  (v, vector, Array.map (fun cp -> Cp.decrypt_shares cp vector) cps)
 
 (* decrypt_count's ledger proofs, count, and the published verdict *)
 let decrypt_verdict v vector shares =
@@ -442,16 +415,9 @@ let test_wrong_share_vectors_blamed () =
       ("CP 0's", fun s -> s.(0));
       ("no proof", fun s -> { (s.(1)) with Cp.proof = None });
     ];
-  (* without verification a wrong length is still blamed, with no proof
-     recorded *)
-  let v, vector, shares = decrypt_step ~verify:false ~seed:4 n in
-  shares.(2) <- { (shares.(2)) with Cp.shares = Array.sub shares.(2).Cp.shares 0 1 };
-  let proofs, _, ok, culprits = decrypt_verdict v vector shares in
-  Alcotest.(check (list (pair int bool))) "unverified: no ledger proofs" [] proofs;
-  Alcotest.(check (pair bool (list int))) "unverified: CP 2 blamed" (false, [ 2 ]) (ok, culprits);
   Alcotest.check_raises "one share vector per CP"
     (Invalid_argument "Protocol.decrypt_count: one share vector per CP") (fun () ->
-      ignore (Protocol.decrypt_count v vector (Array.sub shares 0 2)))
+      ignore (Protocol.decrypt_count v vector (Array.sub honest 0 2)))
 
 (* The folded proof binds every share: one share replaced by another
    subgroup member, anywhere in the vector, fails its CP's proof, and
@@ -509,12 +475,10 @@ let test_shuffle_proof_jobs_invariant () =
     Fun.protect
       ~finally:(fun () -> Parallel.set_jobs before)
       (fun () ->
-        let output, proof = Cp.shuffle (Cp.create ~id:1 ~seed:8) ~joint ~prove:true vector in
+        let output, proof = Cp.shuffle (Cp.create ~id:1 ~seed:8) ~joint vector in
         Alcotest.(check bool) (Printf.sprintf "verifies at jobs %d" jobs) true
-          (match proof with
-          | Some p -> Crypto.Shuffle.verify joint ~input:vector ~output p
-          | None -> false);
-        Wire.encode (Wire.Shuffled { output; proof }))
+          (Crypto.Shuffle.verify joint ~input:vector ~output proof);
+        Wire.encode (Wire.Shuffled { output; proof = Some proof }))
   in
   Alcotest.(check string) "psc.shuffled body at jobs 1 and 4" (body 1) (body 4)
 
@@ -653,7 +617,7 @@ let test_cp_vector_phases_match_reference () =
               let got = Cp.rerandomize_bits (Cp.create ~id ~seed) vector in
               Alcotest.(check (array (pair int int))) (name "rerandomize") (ints rerandomized)
                 (ints got);
-              let got = Cp.decrypt_shares (Cp.create ~id ~seed) ~prove:true vector in
+              let got = Cp.decrypt_shares (Cp.create ~id ~seed) vector in
               Alcotest.(check (array int)) (name "shares") (elts shares) (elts got.Cp.shares);
               (match got.Cp.proof with
               | Some p ->
@@ -661,16 +625,13 @@ let test_cp_vector_phases_match_reference () =
                   (proof_ints p)
               | None -> Alcotest.fail "proof missing");
               Alcotest.(check bool) (name "proof verifies") true
-                (Cp.verify_decryption ~pub ~vector got);
-              let got = Cp.decrypt_shares (Cp.create ~id ~seed) ~prove:false vector in
-              Alcotest.(check (array int)) (name "unproven shares") (elts shares)
-                (elts got.Cp.shares)))
+                (Cp.verify_decryption ~pub ~vector got)))
         [ 1; 4 ])
     (List.init 10 Fun.id @ [ 67; 130 ])
 
 let test_larger_union_estimates_monotone () =
   let estimate n =
-    let cfg = config ~table_size:4_096 ~flips:16 ~verify:false () in
+    let cfg = config ~table_size:4_096 ~flips:16 () in
     let _, r = run_with_items ~cfg ~num_dcs:1 [ List.init n (fun i -> string_of_int i) ] in
     r.Protocol.estimate
   in
@@ -702,8 +663,7 @@ let run_at ?tamper ~seed ~n jobs =
     ~finally:(fun () -> Parallel.set_jobs before)
     (fun () ->
       let cfg =
-        Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8
-          ~verify:true ?tamper ()
+        Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8 ?tamper ()
       in
       let proto = Protocol.create cfg ~num_dcs:2 ~seed in
       for i = 0 to n - 1 do
@@ -764,7 +724,7 @@ let test_decrypted_counts_pinned () =
 
 (* Absolute pins on a CP's shuffle output at fixed seeds: the vector a
    CP publishes is fixed by its permutation and rerandomization draws,
-   whatever proof accompanies it. *)
+   which Shuffle.shuffle makes before any of the proof's. *)
 let test_shuffle_outputs_pinned () =
   List.iter
     (fun (seed, id, n, want) ->
@@ -776,9 +736,7 @@ let test_shuffle_outputs_pinned () =
             Crypto.Elgamal.encrypt d joint
               (if i mod 3 = 0 then Crypto.Elgamal.marker else Crypto.Elgamal.one))
       in
-      let output, _ = Cp.shuffle cp ~joint ~prove:true input in
-      let unproven, _ = Cp.shuffle (Cp.create ~id ~seed) ~joint ~prove:false input in
-      Alcotest.(check bool) "the proof does not move the output" true (output = unproven);
+      let output, _ = Cp.shuffle cp ~joint input in
       let ints =
         Array.to_list output
         |> List.concat_map (fun ct ->
@@ -798,7 +756,7 @@ let prop_estimate_tracks_truth =
   QCheck.Test.make ~name:"estimate within noise of true union" ~count:8
     QCheck.(pair (int_range 1 60) (int_range 0 300))
     (fun (seed, n) ->
-      let cfg = config ~table_size:2_048 ~flips:32 ~verify:false () in
+      let cfg = config ~table_size:2_048 ~flips:32 () in
       let proto = Protocol.create cfg ~num_dcs:2 ~seed in
       for i = 0 to n - 1 do
         Protocol.insert proto ~dc:(i mod 2) (Printf.sprintf "i%d" i)
@@ -845,7 +803,6 @@ let () =
           Alcotest.test_case "noise in raw count" `Quick test_noise_changes_raw_count;
           Alcotest.test_case "proofs verify" `Quick test_proofs_verify;
           Alcotest.test_case "run once" `Quick test_run_once;
-          Alcotest.test_case "fast path" `Quick test_no_proofs_fast_path;
           Alcotest.test_case "flips calibration" `Quick test_flips_for_params;
           Alcotest.test_case "monotone estimates" `Quick test_larger_union_estimates_monotone;
           Alcotest.test_case "permuted insertion" `Quick test_permuted_insertion_order;
@@ -859,8 +816,6 @@ let () =
           Alcotest.test_case "byzantine shuffle" `Quick test_byzantine_shuffle_detected;
           Alcotest.test_case "byzantine noise" `Quick test_byzantine_noise_detected;
           Alcotest.test_case "honest run" `Quick test_honest_run_no_culprits;
-          Alcotest.test_case "unverified tamper silent" `Quick
-            test_tamper_without_verification_goes_unnoticed;
           Alcotest.test_case "short shuffle proof blamed" `Quick
             test_short_shuffle_proof_blamed;
           Alcotest.test_case "short shuffle proof blamed on the bus" `Quick
