@@ -28,8 +28,8 @@ val config :
   table_size:int -> unit -> config
 (** Every round proves and verifies its noise, shuffle and decryption
     proofs. Raises [Invalid_argument] on a non-positive table size, no
-    CPs, negative flips or [~verify:false]. [?proof_rounds] is ignored
-    and [?verify] accepts only [true]: both remain only because
+    CPs, negative flips or [verify] set to [false]. [?proof_rounds] is
+    ignored and [?verify] accepts only [true]: both remain only because
     [perfbench/netbench.ml] still passes [~proof_rounds:(Some 2)
     ~verify:true]. No other caller passes them. *)
 
